@@ -7,7 +7,7 @@
 //! Σ charged wait seconds equals the clock movement of every schedule,
 //! and that every schedule ends at the same virtual time.
 //!
-//! The CI set ([`ci_reports`]) mirrors the shapes the crawler actually
+//! The CI set ([`ci_reports`]) mirrors the shapes the monitor actually
 //! runs on the executor — tied retry deadlines, a shared append log
 //! canonicalized before output, a narrow admission window — and must
 //! stay clean. [`sensitive_report`] is the deliberately order-sensitive
@@ -161,8 +161,8 @@ fn shared_log_canonicalized() -> ModelReport {
 }
 
 /// Model 3: six identical tasks through an admission window of two — the
-/// `--tasks` flag shape. Pairwise ties at every round; completion admits
-/// the next input in input order.
+/// monitor's `--tasks` flag shape. Pairwise ties at every round;
+/// completion admits the next input in input order.
 fn windowed_admission() -> ModelReport {
     ModelReport {
         name: "windowed-admission",

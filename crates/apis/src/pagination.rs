@@ -5,17 +5,8 @@
 //! from one query cannot be replayed against another — the kind of bug a
 //! crawler must surface, not silently mis-page over.
 
+use flock_core::rng::fnv1a as fingerprint;
 use flock_core::{FlockError, Result};
-
-/// Fingerprint of the request a cursor belongs to.
-fn fingerprint(scope: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in scope.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
 
 /// Encode a cursor for `scope` at `offset`.
 pub fn encode(scope: &str, offset: usize) -> String {

@@ -476,11 +476,11 @@ impl ApiServer {
         self.acquire_inner(which, key)?;
         // Simulated network time, spent with no lock held: concurrent
         // requests overlap their latency exactly as real HTTP calls would.
-        // Inside a discrete-event scheduler task the sleep is skipped —
-        // there, latency is a virtual-time concern and blocking the OS
-        // thread would stall every other logical task multiplexed onto
-        // it; overlapping all in-flight latencies to zero wall-clock is
-        // precisely the scheduler's reason to exist.
+        // Inside a discrete-event scheduler task (a monitor check) the
+        // sleep is skipped — there, latency is a virtual-time concern and
+        // blocking the OS thread would stall every other logical task
+        // multiplexed onto it; overlapping all in-flight latencies to zero
+        // wall-clock is precisely the scheduler's reason to exist.
         let extra = self.chaos.extra_latency_micros(which.family(), self.now());
         let latency = self.config.request_latency_micros + extra;
         if latency > 0 && !trace::in_scheduled_task() {

@@ -13,14 +13,12 @@
 //!   (`search_ids_indexed`) versus the pre-cache behaviour of re-tokenizing
 //!   the whole corpus per query (`search_ids_scan`);
 //! * **crawl** — wall-clock of the §3.2/§3.3 expansion phases
-//!   (`Crawler::expand`) as the worker count grows, against an identical
-//!   discovery output;
-//! * **sched** — requests/sec of thousands of logical crawler connections
-//!   driven through a rate-limit-storm chaos crawl, discrete-event
-//!   scheduler (`tasks = Some(n)`, ≤ 8 OS threads) versus the legacy
-//!   thread-per-worker pool at the same 8 threads. The scheduler yields
-//!   instead of sleeping out per-request latency, so its acceptance bar
-//!   is ≥ 3× the thread baseline.
+//!   (`Crawler::expand`) as the worker-pool size grows, against an
+//!   identical discovery output, with 500 µs of simulated latency per
+//!   granted request for the workers to overlap.
+//!
+//! Older entries also carry a `sched` block, from a retired comparison
+//! against a second, scheduler-driven crawl engine; nothing reads it.
 //!
 //! Every entry also records a memory footprint: peak RSS (`VmHWM` from
 //! `/proc/self/status`) and the allocation count/bytes seen by a counting
@@ -38,7 +36,6 @@
 //! `FLOCK_BENCH_SHA` overrides the commit key when git is unavailable.
 
 use flock_apis::{ApiConfig, ApiServer};
-use flock_chaos::Scenario;
 use flock_core::Day;
 use flock_crawler::pipeline::{migration_queries, Crawler, CrawlerConfig};
 use flock_fedisim::{World, WorldConfig};
@@ -132,22 +129,6 @@ struct CrawlPoint {
 }
 
 #[derive(Serialize)]
-struct SchedReport {
-    /// Logical concurrent connections driven through the storm crawl.
-    connections: usize,
-    /// OS threads both execution models get.
-    os_threads: usize,
-    legacy_requests: u64,
-    legacy_secs: f64,
-    legacy_rps: f64,
-    sched_requests: u64,
-    sched_secs: f64,
-    sched_rps: f64,
-    /// sched_rps / legacy_rps — the acceptance bar is ≥ 3×.
-    speedup: f64,
-}
-
-#[derive(Serialize)]
 struct MemReport {
     /// Process-lifetime peak resident set (`VmHWM`), bytes; 0 when procfs
     /// is unavailable.
@@ -184,7 +165,6 @@ struct Report {
     /// expand_secs(workers=1) / expand_secs(workers=4) — the acceptance
     /// bar is ≥ 2×.
     crawl_speedup_at_4: f64,
-    sched: SchedReport,
     mem: MemReport,
 }
 
@@ -306,69 +286,6 @@ fn bench_crawl(
         .collect()
 }
 
-/// Drive `connections` logical Mastodon-timeline connections through a
-/// rate-limit-storm chaos crawl, once on the legacy thread-per-worker
-/// pool and once on the discrete-event scheduler, both on `os_threads`
-/// OS threads, and compare wall-clock requests/sec.
-fn bench_sched(
-    world: &Arc<World>,
-    latency_micros: u64,
-    connections: usize,
-    os_threads: usize,
-) -> SchedReport {
-    // One calm discovery supplies the matched users both runs cycle over.
-    let discover_api = ApiServer::with_defaults(world.clone()).expect("valid default config");
-    let base = Crawler::new(&discover_api, CrawlerConfig::default())
-        .expect("valid crawler config")
-        .discover()
-        .expect("discover");
-    assert!(!base.matched.is_empty(), "discovery found no matched users");
-
-    let run = |tasks: Option<usize>| -> (u64, f64) {
-        // Fresh server per run: same storm plan, same drained-from-full
-        // buckets, same per-key chaos budgets for both execution models.
-        let api = ApiServer::new(
-            world.clone(),
-            ApiConfig {
-                request_latency_micros: latency_micros,
-                chaos: Scenario::RateLimitStorm.plan(1234),
-                ..ApiConfig::default()
-            },
-        )
-        .expect("valid bench config");
-        let crawler = Crawler::new(
-            &api,
-            CrawlerConfig {
-                workers: os_threads,
-                tasks,
-                ..CrawlerConfig::default()
-            },
-        )
-        .expect("valid crawler config");
-        let t = Instant::now();
-        let requests = crawler
-            .drive_connections(&base, connections)
-            .expect("storm crawl");
-        (requests, t.elapsed().as_secs_f64())
-    };
-
-    let (legacy_requests, legacy_secs) = run(None);
-    let (sched_requests, sched_secs) = run(Some(connections));
-    let legacy_rps = legacy_requests as f64 / legacy_secs;
-    let sched_rps = sched_requests as f64 / sched_secs;
-    SchedReport {
-        connections,
-        os_threads,
-        legacy_requests,
-        legacy_secs,
-        legacy_rps,
-        sched_requests,
-        sched_secs,
-        sched_rps,
-        speedup: sched_rps / legacy_rps,
-    }
-}
-
 /// The `--paper` section: generate the paper-scale world (§2.1's 1.02 M
 /// searchable users on 15,886 instances), crawl it end to end with the
 /// default pipeline, and run the headline analysis — the whole study, one
@@ -486,8 +403,8 @@ fn main() {
     let world = Arc::new(World::generate(&config).expect("world"));
     let api = ApiServer::with_defaults(world.clone()).unwrap();
 
-    // Smoke mode trims what is *expensive* (scan passes, the worker sweep,
-    // 10k connections), never what is *gated*: bench_check.sh compares the
+    // Smoke mode trims what is *expensive* (scan passes, the worker
+    // sweep), never what is *gated*: bench_check.sh compares the
     // smoke indexed qps and expand wall-clocks against the recorded
     // full-run medians, so those must be measured with full-run rigor or
     // the comparison is noise.
@@ -526,19 +443,6 @@ fn main() {
     let crawl_speedup_at_4 = secs_at(1) / secs_at(4);
     eprintln!("expand speedup at 4 workers: {crawl_speedup_at_4:.2}x");
 
-    // The scheduler comparison: the same per-request latency the thread
-    // pool must sleep out, a rate-limit storm to force heavy retry/wait
-    // traffic, and an order of magnitude more logical connections than OS
-    // threads. The thread pool serialises each thread's connections; the
-    // scheduler overlaps every in-flight latency and only moves the
-    // virtual clock when nothing is runnable.
-    let connections = if smoke { 256 } else { 10_000 };
-    let sched = bench_sched(&world, latency_micros, connections, 8);
-    eprintln!(
-        "sched: {} connections on {} threads: scheduler {:.0} rps vs threads {:.0} rps ({:.1}x)",
-        sched.connections, sched.os_threads, sched.sched_rps, sched.legacy_rps, sched.speedup
-    );
-
     let mem = mem_snapshot();
     eprintln!(
         "mem: peak rss {} bytes, {} allocations",
@@ -557,7 +461,6 @@ fn main() {
         search,
         crawl,
         crawl_speedup_at_4,
-        sched,
         mem,
     };
     append_history(&serde_json::to_string(&report).expect("serialize report"));

@@ -31,6 +31,7 @@
 //! only throughput, never data. The canned [`Scenario`]s stay inside this
 //! contract by construction.
 
+use flock_core::rng::fnv1a;
 use flock_core::{DetRng, FlockError, Result};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -675,17 +676,6 @@ impl FromStr for Scenario {
                 )
             })
     }
-}
-
-/// FNV-1a over a label (the same mixing discipline `DetRng::fork` uses,
-/// reimplemented here so per-key draws need no shared mutable RNG).
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 fn probability(what: &str, v: f64) -> Result<()> {

@@ -1,0 +1,107 @@
+//! Durable file replacement, the write discipline every checkpoint
+//! format (crawl and monitor) shares.
+
+use crate::{FlockError, Result};
+use std::io::Write;
+use std::path::Path;
+
+/// Replace `path` with `bytes` atomically **and durably**: write a temp
+/// file in the same directory, `fsync` the data, rename it over `path`,
+/// then `fsync` the directory so the rename itself survives a power loss.
+/// Without the syncs, rename-over-old could be reordered ahead of the data
+/// write by the filesystem, leaving a zero-length or torn file after a
+/// crash — the exact state a checkpoint exists to prevent. The temp name
+/// (`.<name>.tmp.<pid>`) carries the process id, so two writers side by
+/// side (or a crashed run's leftover) can never clobber each other's
+/// in-flight write. A failed write removes its temp file.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
+    let file_name = path
+        .file_name()
+        .ok_or_else(|| {
+            FlockError::InvalidConfig(format!(
+                "checkpoint path {} has no file name",
+                path.display()
+            ))
+        })?
+        .to_string_lossy()
+        .into_owned();
+    let tmp = path.with_file_name(format!(".{file_name}.tmp.{}", std::process::id()));
+    let err = |stage: &str, p: &Path, e: std::io::Error| {
+        FlockError::InvalidConfig(format!("{stage} {}: {e}", p.display()))
+    };
+    let result = (|| {
+        let mut f = std::fs::File::create(&tmp).map_err(|e| err("create", &tmp, e))?;
+        f.write_all(bytes).map_err(|e| err("write", &tmp, e))?;
+        f.sync_all().map_err(|e| err("fsync", &tmp, e))?;
+        drop(f);
+        std::fs::rename(&tmp, path).map_err(|e| {
+            FlockError::InvalidConfig(format!(
+                "rename {} -> {}: {e}",
+                tmp.display(),
+                path.display()
+            ))
+        })?;
+        // Durability of the rename: fsync the parent directory (no-op on
+        // platforms where directories cannot be opened, e.g. Windows —
+        // there File::open on a dir fails and we skip).
+        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+            if let Ok(dir) = std::fs::File::open(parent) {
+                dir.sync_all().map_err(|e| err("fsync dir", parent, e))?;
+            }
+        }
+        Ok(())
+    })();
+    if result.is_err() {
+        // Best-effort cleanup so failed writes don't strand temp files.
+        std::fs::remove_file(&tmp).ok();
+    }
+    result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn scratch_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("flock_durable_{name}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn write_leaves_no_temp_file_behind() {
+        let dir = scratch_dir("leftovers");
+        let path = dir.join("state.ckpt");
+        write_atomic(&path, b"{\"round\":1}").unwrap();
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|n| n.contains(".tmp"))
+            .collect();
+        assert!(
+            leftovers.is_empty(),
+            "temp files left behind: {leftovers:?}"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), b"{\"round\":1}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn write_overwrites_the_previous_file() {
+        let dir = scratch_dir("overwrite");
+        let path = dir.join("state.ckpt");
+        write_atomic(&path, b"first, and longer").unwrap();
+        write_atomic(&path, b"second").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"second");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_path_without_a_file_name_is_a_typed_error() {
+        match write_atomic(Path::new("/"), b"x") {
+            Err(FlockError::InvalidConfig(msg)) => assert!(msg.contains("no file name"), "{msg}"),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+}

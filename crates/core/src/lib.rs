@@ -28,6 +28,7 @@
 //! ```
 
 pub mod collections;
+pub mod durable;
 pub mod error;
 pub mod handle;
 pub mod ids;

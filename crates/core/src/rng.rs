@@ -30,8 +30,16 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a hash of a label, used to derive fork seeds.
-fn fnv1a(s: &str) -> u64 {
+/// 64-bit FNV-1a-style hash of a string: the workspace's one cheap,
+/// stable hash. It derives fork seeds here, chaos fault keys, pagination
+/// cursor fingerprints, the text embedding's token buckets, and the golden
+/// digests of the determinism tests. The offset basis is FNV-1a's, but the
+/// multiplier is `0x1000_0000_01b3`, not the published 64-bit FNV prime
+/// `0x100_0000_01b3`. Every seeded world, chaos plan and embedding derives
+/// from this exact function, so the multiplier stays. Inlined because the
+/// embedding calls it once per token and the workspace builds without LTO.
+#[inline]
+pub fn fnv1a(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.bytes() {
         h ^= u64::from(b);
@@ -305,6 +313,15 @@ impl DetRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Known answers pin the exact function every seed derives from.
+    /// Published FNV-1a maps `"a"` to `0xaf63_dc4c_8601_ec8c`; the
+    /// multiplier makes this one differ.
+    #[test]
+    fn fnv1a_known_answers() {
+        assert_eq!(fnv1a(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a("a"), 0xaf74_d84c_8601_ec8c);
+    }
 
     #[test]
     fn deterministic_across_instances() {

@@ -14,6 +14,7 @@
 //! [`CrawlStats`]: crate::dataset::CrawlStats
 
 use crate::dataset::Dataset;
+use flock_core::durable::write_atomic;
 use flock_core::{FlockError, Result};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -45,61 +46,10 @@ impl Checkpoint {
             .map_err(|e| FlockError::InvalidConfig(format!("deserialize checkpoint: {e}")))
     }
 
-    /// Write atomically **and durably**: unique temp file in the same
-    /// directory, `fsync` the data, rename over the target, then `fsync`
-    /// the directory so the rename itself survives a power loss. Without
-    /// the syncs, rename-over-old could be reordered ahead of the data
-    /// write by the filesystem, leaving a zero-length or torn checkpoint
-    /// after a crash — the exact state this format exists to prevent. The
-    /// temp name carries the pid so two crawlers checkpointing side by
-    /// side (or a crashed run's leftover) can never clobber each other's
-    /// in-flight writes; `path.with_extension("tmp")` was shared.
+    /// Write atomically and durably ([`flock_core::durable::write_atomic`]),
+    /// so a crash mid-save never leaves a torn or zero-length checkpoint.
     pub fn save(&self, path: &Path) -> Result<()> {
-        use std::io::Write;
-
-        let json = self.to_json()?;
-        let file_name = path
-            .file_name()
-            .ok_or_else(|| {
-                FlockError::InvalidConfig(format!(
-                    "checkpoint path {} has no file name",
-                    path.display()
-                ))
-            })?
-            .to_string_lossy()
-            .into_owned();
-        let tmp = path.with_file_name(format!(".{file_name}.tmp.{}", std::process::id()));
-        let err = |stage: &str, p: &Path, e: std::io::Error| {
-            FlockError::InvalidConfig(format!("{stage} {}: {e}", p.display()))
-        };
-        let result = (|| {
-            let mut f = std::fs::File::create(&tmp).map_err(|e| err("create", &tmp, e))?;
-            f.write_all(json.as_bytes())
-                .map_err(|e| err("write", &tmp, e))?;
-            f.sync_all().map_err(|e| err("fsync", &tmp, e))?;
-            drop(f);
-            std::fs::rename(&tmp, path).map_err(|e| {
-                FlockError::InvalidConfig(format!(
-                    "rename {} -> {}: {e}",
-                    tmp.display(),
-                    path.display()
-                ))
-            })?;
-            // Durability of the rename: fsync the parent directory (no-op
-            // on platforms where directories cannot be opened, e.g.
-            // Windows — there File::open on a dir fails and we skip).
-            if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-                if let Ok(dir) = std::fs::File::open(parent) {
-                    dir.sync_all().map_err(|e| err("fsync dir", parent, e))?;
-                }
-            }
-            Ok(())
-        })();
-        if result.is_err() {
-            // Best-effort cleanup so failed saves don't strand temp files.
-            std::fs::remove_file(&tmp).ok();
-        }
-        result
+        write_atomic(path, self.to_json()?.as_bytes())
     }
 
     /// Read a checkpoint back.
@@ -146,49 +96,6 @@ mod tests {
         assert_eq!(back.completed, cp.completed);
         assert_eq!(back.clock_secs, cp.clock_secs);
         assert_eq!(back.dataset.searched_users, 7);
-    }
-
-    #[test]
-    fn save_load_and_missing() {
-        let dir = std::env::temp_dir().join("flock_checkpoint_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("crawl.ckpt");
-        std::fs::remove_file(&path).ok();
-        assert!(Checkpoint::load_if_exists(&path).unwrap().is_none());
-        let cp = sample();
-        cp.save(&path).unwrap();
-        // No temp file (old shared name or the new unique one) outlives a
-        // successful save.
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|n| n.contains(".tmp"))
-            .collect();
-        assert!(
-            leftovers.is_empty(),
-            "temp files left behind: {leftovers:?}"
-        );
-        let back = Checkpoint::load_if_exists(&path).unwrap().unwrap();
-        assert_eq!(back.completed.len(), 2);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn save_overwrites_previous_checkpoint_atomically() {
-        let dir = std::env::temp_dir().join("flock_checkpoint_overwrite_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("crawl.ckpt");
-        std::fs::remove_file(&path).ok();
-        let mut cp = sample();
-        cp.save(&path).unwrap();
-        cp.completed.push("timelines.twitter".to_string());
-        cp.clock_secs = 99_999;
-        cp.save(&path).unwrap();
-        let back = Checkpoint::load(&path).unwrap();
-        assert_eq!(back.completed.len(), 3);
-        assert_eq!(back.clock_secs, 99_999);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

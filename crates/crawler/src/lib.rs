@@ -27,7 +27,6 @@ pub mod csv;
 pub mod dataset;
 pub mod persist;
 pub mod pipeline;
-pub(crate) mod tasks;
 pub mod worker_pool;
 
 pub mod prelude {

@@ -17,8 +17,10 @@
 //!    instance.
 //!
 //! Rate limits are honoured by advancing the server's virtual clock
-//! (the crawler's "sleep"); transient errors are retried with backoff; the
-//! Mastodon crawl fans out over worker threads via `crossbeam`.
+//! (the crawler's "sleep"); transient errors are retried with backoff, all
+//! in one retry loop, `Crawler::request`. The timeline and followee
+//! phases fan out per matched user over [`worker_pool`] and merge in
+//! matched order, so the dataset is the same at any worker count.
 
 use crate::checkpoint::Checkpoint;
 use crate::dataset::{
@@ -46,19 +48,12 @@ pub struct CrawlerConfig {
     pub max_transient_retries: u32,
     /// Backoff (virtual seconds) between transient retries.
     pub transient_backoff_secs: u64,
-    /// Worker threads for the Mastodon timeline crawl (in scheduler mode,
-    /// the OS threads the logical tasks multiplex over). Zero is a typed
-    /// configuration error, not a silent clamp.
+    /// Worker-pool threads for the Twitter timeline, Mastodon timeline and
+    /// followee phases; each thread crawls one matched user at a time.
+    /// The dataset is byte-identical at any count; only scheduling-tier
+    /// telemetry (who waited out which rate limit) differs. Zero is a
+    /// typed configuration error, not a silent clamp.
     pub workers: usize,
-    /// Logical concurrency for the §3.2–§3.3 expand phases. `None` (the
-    /// default) keeps the legacy thread-per-item worker pool; `Some(n)`
-    /// runs the parallel phases on the `flock-sched` discrete-event
-    /// executor instead, multiplexing up to `n` concurrent logical
-    /// connections over the `workers` OS threads. The produced dataset is
-    /// byte-identical either way; only scheduling-tier telemetry (waits,
-    /// rejections, virtual durations) may differ. `Some(0)` is a typed
-    /// configuration error.
-    pub tasks: Option<usize>,
     /// Seed for the followee-sample draw.
     pub seed: u64,
     /// Also crawl followees for every observed instance-switcher (on top of
@@ -89,7 +84,6 @@ impl Default for CrawlerConfig {
             max_transient_retries: 5,
             transient_backoff_secs: 30,
             workers: 4,
-            tasks: None,
             seed: 0xC4A41,
             include_switchers: true,
             max_rate_limit_wait_secs: 604_800,
@@ -137,13 +131,13 @@ pub fn migration_queries() -> Vec<(String, QueryKind)> {
 /// live in the deterministic tier; attempts, rejections, backoffs and the
 /// worker-pool queue depth depend on thread scheduling and live in the
 /// scheduling tier.
-pub(crate) struct CrawlerMetrics {
-    pub(crate) attempts: Counter,
-    pub(crate) rate_limited: Counter,
-    pub(crate) outage_waits: Counter,
-    pub(crate) transient_failures: Counter,
-    pub(crate) retry_wait_secs: Histogram,
-    pub(crate) budget_exhausted: Counter,
+struct CrawlerMetrics {
+    attempts: Counter,
+    rate_limited: Counter,
+    outage_waits: Counter,
+    transient_failures: Counter,
+    retry_wait_secs: Histogram,
+    budget_exhausted: Counter,
     queue_depth: Gauge,
     collected_tweets: Counter,
     matched_users: Counter,
@@ -183,12 +177,12 @@ impl CrawlerMetrics {
 
 /// The crawler.
 pub struct Crawler<'a> {
-    pub(crate) api: &'a ApiServer,
-    pub(crate) config: CrawlerConfig,
-    pub(crate) obs: Registry,
-    pub(crate) m: CrawlerMetrics,
+    api: &'a ApiServer,
+    config: CrawlerConfig,
+    obs: Registry,
+    m: CrawlerMetrics,
     /// Logical requests issued so far, for `abort_after_requests`.
-    pub(crate) requests_made: AtomicU64,
+    requests_made: AtomicU64,
     /// Index into [`PHASES`] of the phase currently running
     /// (`usize::MAX` outside any phase) — the trace id every request
     /// span is filed under.
@@ -198,10 +192,8 @@ pub struct Crawler<'a> {
 impl<'a> Crawler<'a> {
     /// Create a crawler over an API server (with a private registry).
     ///
-    /// Degenerate concurrency settings (`workers == 0`,
-    /// `tasks == Some(0)`) are [`FlockError::InvalidConfig`] — they used
-    /// to be clamped silently downstream, which made `--workers 0` behave
-    /// like `--workers 1`.
+    /// `workers == 0` is [`FlockError::InvalidConfig`], never a silent
+    /// clamp to one worker.
     pub fn new(api: &'a ApiServer, config: CrawlerConfig) -> Result<Self> {
         Crawler::with_registry(api, config, Registry::new())
     }
@@ -214,11 +206,6 @@ impl<'a> Crawler<'a> {
         if config.workers == 0 {
             return Err(FlockError::InvalidConfig(
                 "crawler needs at least one worker thread (workers = 0)".to_string(),
-            ));
-        }
-        if config.tasks == Some(0) {
-            return Err(FlockError::InvalidConfig(
-                "scheduler mode needs at least one logical task (tasks = 0)".to_string(),
             ));
         }
         let m = CrawlerMetrics::new(&obs);
@@ -234,7 +221,7 @@ impl<'a> Crawler<'a> {
 
     /// The trace id for spans opened right now: the running phase's name,
     /// or the `"crawl"` envelope outside any phase.
-    pub(crate) fn current_phase(&self) -> &'static str {
+    fn current_phase(&self) -> &'static str {
         PHASES
             .get(self.phase_idx.load(Ordering::Relaxed))
             .copied()
@@ -384,6 +371,24 @@ impl<'a> Crawler<'a> {
             virtual_secs: self.api.now() - start_virtual,
         };
         self.obs.phase_end(self.api.now(), "crawl");
+    }
+
+    /// Crawl every item on the worker pool. Results come back in input
+    /// order; the first error in that order (an interrupt, in practice)
+    /// fails the whole phase.
+    fn fan_out<T: Sync, R: Send>(
+        &self,
+        items: &[T],
+        crawl_one: impl Fn(&T) -> Result<R> + Sync,
+    ) -> Result<Vec<R>> {
+        worker_pool::run_gauged(
+            self.config.workers,
+            items,
+            Some(&self.m.queue_depth),
+            |_, item| crawl_one(item),
+        )?
+        .into_iter()
+        .collect()
     }
 
     /// Rate-limit-aware, transient-retrying request wrapper.
@@ -747,22 +752,7 @@ impl<'a> Crawler<'a> {
         // Nothing merges until every per-user result is in: an interrupt
         // anywhere leaves the dataset untouched, so the phase re-runs
         // cleanly on resume.
-        let merged = match self.config.tasks {
-            Some(window) => crate::tasks::twitter_timelines(self, &ds.matched, window)?,
-            None => {
-                let results = worker_pool::run_gauged(
-                    self.config.workers,
-                    &ds.matched,
-                    Some(&self.m.queue_depth),
-                    |_, m| self.crawl_one_twitter_timeline(m),
-                )?;
-                let mut merged = Vec::with_capacity(ds.matched.len());
-                for r in results {
-                    merged.push(r?);
-                }
-                merged
-            }
-        };
+        let merged = self.fan_out(&ds.matched, |m| self.crawl_one_twitter_timeline(m))?;
         for (m, (timeline, outcome, skip)) in ds.matched.iter().zip(merged) {
             if outcome == TwitterCrawlOutcome::Ok {
                 ds.twitter_timelines.insert(m.twitter_id, timeline);
@@ -829,22 +819,7 @@ impl<'a> Crawler<'a> {
     }
 
     fn crawl_mastodon_timelines(&self, ds: &mut Dataset) -> Result<()> {
-        let merged = match self.config.tasks {
-            Some(window) => crate::tasks::mastodon_timelines(self, &ds.matched, window)?,
-            None => {
-                let results = worker_pool::run_gauged(
-                    self.config.workers,
-                    &ds.matched,
-                    Some(&self.m.queue_depth),
-                    |_, m| self.crawl_one_mastodon_timeline(m),
-                )?;
-                let mut merged = Vec::with_capacity(ds.matched.len());
-                for r in results {
-                    merged.push(r?);
-                }
-                merged
-            }
-        };
+        let merged = self.fan_out(&ds.matched, |m| self.crawl_one_mastodon_timeline(m))?;
         for (m, (statuses, outcome, skip)) in ds.matched.iter().zip(merged) {
             if outcome == MastodonCrawlOutcome::Ok {
                 ds.mastodon_timelines
@@ -964,22 +939,7 @@ impl<'a> Crawler<'a> {
             .iter()
             .filter_map(|id| ds.matched_by_id(*id).cloned())
             .collect();
-        let merged = match self.config.tasks {
-            Some(window) => crate::tasks::followees(self, &targets, window)?,
-            None => {
-                let results = worker_pool::run_gauged(
-                    self.config.workers,
-                    &targets,
-                    Some(&self.m.queue_depth),
-                    |_, m| self.crawl_one_followees(m),
-                )?;
-                let mut merged = Vec::with_capacity(targets.len());
-                for r in results {
-                    merged.push(r?);
-                }
-                merged
-            }
-        };
+        let merged = self.fan_out(&targets, |m| self.crawl_one_followees(m))?;
         for (m, (rec, skip)) in targets.iter().zip(merged) {
             if let Some(rec) = rec {
                 ds.followees.insert(m.twitter_id, rec);
@@ -1049,28 +1009,7 @@ impl<'a> Crawler<'a> {
     // ---- Fig. 3 cross-check: weekly activity --------------------------------
 
     fn crawl_weekly_activity(&self, ds: &mut Dataset) -> Result<()> {
-        let domains = ds.landing_instances();
-        if let Some(window) = self.config.tasks {
-            let outcomes = crate::tasks::weekly_activity(self, &domains, window)?;
-            for (domain, out) in domains.into_iter().zip(outcomes) {
-                match out {
-                    crate::tasks::WeeklyOutcome::Rows(rows) => {
-                        ds.weekly_activity.insert(domain, rows);
-                    }
-                    // Down instances simply stay absent.
-                    crate::tasks::WeeklyOutcome::Down => {}
-                    crate::tasks::WeeklyOutcome::Skipped(reason) => {
-                        ds.coverage.record_skip(
-                            PHASES[5],
-                            format!("weekly activity of {domain}"),
-                            reason,
-                        );
-                    }
-                }
-            }
-            return Ok(());
-        }
-        for domain in domains {
+        for domain in ds.landing_instances() {
             match self.request(&format!("weekly_activity:{domain}"), || {
                 self.api.mastodon_instance_activity(&domain)
             }) {
@@ -1087,59 +1026,6 @@ impl<'a> Crawler<'a> {
             }
         }
         Ok(())
-    }
-
-    // ---- load driver --------------------------------------------------------
-
-    /// Drive `connections` simultaneous logical Mastodon-timeline
-    /// connections over the matched users of `ds` (cycling when
-    /// `connections` exceeds the matched count) and return the number of
-    /// request attempts issued. In scheduler mode
-    /// ([`CrawlerConfig::tasks`]) the connections multiplex over the
-    /// configured OS threads; in legacy mode each worker thread crawls
-    /// its items back to back. Benches use this to compare the two
-    /// execution models on identical request load.
-    pub fn drive_connections(&self, ds: &Dataset, connections: usize) -> Result<u64> {
-        if connections == 0 {
-            return Err(FlockError::InvalidConfig(
-                "drive_connections needs at least one connection".to_string(),
-            ));
-        }
-        if ds.matched.is_empty() {
-            return Err(FlockError::InvalidConfig(
-                "drive_connections needs a dataset with matched users".to_string(),
-            ));
-        }
-        let items: Vec<MatchedUser> = ds
-            .matched
-            .iter()
-            .cycle()
-            .take(connections)
-            .cloned()
-            .collect();
-        let idx = 3; // expand.mastodon_timelines
-        self.phase_idx.store(idx, Ordering::Relaxed);
-        self.obs.phase_start(self.api.now(), PHASES[idx]);
-        let before = self.m.attempts.get();
-        match self.config.tasks {
-            Some(window) => {
-                crate::tasks::mastodon_timelines(self, &items, window)?;
-            }
-            None => {
-                let results = worker_pool::run_gauged(
-                    self.config.workers,
-                    &items,
-                    Some(&self.m.queue_depth),
-                    |_, m| self.crawl_one_mastodon_timeline(m),
-                )?;
-                for r in results {
-                    r?;
-                }
-            }
-        }
-        self.obs.phase_end(self.api.now(), PHASES[idx]);
-        self.phase_idx.store(usize::MAX, Ordering::Relaxed);
-        Ok(self.m.attempts.get() - before)
     }
 }
 
@@ -1319,36 +1205,9 @@ mod tests {
         assert_eq!(a.followees.len(), b.followees.len());
     }
 
-    /// Scheduler mode produces the same dataset as the legacy worker
-    /// pool — dataset content is Data-tier and must not depend on the
-    /// execution model (the root `scheduler.rs` integration tests enforce
-    /// byte-identity on the serialized form; this is the in-crate smoke).
+    /// A zero worker count fails loudly at construction.
     #[test]
-    fn scheduled_crawl_matches_legacy_dataset() {
-        let (world, legacy) = shared();
-        let api = ApiServer::with_defaults(world.clone()).unwrap();
-        let config = CrawlerConfig {
-            tasks: Some(64),
-            ..CrawlerConfig::default()
-        };
-        let sched = Crawler::new(&api, config).unwrap().run().unwrap();
-        // Request counts and virtual durations are scheduling-tier; the
-        // Data tier is everything else, compared on the serialized form.
-        let strip = |mut ds: Dataset| {
-            ds.stats = CrawlStats {
-                requests: 0,
-                rate_limited: 0,
-                transient_failures: 0,
-                virtual_secs: 0,
-            };
-            serde_json::to_string(&ds).unwrap()
-        };
-        assert_eq!(strip(legacy.clone()), strip(sched));
-    }
-
-    /// Degenerate concurrency settings fail loudly at construction.
-    #[test]
-    fn zero_workers_or_tasks_is_a_typed_error() {
+    fn zero_workers_is_a_typed_error() {
         let (world, _) = shared();
         let api = ApiServer::with_defaults(world.clone()).unwrap();
         let zero_workers = CrawlerConfig {
@@ -1357,14 +1216,6 @@ mod tests {
         };
         assert!(matches!(
             Crawler::new(&api, zero_workers).map(|_| ()),
-            Err(FlockError::InvalidConfig(_))
-        ));
-        let zero_tasks = CrawlerConfig {
-            tasks: Some(0),
-            ..CrawlerConfig::default()
-        };
-        assert!(matches!(
-            Crawler::new(&api, zero_tasks).map(|_| ()),
             Err(FlockError::InvalidConfig(_))
         ));
     }

@@ -12,10 +12,14 @@
 //!   order**, so downstream code never observes completion order;
 //! * a panic in any worker propagates to the caller (no half-merged data).
 //!
-//! This is the legacy thread-per-worker execution path; the discrete-event
-//! scheduler (`flock-sched`, [`crate::pipeline::CrawlerConfig::tasks`])
-//! multiplexes logical tasks over the same worker-slot model without
-//! pinning a thread per in-flight request.
+//! This is the crawl's one execution model: the Twitter timeline, Mastodon
+//! timeline and followee phases each run their per-user body here, one
+//! user at a time per thread, with every request going through the
+//! crawler's blocking retry loop. Rate-limit waits move the shared virtual
+//! clock instead of sleeping; only `ApiConfig::request_latency_micros`
+//! (off by default, on in the throughput bench) really sleeps, and that
+//! sleep is what more workers overlap. The fig14 similarity loop reuses
+//! the pool for plain CPU fan-out.
 
 use flock_core::{FlockError, Result};
 use flock_obs::Gauge;

@@ -1,11 +1,10 @@
 //! Checker tasks: one `flock-sched` state machine per due domain.
 //!
-//! A checker mirrors the crawler's scheduled-request idiom
-//! (`flock-crawler`'s `tasks.rs`): the in-flight request keeps its span
-//! open across yields, every server attempt is recorded against it, and
-//! every second the executor moves the clock is billed — at event fire
-//! time — to the same `(span, phase, cause)` bucket an inline wait would
-//! have charged. What differs is the outcome policy, which must stay
+//! A checker is a yielding version of the crawler's blocking retry loop:
+//! the in-flight request keeps its span open across yields, every server
+//! attempt is recorded against it, and every second the executor moves
+//! the clock is billed — at event fire time — to the same
+//! `(span, phase, cause)` bucket an inline wait would have charged. What differs is the outcome policy, which must stay
 //! **Data-deterministic under scheduled-time semantics**:
 //!
 //! * `Ok(peers)` → [`CheckOutcome::Alive`] with the discovered peers.

@@ -5,12 +5,13 @@
 //! after a round every record's fields derive from scheduled instants
 //! only, so persisting `(round, clock, roster)` is enough for a resumed
 //! run — against a **fresh** API server advanced to the checkpointed
-//! clock — to continue with byte-identical Data-tier output. The write
-//! discipline is the crawler's: unique temp file in the same directory,
-//! fsync the data, rename over the target, fsync the parent directory,
-//! so a crash mid-save can never leave a torn or zero-length checkpoint.
+//! clock — to continue with byte-identical Data-tier output. Saves go
+//! through [`flock_core::durable::write_atomic`], the crawl checkpoint's
+//! write discipline too, so a crash mid-save can never leave a torn or
+//! zero-length checkpoint.
 
 use crate::NodeRecord;
+use flock_core::durable::write_atomic;
 use flock_core::{FlockError, Result};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -42,54 +43,9 @@ impl MonitorCheckpoint {
             .map_err(|e| FlockError::InvalidConfig(format!("deserialize monitor checkpoint: {e}")))
     }
 
-    /// Write atomically **and durably** (temp + fsync + rename + dir
-    /// fsync; pid-unique temp name so concurrent or crashed savers never
-    /// clobber each other's in-flight writes).
+    /// Write atomically and durably ([`flock_core::durable::write_atomic`]).
     pub fn save(&self, path: &Path) -> Result<()> {
-        use std::io::Write;
-
-        let json = self.to_json()?;
-        let file_name = path
-            .file_name()
-            .ok_or_else(|| {
-                FlockError::InvalidConfig(format!(
-                    "checkpoint path {} has no file name",
-                    path.display()
-                ))
-            })?
-            .to_string_lossy()
-            .into_owned();
-        let tmp = path.with_file_name(format!(".{file_name}.tmp.{}", std::process::id()));
-        let err = |stage: &str, p: &Path, e: std::io::Error| {
-            FlockError::InvalidConfig(format!("{stage} {}: {e}", p.display()))
-        };
-        let result = (|| {
-            let mut f = std::fs::File::create(&tmp).map_err(|e| err("create", &tmp, e))?;
-            f.write_all(json.as_bytes())
-                .map_err(|e| err("write", &tmp, e))?;
-            f.sync_all().map_err(|e| err("fsync", &tmp, e))?;
-            drop(f);
-            std::fs::rename(&tmp, path).map_err(|e| {
-                FlockError::InvalidConfig(format!(
-                    "rename {} -> {}: {e}",
-                    tmp.display(),
-                    path.display()
-                ))
-            })?;
-            // Durability of the rename itself (skipped where directories
-            // cannot be opened, e.g. Windows).
-            if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-                if let Ok(dir) = std::fs::File::open(parent) {
-                    dir.sync_all().map_err(|e| err("fsync dir", parent, e))?;
-                }
-            }
-            Ok(())
-        })();
-        if result.is_err() {
-            // Best-effort cleanup so failed saves don't strand temp files.
-            std::fs::remove_file(&tmp).ok();
-        }
-        result
+        write_atomic(path, self.to_json()?.as_bytes())
     }
 
     /// Read a checkpoint back.
@@ -143,29 +99,6 @@ mod tests {
         assert_eq!(back.clock_secs, 43_200);
         assert_eq!(back.records.len(), 1);
         assert_eq!(back.records[0].state, NodeState::Alive);
-    }
-
-    #[test]
-    fn save_load_missing_and_no_temp_leftovers() {
-        let dir = std::env::temp_dir().join("flock_monitor_checkpoint_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("monitor.ckpt");
-        std::fs::remove_file(&path).ok();
-        assert!(MonitorCheckpoint::load_if_exists(&path).unwrap().is_none());
-        sample().save(&path).unwrap();
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|n| n.contains(".tmp"))
-            .collect();
-        assert!(
-            leftovers.is_empty(),
-            "temp files left behind: {leftovers:?}"
-        );
-        let back = MonitorCheckpoint::load_if_exists(&path).unwrap().unwrap();
-        assert_eq!(back.records[0].domain, "mastodon.example");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

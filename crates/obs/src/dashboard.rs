@@ -8,7 +8,7 @@
 //! dashboard inherits the report's two-tier fence model, with literal
 //! HTML-comment fences ([`DASH_DATA_FENCE_BEGIN`]…) so CI can
 //! `sed`-extract the Data region and byte-compare it across worker
-//! counts and task widths:
+//! counts (and, for monitor runs, admission windows):
 //!
 //! * the **Data** region holds the history trend charts (pure functions
 //!   of the committed history file), the run report's Data section, and
@@ -58,7 +58,8 @@ pub const DASH_SCHED_FENCE_END: &str = "<!--=== END DASHBOARD SCHED TIER ===-->"
 /// each other's medians.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HistoryShape {
-    /// Recorded throughput bench (`search` + `crawl` + `sched` blocks).
+    /// Recorded throughput bench (`search` + `crawl` blocks; older
+    /// entries also carry a `sched` block nothing reads).
     Throughput,
     /// Full-pipeline paper-scale recording (`generate_secs` …).
     PaperScale,
@@ -91,8 +92,6 @@ pub struct HistoryEntry {
     pub search_qps: Option<f64>,
     /// `expand_secs` of the `workers=1` crawl point (throughput shape).
     pub expand_w1_secs: Option<f64>,
-    /// `sched.speedup` (throughput shape).
-    pub sched_speedup: Option<f64>,
     /// `checks_per_sec` (monitor shape).
     pub checks_per_sec: Option<f64>,
     /// `mem.peak_rss_bytes` (any shape that recorded memory).
@@ -164,7 +163,6 @@ pub fn parse_history_line(line: &str) -> Result<HistoryEntry, String> {
         shape,
         search_qps: None,
         expand_w1_secs: None,
-        sched_speedup: None,
         checks_per_sec: None,
         peak_rss_bytes: None,
     };
@@ -199,10 +197,6 @@ pub fn parse_history_line(line: &str) -> Result<HistoryEntry, String> {
             if entry.expand_w1_secs.is_none() {
                 return Err("\"crawl\" has no workers=1 point (the trend gate's anchor)".into());
             }
-            let sched = v
-                .get("sched")
-                .ok_or_else(|| "missing required key \"sched\" (map)".to_string())?;
-            entry.sched_speedup = Some(req_num(sched, "speedup", "sched")?);
         }
         HistoryShape::Monitor => {
             entry.checks_per_sec = Some(req_num(&v, "checks_per_sec", "")?);
@@ -288,9 +282,6 @@ enum GateRule {
     LastMin(f64),
     /// Newest entry must stay ≤ `factor` × median of the 3 prior entries.
     LastMax(f64),
-    /// Median of the last 3 entries must stay ≥ `bar` (the recorded
-    /// sched-speedup acceptance bar).
-    MedianMin(f64),
 }
 
 /// Median matching `bench_check.sh`: lower-middle element of the sorted
@@ -305,50 +296,29 @@ fn median(window: &[f64]) -> f64 {
 }
 
 fn eval_gate(values: &[f64], rule: &GateRule) -> GateStatus {
+    // The newest entry plays bench_check's "measured" role against the
+    // median of the 3 entries recorded before it.
     let n = values.len();
-    match rule {
-        GateRule::LastMin(factor) | GateRule::LastMax(factor) => {
-            // The newest entry plays bench_check's "measured" role against
-            // the median of the 3 entries recorded before it.
-            if n < 4 {
-                return GateStatus::Bootstrap { have: n, need: 4 };
-            }
-            let baseline = median(&values[n - 4..n - 1]);
-            let last = values[n - 1];
-            let fired = match rule {
-                GateRule::LastMin(_) => last < factor * baseline,
-                _ => last > factor * baseline,
-            };
-            if fired {
-                GateStatus::Fire {
-                    detail: format!(
-                        "last {} vs median {} ({}x gate)",
-                        fmt_fixed(last, 2),
-                        fmt_fixed(baseline, 2),
-                        fmt_fixed(*factor, 2)
-                    ),
-                }
-            } else {
-                GateStatus::Pass { baseline }
-            }
+    if n < 4 {
+        return GateStatus::Bootstrap { have: n, need: 4 };
+    }
+    let baseline = median(&values[n - 4..n - 1]);
+    let last = values[n - 1];
+    let (fired, factor) = match *rule {
+        GateRule::LastMin(factor) => (last < factor * baseline, factor),
+        GateRule::LastMax(factor) => (last > factor * baseline, factor),
+    };
+    if fired {
+        GateStatus::Fire {
+            detail: format!(
+                "last {} vs median {} ({}x gate)",
+                fmt_fixed(last, 2),
+                fmt_fixed(baseline, 2),
+                fmt_fixed(factor, 2)
+            ),
         }
-        GateRule::MedianMin(bar) => {
-            if n < 3 {
-                return GateStatus::Bootstrap { have: n, need: 3 };
-            }
-            let baseline = median(&values[n - 3..]);
-            if baseline < *bar {
-                GateStatus::Fire {
-                    detail: format!(
-                        "median {} below the {} acceptance bar",
-                        fmt_fixed(baseline, 2),
-                        fmt_fixed(*bar, 2)
-                    ),
-                }
-            } else {
-                GateStatus::Pass { baseline }
-            }
-        }
+    } else {
+        GateStatus::Pass { baseline }
     }
 }
 
@@ -381,9 +351,9 @@ fn build_series(
 
 const MIB: f64 = 1024.0 * 1024.0;
 
-/// The five gated trend series, shape-filtered per `bench_check.sh`'s
-/// window rules: search qps, workers=1 expand seconds, recorded sched
-/// speedup, monitor checks/sec, and the throughput bench's peak RSS.
+/// The four gated trend series, shape-filtered per `bench_check.sh`'s
+/// window rules: search qps, workers=1 expand seconds, monitor
+/// checks/sec, and the throughput bench's peak RSS.
 pub fn trend_series(history: &[HistoryEntry]) -> Vec<TrendSeries> {
     vec![
         build_series(
@@ -401,14 +371,6 @@ pub fn trend_series(history: &[HistoryEntry]) -> Vec<TrendSeries> {
             history,
             |e| e.expand_w1_secs,
             &GateRule::LastMax(1.2),
-        ),
-        build_series(
-            "sched-speedup",
-            "scheduler speedup (10k connections)",
-            "x",
-            history,
-            |e| e.sched_speedup,
-            &GateRule::MedianMin(3.0),
         ),
         build_series(
             "monitor-checks",
@@ -919,7 +881,7 @@ pub struct DiffInput {
 
 /// Caller-supplied dashboard context. Everything here lands in the
 /// Data-tier fence and must therefore be worker-count invariant (keep
-/// worker counts and task widths out of the title and note).
+/// worker counts and admission windows out of the title and note).
 #[derive(Clone, Debug)]
 pub struct DashboardMeta {
     /// Dashboard heading.
@@ -954,7 +916,7 @@ const DASH_CSS: &str = concat!(
 /// The worker-count-invariant dashboard region: history trend charts,
 /// the run report's Data section, and the optional run diff. This is a
 /// Data-tier sink (see `tier.manifest`): nothing scheduling-dependent
-/// may flow in, and CI byte-compares its output across workers × tasks.
+/// may flow in, and CI byte-compares its output across worker counts.
 fn render_dash_data(report: &RunReport, history: &[HistoryEntry], meta: &DashboardMeta) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "<section class=\"data\">");
@@ -1065,7 +1027,6 @@ mod tests {
         assert_eq!(entries[0].shape, HistoryShape::Throughput);
         assert_eq!(entries[0].search_qps, Some(5000.5));
         assert_eq!(entries[0].expand_w1_secs, Some(0.7));
-        assert_eq!(entries[0].sched_speedup, Some(20.5));
         assert_eq!(entries[1].shape, HistoryShape::Monitor);
         assert_eq!(entries[1].checks_per_sec, Some(40591.0));
         assert_eq!(entries[2].shape, HistoryShape::PaperScale);
@@ -1078,9 +1039,13 @@ mod tests {
         let err = parse_history(no_sha).expect_err("missing sha must fail");
         assert!(err.contains("line 1") && err.contains("\"sha\""), "{err}");
 
-        let no_speedup = THROUGHPUT_LINE.replace("\"speedup\":20.5", "\"spedup\":20.5");
-        let err = parse_history_line(&no_speedup).expect_err("missing sched.speedup must fail");
-        assert!(err.contains("sched.speedup"), "{err}");
+        let no_qps = THROUGHPUT_LINE.replace("\"indexed_qps\"", "\"indexed\"");
+        let err = parse_history_line(&no_qps).expect_err("missing search.indexed_qps must fail");
+        assert!(err.contains("search.indexed_qps"), "{err}");
+
+        // The retired sched block is optional: lines without it parse.
+        let no_sched = THROUGHPUT_LINE.replace(",\"sched\":{\"speedup\":20.5}", "");
+        assert!(parse_history_line(&no_sched).is_ok());
 
         let no_w1 = THROUGHPUT_LINE.replace("\"workers\":1,", "\"workers\":2,");
         let err = parse_history_line(&no_w1).expect_err("missing workers=1 point must fail");
@@ -1097,14 +1062,13 @@ mod tests {
         assert!(parse_history_line("not json").is_err());
     }
 
-    fn throughput_entry(sha: &str, qps: f64, expand: f64, speedup: f64) -> HistoryEntry {
+    fn throughput_entry(sha: &str, qps: f64, expand: f64) -> HistoryEntry {
         HistoryEntry {
             sha: sha.to_string(),
             label: "throughput".to_string(),
             shape: HistoryShape::Throughput,
             search_qps: Some(qps),
             expand_w1_secs: Some(expand),
-            sched_speedup: Some(speedup),
             checks_per_sec: None,
             peak_rss_bytes: Some(100.0 * MIB),
         }
@@ -1114,21 +1078,19 @@ mod tests {
     fn gates_bootstrap_then_fire_like_bench_check() {
         // Three entries: LastMin/LastMax windows need 4 → bootstrap.
         let short: Vec<HistoryEntry> = (0..3)
-            .map(|i| throughput_entry(&format!("s{i}"), 1000.0, 0.7, 20.0))
+            .map(|i| throughput_entry(&format!("s{i}"), 1000.0, 0.7))
             .collect();
         let series = trend_series(&short);
         let search = &series[0];
         assert_eq!(search.key, "search-qps");
         assert_eq!(search.gate, GateStatus::Bootstrap { have: 3, need: 4 });
-        // Sched median window needs 3 → already judged, and 20x passes.
-        assert!(matches!(series[2].gate, GateStatus::Pass { .. }));
 
         // Four entries, newest collapsed: search gate fires (< 0.8x median),
         // expand gate fires (> 1.2x median).
         let mut hist: Vec<HistoryEntry> = (0..3)
-            .map(|i| throughput_entry(&format!("s{i}"), 1000.0, 0.7, 20.0))
+            .map(|i| throughput_entry(&format!("s{i}"), 1000.0, 0.7))
             .collect();
-        hist.push(throughput_entry("s3", 100.0, 2.0, 20.0));
+        hist.push(throughput_entry("s3", 100.0, 2.0));
         let series = trend_series(&hist);
         assert!(
             matches!(series[0].gate, GateStatus::Fire { .. }),
@@ -1140,27 +1102,22 @@ mod tests {
             "expand gate should fire: {:?}",
             series[1].gate
         );
-        // Sched speedup median 20x still clears the 3x bar.
-        assert!(matches!(series[2].gate, GateStatus::Pass { .. }));
-
-        // Sched bar: medians below 3.0 fire regardless of the newest point.
-        let slow: Vec<HistoryEntry> = (0..3)
-            .map(|i| throughput_entry(&format!("s{i}"), 1000.0, 0.7, 2.0))
-            .collect();
-        let series = trend_series(&slow);
-        assert!(matches!(series[2].gate, GateStatus::Fire { .. }));
+        // A steady newest entry passes both.
+        hist.push(throughput_entry("s4", 1000.0, 0.7));
+        let series = trend_series(&hist[1..]);
+        assert!(matches!(series[0].gate, GateStatus::Pass { .. }));
+        assert!(matches!(series[1].gate, GateStatus::Pass { .. }));
     }
 
     #[test]
     fn series_are_shape_filtered() {
-        let mut hist = vec![throughput_entry("t0", 1000.0, 0.7, 20.0)];
+        let mut hist = vec![throughput_entry("t0", 1000.0, 0.7)];
         hist.push(HistoryEntry {
             sha: "m0".to_string(),
             label: "monitor".to_string(),
             shape: HistoryShape::Monitor,
             search_qps: None,
             expand_w1_secs: None,
-            sched_speedup: None,
             checks_per_sec: Some(40000.0),
             peak_rss_bytes: Some(50.0 * MIB),
         });
@@ -1244,7 +1201,6 @@ mod tests {
         for key in [
             "trend-search-qps",
             "trend-expand-secs",
-            "trend-sched-speedup",
             "trend-monitor-checks",
             "trend-peak-rss",
         ] {

@@ -19,11 +19,12 @@
 //!   endpoint family plus the typed [`SpanOutcome`];
 //! * the **scheduled-task flag** — set by the discrete-event executor
 //!   around each task poll ([`task_scope`]), so layers below can tell a
-//!   scheduler-driven logical request from a blocking thread-per-worker
-//!   one (the API server skips its real-time latency sleep for scheduled
-//!   tasks: simulated network time is an event on the virtual clock
-//!   there, not a thread nap). It lives here rather than in `flock-sched`
-//!   so the API layer can consult it without depending on the executor.
+//!   monitor check running on the executor from a blocking crawl request
+//!   on the worker pool (the API server skips its real-time latency sleep
+//!   for scheduled tasks: simulated network time is an event on the
+//!   virtual clock there, not a thread nap). It lives here rather than in
+//!   `flock-sched` so the API layer can consult it without depending on
+//!   the executor.
 //!
 //! Everything here is plain `Cell` state: no wall clock, no ambient RNG,
 //! no locks. A thread that never sets the context reads `None` and all

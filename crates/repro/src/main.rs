@@ -2,8 +2,10 @@
 //!
 //! ```text
 //! repro [--scale small|medium|paper|paper_scale] [--seed N] [--metrics PATH]
-//!       [--report PATH] [--chaos SCENARIO] [--workers N] [--tasks N]
-//!       <artifact>...
+//!       [--report PATH] [--chaos SCENARIO] [--workers N] <artifact>...
+//! repro --monitor [--tasks N] [--sim-days N] [--nodes PATH]
+//!       [--checkpoint PATH] [--test] [--scale, --seed, --metrics,
+//!       --report, --dashboard, --chaos, --workers as above]
 //!
 //! artifacts: fig1 .. fig16, headline, all, experiments-md, retention,
 //!            dump-dataset[=path] (anonymized JSON release, §3.4), verify,
@@ -30,28 +32,29 @@
 //! attribution bars, the run report, and — with `--diff OTHER_REPORT` —
 //! a side-by-side Data-tier diff against another run's report file.
 //! The dashboard's Data-tier fence is byte-identical across worker
-//! counts and task widths.
+//! counts (and, under --monitor, admission windows).
 //!
 //! --chaos SCENARIO crawls through a canned deterministic fault plan
 //! seeded from the world seed: calm, rate-limit-storm, instance-massacre,
 //! or flaky-federation.
 //!
-//! --workers N sets the OS threads of the parallel crawl phases; --tasks N
-//! additionally runs those phases on the discrete-event scheduler with N
-//! logical concurrent connections multiplexed over the worker threads.
-//! Zero is rejected for both (typed config error), and the dataset — and
-//! therefore every figure and the stamp — is byte-identical with or
-//! without the scheduler.
+//! --workers N sets the worker-pool threads of the timeline and followee
+//! crawl phases (default 4). Zero is rejected (typed config error), and
+//! the dataset — and therefore every figure and the stamp — is
+//! byte-identical at any worker count.
 //!
 //! --monitor runs the continuous-monitoring workload instead of the crawl
 //! pipeline: an orchestrator plus per-instance checker tasks on the
 //! virtual clock, bootstrapped from the flagship instances and expanding
 //! via peers-list discovery over `--sim-days` of simulated uptime
-//! (`--workers` = executor threads, `--tasks` = admission window).
-//! `--nodes PATH` writes the deterministic nodes-list artifact
-//! (byte-identical across thread counts and admission windows),
-//! `--checkpoint PATH` enables periodic checkpoint/resume, and `--test`
-//! prints throughput + peak-RSS lines for the bench trend gate.
+//! (`--workers` = executor threads, `--tasks` = admission window, the
+//! most checker tasks live per round, default 64). `--nodes PATH` writes
+//! the deterministic nodes-list artifact (byte-identical across thread
+//! counts and admission windows), `--checkpoint PATH` enables periodic
+//! checkpoint/resume, and `--test` prints throughput + peak-RSS lines
+//! for the bench trend gate. These five flags only apply with
+//! `--monitor`: a crawl run rejects them with the usage line rather
+//! than ignoring them.
 //! ```
 
 use flock_chaos::Scenario;
@@ -67,8 +70,8 @@ fn usage() -> &'static str {
     "usage: repro [--scale small|medium|paper|paper_scale] [--seed N] [--metrics PATH] \
      [--report PATH (.html => HTML, else text)] \
      [--dashboard PATH [--diff OTHER_REPORT] [--history PATH]] \
-     [--chaos calm|rate-limit-storm|instance-massacre|flaky-federation|rolling-outages] [--workers N] [--tasks N] \
-     [--monitor [--sim-days N] [--nodes PATH] [--checkpoint PATH] [--test]] \
+     [--chaos calm|rate-limit-storm|instance-massacre|flaky-federation|rolling-outages] [--workers N] \
+     [--monitor [--tasks N] [--sim-days N] [--nodes PATH] [--checkpoint PATH] [--test]] \
      <fig1..fig16|headline|all|experiments-md|stamp[=path]>..."
 }
 
@@ -84,38 +87,51 @@ fn main() -> ExitCode {
     let mut chaos: Option<Scenario> = None;
     let mut crawler_config = CrawlerConfig::default();
     let mut monitor = false;
-    let mut sim_days: u64 = 30;
-    let mut nodes_path: Option<String> = None;
-    let mut checkpoint_path: Option<String> = None;
-    let mut test_lines = false;
+    let mut mcli = MonitorCli {
+        sim_days: 30,
+        nodes_path: None,
+        checkpoint_path: None,
+        test_lines: false,
+        threads: 0,
+        tasks: 64,
+    };
+    // The last monitor-only flag seen, so a crawl run can reject it
+    // instead of silently ignoring it.
+    let mut monitor_flag: Option<&'static str> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--monitor" => monitor = true,
-            "--test" => test_lines = true,
+            "--test" => {
+                monitor_flag = Some("--test");
+                mcli.test_lines = true;
+            }
             "--sim-days" => {
+                monitor_flag = Some("--sim-days");
                 i += 1;
                 let Some(v) = args.get(i).and_then(|v| v.parse::<u64>().ok()) else {
                     eprintln!("--sim-days needs an integer; {}", usage());
                     return ExitCode::FAILURE;
                 };
-                sim_days = v;
+                mcli.sim_days = v;
             }
             "--nodes" => {
+                monitor_flag = Some("--nodes");
                 i += 1;
                 let Some(v) = args.get(i) else {
                     eprintln!("--nodes needs a path; {}", usage());
                     return ExitCode::FAILURE;
                 };
-                nodes_path = Some(v.clone());
+                mcli.nodes_path = Some(v.clone());
             }
             "--checkpoint" => {
+                monitor_flag = Some("--checkpoint");
                 i += 1;
                 let Some(v) = args.get(i) else {
                     eprintln!("--checkpoint needs a path; {}", usage());
                     return ExitCode::FAILURE;
                 };
-                checkpoint_path = Some(v.clone());
+                mcli.checkpoint_path = Some(v.clone());
             }
             "--chaos" => {
                 i += 1;
@@ -140,12 +156,13 @@ fn main() -> ExitCode {
                 crawler_config.workers = v;
             }
             "--tasks" => {
+                monitor_flag = Some("--tasks");
                 i += 1;
                 let Some(v) = args.get(i).and_then(|v| v.parse::<usize>().ok()) else {
                     eprintln!("--tasks needs an integer; {}", usage());
                     return ExitCode::FAILURE;
                 };
-                crawler_config.tasks = Some(v);
+                mcli.tasks = v;
             }
             "--scale" => {
                 i += 1;
@@ -224,6 +241,10 @@ fn main() -> ExitCode {
         eprintln!("--diff only applies with --dashboard; {}", usage());
         return ExitCode::FAILURE;
     }
+    if let (false, Some(flag)) = (monitor, monitor_flag) {
+        eprintln!("{flag} only applies with --monitor; {}", usage());
+        return ExitCode::FAILURE;
+    }
     let dashboard = dashboard_path.map(|path| DashboardCli {
         path,
         diff_path,
@@ -234,14 +255,7 @@ fn main() -> ExitCode {
             eprintln!("--monitor takes no figure artifacts; {}", usage());
             return ExitCode::FAILURE;
         }
-        let mcli = MonitorCli {
-            sim_days,
-            nodes_path,
-            checkpoint_path,
-            test_lines,
-            threads: crawler_config.workers,
-            tasks: crawler_config.tasks.unwrap_or(64),
-        };
+        mcli.threads = crawler_config.workers;
         return run_monitor(
             &config,
             chaos,

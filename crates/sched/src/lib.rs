@@ -1,11 +1,12 @@
 //! `flock-sched` — a deterministic discrete-event executor on virtual time.
 //!
-//! The crawler's original execution model was thread-per-worker: every
-//! concurrent logical request occupied an OS thread, and all of them
-//! contended on a single shared virtual clock with CAS races deciding who
-//! pays for which wait. That flattens past a handful of workers and makes
-//! "10,000 concurrent connections" unreachable. This crate replaces it
-//! with the classic discrete-event loop:
+//! This is the continuous monitor's executor: each round, `flock-monitor`
+//! runs one checker task per due instance here. A check is a pure function
+//! of the virtual instant it was scheduled for, so the monitor needs an
+//! executor whose event order never depends on thread timing. (The §3
+//! crawl does not run here: its rate-limited requests block on the
+//! crawler's worker pool and move the shared clock themselves.) The
+//! executor is the classic discrete-event loop:
 //!
 //! * **Logical tasks** ([`Task`]) are plain state machines — no async
 //!   runtime, no boxed futures. Each `poll` runs the task until it either
@@ -22,7 +23,7 @@
 //!   ([`Clock::advance_to`]) and every event now due joins the next
 //!   batch. The seconds the clock actually moved are charged — exactly
 //!   once, to the first event in `(time, seq)` order — through the
-//!   caller's `charge` hook, which is how the crawler keeps its
+//!   caller's `charge` hook, which is how the monitor keeps its
 //!   "Σ wait buckets + work = phase duration" identity.
 //! * **A small OS-thread pool** (≤ the configured thread count) polls the
 //!   batch concurrently: workers claim batch *positions* off an atomic
@@ -33,7 +34,7 @@
 //!   same event sequence by construction.
 //!
 //! The admission **window** bounds how many tasks are live at once
-//! (the crawler's `--tasks` flag): with `n` inputs and a window of `w`,
+//! (`repro --monitor --tasks`): with `n` inputs and a window of `w`,
 //! at most `w` tasks are in flight and a completion admits the next
 //! input, in input order.
 //!

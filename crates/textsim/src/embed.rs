@@ -16,6 +16,7 @@
 
 use crate::token::tokenize;
 use crate::topic::GENERAL_WORDS;
+use flock_core::rng::fnv1a;
 
 /// Embedding dimensionality. 128 gives a negligible collision rate for
 /// post-sized token sets while staying cheap to compare.
@@ -47,16 +48,10 @@ impl Embedding {
     }
 }
 
-/// 64-bit FNV-1a, the token hash.
+/// The token hash: 64-bit FNV-1a, finalized to spread its low bits.
 fn hash_token(t: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in t.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    // Finalize to spread low bits.
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    let h = fnv1a(t);
+    let h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
     h ^ (h >> 33)
 }
 

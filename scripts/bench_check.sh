@@ -8,10 +8,6 @@
 #   * search: measured indexed qps < 0.8 x median indexed_qps
 #   * crawl:  measured expand_secs  > 1.2 x median expand_secs
 #             (checked per worker count the smoke run covers: 1 and 4)
-#   * sched:  the discrete-event scheduler must still beat the
-#             thread-per-worker baseline in the smoke run (>= 1x), and the
-#             recorded history must hold the >= 3x acceptance bar at the
-#             full 10k-connection scale (median over the window).
 #   * memory: measured peak RSS (VmHWM of the smoke bench process) must
 #             stay <= 1.2 x the median recorded peak_rss_bytes. The smoke
 #             and full runs build the same small() world, so their peaks
@@ -21,9 +17,9 @@
 #             30 simulated days under rolling-outages) must complete, and
 #             its checks/sec must stay >= 0.8 x the median recorded
 #             checks_per_sec, with peak RSS <= 1.2 x the median.
-#   * dashboard: repro --dashboard must render all five gated trend
-#             charts (search qps, expand secs, sched speedup, monitor
-#             checks/sec, peak RSS) from the committed history.
+#   * dashboard: repro --dashboard must render all four gated trend
+#             charts (search qps, expand secs, monitor checks/sec, peak
+#             RSS) from the committed history.
 #
 # Each trend gate needs a full 3-entry window of shape-matched history
 # lines; with fewer it prints an explicit `SKIPPED (bootstrap)` line and
@@ -71,9 +67,8 @@ if [ "$trend" -eq 1 ]; then
   # The history lines are compact serde JSON, so key:value adjacency is
   # stable and line-oriented extraction is reliable.
   base_qps="$(grep -o '"indexed_qps":[0-9.eE+-]*' "$window" | cut -d: -f2 | median)"
-  base_sched_speedup="$(sed 's/.*"sched"://' "$window" | grep -o '"speedup":[0-9.eE+-]*' | cut -d: -f2 | median)"
-  if [ -z "$base_qps" ] || [ -z "$base_sched_speedup" ]; then
-    echo "bench_check: could not parse baseline medians from $history" >&2
+  if [ -z "$base_qps" ]; then
+    echo "bench_check: could not parse the baseline qps median from $history" >&2
     exit 1
   fi
 fi
@@ -85,11 +80,9 @@ cat "$log" >&2
 # Measured values from the bench's stderr lines:
 #   search: indexed 5569 qps vs scan 123 qps (45.1x)
 #   expand: workers=1 0.769s
-#   sched: 256 connections on 8 threads: scheduler 4813 rps vs threads 1604 rps (3.0x)
 measured_qps="$(awk '/^search: indexed/ { print $3; exit }' "$log")"
-measured_sched="$(awk '/^sched:/ { gsub(/[()x]/, "", $NF); print $NF; exit }' "$log")"
-if [ -z "$measured_qps" ] || [ -z "$measured_sched" ]; then
-  echo "bench_check: could not parse search qps / sched speedup from bench output" >&2
+if [ -z "$measured_qps" ]; then
+  echo "bench_check: could not parse search qps from bench output" >&2
   exit 1
 fi
 
@@ -116,21 +109,6 @@ if [ "$trend" -eq 1 ]; then
       echo "bench_check: expand workers=$w ok (${measured_secs}s vs median ${base_secs}s)"
     fi
   done
-fi
-
-# The sched smoke bar is absolute (scheduler must beat the thread
-# baseline), so it gates even during bootstrap.
-if awk -v m="$measured_sched" 'BEGIN { exit !(m < 1.0) }'; then
-  echo "bench_check: SCHED REGRESSION: scheduler smoke speedup ${measured_sched}x < 1x thread baseline" >&2
-  fail=1
-else
-  echo "bench_check: sched smoke ok (${measured_sched}x vs threads)"
-fi
-if [ "$trend" -eq 1 ]; then
-  if awk -v b="$base_sched_speedup" 'BEGIN { exit !(b < 3.0) }'; then
-    echo "bench_check: SCHED HISTORY: recorded median speedup ${base_sched_speedup}x < the 3x acceptance bar" >&2
-    fail=1
-  fi
 fi
 
 # Memory trend: compare the smoke run's peak RSS against the median of the
@@ -209,19 +187,19 @@ fi
 
 # Dashboard trend smoke: the run dashboard mirrors the gates above as
 # SVG trend charts over the same shape-filtered history windows; all
-# five gated series must render (a missing chart means the dashboard's
+# four gated series must render (a missing chart means the dashboard's
 # view of the history diverged from this script's).
 echo "==> repro --dashboard (trend chart smoke over $history)"
 cargo run -q --release -p flock-repro -- \
   --scale small --seed 1234 --history "$history" --dashboard "$dash" \
   headline >/dev/null 2>&1
-for key in search-qps expand-secs sched-speedup monitor-checks peak-rss; do
+for key in search-qps expand-secs monitor-checks peak-rss; do
   if ! grep -q "trend-$key" "$dash"; then
     echo "bench_check: DASHBOARD SMOKE FAILED: missing trend chart trend-$key" >&2
     exit 1
   fi
 done
-echo "bench_check: dashboard trend charts ok (5 gated series rendered)"
+echo "bench_check: dashboard trend charts ok (4 gated series rendered)"
 
 if [ "$fail" -ne 0 ]; then
   echo "bench_check: FAILED (regression vs the $history trend)" >&2

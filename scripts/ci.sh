@@ -5,22 +5,22 @@
 # pass over every bench target (including the throughput bench, which in
 # --test mode does not append to the committed BENCH_history.jsonl), the
 # determinism matrix (seeds x worker counts must stamp byte-identically),
-# the scheduler determinism matrix (the discrete-event scheduler at any
-# threads x tasks point must stamp byte-identically with the legacy pool),
 # the monitor determinism matrix (the continuous-monitoring workload must
 # render byte-identical nodes lists and report Data sections at any
 # threads x tasks point, through a chaos plan with instance rebirth),
 # a chaos-scenario smoke crawl, a run-dashboard smoke (self-contained
-# HTML whose fenced Data region is also byte-compared in both matrices,
-# plus a --diff view that must flag chaos divergence), and an advisory
-# throughput-regression check. The same script backs
-# .github/workflows/ci.yml.
+# HTML whose fenced Data region is also byte-compared in the determinism
+# matrix, plus a --diff view that must flag chaos divergence), and an
+# advisory throughput-regression check. The same script backs
+# .github/workflows/ci.yml. Fenced Data regions are carved out by
+# `data_fence` from scripts/lib.sh.
 #
 # Every stage prints a named banner on entry and its wall-clock seconds on
 # exit, so a matrix failure in CI logs pins down both the stage and — via
 # the per-cell messages below — the exact seed/threads/tasks cell.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 
 scratch="$(mktemp -d -t flock-ci-XXXXXX)"
 trap 'rm -rf "$scratch"' EXIT
@@ -84,16 +84,12 @@ for seed in 1 1234 9999; do
     exit 1
   fi
   # The run report's fenced Data-tier section is part of the determinism
-  # contract too: carve it out and compare it across worker counts.
+  # contract too, and so is the dashboard's fenced Data region — every
+  # chart pixel in it (geometry included): carve both out and compare
+  # them across worker counts.
   for w in 1 8; do
-    sed -n '/^=== BEGIN DATA TIER/,/^=== END DATA TIER/p' \
-      "$scratch/s$seed-w$w.report.txt" >"$scratch/s$seed-w$w.report.data"
-    test -s "$scratch/s$seed-w$w.report.data"
-    # So is the dashboard's fenced Data region — every chart pixel in it
-    # (geometry included) must be byte-identical across worker counts.
-    sed -n '/^<!--=== BEGIN DASHBOARD DATA TIER ===-->$/,/^<!--=== END DASHBOARD DATA TIER ===-->$/p' \
-      "$scratch/s$seed-w$w.dash.html" >"$scratch/s$seed-w$w.dash.data"
-    test -s "$scratch/s$seed-w$w.dash.data"
+    data_fence report "$scratch/s$seed-w$w.report.txt" >"$scratch/s$seed-w$w.report.data"
+    data_fence dashboard "$scratch/s$seed-w$w.dash.html" >"$scratch/s$seed-w$w.dash.data"
   done
   if ! cmp -s "$scratch/s$seed-w1.report.data" "$scratch/s$seed-w8.report.data"; then
     echo "DETERMINISM FAILURE: seed $seed report Data sections differ between workers=1 and workers=8" >&2
@@ -104,41 +100,6 @@ for seed in 1 1234 9999; do
     exit 1
   fi
   echo "    seed $seed: workers=1 == workers=8 (stamp + report data tier + dashboard data region)"
-done
-
-stage "scheduler determinism matrix (seeds x threads x tasks must match the legacy stamps)"
-for seed in 1 1234 9999; do
-  for w in 1 8; do
-    for n in 64 10000; do
-      tag="sched-s$seed-w$w-t$n"
-      cargo run -q --release -p flock-repro -- \
-        --scale small --seed "$seed" --workers "$w" --tasks "$n" \
-        --report "$scratch/$tag.report.txt" \
-        --dashboard "$scratch/$tag.dash.html" \
-        "stamp=$scratch/$tag.stamp" headline >/dev/null 2>&1
-      # The scheduler is an execution detail: its stamp must be
-      # byte-identical to the legacy-pool stamp of the same seed.
-      if ! cmp -s "$scratch/s$seed-w1.stamp" "$scratch/$tag.stamp"; then
-        echo "DETERMINISM FAILURE: seed $seed scheduler stamp (workers=$w tasks=$n) differs from the legacy pool" >&2
-        exit 1
-      fi
-      sed -n '/^=== BEGIN DATA TIER/,/^=== END DATA TIER/p' \
-        "$scratch/$tag.report.txt" >"$scratch/$tag.report.data"
-      test -s "$scratch/$tag.report.data"
-      if ! cmp -s "$scratch/s$seed-w1.report.data" "$scratch/$tag.report.data"; then
-        echo "DETERMINISM FAILURE: seed $seed scheduler report Data section (workers=$w tasks=$n) differs from the legacy pool" >&2
-        exit 1
-      fi
-      sed -n '/^<!--=== BEGIN DASHBOARD DATA TIER ===-->$/,/^<!--=== END DASHBOARD DATA TIER ===-->$/p' \
-        "$scratch/$tag.dash.html" >"$scratch/$tag.dash.data"
-      test -s "$scratch/$tag.dash.data"
-      if ! cmp -s "$scratch/s$seed-w1.dash.data" "$scratch/$tag.dash.data"; then
-        echo "DETERMINISM FAILURE: seed $seed scheduler dashboard Data region (workers=$w tasks=$n) differs from the legacy pool" >&2
-        exit 1
-      fi
-    done
-  done
-  echo "    seed $seed: scheduler {1,8} threads x {64,10000} tasks == legacy (stamp + report data tier + dashboard data region)"
 done
 
 stage "monitor determinism matrix (seeds x threads x tasks, 30 days under rolling outages)"
@@ -173,7 +134,7 @@ cargo run -q --release -p flock-repro -- \
 grep -q '<html' "$scratch/storm.report.html"
 test -s "$dash_out"
 # One gated trend chart per bench metric, fed by the committed history.
-for key in search-qps expand-secs sched-speedup monitor-checks peak-rss; do
+for key in search-qps expand-secs monitor-checks peak-rss; do
   grep -q "trend-$key" "$dash_out"
 done
 # Self-contained: a dashboard must never fetch external JS/CSS/fonts.
@@ -187,7 +148,7 @@ if ! grep -E '<tr class="chg">' "$dash_out" | grep -q 'chaos'; then
   echo "DASHBOARD FAILURE: --diff did not flag divergent chaos lines" >&2
   exit 1
 fi
-echo "    dashboard: 5 trend charts, self-contained, diff flags chaos divergence"
+echo "    dashboard: 4 trend charts, self-contained, diff flags chaos divergence"
 
 stage "chaos smoke (repro --chaos rate-limit-storm must degrade gracefully)"
 chaos_log="$scratch/chaos.log"

@@ -10,6 +10,7 @@
 # release profile is already built (it builds on demand otherwise).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 
 scratch="$(mktemp -d -t flock-monitor-matrix-XXXXXX)"
 trap 'rm -rf "$scratch"' EXIT
@@ -28,9 +29,7 @@ for seed in 1 1234 9999; do
         echo "DETERMINISM FAILURE: seed $seed monitor nodes list (workers=$w tasks=$n) differs from workers=1 tasks=64" >&2
         exit 1
       fi
-      sed -n '/^=== BEGIN DATA TIER/,/^=== END DATA TIER/p' \
-        "$scratch/$tag.report.txt" >"$scratch/$tag.report.data"
-      test -s "$scratch/$tag.report.data"
+      data_fence report "$scratch/$tag.report.txt" >"$scratch/$tag.report.data"
       if ! cmp -s "$scratch/mon-s$seed-w1-t64.report.data" "$scratch/$tag.report.data"; then
         echo "DETERMINISM FAILURE: seed $seed monitor report Data section (workers=$w tasks=$n) differs from workers=1 tasks=64" >&2
         exit 1

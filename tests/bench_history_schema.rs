@@ -30,7 +30,6 @@ fn every_committed_line_parses_and_carries_its_shape_keys() {
             HistoryShape::Throughput => {
                 assert!(e.search_qps.is_some_and(|v| v > 0.0));
                 assert!(e.expand_w1_secs.is_some_and(|v| v > 0.0));
-                assert!(e.sched_speedup.is_some_and(|v| v > 0.0));
             }
             HistoryShape::Monitor => {
                 assert!(e.checks_per_sec.is_some_and(|v| v > 0.0));
@@ -68,11 +67,6 @@ fn raw_lines_expose_the_keys_bench_check_greps_for() {
                 "line {}: throughput shape needs search.indexed_qps",
                 i + 1
             );
-            assert!(
-                v.get("sched").and_then(|s| s.get("speedup")).is_some(),
-                "line {}: throughput shape needs sched.speedup",
-                i + 1
-            );
         }
         if v.get("checks_per_sec").is_some() {
             for key in ["checks", "sim_days"] {
@@ -93,13 +87,7 @@ fn committed_history_feeds_the_dashboard_trend_series() {
     let keys: Vec<&str> = series.iter().map(|s| s.key).collect();
     assert_eq!(
         keys,
-        vec![
-            "search-qps",
-            "expand-secs",
-            "sched-speedup",
-            "monitor-checks",
-            "peak-rss"
-        ]
+        vec!["search-qps", "expand-secs", "monitor-checks", "peak-rss"]
     );
     // Shape filtering: throughput-backed series hold exactly the
     // throughput-shaped entries, the monitor series the monitor ones.
@@ -113,7 +101,7 @@ fn committed_history_feeds_the_dashboard_trend_series() {
         .count();
     assert_eq!(series[0].values.len(), throughput);
     assert_eq!(series[1].values.len(), throughput);
-    assert_eq!(series[3].values.len(), monitor);
+    assert_eq!(series[2].values.len(), monitor);
     assert!(throughput >= 1 && monitor >= 1, "seed history covers both");
 }
 

@@ -1,9 +1,12 @@
 //! Reproducibility: the same seed must reproduce the same world, crawl and
 //! analysis bit-for-bit; a different seed must not.
 
-use flock::apis::ApiServer;
+use flock::apis::{ApiConfig, ApiServer};
+use flock::chaos::Scenario;
+use flock::core::rng::fnv1a;
 use flock::crawler::prelude::*;
 use flock::fedisim::{World, WorldConfig};
+use flock::obs::Registry;
 use flock::prelude::*;
 use flock_analysis::HeadlineReport;
 use std::sync::Arc;
@@ -156,6 +159,57 @@ fn different_seeds_differ() {
         .map(|t| t.text.as_str())
         .collect();
     assert_ne!(a_texts, b_texts);
+}
+
+/// Golden digests pin the reproduction's output across commits, not just
+/// across runs: `fnv1a` of the stats-zeroed dataset JSON, of the Data-tier
+/// metrics snapshot (together, the bytes of a `repro stamp`) and of every
+/// rendered figure, for the seed-1234 `small()` study under a calm and a
+/// rate-limit-storm chaos plan. A refactor must leave all six values
+/// alone; a change that moves one on purpose updates it and says why.
+#[test]
+fn small_study_matches_its_golden_digests() {
+    let config = WorldConfig::small().with_seed(1234);
+    let golden: [(Scenario, [u64; 3]); 2] = [
+        (
+            Scenario::Calm,
+            [
+                0x8cb8_62c9_6df7_aa18,
+                0xfc29_b27d_d3b3_1ed1,
+                0x2b95_2041_aa32_e08e,
+            ],
+        ),
+        (
+            Scenario::RateLimitStorm,
+            [
+                0x8cb8_62c9_6df7_aa18,
+                0x341c_f1ee_8d3e_f94b,
+                0x2b95_2041_aa32_e08e,
+            ],
+        ),
+    ];
+    let digests = |scenario: Scenario| -> [u64; 3] {
+        let obs = Registry::new();
+        let api_config = ApiConfig {
+            chaos: scenario.plan(config.seed),
+            ..ApiConfig::default()
+        };
+        let study =
+            MigrationStudy::run_configured(&config, api_config, CrawlerConfig::default(), &obs)
+                .unwrap();
+        let mut ds = study.dataset.clone();
+        ds.stats = CrawlStats::default();
+        [
+            fnv1a(&serde_json::to_string(&ds).unwrap()),
+            fnv1a(&obs.snapshot()),
+            fnv1a(&study.render_all()),
+        ]
+    };
+    let got = golden.map(|(scenario, _)| (scenario, digests(scenario)));
+    assert_eq!(
+        got, golden,
+        "[dataset, snapshot, figures] digests moved; now {got:#x?}"
+    );
 }
 
 #[test]

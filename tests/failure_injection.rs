@@ -3,6 +3,8 @@
 //! corrupt data, never fabricate it, never deadlock.
 
 use flock::apis::{ApiConfig, ApiServer, RatePolicy};
+use flock::chaos::Scenario;
+use flock::core::FlockError;
 use flock::crawler::prelude::*;
 use flock::fedisim::{World, WorldConfig};
 use std::sync::Arc;
@@ -82,6 +84,36 @@ fn draconian_rate_limits_cost_time_not_data() {
         ds.stats.virtual_secs > default_ds.stats.virtual_secs,
         "tighter limits must cost more virtual time"
     );
+}
+
+/// A transient backoff configured near `u64::MAX` drives the virtual
+/// clock to the top of its range: it must *saturate* there — no wrap, no
+/// panic, no livelock. With the clock pinned at the ceiling, later waits
+/// can no longer move time, so the run may end in the typed retry-budget
+/// error (the fail-fast the budget exists for), but never in anything
+/// else. The flaky-federation scenario guarantees the transient faults
+/// that trigger the backoff.
+#[test]
+fn huge_transient_backoff_saturates_the_virtual_clock() {
+    let cfg = ApiConfig {
+        chaos: Scenario::FlakyFederation.plan(1234),
+        ..ApiConfig::default()
+    };
+    let api = ApiServer::new(world(1234), cfg).unwrap();
+    let config = CrawlerConfig {
+        workers: 4,
+        transient_backoff_secs: u64::MAX,
+        max_transient_retries: 2,
+        // With the clock pinned at the ceiling, budget starvation is how
+        // the run ends; a small budget keeps that ending fast.
+        max_rate_limit_wait_secs: 3_600,
+        ..CrawlerConfig::default()
+    };
+    match Crawler::new(&api, config).unwrap().run() {
+        Ok(_) | Err(FlockError::RetryBudgetExhausted { .. }) => {}
+        Err(e) => panic!("expected a clean end or the budget error, got {e}"),
+    }
+    assert_eq!(api.now(), u64::MAX, "clock wrapped instead of saturating");
 }
 
 #[test]
