@@ -3,9 +3,7 @@
 //! the paper has no numbered tables; its dense in-text numbers are the
 //! tabular results.
 
-use crate::rq1::{fig5_centralization, fig6_size_analysis, pre_takeover_account_fraction};
-use crate::rq2::{fig10_switcher_influence, fig7_social_networks, fig8_influence, fig9_switching};
-use crate::rq3::{fig13_crossposters, fig14_similarity, fig16_toxicity};
+use crate::analysis::Analysis;
 use flock_crawler::dataset::{Dataset, MastodonCrawlOutcome, TwitterCrawlOutcome};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -91,6 +89,14 @@ pub struct HeadlineReport {
 impl HeadlineReport {
     /// Compute every headline statistic from a crawled dataset.
     pub fn compute(ds: &Dataset) -> HeadlineReport {
+        HeadlineReport::from_analysis(&Analysis::new(ds))
+    }
+
+    /// Compute every headline statistic, reading each figure through `a`
+    /// so that figures the caller also renders are computed once. Callers
+    /// outside the crate read it memoized, as [`Analysis::headline`].
+    pub(crate) fn from_analysis(a: &Analysis<'_>) -> HeadlineReport {
+        let ds = a.dataset();
         let mut metrics = Vec::new();
         let n = ds.matched.len().max(1) as f64;
 
@@ -166,7 +172,7 @@ impl HeadlineReport {
         ));
 
         // §4 centralization.
-        let c = fig5_centralization(ds);
+        let c = a.fig5();
         metrics.push(Metric::new(
             "users on top 25% of instances",
             96.0,
@@ -176,10 +182,10 @@ impl HeadlineReport {
         metrics.push(Metric::new(
             "accounts created before takeover",
             21.0,
-            pre_takeover_account_fraction(ds) * 100.0,
+            a.pre_takeover_account_fraction() * 100.0,
             "%",
         ));
-        let f6 = fig6_size_analysis(ds);
+        let f6 = a.fig6();
         metrics.push(Metric::new(
             "single-user instances",
             13.16,
@@ -212,7 +218,7 @@ impl HeadlineReport {
         ));
 
         // §5.1 social networks.
-        let f7 = fig7_social_networks(ds);
+        let f7 = a.fig7();
         metrics.push(Metric::new(
             "median Twitter followers",
             744.0,
@@ -263,7 +269,7 @@ impl HeadlineReport {
         ));
 
         // §5.2 migration influence.
-        let f8 = fig8_influence(ds);
+        let f8 = a.fig8();
         metrics.push(Metric::new(
             "mean followees that migrated",
             5.99,
@@ -308,7 +314,7 @@ impl HeadlineReport {
         ));
 
         // §5.3 switching.
-        let f9 = fig9_switching(ds);
+        let f9 = a.fig9();
         metrics.push(Metric::new(
             "users who switched instance",
             4.09,
@@ -321,7 +327,7 @@ impl HeadlineReport {
             f9.post_takeover_pct,
             "%",
         ));
-        let f10 = fig10_switcher_influence(ds);
+        let f10 = a.fig10();
         metrics.push(Metric::new(
             "switchers' followees at first instance",
             11.4,
@@ -342,14 +348,14 @@ impl HeadlineReport {
         ));
 
         // §6 content.
-        let f13 = fig13_crossposters(ds);
+        let f13 = a.fig13();
         metrics.push(Metric::new(
             "users who used a cross-poster",
             5.73,
             f13.ever_used_pct,
             "%",
         ));
-        let f14 = fig14_similarity(ds);
+        let f14 = a.fig14();
         metrics.push(Metric::new(
             "mean identical statuses",
             1.53,
@@ -368,7 +374,7 @@ impl HeadlineReport {
             f14.fully_different_pct,
             "%",
         ));
-        let f16 = fig16_toxicity(ds);
+        let f16 = a.fig16();
         metrics.push(Metric::new(
             "toxic tweets (corpus)",
             5.49,
@@ -402,7 +408,7 @@ impl HeadlineReport {
 
         HeadlineReport {
             n_matched: ds.matched.len(),
-            n_instances: fig5_centralization(ds).n_instances,
+            n_instances: c.n_instances,
             n_collected_tweets: ds.collected_tweets.len(),
             n_searched_users: ds.searched_users,
             metrics,

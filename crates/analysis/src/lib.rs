@@ -21,10 +21,16 @@
 //! | Fig. 15 | [`rq3::fig15_hashtags`] |
 //! | Fig. 16 | [`rq3::fig16_toxicity`] |
 //! | in-text stats | [`headline::HeadlineReport`] |
+//! | all of the above, each computed at most once | [`analysis::Analysis`] |
 //!
 //! (Figs. 1 and 3 are series produced by the world/crawl directly: the
 //! interest model and the weekly-activity crawl.)
+//!
+//! The free functions recompute on every call. Callers that read several
+//! results of one dataset (the headline, the renderers, the CSV export)
+//! read them through one [`analysis::Analysis`], which memoizes each.
 
+pub mod analysis;
 pub mod headline;
 pub mod retention;
 pub mod rq1;
@@ -35,6 +41,7 @@ pub mod topics;
 pub mod util;
 
 pub mod prelude {
+    pub use crate::analysis::Analysis;
     pub use crate::headline::{HeadlineReport, Metric, Verdict};
     pub use crate::retention::{retention, RetentionClass, RetentionReport};
     pub use crate::rq1::{

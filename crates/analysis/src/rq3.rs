@@ -1,10 +1,11 @@
 //! RQ3 — cross-platform usage patterns (§6, Figs. 11–16).
 
 use crate::stats::{mean, Ecdf};
+use crate::util::par_map;
 use flock_core::{Day, MastodonHandle, TwitterUserId};
 use flock_crawler::dataset::Dataset;
 use flock_textsim::{
-    cosine, embed, extract_hashtags, Embedding, ToxicityScorer, SIMILARITY_THRESHOLD,
+    cosine, embed, for_each_token, Embedding, ToxicityScorer, SIMILARITY_THRESHOLD,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -178,15 +179,9 @@ pub fn fig14_similarity(ds: &Dataset) -> Fig14Similarity {
             (!tweets.is_empty() && !statuses.is_empty()).then_some((tweets, statuses))
         })
         .collect();
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .clamp(1, 8);
     // Embedding every status against every tweet embedding dominates the
-    // figure pipeline; users are independent, so fan them out. The worker
-    // count above is always >= 1, so the pool's InvalidConfig arm is
-    // unreachable; fall back to empty output rather than panicking.
-    let fracs = flock_crawler::worker_pool::run(workers, &pairs, |_, &(tweets, statuses)| {
+    // figure pipeline; users are independent, so fan them out.
+    let fracs = par_map(&pairs, |&(tweets, statuses)| {
         let tweet_texts: BTreeSet<&str> = tweets.iter().map(|t| t.text.as_str()).collect();
         let tweet_embeddings: Vec<Embedding> = tweets.iter().map(|t| embed(&t.text)).collect();
         let mut identical = 0usize;
@@ -209,8 +204,7 @@ pub fn fig14_similarity(ds: &Dataset) -> Fig14Similarity {
             identical as f64 / statuses.len() as f64,
             similar as f64 / statuses.len() as f64,
         )
-    })
-    .unwrap_or_default();
+    });
     let identical_fracs: Vec<f64> = fracs.iter().map(|p| p.0).collect();
     let similar_fracs: Vec<f64> = fracs.iter().map(|p| p.1).collect();
     Fig14Similarity {
@@ -241,37 +235,49 @@ pub struct Fig15Hashtags {
 
 /// Compute Fig. 15 from the crawled timelines.
 pub fn fig15_hashtags(ds: &Dataset, top_n: usize) -> Fig15Hashtags {
-    let count = |texts: &mut dyn Iterator<Item = &str>| -> Vec<HashtagRow> {
-        let mut counts: BTreeMap<String, u64> = BTreeMap::new();
-        for text in texts {
-            for tag in extract_hashtags(text) {
-                *counts.entry(tag).or_insert(0) += 1;
-            }
-        }
-        let mut rows: Vec<HashtagRow> = counts
-            .into_iter()
-            .map(|(tag, count)| HashtagRow { tag, count })
-            .collect();
-        rows.sort_by(|a, b| b.count.cmp(&a.count).then(a.tag.cmp(&b.tag)));
-        rows.truncate(top_n);
-        rows
-    };
+    let tweets: Vec<&[_]> = ds.twitter_timelines.values().map(Vec::as_slice).collect();
+    let statuses: Vec<&[_]> = ds.mastodon_timelines.values().map(Vec::as_slice).collect();
     Fig15Hashtags {
-        twitter: count(
-            &mut ds
-                .twitter_timelines
-                .values()
-                .flatten()
-                .map(|t| t.text.as_str()),
-        ),
-        mastodon: count(
-            &mut ds
-                .mastodon_timelines
-                .values()
-                .flatten()
-                .map(|s| s.text.as_str()),
-        ),
+        twitter: top_hashtags(&tweets, |t| &t.text, top_n),
+        mastodon: top_hashtags(&statuses, |s| &s.text, top_n),
     }
+}
+
+/// The `top_n` most used hashtags over `timelines`, counted one timeline
+/// per pool task. Counts are sums, so the merge order cannot change them.
+fn top_hashtags<P: Sync>(
+    timelines: &[&[P]],
+    text: fn(&P) -> &str,
+    top_n: usize,
+) -> Vec<HashtagRow> {
+    let per_timeline = par_map(timelines, |posts| {
+        let mut counts: BTreeMap<String, u64> = BTreeMap::new();
+        for post in posts.iter() {
+            for_each_token(text(post), |tok| {
+                if !tok.starts_with('#') {
+                    return;
+                }
+                match counts.get_mut(tok) {
+                    Some(n) => *n += 1,
+                    None => {
+                        counts.insert(tok.to_string(), 1);
+                    }
+                }
+            });
+        }
+        counts
+    });
+    let mut counts: BTreeMap<String, u64> = BTreeMap::new();
+    for (tag, n) in per_timeline.into_iter().flatten() {
+        *counts.entry(tag).or_insert(0) += n;
+    }
+    let mut rows: Vec<HashtagRow> = counts
+        .into_iter()
+        .map(|(tag, count)| HashtagRow { tag, count })
+        .collect();
+    rows.sort_by(|a, b| b.count.cmp(&a.count).then(a.tag.cmp(&b.tag)));
+    rows.truncate(top_n);
+    rows
 }
 
 /// Fig. 16 + the §6.3 toxicity statistics.
@@ -309,32 +315,43 @@ pub fn fig16_toxicity(ds: &Dataset) -> Fig16Toxicity {
     let mut both = 0usize;
     let mut evaluable = 0usize;
 
-    for m in &ds.matched {
-        let tweets = ds.twitter_timelines.get(&m.twitter_id);
+    // Scoring every post dominates; users are independent, so score them
+    // on the pool as `(posts, toxic posts)` per crawled, non-empty
+    // timeline, then fold in `matched` order: the fractions feed float
+    // accumulators, so the fold order is part of the output.
+    let per_user = par_map(&ds.matched, |m| {
+        let tweets = ds
+            .twitter_timelines
+            .get(&m.twitter_id)
+            .filter(|tl| !tl.is_empty())
+            .map(|tl| {
+                let toxic = tl.iter().filter(|t| scorer.is_toxic(&t.text)).count();
+                (tl.len(), toxic)
+            });
         let statuses = handle_by_user
             .get(&m.twitter_id)
-            .and_then(|h| ds.mastodon_timelines.get(*h));
-        let mut user_tw_toxic = 0usize;
-        let mut user_ms_toxic = 0usize;
-        if let Some(tl) = tweets {
-            if !tl.is_empty() {
-                user_tw_toxic = tl.iter().filter(|t| scorer.is_toxic(&t.text)).count();
-                tw_total += tl.len() as u64;
-                tw_toxic += user_tw_toxic as u64;
-                tw_fracs.push(user_tw_toxic as f64 / tl.len() as f64);
-            }
+            .and_then(|h| ds.mastodon_timelines.get(*h))
+            .filter(|sl| !sl.is_empty())
+            .map(|sl| {
+                let toxic = sl.iter().filter(|s| scorer.is_toxic(&s.text)).count();
+                (sl.len(), toxic)
+            });
+        (tweets, statuses)
+    });
+    for (tweets, statuses) in per_user {
+        if let Some((n, toxic)) = tweets {
+            tw_total += n as u64;
+            tw_toxic += toxic as u64;
+            tw_fracs.push(toxic as f64 / n as f64);
         }
-        if let Some(sl) = statuses {
-            if !sl.is_empty() {
-                user_ms_toxic = sl.iter().filter(|s| scorer.is_toxic(&s.text)).count();
-                ms_total += sl.len() as u64;
-                ms_toxic += user_ms_toxic as u64;
-                ms_fracs.push(user_ms_toxic as f64 / sl.len() as f64);
-            }
+        if let Some((n, toxic)) = statuses {
+            ms_total += n as u64;
+            ms_toxic += toxic as u64;
+            ms_fracs.push(toxic as f64 / n as f64);
         }
-        if tweets.is_some_and(|t| !t.is_empty()) && statuses.is_some_and(|s| !s.is_empty()) {
+        if let (Some((_, tw)), Some((_, ms))) = (tweets, statuses) {
             evaluable += 1;
-            if user_tw_toxic > 0 && user_ms_toxic > 0 {
+            if tw > 0 && ms > 0 {
                 both += 1;
             }
         }

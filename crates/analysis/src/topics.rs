@@ -14,7 +14,7 @@
 
 use flock_core::TwitterUserId;
 use flock_crawler::dataset::Dataset;
-use flock_textsim::{extract_hashtags, Topic};
+use flock_textsim::{for_each_token, Topic};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -59,14 +59,17 @@ pub fn infer_interests(ds: &Dataset) -> BTreeMap<TwitterUserId, InferredInterest
         let mut counts: BTreeMap<Topic, usize> = BTreeMap::new();
         let mut n_tags = 0usize;
         let bump = |text: &str, counts: &mut BTreeMap<Topic, usize>, n: &mut usize| {
-            for tag in extract_hashtags(text) {
-                if let Some(topic) = table.get(&tag) {
+            for_each_token(text, |tok| {
+                if !tok.starts_with('#') {
+                    return;
+                }
+                if let Some(topic) = table.get(tok) {
                     if !matches!(topic, Topic::Fediverse | Topic::Migration) {
                         *counts.entry(*topic).or_insert(0) += 1;
                     }
                     *n += 1;
                 }
-            }
+            });
         };
         if let Some(tl) = ds.twitter_timelines.get(&m.twitter_id) {
             for t in tl {

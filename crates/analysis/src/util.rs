@@ -33,6 +33,29 @@ pub fn first_created_day(m: &MatchedUser) -> Option<Day> {
     first_created(m).map(|(d, _)| d)
 }
 
+/// Map `f` over `items` on the crawler's worker pool, one thread per
+/// available CPU (at most 8), and return the results in input order.
+///
+/// The per-user loops of Figs. 14–16 are independent, so they fan out
+/// here. The worker count is read from the host, but it only sizes the
+/// pool: [`flock_crawler::worker_pool::run`] hands results back in input
+/// order, so callers that fold them in that order produce the same bytes
+/// on any machine. The count is always at least 1, so the pool's
+/// `InvalidConfig` arm is unreachable; it maps to an empty result rather
+/// than a panic.
+pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let workers = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .clamp(1, 8);
+    flock_crawler::worker_pool::run(workers, items, |_, item| f(item)).unwrap_or_default()
+}
+
 /// Domain of the instance the user first joined.
 pub fn first_instance(m: &MatchedUser) -> &str {
     m.handle.instance()

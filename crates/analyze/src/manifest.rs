@@ -21,7 +21,7 @@
 //! is Data-clean — the manifest is the reasoned escape hatch at the
 //! whole-program level, like `allow(...)` directives are at line level.
 //! The optional `<file>::` qualifier (a path suffix such as
-//! `rq3.rs::fig14_similarity`) pins an entry to one definition when the
+//! `util.rs::par_map`) pins an entry to one definition when the
 //! bare name is not workspace-unique.
 
 /// A fn name, optionally qualified by a defining-file path suffix.

@@ -326,8 +326,9 @@ fn run_paper(smoke: bool) {
 
     let study = MigrationStudy { world, dataset };
     let t = Instant::now();
-    let headline = study.headline();
-    let figures = study.render_all();
+    let analysis = study.analysis();
+    let headline = analysis.headline();
+    let figures = study.render_all_with(&analysis);
     let analyze_secs = t.elapsed().as_secs_f64();
     std::hint::black_box(figures.len());
     let (_, _, fails) = headline.verdict_counts();

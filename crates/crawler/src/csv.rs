@@ -35,8 +35,9 @@ fn via_parse(s: &str) -> Result<QueryKind> {
     }
 }
 
-/// Quote a field iff RFC 4180 requires it.
-fn escape_field(field: &str) -> String {
+/// Quote a field iff RFC 4180 requires it: a field containing `"`, `,`,
+/// CR or LF is wrapped in quotes with every `"` doubled.
+pub fn escape_field(field: &str) -> String {
     if field.contains(['"', ',', '\r', '\n']) {
         let mut out = String::with_capacity(field.len() + 2);
         out.push('"');

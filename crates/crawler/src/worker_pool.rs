@@ -18,8 +18,8 @@
 //! crawler's blocking retry loop. Rate-limit waits move the shared virtual
 //! clock instead of sleeping; only `ApiConfig::request_latency_micros`
 //! (off by default, on in the throughput bench) really sleeps, and that
-//! sleep is what more workers overlap. The fig14 similarity loop reuses
-//! the pool for plain CPU fan-out.
+//! sleep is what more workers overlap. The per-user loops of Figs. 14–16
+//! reuse the pool for plain CPU fan-out.
 
 use flock_core::{FlockError, Result};
 use flock_obs::Gauge;

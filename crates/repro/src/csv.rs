@@ -7,22 +7,14 @@
 use crate::study::MigrationStudy;
 use flock_analysis::prelude::*;
 use flock_core::{FlockError, Result};
+use flock_crawler::csv::escape_field;
 use std::fmt::Write as _;
 use std::path::Path;
-
-/// Quote a CSV field if it needs it.
-fn field(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
 
 /// An ECDF as `series,x,cdf` rows appended to `out`.
 fn ecdf_rows(out: &mut String, series: &str, e: &Ecdf, points: usize) {
     for (x, p) in e.curve(points) {
-        let _ = writeln!(out, "{},{x},{p}", field(series));
+        let _ = writeln!(out, "{},{x},{p}", escape_field(series));
     }
 }
 
@@ -30,6 +22,12 @@ impl MigrationStudy {
     /// Write `fig1.csv` … `fig16.csv` (plus `headline.csv` and
     /// `retention.csv`) into `dir`. Returns the number of files written.
     pub fn export_csv(&self, dir: &Path) -> Result<usize> {
+        self.export_csv_with(&self.analysis(), dir)
+    }
+
+    /// [`MigrationStudy::export_csv`] from `a`, an analysis of this
+    /// study's dataset.
+    pub fn export_csv_with(&self, a: &Analysis<'_>, dir: &Path) -> Result<usize> {
         std::fs::create_dir_all(dir)
             .map_err(|e| FlockError::InvalidConfig(format!("mkdir {}: {e}", dir.display())))?;
         let mut written = 0;
@@ -50,7 +48,7 @@ impl MigrationStudy {
                         s,
                         "{},{},{v}",
                         flock_core::Day(i as i32),
-                        field(&series.name)
+                        escape_field(&series.name)
                     );
                 }
             }
@@ -58,7 +56,7 @@ impl MigrationStudy {
         }
         // fig2: day,instance_links,keywords_hashtags
         {
-            let f = fig2_collection(&self.dataset);
+            let f = a.fig2();
             let mut s = String::from("day,instance_links,keywords_hashtags\n");
             for (i, day) in f.days.iter().enumerate() {
                 let _ = writeln!(
@@ -90,14 +88,14 @@ impl MigrationStudy {
         // fig4: domain,before,after
         {
             let mut s = String::from("domain,before_takeover,after_takeover\n");
-            for r in fig4_top_instances(&self.dataset, 30) {
-                let _ = writeln!(s, "{},{},{}", field(&r.domain), r.before, r.after);
+            for r in a.fig4() {
+                let _ = writeln!(s, "{},{},{}", escape_field(&r.domain), r.before, r.after);
             }
             write("fig4.csv", s)?;
         }
         // fig5: frac_instances,frac_users
         {
-            let c = fig5_centralization(&self.dataset);
+            let c = a.fig5();
             let mut s = String::from("frac_instances,frac_users\n");
             for (fi, fu) in &c.curve {
                 let _ = writeln!(s, "{fi},{fu}");
@@ -106,7 +104,7 @@ impl MigrationStudy {
         }
         // fig6: bucket,metric,x,cdf
         {
-            let f = fig6_size_analysis(&self.dataset);
+            let f = a.fig6();
             let mut s = String::from("bucket,metric,x,cdf\n");
             for b in &f.buckets {
                 for (metric, e) in [
@@ -115,7 +113,7 @@ impl MigrationStudy {
                     ("statuses", &b.statuses),
                 ] {
                     for (x, p) in e.curve(50) {
-                        let _ = writeln!(s, "{},{metric},{x},{p}", field(&b.label));
+                        let _ = writeln!(s, "{},{metric},{x},{p}", escape_field(&b.label));
                     }
                 }
             }
@@ -123,7 +121,7 @@ impl MigrationStudy {
         }
         // fig7: series,x,cdf
         {
-            let f = fig7_social_networks(&self.dataset);
+            let f = a.fig7();
             let mut s = String::from("series,x,cdf\n");
             ecdf_rows(&mut s, "twitter_followers", &f.twitter_followers, 100);
             ecdf_rows(&mut s, "twitter_followees", &f.twitter_followees, 100);
@@ -133,13 +131,13 @@ impl MigrationStudy {
         }
         // fig8 + fig10: series,x,cdf
         {
-            let f = fig8_influence(&self.dataset);
+            let f = a.fig8();
             let mut s = String::from("series,x,cdf\n");
             ecdf_rows(&mut s, "migrated", &f.frac_migrated, 100);
             ecdf_rows(&mut s, "migrated_before", &f.frac_migrated_before, 100);
             ecdf_rows(&mut s, "same_instance", &f.frac_same_instance, 100);
             write("fig8.csv", s)?;
-            let f = fig10_switcher_influence(&self.dataset);
+            let f = a.fig10();
             let mut s = String::from("series,x,cdf\n");
             ecdf_rows(&mut s, "at_first_instance", &f.frac_at_first, 100);
             ecdf_rows(&mut s, "at_second_instance", &f.frac_at_second, 100);
@@ -148,14 +146,14 @@ impl MigrationStudy {
         }
         // fig9: from,to,count
         {
-            let f = fig9_switching(&self.dataset);
+            let f = a.fig9();
             let mut s = String::from("from,to,count\n");
             for flow in &f.flows {
                 let _ = writeln!(
                     s,
                     "{},{},{}",
-                    field(&flow.from),
-                    field(&flow.to),
+                    escape_field(&flow.from),
+                    escape_field(&flow.to),
                     flow.count
                 );
             }
@@ -163,7 +161,7 @@ impl MigrationStudy {
         }
         // fig11: day,tweets,statuses
         {
-            let f = fig11_activity(&self.dataset);
+            let f = a.fig11();
             let mut s = String::from("day,tweets,statuses\n");
             for (i, d) in f.days.iter().enumerate() {
                 let _ = writeln!(s, "{d},{},{}", f.tweets[i], f.statuses[i]);
@@ -173,11 +171,11 @@ impl MigrationStudy {
         // fig12: source,before,after,growth_pct
         {
             let mut s = String::from("source,before,after,growth_pct\n");
-            for r in fig12_sources(&self.dataset, 30) {
+            for r in a.fig12() {
                 let _ = writeln!(
                     s,
                     "{},{},{},{}",
-                    field(&r.source),
+                    escape_field(&r.source),
                     r.before,
                     r.after,
                     r.growth_pct()
@@ -187,7 +185,7 @@ impl MigrationStudy {
         }
         // fig13: day,users
         {
-            let f = fig13_crossposters(&self.dataset);
+            let f = a.fig13();
             let mut s = String::from("day,crossposter_users\n");
             for (i, d) in f.days.iter().enumerate() {
                 let _ = writeln!(s, "{d},{}", f.users_per_day[i]);
@@ -196,7 +194,7 @@ impl MigrationStudy {
         }
         // fig14: series,x,cdf
         {
-            let f = fig14_similarity(&self.dataset);
+            let f = a.fig14();
             let mut s = String::from("series,x,cdf\n");
             ecdf_rows(&mut s, "identical", &f.identical, 100);
             ecdf_rows(&mut s, "similar", &f.similar, 100);
@@ -204,19 +202,19 @@ impl MigrationStudy {
         }
         // fig15: platform,hashtag,count
         {
-            let f = fig15_hashtags(&self.dataset, 30);
+            let f = a.fig15();
             let mut s = String::from("platform,hashtag,count\n");
             for r in &f.twitter {
-                let _ = writeln!(s, "twitter,{},{}", field(&r.tag), r.count);
+                let _ = writeln!(s, "twitter,{},{}", escape_field(&r.tag), r.count);
             }
             for r in &f.mastodon {
-                let _ = writeln!(s, "mastodon,{},{}", field(&r.tag), r.count);
+                let _ = writeln!(s, "mastodon,{},{}", escape_field(&r.tag), r.count);
             }
             write("fig15.csv", s)?;
         }
         // fig16: series,x,cdf
         {
-            let f = fig16_toxicity(&self.dataset);
+            let f = a.fig16();
             let mut s = String::from("series,x,cdf\n");
             ecdf_rows(&mut s, "twitter", &f.twitter, 100);
             ecdf_rows(&mut s, "mastodon", &f.mastodon, 100);
@@ -224,16 +222,16 @@ impl MigrationStudy {
         }
         // headline: metric,paper,measured,unit,verdict
         {
-            let r = self.headline();
+            let r = a.headline();
             let mut s = String::from("metric,paper,measured,unit,verdict\n");
             for m in &r.metrics {
                 let _ = writeln!(
                     s,
                     "{},{},{},{},{:?}",
-                    field(&m.name),
+                    escape_field(&m.name),
                     m.paper,
                     m.measured,
-                    field(&m.unit),
+                    escape_field(&m.unit),
                     m.verdict()
                 );
             }
@@ -241,7 +239,7 @@ impl MigrationStudy {
         }
         // retention: week_offset,active_users
         {
-            let r = flock_analysis::retention(&self.dataset);
+            let r = a.retention();
             let mut s = String::from("weeks_after_takeover,active_status_posters\n");
             for (i, n) in r.weekly_active_users.iter().enumerate() {
                 let _ = writeln!(s, "{i},{n}");
@@ -291,8 +289,11 @@ mod tests {
 
     #[test]
     fn csv_field_quoting() {
-        assert_eq!(field("plain"), "plain");
-        assert_eq!(field("has,comma"), "\"has,comma\"");
-        assert_eq!(field("has\"quote"), "\"has\"\"quote\"");
+        assert_eq!(escape_field("plain"), "plain");
+        assert_eq!(escape_field("has,comma"), "\"has,comma\"");
+        assert_eq!(escape_field("has\"quote"), "\"has\"\"quote\"");
+        assert_eq!(escape_field("has\nnewline"), "\"has\nnewline\"");
+        // RFC 4180 quotes a bare carriage return too.
+        assert_eq!(escape_field("has\rreturn"), "\"has\rreturn\"");
     }
 }

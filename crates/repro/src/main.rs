@@ -354,30 +354,35 @@ fn main() -> ExitCode {
         }
     }
 
+    // One analysis serves every artifact: a figure several of them read
+    // is computed once.
+    let analysis = study.analysis();
     for a in &artifacts {
         match a.as_str() {
             "all" => {
-                println!("{}", study.render_all());
-                println!("{}", study.render_retention());
-                println!("{}", study.render_topics());
+                println!("{}", study.render_all_with(&analysis));
+                println!("{}", study.render_retention_with(&analysis));
+                println!("{}", study.render_topics_with(&analysis));
             }
-            "retention" => println!("{}", study.render_retention()),
-            "topics" => println!("{}", study.render_topics()),
+            "retention" => println!("{}", study.render_retention_with(&analysis)),
+            "topics" => println!("{}", study.render_topics_with(&analysis)),
             "verify" => {
-                let r = study.headline();
+                let r = analysis.headline();
                 println!("{}", r.to_verify_table());
                 let (_, _, fails) = r.verdict_counts();
                 if fails > 0 {
                     eprintln!("[repro] {fails} metrics FAILED reproduction bands");
                 }
             }
-            "experiments-md" => println!("{}", study.experiments_markdown(&config)),
+            "experiments-md" => {
+                println!("{}", study.experiments_markdown_with(&analysis, &config))
+            }
             other if other.starts_with("csv") => {
                 let dir = other
                     .split_once('=')
                     .map(|(_, p)| p.to_string())
                     .unwrap_or_else(|| "figures-csv".to_string());
-                match study.export_csv(std::path::Path::new(&dir)) {
+                match study.export_csv_with(&analysis, std::path::Path::new(&dir)) {
                     Ok(n) => eprintln!("[repro] wrote {n} CSV files to {dir}/"),
                     Err(e) => {
                         eprintln!("[repro] csv export failed: {e}");
@@ -429,7 +434,7 @@ fn main() -> ExitCode {
                 eprintln!("[repro] wrote anonymized dataset to {path}");
             }
             other => match other.parse::<FigureId>() {
-                Ok(id) => println!("{}", study.render(id)),
+                Ok(id) => println!("{}", study.render_with(&analysis, id)),
                 Err(e) => {
                     eprintln!("{e}; {}", usage());
                     return ExitCode::FAILURE;

@@ -130,8 +130,6 @@ impl MigrationStudy {
     /// waves, per-endpoint-family API counters, crawl phase spans — into
     /// `obs` along the way.
     pub fn run_with_obs(config: &WorldConfig, obs: &Registry) -> Result<MigrationStudy> {
-        let world = Arc::new(World::generate(config)?);
-        flock_fedisim::emit_migration_telemetry(&world.accounts, obs);
         Self::run_configured(
             config,
             flock_apis::ApiConfig::default(),
@@ -235,6 +233,13 @@ impl MigrationStudy {
         Ok(flock_obs::report::RunReport::build(obs, &meta))
     }
 
+    /// A memoizing analysis of this study's dataset. Build one and pass it
+    /// to the `*_with` renderers to compute each figure once across all of
+    /// them; the plain renderers each build their own.
+    pub fn analysis(&self) -> Analysis<'_> {
+        Analysis::new(&self.dataset)
+    }
+
     /// The headline paper-vs-measured table.
     pub fn headline(&self) -> HeadlineReport {
         HeadlineReport::compute(&self.dataset)
@@ -247,40 +252,50 @@ impl MigrationStudy {
 
     /// Render one artifact.
     pub fn render(&self, id: FigureId) -> String {
+        self.render_with(&self.analysis(), id)
+    }
+
+    /// Render one artifact from `a`, an analysis of this study's dataset.
+    pub fn render_with(&self, a: &Analysis<'_>, id: FigureId) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "=== {} ===", id.caption());
         match id {
-            FigureId::Fig1 => self.fig1(&mut out),
-            FigureId::Fig2 => self.fig2(&mut out),
-            FigureId::Fig3 => self.fig3(&mut out),
-            FigureId::Fig4 => self.fig4(&mut out),
-            FigureId::Fig5 => self.fig5(&mut out),
-            FigureId::Fig6 => self.fig6(&mut out),
-            FigureId::Fig7 => self.fig7(&mut out),
-            FigureId::Fig8 => self.fig8(&mut out),
-            FigureId::Fig9 => self.fig9(&mut out),
-            FigureId::Fig10 => self.fig10(&mut out),
-            FigureId::Fig11 => self.fig11(&mut out),
-            FigureId::Fig12 => self.fig12(&mut out),
-            FigureId::Fig13 => self.fig13(&mut out),
-            FigureId::Fig14 => self.fig14(&mut out),
-            FigureId::Fig15 => self.fig15(&mut out),
-            FigureId::Fig16 => self.fig16(&mut out),
-            FigureId::Headline => out.push_str(&self.headline_report()),
+            FigureId::Fig1 => self.render_fig1(&mut out),
+            FigureId::Fig2 => self.render_fig2(a, &mut out),
+            FigureId::Fig3 => self.render_fig3(&mut out),
+            FigureId::Fig4 => self.render_fig4(a, &mut out),
+            FigureId::Fig5 => self.render_fig5(a, &mut out),
+            FigureId::Fig6 => self.render_fig6(a, &mut out),
+            FigureId::Fig7 => self.render_fig7(a, &mut out),
+            FigureId::Fig8 => self.render_fig8(a, &mut out),
+            FigureId::Fig9 => self.render_fig9(a, &mut out),
+            FigureId::Fig10 => self.render_fig10(a, &mut out),
+            FigureId::Fig11 => self.render_fig11(a, &mut out),
+            FigureId::Fig12 => self.render_fig12(a, &mut out),
+            FigureId::Fig13 => self.render_fig13(a, &mut out),
+            FigureId::Fig14 => self.render_fig14(a, &mut out),
+            FigureId::Fig15 => self.render_fig15(a, &mut out),
+            FigureId::Fig16 => self.render_fig16(a, &mut out),
+            FigureId::Headline => out.push_str(&a.headline().to_table()),
         }
         out
     }
 
     /// Render everything.
     pub fn render_all(&self) -> String {
+        self.render_all_with(&self.analysis())
+    }
+
+    /// Render everything from `a`, an analysis of this study's dataset.
+    pub fn render_all_with(&self, a: &Analysis<'_>) -> String {
         FigureId::ALL
             .iter()
-            .map(|id| self.render(*id))
+            .map(|id| self.render_with(a, *id))
             .collect::<Vec<_>>()
             .join("\n")
     }
 
-    fn fig1(&self, out: &mut String) {
+    fn render_fig1(&self, out: &mut String) {
         let r = &self.world.interest;
         for s in [&r.twitter_alternatives, &r.mastodon, &r.koo, &r.hive] {
             let Some(peak) = s
@@ -306,8 +321,8 @@ impl MigrationStudy {
         );
     }
 
-    fn fig2(&self, out: &mut String) {
-        let f = fig2_collection(&self.dataset);
+    fn render_fig2(&self, a: &Analysis<'_>, out: &mut String) {
+        let f = a.fig2();
         let links: Vec<f64> = f.instance_links.iter().map(|v| *v as f64).collect();
         let kw: Vec<f64> = f.keywords_and_hashtags.iter().map(|v| *v as f64).collect();
         let _ = writeln!(out, "instance links        {}", sparkline(&links));
@@ -321,7 +336,7 @@ impl MigrationStudy {
         );
     }
 
-    fn fig3(&self, out: &mut String) {
+    fn render_fig3(&self, out: &mut String) {
         // Aggregate weekly activity across crawled instances.
         use std::collections::BTreeMap;
         let mut regs: BTreeMap<flock_core::Week, u64> = BTreeMap::new();
@@ -349,13 +364,13 @@ impl MigrationStudy {
         }
     }
 
-    fn fig4(&self, out: &mut String) {
-        let rows = fig4_top_instances(&self.dataset, 30);
+    fn render_fig4(&self, a: &Analysis<'_>, out: &mut String) {
+        let rows = a.fig4();
         let max = rows
             .iter()
             .map(|r| (r.before + r.after) as f64)
             .fold(0.0, f64::max);
-        for r in &rows {
+        for r in rows {
             let _ = writeln!(
                 out,
                 "{}  (before {} / after {})",
@@ -364,23 +379,18 @@ impl MigrationStudy {
                 r.after
             );
         }
-        let pre = pre_takeover_account_fraction(&self.dataset) * 100.0;
+        let pre = a.pre_takeover_account_fraction() * 100.0;
         let _ = writeln!(
             out,
             "accounts created before the takeover: {pre:.2}% (paper: 21%)"
         );
     }
 
-    fn fig5(&self, out: &mut String) {
-        let c = fig5_centralization(&self.dataset);
+    fn render_fig5(&self, a: &Analysis<'_>, out: &mut String) {
+        let c = a.fig5();
+        let sizes: Vec<usize> = a.instance_sizes().values().copied().collect();
         for pct in [5, 10, 15, 20, 25, 50, 75, 100] {
-            let share = flock_analysis::top_fraction_share(
-                &instance_sizes(&self.dataset)
-                    .values()
-                    .copied()
-                    .collect::<Vec<_>>(),
-                pct as f64 / 100.0,
-            );
+            let share = flock_analysis::top_fraction_share(&sizes, pct as f64 / 100.0);
             let _ = writeln!(
                 out,
                 "top {pct:>3}% of instances -> {:>6.2}% of users",
@@ -401,8 +411,8 @@ impl MigrationStudy {
         );
     }
 
-    fn fig6(&self, out: &mut String) {
-        let f = fig6_size_analysis(&self.dataset);
+    fn render_fig6(&self, a: &Analysis<'_>, out: &mut String) {
+        let f = a.fig6();
         let _ = writeln!(
             out,
             "(a) instance-size distribution: {:.2}% single-user (paper: 13.16%)",
@@ -462,8 +472,8 @@ impl MigrationStudy {
         let _ = writeln!(out);
     }
 
-    fn fig7(&self, out: &mut String) {
-        let f = fig7_social_networks(&self.dataset);
+    fn render_fig7(&self, a: &Analysis<'_>, out: &mut String) {
+        let f = a.fig7();
         let _ = writeln!(
             out,
             "{}",
@@ -535,8 +545,8 @@ impl MigrationStudy {
         let _ = writeln!(out);
     }
 
-    fn fig8(&self, out: &mut String) {
-        let f = fig8_influence(&self.dataset);
+    fn render_fig8(&self, a: &Analysis<'_>, out: &mut String) {
+        let f = a.fig8();
         let _ = writeln!(out, "{}", quantiles("frac migrated", &f.frac_migrated));
         let _ = writeln!(
             out,
@@ -590,8 +600,8 @@ impl MigrationStudy {
         let _ = writeln!(out, "  sampled users with followee data: {}", f.n_sampled);
     }
 
-    fn fig9(&self, out: &mut String) {
-        let f = fig9_switching(&self.dataset);
+    fn render_fig9(&self, a: &Analysis<'_>, out: &mut String) {
+        let f = a.fig9();
         let max = f.flows.first().map(|x| x.count as f64).unwrap_or(0.0);
         for flow in f.flows.iter().take(20) {
             let _ = writeln!(
@@ -617,8 +627,8 @@ impl MigrationStudy {
         let _ = writeln!(out, "  switchers observed: {}", f.n_switchers);
     }
 
-    fn fig10(&self, out: &mut String) {
-        let f = fig10_switcher_influence(&self.dataset);
+    fn render_fig10(&self, a: &Analysis<'_>, out: &mut String) {
+        let f = a.fig10();
         let _ = writeln!(
             out,
             "{}",
@@ -662,8 +672,8 @@ impl MigrationStudy {
         );
     }
 
-    fn fig11(&self, out: &mut String) {
-        let f = fig11_activity(&self.dataset);
+    fn render_fig11(&self, a: &Analysis<'_>, out: &mut String) {
+        let f = a.fig11();
         let tweets: Vec<f64> = f.tweets.iter().map(|v| *v as f64).collect();
         let statuses: Vec<f64> = f.statuses.iter().map(|v| *v as f64).collect();
         let _ = writeln!(out, "tweets    {}", sparkline(&tweets));
@@ -678,14 +688,14 @@ impl MigrationStudy {
         );
     }
 
-    fn fig12(&self, out: &mut String) {
-        let rows = fig12_sources(&self.dataset, 30);
+    fn render_fig12(&self, a: &Analysis<'_>, out: &mut String) {
+        let rows = a.fig12();
         let _ = writeln!(
             out,
             "{:<32} {:>10} {:>10} {:>10}",
             "source", "before", "after", "growth%"
         );
-        for r in &rows {
+        for r in rows {
             let growth = r.growth_pct();
             let _ = writeln!(
                 out,
@@ -716,8 +726,8 @@ impl MigrationStudy {
         }
     }
 
-    fn fig13(&self, out: &mut String) {
-        let f = fig13_crossposters(&self.dataset);
+    fn render_fig13(&self, a: &Analysis<'_>, out: &mut String) {
+        let f = a.fig13();
         let series: Vec<f64> = f.users_per_day.iter().map(|v| *v as f64).collect();
         let _ = writeln!(out, "daily cross-poster users  {}", sparkline(&series));
         out.push_str(&compare(
@@ -733,8 +743,8 @@ impl MigrationStudy {
         );
     }
 
-    fn fig14(&self, out: &mut String) {
-        let f = fig14_similarity(&self.dataset);
+    fn render_fig14(&self, a: &Analysis<'_>, out: &mut String) {
+        let f = a.fig14();
         let _ = writeln!(out, "{}", quantiles("identical fraction", &f.identical));
         let _ = writeln!(out, "{}", quantiles("similar fraction", &f.similar));
         out.push_str(&compare(
@@ -761,8 +771,8 @@ impl MigrationStudy {
         let _ = writeln!(out, "  users with both timelines: {}", f.n_users);
     }
 
-    fn fig15(&self, out: &mut String) {
-        let f = fig15_hashtags(&self.dataset, 30);
+    fn render_fig15(&self, a: &Analysis<'_>, out: &mut String) {
+        let f = a.fig15();
         let _ = writeln!(out, "{:<36} | mastodon", "twitter");
         for i in 0..30 {
             let left = f
@@ -786,8 +796,8 @@ impl MigrationStudy {
         );
     }
 
-    fn fig16(&self, out: &mut String) {
-        let f = fig16_toxicity(&self.dataset);
+    fn render_fig16(&self, a: &Analysis<'_>, out: &mut String) {
+        let f = a.fig16();
         let _ = writeln!(out, "{}", quantiles("toxic frac (twitter)", &f.twitter));
         let _ = writeln!(out, "{}", quantiles("toxic frac (mastodon)", &f.mastodon));
         out.push_str(&compare(
@@ -829,12 +839,18 @@ impl MigrationStudy {
 
     /// Render the §8 future-work retention extension.
     pub fn render_retention(&self) -> String {
+        self.render_retention_with(&self.analysis())
+    }
+
+    /// [`MigrationStudy::render_retention`] from `a`, an analysis of this
+    /// study's dataset.
+    pub fn render_retention_with(&self, a: &Analysis<'_>) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
             "=== Extension: retention (the paper's §8 future-work question) ==="
         );
-        let r = flock_analysis::retention(&self.dataset);
+        let r = a.retention();
         let share = |c: RetentionClass| {
             *r.counts.get(&c).unwrap_or(&0) as f64 / r.n_users.max(1) as f64 * 100.0
         };
@@ -880,12 +896,18 @@ impl MigrationStudy {
     /// Render the topical-alignment extension (§5.2/§5.3's qualitative
     /// claims, quantified from observed hashtags).
     pub fn render_topics(&self) -> String {
+        self.render_topics_with(&self.analysis())
+    }
+
+    /// [`MigrationStudy::render_topics`] from `a`, an analysis of this
+    /// study's dataset.
+    pub fn render_topics_with(&self, a: &Analysis<'_>) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
             "=== Extension: topical alignment (quantifying §5.2/§5.3) ==="
         );
-        let r = topic_report(&self.dataset, 5);
+        let r = a.topics();
         let _ = writeln!(
             out,
             "most topically coherent instances (≥5 interest-typed users):"
@@ -919,6 +941,12 @@ impl MigrationStudy {
 
     /// Generate EXPERIMENTS.md: the per-figure paper-vs-measured record.
     pub fn experiments_markdown(&self, config: &WorldConfig) -> String {
+        self.experiments_markdown_with(&self.analysis(), config)
+    }
+
+    /// [`MigrationStudy::experiments_markdown`] from `a`, an analysis of
+    /// this study's dataset.
+    pub fn experiments_markdown_with(&self, a: &Analysis<'_>, config: &WorldConfig) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "# EXPERIMENTS — paper vs measured\n");
         let _ = writeln!(
@@ -943,7 +971,7 @@ impl MigrationStudy {
         for id in FigureId::ALL {
             let _ = writeln!(out, "## {}\n", id.caption());
             let _ = writeln!(out, "```text");
-            let rendered = self.render(id);
+            let rendered = self.render_with(a, id);
             // Drop the duplicate banner line.
             let body: String = rendered.lines().skip(1).collect::<Vec<_>>().join("\n");
             out.push_str(&body);
@@ -956,13 +984,13 @@ impl MigrationStudy {
              WARN < 75% (or < 8 points); FAIL otherwise.\n"
         );
         let _ = writeln!(out, "```text");
-        out.push_str(&self.headline().to_verify_table());
+        out.push_str(&a.headline().to_verify_table());
         let _ = writeln!(out, "```\n");
         for (title, body) in [
-            ("retention (§8 future work)", self.render_retention()),
+            ("retention (§8 future work)", self.render_retention_with(a)),
             (
                 "topical alignment (§5.2/§5.3 quantified)",
-                self.render_topics(),
+                self.render_topics_with(a),
             ),
         ] {
             let _ = writeln!(out, "## Extension: {title}\n");
@@ -988,11 +1016,59 @@ mod tests {
     use super::*;
     use std::sync::OnceLock;
 
-    fn study() -> &'static MigrationStudy {
-        static CELL: OnceLock<MigrationStudy> = OnceLock::new();
+    /// One seed-404 `small()` study, with the registry it reported into.
+    fn observed() -> &'static (MigrationStudy, Registry) {
+        static CELL: OnceLock<(MigrationStudy, Registry)> = OnceLock::new();
         CELL.get_or_init(|| {
-            MigrationStudy::run(&WorldConfig::small().with_seed(404)).expect("study")
+            let obs = Registry::new();
+            let study = MigrationStudy::run_with_obs(&WorldConfig::small().with_seed(404), &obs)
+                .expect("study");
+            (study, obs)
         })
+    }
+
+    fn study() -> &'static MigrationStudy {
+        &observed().0
+    }
+
+    /// The world is generated, and its migration telemetry emitted, once
+    /// per run: the Data-tier migrant counter equals the world's accounts.
+    #[test]
+    fn run_with_obs_generates_one_world() {
+        let (study, obs) = observed();
+        assert_eq!(
+            obs.counter_value("flock.fedisim.migration.migrants"),
+            Some(study.world.accounts.len() as u64)
+        );
+    }
+
+    #[test]
+    fn one_analysis_computes_each_figure_once_across_renderers() {
+        let s = study();
+        let a = s.analysis();
+        s.render_with(&a, FigureId::Fig5);
+        assert!(
+            !a.computed().contains(&"fig14"),
+            "Fig 5 computed Fig 14: {:?}",
+            a.computed()
+        );
+        s.render_all_with(&a);
+        let after_render = a.computed();
+        s.render_retention_with(&a);
+        s.render_topics_with(&a);
+        let dir = std::env::temp_dir().join(format!("flock-memo-csv-{}", std::process::id()));
+        s.export_csv_with(&a, &dir).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        s.experiments_markdown_with(&a, &WorldConfig::small().with_seed(404));
+        let all = a.computed();
+        // CSV export and EXPERIMENTS.md reuse what rendering computed.
+        assert_eq!(all[..after_render.len()], after_render[..]);
+        let mut unique = all.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), all.len(), "recomputed: {all:?}");
+        // One pass reads every memoized result.
+        assert_eq!(all.len(), 19, "{all:?}");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! with edited hashtags) land well above 0.7; posts about different topics
 //! land near 0. The unit tests pin this behaviour.
 
-use crate::token::tokenize;
+use crate::token::for_each_token;
 use crate::topic::GENERAL_WORDS;
 use flock_core::rng::fnv1a;
 
@@ -63,12 +63,12 @@ fn is_stopword(t: &str) -> bool {
 pub fn embed(text: &str) -> Embedding {
     let mut v = [0.0f32; DIM];
     let mut token_count = 0usize;
-    for tok in tokenize(text) {
-        if is_stopword(&tok) {
-            continue;
+    for_each_token(text, |tok| {
+        if is_stopword(tok) {
+            return;
         }
         token_count += 1;
-        let h = hash_token(&tok);
+        let h = hash_token(tok);
         // Each token contributes to 4 coordinates with ±1 signs, SimHash-style.
         for k in 0..4 {
             let bits = h.rotate_left(16 * k as u32);
@@ -76,7 +76,7 @@ pub fn embed(text: &str) -> Embedding {
             let sign = if (bits >> 63) & 1 == 1 { 1.0 } else { -1.0 };
             v[idx] += sign;
         }
-    }
+    });
     let norm: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
     if norm > 0.0 {
         for x in &mut v {
@@ -188,6 +188,48 @@ mod tests {
                 assert!((-1.0001..=1.0001).contains(&c), "{a} vs {b}: {c}");
             }
         }
+    }
+
+    /// Known answer: the exact vector of a post that exercises case, a
+    /// hashtag, punctuation and a URL. A tokenizer change that moves any
+    /// token, or its order, moves this vector.
+    #[test]
+    fn known_answer_vector() {
+        let e = embed("Leaving for #Mastodon: shader engine sprite GameJam https://mas.to/@Alice!");
+        assert_eq!(e.token_count, 8);
+        let (a, b) = (0.158_113_88_f32, 0.316_227_76_f32);
+        let nonzero: [(usize, f32); 25] = [
+            (0, -a),
+            (1, a),
+            (3, a),
+            (9, -a),
+            (10, a),
+            (13, -b),
+            (16, -a),
+            (34, -a),
+            (35, b),
+            (37, b),
+            (43, a),
+            (47, -a),
+            (48, a),
+            (53, a),
+            (54, a),
+            (59, b),
+            (67, a),
+            (80, -a),
+            (88, a),
+            (93, -b),
+            (108, a),
+            (113, a),
+            (120, a),
+            (124, a),
+            (126, -a),
+        ];
+        let mut expected = [0.0f32; DIM];
+        for (i, x) in nonzero {
+            expected[i] = x;
+        }
+        assert_eq!(e.as_slice(), expected.as_slice());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! * a topic-conditioned synthetic post generator ([`gen`]) used by the
 //!   world simulator,
-//! * a tokenizer and hashtag extractor ([`token`]),
+//! * a streaming tokenizer and hashtag extractor ([`token`]),
 //! * feature-hashing sentence embeddings + cosine similarity ([`mod@embed`]) —
 //!   like SBERT, texts that share most content words land above the paper's
 //!   0.7 similarity threshold, unrelated texts land below it,
@@ -38,7 +38,7 @@ pub mod toxicity;
 pub mod prelude {
     pub use crate::embed::{cosine, embed, Embedding, SIMILARITY_THRESHOLD};
     pub use crate::gen::PostGenerator;
-    pub use crate::token::{extract_hashtags, tokenize};
+    pub use crate::token::{extract_hashtags, for_each_token, tokenize};
     pub use crate::topic::Topic;
     pub use crate::toxicity::{ToxicityScorer, TOXICITY_THRESHOLD};
 }

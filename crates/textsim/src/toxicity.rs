@@ -8,7 +8,7 @@
 //! negative text ≈ 0.1–0.3, and text with two or more strong insults —
 //! which is what the generator's "toxic" mode produces — scores > 0.5.
 
-use crate::token::tokenize;
+use crate::token::for_each_token;
 
 /// The threshold the paper uses to call a post toxic (§6.3: "we use 0.5").
 pub const TOXICITY_THRESHOLD: f64 = 0.5;
@@ -71,14 +71,14 @@ impl ToxicityScorer {
     /// Score a post. 0 = clean, 1 = maximally toxic.
     pub fn score(&self, text: &str) -> f64 {
         let mut logit = BASE_LOGIT;
-        for tok in tokenize(text) {
-            let t = tok.strip_prefix('#').unwrap_or(&tok);
+        for_each_token(text, |tok| {
+            let t = tok.strip_prefix('#').unwrap_or(tok);
             if STRONG.contains(&t) {
                 logit += STRONG_LOGIT;
             } else if MILD.contains(&t) {
                 logit += MILD_LOGIT;
             }
-        }
+        });
         sigmoid(logit)
     }
 
@@ -176,6 +176,20 @@ mod tests {
     fn hashtags_of_insults_count() {
         let s = ToxicityScorer::new();
         assert!(s.score("#idiot #clown energy") > s.score("neutral words here"));
+    }
+
+    /// Known answers: exact scores, so a tokenizer change that drops,
+    /// adds or reorders a lexicon hit shows up here.
+    #[test]
+    fn known_answer_scores() {
+        let s = ToxicityScorer::new();
+        assert_eq!(
+            s.score("You PATHETIC clown, #garbage take!"),
+            0.982_013_790_037_908_5
+        );
+        assert_eq!(s.score("this is awful"), 0.091_122_961_014_856_12);
+        assert_eq!(s.score("lovely quiet morning"), 0.039_165_722_796_764_356);
+        assert_eq!(s.score(""), s.score("lovely quiet morning"));
     }
 
     #[test]

@@ -4,6 +4,7 @@
 # --sched-race bounded model checker), the tier-1 build + test suite, a smoke
 # pass over every bench target (including the throughput bench, which in
 # --test mode does not append to the committed BENCH_history.jsonl), the
+# flockbench test suite (its workloads and output digests), the
 # determinism matrix (seeds x worker counts must stamp byte-identically),
 # the monitor determinism matrix (the continuous-monitoring workload must
 # render byte-identical nodes lists and report Data sections at any
@@ -62,6 +63,13 @@ cargo test --workspace -q
 
 stage "cargo bench -p flock-bench -- --test (smoke)"
 cargo bench -p flock-bench -- --test
+
+# flockbench is its own workspace, so `cargo test --workspace` skips it.
+# Its smoke test drives every workload through the public entry points it
+# calls and checks each job digest against flockbench/digests.tsv: a
+# broken bench-facing API or a moved output fails here.
+stage "flockbench tests (bench-facing API + digests.tsv)"
+cargo test --release --offline --manifest-path flockbench/Cargo.toml
 
 stage "repro --metrics smoke"
 metrics_out="$scratch/metrics.json"

@@ -163,20 +163,25 @@ fn different_seeds_differ() {
 
 /// Golden digests pin the reproduction's output across commits, not just
 /// across runs: `fnv1a` of the stats-zeroed dataset JSON, of the Data-tier
-/// metrics snapshot (together, the bytes of a `repro stamp`) and of every
-/// rendered figure, for the seed-1234 `small()` study under a calm and a
-/// rate-limit-storm chaos plan. A refactor must leave all six values
-/// alone; a change that moves one on purpose updates it and says why.
+/// metrics snapshot (together, the bytes of a `repro stamp`), of every
+/// rendered figure, of the `export_csv` files (name and bytes, in name
+/// order) and of the retention and topical-alignment extensions, for the
+/// seed-1234 `small()` study under a calm and a rate-limit-storm chaos
+/// plan. A refactor must leave all twelve values alone; a change that
+/// moves one on purpose updates it and says why.
 #[test]
 fn small_study_matches_its_golden_digests() {
     let config = WorldConfig::small().with_seed(1234);
-    let golden: [(Scenario, [u64; 3]); 2] = [
+    let golden: [(Scenario, [u64; 6]); 2] = [
         (
             Scenario::Calm,
             [
                 0x8cb8_62c9_6df7_aa18,
                 0xfc29_b27d_d3b3_1ed1,
                 0x2b95_2041_aa32_e08e,
+                0xee53_fc38_d066_fa04,
+                0x97c7_d09f_9895_91d7,
+                0x627d_a349_2b90_0c74,
             ],
         ),
         (
@@ -185,10 +190,33 @@ fn small_study_matches_its_golden_digests() {
                 0x8cb8_62c9_6df7_aa18,
                 0x341c_f1ee_8d3e_f94b,
                 0x2b95_2041_aa32_e08e,
+                0xee53_fc38_d066_fa04,
+                0x97c7_d09f_9895_91d7,
+                0x627d_a349_2b90_0c74,
             ],
         ),
     ];
-    let digests = |scenario: Scenario| -> [u64; 3] {
+    let csv_digest = |study: &MigrationStudy, scenario: Scenario| -> u64 {
+        let dir = std::env::temp_dir().join(format!(
+            "flock-golden-csv-{scenario}-{}",
+            std::process::id()
+        ));
+        study.export_csv(&dir).unwrap();
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        let mut all = String::new();
+        for name in names {
+            all.push_str(&name);
+            all.push('\n');
+            all.push_str(&std::fs::read_to_string(dir.join(&name)).unwrap());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        fnv1a(&all)
+    };
+    let digests = |scenario: Scenario| -> [u64; 6] {
         let obs = Registry::new();
         let api_config = ApiConfig {
             chaos: scenario.plan(config.seed),
@@ -203,12 +231,15 @@ fn small_study_matches_its_golden_digests() {
             fnv1a(&serde_json::to_string(&ds).unwrap()),
             fnv1a(&obs.snapshot()),
             fnv1a(&study.render_all()),
+            csv_digest(&study, scenario),
+            fnv1a(&study.render_retention()),
+            fnv1a(&study.render_topics()),
         ]
     };
     let got = golden.map(|(scenario, _)| (scenario, digests(scenario)));
     assert_eq!(
         got, golden,
-        "[dataset, snapshot, figures] digests moved; now {got:#x?}"
+        "[dataset, snapshot, figures, csv, retention, topics] digests moved; now {got:#x?}"
     );
 }
 
