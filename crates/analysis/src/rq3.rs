@@ -4,9 +4,7 @@ use crate::stats::{mean, Ecdf};
 use crate::util::par_map;
 use flock_core::{Day, MastodonHandle, TwitterUserId};
 use flock_crawler::dataset::Dataset;
-use flock_textsim::{
-    cosine, embed, for_each_token, Embedding, ToxicityScorer, SIMILARITY_THRESHOLD,
-};
+use flock_textsim::{for_each_token, similar, FeatureCounts, ToxicityScorer};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -165,7 +163,8 @@ pub struct Fig14Similarity {
 
 /// Compute Fig. 14: for every user with both timelines, compare each status
 /// against the user's tweets (exact match for *identical*; embedding cosine
-/// above [`SIMILARITY_THRESHOLD`] for *similar*).
+/// above [`flock_textsim::SIMILARITY_THRESHOLD`] for *similar*, decided by
+/// [`similar`] on integer feature counts).
 pub fn fig14_similarity(ds: &Dataset) -> Fig14Similarity {
     // Work items in `matched` order, not map order: the per-user fracs
     // feed floating-point accumulators, so iteration order is part of the
@@ -179,30 +178,28 @@ pub fn fig14_similarity(ds: &Dataset) -> Fig14Similarity {
             (!tweets.is_empty() && !statuses.is_empty()).then_some((tweets, statuses))
         })
         .collect();
-    // Embedding every status against every tweet embedding dominates the
-    // figure pipeline; users are independent, so fan them out.
+    // Comparing every status against every tweet dominates the figure
+    // pipeline; users are independent, so fan them out.
     let fracs = par_map(&pairs, |&(tweets, statuses)| {
         let tweet_texts: BTreeSet<&str> = tweets.iter().map(|t| t.text.as_str()).collect();
-        let tweet_embeddings: Vec<Embedding> = tweets.iter().map(|t| embed(&t.text)).collect();
-        let mut identical = 0usize;
-        let mut similar = 0usize;
+        let tweet_counts: Vec<FeatureCounts> =
+            tweets.iter().map(|t| FeatureCounts::of(&t.text)).collect();
+        let mut n_identical = 0usize;
+        let mut n_similar = 0usize;
         for s in statuses {
             if tweet_texts.contains(s.text.as_str()) {
-                identical += 1;
-                similar += 1;
+                n_identical += 1;
+                n_similar += 1;
                 continue;
             }
-            let e = embed(&s.text);
-            if tweet_embeddings
-                .iter()
-                .any(|te| cosine(te, &e) > SIMILARITY_THRESHOLD)
-            {
-                similar += 1;
+            let counts = FeatureCounts::of(&s.text);
+            if tweet_counts.iter().any(|tc| similar(tc, &counts)) {
+                n_similar += 1;
             }
         }
         (
-            identical as f64 / statuses.len() as f64,
-            similar as f64 / statuses.len() as f64,
+            n_identical as f64 / statuses.len() as f64,
+            n_similar as f64 / statuses.len() as f64,
         )
     });
     let identical_fracs: Vec<f64> = fracs.iter().map(|p| p.0).collect();

@@ -4,7 +4,9 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use flock_apis::{Query, RatePolicy, TokenBucket, TweetDoc};
 use flock_core::handle::extract_handles;
 use flock_core::DetRng;
-use flock_textsim::{cosine, embed, tokenize, PostGenerator, Topic, ToxicityScorer};
+use flock_textsim::{
+    cosine, embed, similar, tokenize, FeatureCounts, PostGenerator, Topic, ToxicityScorer,
+};
 use std::hint::black_box;
 
 const BIO: &str = "ex-birdsite, into #rustlang and photography. \
@@ -65,6 +67,23 @@ fn bench_text(c: &mut Criterion) {
     group.bench_function("embed", |b| b.iter(|| black_box(embed(&post_a))));
     let (ea, eb) = (embed(&post_a), embed(&post_b));
     group.bench_function("cosine", |b| b.iter(|| black_box(cosine(&ea, &eb))));
+    // One `similar` call per branch: an unrelated pair, decided on integer
+    // counts, and a pair whose exact cosine is 0.7 (the in-band pair of
+    // flock_textsim's embed tests), which the float cosine decides.
+    let unrelated = (
+        FeatureCounts::of(&post_a),
+        FeatureCounts::of(&gen.generate(Topic::GameDev, &mut rng)),
+    );
+    group.bench_function("similar_integer", |b| {
+        b.iter(|| black_box(similar(black_box(&unrelated.0), black_box(&unrelated.1))))
+    });
+    let in_band = (
+        FeatureCounts::of("instance server admin timeline boost activitypub decentralized moderation remote fediverse"),
+        FeatureCounts::of("instance server admin timeline boost activitypub decentralized webfinger blocklist followers"),
+    );
+    group.bench_function("similar_in_band", |b| {
+        b.iter(|| black_box(similar(black_box(&in_band.0), black_box(&in_band.1))))
+    });
     let scorer = ToxicityScorer::new();
     group.bench_function("toxicity_score", |b| {
         b.iter(|| black_box(scorer.score(&post_a)))

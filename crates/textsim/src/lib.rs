@@ -12,7 +12,8 @@
 //! * a streaming tokenizer and hashtag extractor ([`token`]),
 //! * feature-hashing sentence embeddings + cosine similarity ([`mod@embed`]) —
 //!   like SBERT, texts that share most content words land above the paper's
-//!   0.7 similarity threshold, unrelated texts land below it,
+//!   0.7 similarity threshold, unrelated texts land below it; [`similar`]
+//!   decides that threshold on exact integer feature counts,
 //! * a lexicon + logistic toxicity scorer ([`toxicity`]) — like Perspective,
 //!   it maps a post to a score in `[0, 1]` that the analysis thresholds
 //!   at 0.5.
@@ -29,6 +30,28 @@
 //! assert!(cosine(&e1, &e2) > 0.7, "paraphrases are 'similar'");
 //! ```
 
+/// Declare a word list once, as both the `&[&str]` slice the post
+/// generator draws from and a compiled `matches!` lookup the scorers test
+/// tokens against, so the two cannot drift apart:
+///
+/// ```text
+/// word_list! {
+///     /// Docs for the slice.
+///     pub const WORDS, fn is_word = ["alpha", "beta"];
+/// }
+/// ```
+macro_rules! word_list {
+    ($(#[$doc:meta])* $vis:vis const $list:ident, fn $lookup:ident = [$($word:literal),+ $(,)?];) => {
+        $(#[$doc])*
+        $vis const $list: &[&str] = &[$($word),+];
+
+        #[doc = concat!("Is `word` one of [`", stringify!($list), "`]? A compiled match, not a scan.")]
+        $vis fn $lookup(word: &str) -> bool {
+            matches!(word, $($word)|+)
+        }
+    };
+}
+
 pub mod embed;
 pub mod gen;
 pub mod token;
@@ -36,7 +59,9 @@ pub mod topic;
 pub mod toxicity;
 
 pub mod prelude {
-    pub use crate::embed::{cosine, embed, Embedding, SIMILARITY_THRESHOLD};
+    pub use crate::embed::{
+        cosine, embed, similar, Embedding, FeatureCounts, SIMILARITY_THRESHOLD,
+    };
     pub use crate::gen::PostGenerator;
     pub use crate::token::{extract_hashtags, for_each_token, tokenize};
     pub use crate::topic::Topic;

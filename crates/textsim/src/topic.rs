@@ -723,14 +723,16 @@ impl fmt::Display for Topic {
     }
 }
 
-/// General-purpose filler vocabulary shared by every topic. These are the
-/// "stopwords" the embedding deliberately ignores so that unrelated posts do
-/// not look similar just because they both say "really the with today".
-pub const GENERAL_WORDS: &[&str] = &[
-    "the", "a", "and", "with", "today", "just", "really", "about", "think", "going", "still",
-    "very", "some", "more", "this", "that", "here", "there", "have", "been", "what", "when",
-    "nice", "good", "great", "honestly", "maybe", "probably", "finally", "again",
-];
+word_list! {
+    /// General-purpose filler vocabulary shared by every topic. These are the
+    /// "stopwords" the embedding deliberately ignores so that unrelated posts do
+    /// not look similar just because they both say "really the with today".
+    pub const GENERAL_WORDS, fn is_general_word = [
+        "the", "a", "and", "with", "today", "just", "really", "about", "think", "going", "still",
+        "very", "some", "more", "this", "that", "here", "there", "have", "been", "what", "when",
+        "nice", "good", "great", "honestly", "maybe", "probably", "finally", "again",
+    ];
+}
 
 #[cfg(test)]
 mod tests {
@@ -743,6 +745,17 @@ mod tests {
             for p in Platform::ALL {
                 assert!(!t.hashtags(p).is_empty(), "{t} has no hashtags on {p}");
             }
+        }
+    }
+
+    /// The compiled stopword lookup finds every listed word, and only those.
+    #[test]
+    fn general_word_lookup_matches_its_list() {
+        for w in GENERAL_WORDS {
+            assert!(is_general_word(w), "{w}");
+        }
+        for near in ["thee", "hat", "idiotic", "th", "The", "a ", ""] {
+            assert!(!is_general_word(near), "{near:?}");
         }
     }
 

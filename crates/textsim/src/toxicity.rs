@@ -13,45 +13,23 @@ use crate::token::for_each_token;
 /// The threshold the paper uses to call a post toxic (§6.3: "we use 0.5").
 pub const TOXICITY_THRESHOLD: f64 = 0.5;
 
-/// Strong insult vocabulary. (Deliberately mild placeholder insults — the
-/// *scoring mechanics*, not the lexicon contents, are what the reproduction
-/// exercises.)
-const STRONG: &[&str] = &[
-    "idiot",
-    "moron",
-    "idiots",
-    "morons",
-    "pathetic",
-    "scumbag",
-    "garbage",
-    "trash",
-    "clown",
-    "clowns",
-    "loser",
-    "losers",
-    "disgusting",
-    "fraud",
-    "liar",
-    "liars",
-    "stupid",
-    "imbecile",
-];
+word_list! {
+    /// Strong insult vocabulary. (Deliberately mild placeholder insults — the
+    /// *scoring mechanics*, not the lexicon contents, are what the reproduction
+    /// exercises.)
+    const STRONG, fn is_strong = [
+        "idiot", "moron", "idiots", "morons", "pathetic", "scumbag", "garbage", "trash", "clown",
+        "clowns", "loser", "losers", "disgusting", "fraud", "liar", "liars", "stupid", "imbecile",
+    ];
+}
 
-/// Mild negativity; contributes but does not cross the threshold alone.
-const MILD: &[&str] = &[
-    "hate",
-    "awful",
-    "terrible",
-    "worst",
-    "dumb",
-    "shut",
-    "ridiculous",
-    "useless",
-    "nonsense",
-    "whining",
-    "annoying",
-    "ugly",
-];
+word_list! {
+    /// Mild negativity; contributes but does not cross the threshold alone.
+    const MILD, fn is_mild = [
+        "hate", "awful", "terrible", "worst", "dumb", "shut", "ridiculous", "useless", "nonsense",
+        "whining", "annoying", "ugly",
+    ];
+}
 
 const BASE_LOGIT: f64 = -3.2;
 const STRONG_LOGIT: f64 = 2.4;
@@ -73,9 +51,9 @@ impl ToxicityScorer {
         let mut logit = BASE_LOGIT;
         for_each_token(text, |tok| {
             let t = tok.strip_prefix('#').unwrap_or(tok);
-            if STRONG.contains(&t) {
+            if is_strong(t) {
                 logit += STRONG_LOGIT;
-            } else if MILD.contains(&t) {
+            } else if is_mild(t) {
                 logit += MILD_LOGIT;
             }
         });
@@ -190,6 +168,22 @@ mod tests {
         assert_eq!(s.score("this is awful"), 0.091_122_961_014_856_12);
         assert_eq!(s.score("lovely quiet morning"), 0.039_165_722_796_764_356);
         assert_eq!(s.score(""), s.score("lovely quiet morning"));
+    }
+
+    /// The compiled lookups find every listed word, and only those.
+    #[test]
+    fn lexicon_lookups_match_their_lists() {
+        for w in STRONG {
+            assert!(is_strong(w) && !is_mild(w), "{w}");
+        }
+        for w in MILD {
+            assert!(is_mild(w) && !is_strong(w), "{w}");
+        }
+        for near in ["idiotic", "hat", "thee", "idio", "clown ", "Idiot", ""] {
+            assert!(!is_strong(near) && !is_mild(near), "{near:?}");
+        }
+        let s = ToxicityScorer::new();
+        assert_eq!(s.score("idiotic hat thee"), s.score(""));
     }
 
     #[test]

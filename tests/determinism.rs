@@ -8,7 +8,12 @@ use flock::crawler::prelude::*;
 use flock::fedisim::{World, WorldConfig};
 use flock::obs::Registry;
 use flock::prelude::*;
+use flock_analysis::rq3::{fig14_similarity, Fig14Similarity};
+use flock_analysis::stats::{mean, Ecdf};
+use flock_analysis::util::par_map;
 use flock_analysis::HeadlineReport;
+use flock_textsim::{cosine, embed, Embedding, SIMILARITY_THRESHOLD};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn run(seed: u64) -> Dataset {
@@ -249,5 +254,77 @@ fn figure_rendering_is_deterministic() {
     let s2 = MigrationStudy::run(&WorldConfig::small().with_seed(5)).unwrap();
     for id in FigureId::ALL {
         assert_eq!(s1.render(id), s2.render(id), "{id:?} differs across runs");
+    }
+}
+
+/// Fig. 14 as it was computed before `similar` decided `cosine > 0.7` on
+/// integer feature counts: every status embedding against every tweet
+/// embedding, in floats. Kept verbatim as the reference the integer
+/// decision must reproduce.
+fn float_fig14_similarity(ds: &Dataset) -> Fig14Similarity {
+    // Work items in `matched` order, not map order: the per-user fracs
+    // feed floating-point accumulators, so iteration order is part of the
+    // deterministic contract regardless of how many workers run below.
+    let pairs: Vec<_> = ds
+        .matched
+        .iter()
+        .filter_map(|m| {
+            let tweets = ds.twitter_timelines.get(&m.twitter_id)?;
+            let statuses = ds.mastodon_timelines.get(&m.resolved_handle)?;
+            (!tweets.is_empty() && !statuses.is_empty()).then_some((tweets, statuses))
+        })
+        .collect();
+    // Embedding every status against every tweet embedding dominates the
+    // figure pipeline; users are independent, so fan them out.
+    let fracs = par_map(&pairs, |&(tweets, statuses)| {
+        let tweet_texts: BTreeSet<&str> = tweets.iter().map(|t| t.text.as_str()).collect();
+        let tweet_embeddings: Vec<Embedding> = tweets.iter().map(|t| embed(&t.text)).collect();
+        let mut identical = 0usize;
+        let mut similar = 0usize;
+        for s in statuses {
+            if tweet_texts.contains(s.text.as_str()) {
+                identical += 1;
+                similar += 1;
+                continue;
+            }
+            let e = embed(&s.text);
+            if tweet_embeddings
+                .iter()
+                .any(|te| cosine(te, &e) > SIMILARITY_THRESHOLD)
+            {
+                similar += 1;
+            }
+        }
+        (
+            identical as f64 / statuses.len() as f64,
+            similar as f64 / statuses.len() as f64,
+        )
+    });
+    let identical_fracs: Vec<f64> = fracs.iter().map(|p| p.0).collect();
+    let similar_fracs: Vec<f64> = fracs.iter().map(|p| p.1).collect();
+    Fig14Similarity {
+        mean_identical_pct: mean(identical_fracs.iter().copied()) * 100.0,
+        mean_similar_pct: mean(similar_fracs.iter().copied()) * 100.0,
+        fully_different_pct: similar_fracs.iter().filter(|f| **f < 0.5).count() as f64
+            / similar_fracs.len().max(1) as f64
+            * 100.0,
+        n_users: identical_fracs.len(),
+        identical: Ecdf::new(identical_fracs),
+        similar: Ecdf::new(similar_fracs),
+    }
+}
+
+/// Fig. 14's integer decision reproduces the float loop byte for byte on
+/// the `small()` worlds of seeds 1 and 9999; the seed-1234 goldens above
+/// already pin that world's figures.
+#[test]
+fn fig14_integer_decision_matches_the_float_loop() {
+    for seed in [1, 9999] {
+        let ds = run(seed);
+        assert_eq!(
+            serde_json::to_string(&fig14_similarity(&ds)).unwrap(),
+            serde_json::to_string(&float_fig14_similarity(&ds)).unwrap(),
+            "seed {seed}"
+        );
     }
 }
