@@ -145,7 +145,10 @@ impl FediverseNetwork {
     pub fn register_actor(&mut self, name: &str, domain: &str) -> Result<ActorUri> {
         let uri = ActorUri::new(name, domain);
         self.register_instance(&uri.domain);
-        let node = self.nodes.get_mut(&uri.domain).expect("just registered");
+        let node = self
+            .nodes
+            .get_mut(&uri.domain)
+            .ok_or_else(|| FlockError::NotFound(uri.domain.clone()))?;
         if node.actors.contains_key(&uri.name) {
             return Err(FlockError::InvalidConfig(format!(
                 "actor {uri} already registered"
@@ -163,6 +166,12 @@ impl FediverseNetwork {
 
     fn actor_mut(&mut self, uri: &ActorUri) -> Option<&mut Actor> {
         self.nodes.get_mut(&uri.domain)?.actors.get_mut(&uri.name)
+    }
+
+    /// [`Self::actor_mut`], with a missing actor as [`FlockError::NotFound`].
+    fn known_actor_mut(&mut self, uri: &ActorUri) -> Result<&mut Actor> {
+        self.actor_mut(uri)
+            .ok_or_else(|| FlockError::NotFound(uri.to_string()))
     }
 
     /// Followers collection of an actor.
@@ -257,14 +266,14 @@ impl FediverseNetwork {
                 }
                 Some(_) => {}
             }
-            self.actor_mut(object).unwrap().add_follower(actor.clone());
-            self.actor_mut(actor).unwrap().add_following(object.clone());
+            self.known_actor_mut(object)?.add_follower(actor.clone());
+            self.known_actor_mut(actor)?.add_following(object.clone());
             return Ok(());
         }
         // Record the outbound intent; the relationship is established only
         // when the Accept comes back and the intent still stands.
         {
-            let a = self.actor_mut(actor).expect("checked above");
+            let a = self.known_actor_mut(actor)?;
             if !a.pending_follows.contains(object) {
                 a.pending_follows.push(object.clone());
             }
@@ -278,9 +287,7 @@ impl FediverseNetwork {
 
     /// `actor` unfollows `object`.
     pub fn undo_follow(&mut self, actor: &ActorUri, object: &ActorUri) -> Result<()> {
-        let a = self
-            .actor_mut(actor)
-            .ok_or_else(|| FlockError::NotFound(actor.to_string()))?;
+        let a = self.known_actor_mut(actor)?;
         a.remove_following(object);
         a.pending_follows.retain(|p| p != object);
         if actor.domain == object.domain {
@@ -321,7 +328,7 @@ impl FediverseNetwork {
             (note, domains)
         };
         self.next_note_id += 1;
-        self.actor_mut(author).unwrap().outbox.push(note_id);
+        self.known_actor_mut(author)?.outbox.push(note_id);
         for d in remote_domains {
             let act = Activity::Create {
                 actor: author.clone(),
@@ -338,7 +345,10 @@ impl FediverseNetwork {
             return Err(FlockError::NotFound(actor.to_string()));
         }
         if actor.domain == origin.domain {
-            let node = self.nodes.get_mut(&origin.domain).expect("checked");
+            let node = self
+                .nodes
+                .get_mut(&origin.domain)
+                .ok_or_else(|| FlockError::NotFound(origin.domain.clone()))?;
             *node.boosts.entry(note_id).or_insert(0) += 1;
             self.counts.announce += 1;
             self.m.announce.inc();
@@ -355,9 +365,7 @@ impl FediverseNetwork {
     /// Declare that `target` is also known as `old` — the ownership proof
     /// Mastodon requires before honouring a `Move`.
     pub fn set_also_known_as(&mut self, target: &ActorUri, old: &ActorUri) -> Result<()> {
-        let t = self
-            .actor_mut(target)
-            .ok_or_else(|| FlockError::NotFound(target.to_string()))?;
+        let t = self.known_actor_mut(target)?;
         if !t.also_known_as.contains(old) {
             t.also_known_as.push(old.clone());
         }
@@ -380,9 +388,7 @@ impl FediverseNetwork {
             )));
         }
         let followers = {
-            let o = self
-                .actor_mut(old)
-                .ok_or_else(|| FlockError::NotFound(old.to_string()))?;
+            let o = self.known_actor_mut(old)?;
             if o.has_moved() {
                 return Err(FlockError::InvalidConfig(format!("{old} already moved")));
             }

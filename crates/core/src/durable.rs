@@ -1,9 +1,40 @@
-//! Durable file replacement, the write discipline every checkpoint
-//! format (crawl and monitor) shares.
+//! Durable file replacement, and the one JSON checkpoint format every
+//! checkpoint (crawl and monitor) is saved and loaded through.
 
 use crate::{FlockError, Result};
+use serde::de::DeserializeOwned;
+use serde::Serialize;
 use std::io::Write;
 use std::path::Path;
+
+/// A checkpoint saved as JSON through [`save`] and read back through
+/// [`load_if_exists`]; `NAME` says in errors which checkpoint failed.
+pub trait JsonCheckpoint: Serialize + DeserializeOwned {
+    const NAME: &'static str;
+}
+
+/// Save `value` as JSON at `path` through [`write_atomic`], so a crash
+/// mid-save never leaves a torn or zero-length checkpoint.
+pub fn save<T: JsonCheckpoint>(path: &Path, value: &T) -> Result<()> {
+    let json = serde_json::to_string(value)
+        .map_err(|e| FlockError::InvalidConfig(format!("serialize {}: {e}", T::NAME)))?;
+    write_atomic(path, json.as_bytes())
+}
+
+/// Load the checkpoint [`save`] wrote at `path`; `None` when none exists
+/// yet (the first run of a resumable job). An unreadable or corrupt file
+/// is an error.
+pub fn load_if_exists<T: JsonCheckpoint>(path: &Path) -> Result<Option<T>> {
+    if !path.exists() {
+        return Ok(None);
+    }
+    let json = std::fs::read_to_string(path).map_err(|e| {
+        FlockError::InvalidConfig(format!("read {} {}: {e}", T::NAME, path.display()))
+    })?;
+    serde_json::from_str(&json)
+        .map(Some)
+        .map_err(|e| FlockError::InvalidConfig(format!("deserialize {}: {e}", T::NAME)))
+}
 
 /// Replace `path` with `bytes` atomically **and durably**: write a temp
 /// file in the same directory, `fsync` the data, rename it over `path`,

@@ -14,13 +14,12 @@
 //! [`CrawlStats`]: crate::dataset::CrawlStats
 
 use crate::dataset::Dataset;
-use flock_core::durable::write_atomic;
-use flock_core::{FlockError, Result};
+use flock_core::durable::JsonCheckpoint;
 use serde::{Deserialize, Serialize};
-use std::path::Path;
 
 /// A crawl checkpoint: which phases completed, where the virtual clock
-/// stood, and the dataset accumulated so far.
+/// stood, and the dataset accumulated so far. Saved and loaded through
+/// [`flock_core::durable::save`] / [`flock_core::durable::load_if_exists`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Checkpoint {
     /// Names of completed phases, in execution order.
@@ -33,49 +32,26 @@ pub struct Checkpoint {
     pub dataset: Dataset,
 }
 
-impl Checkpoint {
-    /// Serialize to JSON.
-    pub fn to_json(&self) -> Result<String> {
-        serde_json::to_string(self)
-            .map_err(|e| FlockError::InvalidConfig(format!("serialize checkpoint: {e}")))
-    }
-
-    /// Deserialize from JSON.
-    pub fn from_json(json: &str) -> Result<Checkpoint> {
-        serde_json::from_str(json)
-            .map_err(|e| FlockError::InvalidConfig(format!("deserialize checkpoint: {e}")))
-    }
-
-    /// Write atomically and durably ([`flock_core::durable::write_atomic`]),
-    /// so a crash mid-save never leaves a torn or zero-length checkpoint.
-    pub fn save(&self, path: &Path) -> Result<()> {
-        write_atomic(path, self.to_json()?.as_bytes())
-    }
-
-    /// Read a checkpoint back.
-    pub fn load(path: &Path) -> Result<Checkpoint> {
-        let json = std::fs::read_to_string(path)
-            .map_err(|e| FlockError::InvalidConfig(format!("read {}: {e}", path.display())))?;
-        Checkpoint::from_json(&json)
-    }
-
-    /// [`Checkpoint::load`], returning `None` when no checkpoint exists
-    /// yet (the first run of a resumable crawl).
-    pub fn load_if_exists(path: &Path) -> Result<Option<Checkpoint>> {
-        if path.exists() {
-            Ok(Some(Checkpoint::load(path)?))
-        } else {
-            Ok(None)
-        }
-    }
+impl JsonCheckpoint for Checkpoint {
+    const NAME: &'static str = "checkpoint";
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flock_core::durable;
 
-    fn sample() -> Checkpoint {
-        Checkpoint {
+    fn scratch(name: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("flock_crawl_ckpt_{name}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join("crawl.ckpt")
+    }
+
+    #[test]
+    fn save_load_round_trip() {
+        let path = scratch("round_trip");
+        let cp = Checkpoint {
             completed: vec![
                 "discover.collect_tweets".to_string(),
                 "discover.match_users".to_string(),
@@ -86,22 +62,25 @@ mod tests {
                 searched_users: 7,
                 ..Dataset::default()
             },
-        }
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let cp = sample();
-        let back = Checkpoint::from_json(&cp.to_json().unwrap()).unwrap();
+        };
+        durable::save(&path, &cp).unwrap();
+        let back: Checkpoint = durable::load_if_exists(&path).unwrap().unwrap();
         assert_eq!(back.completed, cp.completed);
         assert_eq!(back.clock_secs, cp.clock_secs);
         assert_eq!(back.dataset.searched_users, 7);
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]
     fn corrupt_checkpoint_is_rejected() {
+        let path = scratch("corrupt");
         for bad in ["", "{", "null", "{\"completed\": 3}"] {
-            assert!(Checkpoint::from_json(bad).is_err(), "{bad:?} parsed");
+            std::fs::write(&path, bad).unwrap();
+            match durable::load_if_exists::<Checkpoint>(&path) {
+                Err(e) => assert!(e.to_string().contains("deserialize checkpoint"), "{e}"),
+                Ok(_) => panic!("{bad:?} parsed"),
+            }
         }
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 }

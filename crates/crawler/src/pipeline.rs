@@ -30,6 +30,7 @@ use crate::dataset::{
 use crate::worker_pool;
 use flock_apis::server::ApiServer;
 use flock_apis::types::TwitterUserObject;
+use flock_core::durable;
 use flock_core::handle::extract_handles;
 use flock_core::{Day, DetRng, FlockError, MastodonHandle, Result, TweetId, TwitterUserId};
 use flock_obs::trace::{self, FaultKind, SpanOutcome};
@@ -259,7 +260,8 @@ impl<'a> Crawler<'a> {
     pub fn run_resumable(&self, checkpoint_path: &Path) -> Result<Dataset> {
         let start_virtual = self.api.now();
         self.obs.phase_start(start_virtual, "crawl");
-        let (mut ds, mut completed) = match Checkpoint::load_if_exists(checkpoint_path)? {
+        let resumed: Option<Checkpoint> = durable::load_if_exists(checkpoint_path)?;
+        let (mut ds, mut completed) = match resumed {
             Some(cp) => {
                 // Waits already paid before the kill stay paid.
                 self.api.advance_clock_to(cp.clock_secs);
@@ -273,12 +275,12 @@ impl<'a> Crawler<'a> {
             }
             self.run_phase(name, &mut ds)?;
             completed.push(name.to_string());
-            Checkpoint {
+            let checkpoint = Checkpoint {
                 completed: completed.clone(),
                 clock_secs: self.api.now(),
                 dataset: ds.clone(),
-            }
-            .save(checkpoint_path)?;
+            };
+            durable::save(checkpoint_path, &checkpoint)?;
         }
         self.finish(&mut ds, start_virtual);
         Ok(ds)

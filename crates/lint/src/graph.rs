@@ -1,10 +1,10 @@
 //! The workspace symbol index and call graph.
 //!
-//! `flock-analyze` lifts `flock-lint`'s lexical rules to whole-program
-//! rules, and everything downstream (tier-taint, interprocedural lock
-//! ordering) consumes the structure built here: every `fn` defined in
-//! non-test workspace code, the call sites inside each body, and the
-//! resolved caller→callee edges between them.
+//! The call-graph passes (tier-taint, interprocedural lock ordering)
+//! consume the structure built here from the same lexed [`Source`]s the
+//! line rules read: every `fn` defined in non-test workspace code, the
+//! call sites inside each body, and the resolved caller→callee edges
+//! between them.
 //!
 //! The analysis is token-based (the build environment is offline — no
 //! `syn`), so resolution is necessarily approximate. The policy is
@@ -22,12 +22,13 @@
 //!   call that merely looks like a sink from a tainted context must be
 //!   renamed apart or justified with an `allow`.
 //!
-//! Test code is invisible to the graph, mirroring the lint walker: files
-//! under `tests/`, `benches/`, `examples/`, `fixtures/` and items behind
-//! `#[test]` / `#[cfg(test)]` are skipped entirely.
+//! Test code is invisible to the graph, as to every pass: out-of-scope
+//! files never become [`Source`]s, and items behind `#[test]` /
+//! `#[cfg(test)]` are skipped.
 
-use flock_lint::lexer::{lex, Lexed};
-use flock_lint::syntax::{is_keyword, scan_attr, skip_item};
+use crate::lexer::Token;
+use crate::syntax::{attr_open, is_keyword, scan_attr, skip_item};
+use crate::Source;
 use std::collections::BTreeMap;
 
 /// One call site inside a function body.
@@ -43,8 +44,8 @@ pub struct CallSite {
 /// One `fn` definition found in workspace code.
 #[derive(Debug)]
 pub struct FnDef {
-    /// Workspace-relative path of the defining file.
-    pub file: String,
+    /// Index of the defining file in [`Graph::files`].
+    pub file: usize,
     pub name: String,
     /// Line of the `fn` keyword.
     pub line: u32,
@@ -57,43 +58,35 @@ pub struct FnDef {
     pub toks: Vec<usize>,
 }
 
-/// The assembled call graph for a set of files.
-#[derive(Debug, Default)]
-pub struct Graph {
+/// The assembled call graph for a set of lexed files.
+pub struct Graph<'a> {
+    /// The files the graph was built from; the passes read their tokens
+    /// and directives.
+    pub files: &'a [Source],
     pub fns: Vec<FnDef>,
     /// fn name → ids of every definition with that name.
     pub by_name: BTreeMap<String, Vec<usize>>,
-    /// file → ids of the fns defined in it.
-    pub by_file: BTreeMap<String, Vec<usize>>,
     /// Caller id → resolved `(call-site index, callee id)` pairs.
     pub edges: Vec<Vec<(usize, usize)>>,
-    /// Lexed token streams, kept for the downstream passes (directive
-    /// lookup, source-pattern matching, lexical lock scanning).
-    pub lexed: BTreeMap<String, Lexed>,
 }
 
-/// Should this workspace-relative path contribute to the graph at all?
-/// Mirrors the lint walker's exemptions.
-pub fn in_scope(rel_path: &str) -> bool {
-    !rel_path.split(['/', '\\']).any(|c| {
-        matches!(
-            c,
-            "tests" | "benches" | "examples" | "fixtures" | "target" | "vendor"
-        )
-    })
+impl Graph<'_> {
+    /// The file defining fn `id`.
+    pub fn src(&self, id: usize) -> &Source {
+        &self.files[self.fns[id].file]
+    }
 }
 
-/// Build the graph from `(workspace-relative path, source)` pairs. Files
-/// out of scope (test/fixture/vendored paths) are skipped.
-pub fn build(files: &[(String, String)]) -> Graph {
-    let mut g = Graph::default();
-    for (rel, src) in files {
-        if !in_scope(rel) {
-            continue;
-        }
-        let lexed = lex(src);
-        scan_file(&mut g, rel, &lexed);
-        g.lexed.insert(rel.clone(), lexed);
+/// Build the graph over `files`.
+pub fn build(files: &[Source]) -> Graph<'_> {
+    let mut g = Graph {
+        files,
+        fns: Vec::new(),
+        by_name: BTreeMap::new(),
+        edges: Vec::new(),
+    };
+    for (file, src) in files.iter().enumerate() {
+        scan_file(&mut g, file, &src.lexed.tokens);
     }
     g.edges = resolve_edges(&g);
     g
@@ -101,24 +94,16 @@ pub fn build(files: &[(String, String)]) -> Graph {
 
 /// Pass 1+2 over one file: find fn definitions (skipping test items),
 /// then extract each body's scan surface and call sites.
-fn scan_file(g: &mut Graph, rel: &str, lexed: &Lexed) {
-    let t = &lexed.tokens;
+fn scan_file(g: &mut Graph, file: usize, t: &[Token]) {
     // Pass 1: definition spans. Nested fns are discovered too (the scan
     // continues into bodies); test-marked items are skipped wholesale.
     let mut defs: Vec<(String, u32, (usize, usize))> = Vec::new();
     let mut i = 0usize;
     while i < t.len() {
-        if t[i].punct('#') {
-            let open = if t.get(i + 1).is_some_and(|n| n.punct('!')) {
-                i + 2
-            } else {
-                i + 1
-            };
-            if t.get(open).is_some_and(|n| n.punct('[')) {
-                let (is_test, after) = scan_attr(t, open);
-                i = if is_test { skip_item(t, after) } else { after };
-                continue;
-            }
+        if let Some(open) = attr_open(t, i) {
+            let (is_test, after) = scan_attr(t, open);
+            i = if is_test { skip_item(t, after) } else { after };
+            continue;
         }
         if t[i].is("fn") && t.get(i + 1).is_some_and(|n| n.is_ident) {
             let name = t[i + 1].text.clone();
@@ -148,17 +133,9 @@ fn scan_file(g: &mut Graph, rel: &str, lexed: &Lexed) {
                 k = end + 1;
                 continue;
             }
-            if t[k].punct('#') {
-                let open = if t.get(k + 1).is_some_and(|n| n.punct('!')) {
-                    k + 2
-                } else {
-                    k + 1
-                };
-                if t.get(open).is_some_and(|n| n.punct('[')) {
-                    let (_, after) = scan_attr(t, open);
-                    k = after;
-                    continue;
-                }
+            if let Some(open) = attr_open(t, k) {
+                k = scan_attr(t, open).1;
+                continue;
             }
             toks.push(k);
             k += 1;
@@ -166,7 +143,7 @@ fn scan_file(g: &mut Graph, rel: &str, lexed: &Lexed) {
         let calls = calls_on(t, &toks);
         let id = g.fns.len();
         g.fns.push(FnDef {
-            file: rel.to_string(),
+            file,
             name: name.clone(),
             line: *line,
             body: *body,
@@ -174,7 +151,6 @@ fn scan_file(g: &mut Graph, rel: &str, lexed: &Lexed) {
             toks,
         });
         g.by_name.entry(name.clone()).or_default().push(id);
-        g.by_file.entry(rel.to_string()).or_default().push(id);
     }
 }
 
@@ -182,7 +158,7 @@ fn scan_file(g: &mut Graph, rel: &str, lexed: &Lexed) {
 /// the first `{` (body open) or a top-level `;` (body-less trait method —
 /// no span). Parens are tracked so `;` inside default-argument positions
 /// or `fn(…)` pointer types do not terminate the signature early.
-fn body_of(t: &[flock_lint::lexer::Token], sig: usize) -> Option<(usize, usize)> {
+fn body_of(t: &[Token], sig: usize) -> Option<(usize, usize)> {
     let mut i = sig;
     let mut parens = 0i32;
     while i < t.len() {
@@ -216,7 +192,7 @@ fn body_of(t: &[flock_lint::lexer::Token], sig: usize) -> Option<(usize, usize)>
 
 /// Call sites on a body's token surface: `ident (` adjacency in the
 /// original stream, keyword heads and macro bangs filtered out.
-fn calls_on(t: &[flock_lint::lexer::Token], toks: &[usize]) -> Vec<CallSite> {
+fn calls_on(t: &[Token], toks: &[usize]) -> Vec<CallSite> {
     let mut out = Vec::new();
     for &k in toks {
         let tok = &t[k];
@@ -244,26 +220,19 @@ fn calls_on(t: &[flock_lint::lexer::Token], toks: &[usize]) -> Vec<CallSite> {
 fn resolve_edges(g: &Graph) -> Vec<Vec<(usize, usize)>> {
     let mut edges: Vec<Vec<(usize, usize)>> = vec![Vec::new(); g.fns.len()];
     for (caller, def) in g.fns.iter().enumerate() {
-        let local = g.by_file.get(&def.file);
         for (site, call) in def.calls.iter().enumerate() {
-            let same_file: Vec<usize> = local
-                .map(|ids| {
-                    ids.iter()
-                        .copied()
-                        .filter(|&id| g.fns[id].name == call.callee)
-                        .collect()
-                })
-                .unwrap_or_default();
-            if !same_file.is_empty() {
-                for id in same_file {
-                    edges[caller].push((site, id));
-                }
+            let Some(ids) = g.by_name.get(&call.callee) else {
                 continue;
-            }
-            if let Some(ids) = g.by_name.get(&call.callee) {
-                if ids.len() == 1 {
-                    edges[caller].push((site, ids[0]));
-                }
+            };
+            let same_file: Vec<usize> = ids
+                .iter()
+                .copied()
+                .filter(|&id| g.fns[id].file == def.file)
+                .collect();
+            if !same_file.is_empty() {
+                edges[caller].extend(same_file.into_iter().map(|id| (site, id)));
+            } else if ids.len() == 1 {
+                edges[caller].push((site, ids[0]));
             }
         }
     }
@@ -274,20 +243,22 @@ fn resolve_edges(g: &Graph) -> Vec<Vec<(usize, usize)>> {
 mod tests {
     use super::*;
 
-    fn graph_of(files: &[(&str, &str)]) -> Graph {
+    /// Lex `files` as [`crate::lint`] does: out-of-scope paths dropped.
+    fn sources_of(files: &[(&str, &str)]) -> Vec<Source> {
         let owned: Vec<(String, String)> = files
             .iter()
             .map(|(p, s)| (p.to_string(), s.to_string()))
             .collect();
-        build(&owned)
+        crate::sources(&owned)
     }
 
     #[test]
     fn finds_defs_and_same_file_edges() {
-        let g = graph_of(&[(
+        let files = sources_of(&[(
             "crates/x/src/a.rs",
             "pub fn top() { helper(); }\nfn helper() { leaf(3); }\nfn leaf(_n: u32) {}\n",
         )]);
+        let g = build(&files);
         assert_eq!(g.fns.len(), 3);
         let top = g.by_name["top"][0];
         let helper = g.by_name["helper"][0];
@@ -299,7 +270,7 @@ mod tests {
 
     #[test]
     fn unique_names_resolve_across_files_and_ambiguous_names_do_not() {
-        let g = graph_of(&[
+        let files = sources_of(&[
             (
                 "crates/x/src/a.rs",
                 "pub fn caller() { unique(); dup(); }\n",
@@ -307,6 +278,7 @@ mod tests {
             ("crates/x/src/b.rs", "pub fn unique() {}\npub fn dup() {}\n"),
             ("crates/y/src/c.rs", "pub fn dup() {}\n"),
         ]);
+        let g = build(&files);
         let caller = g.by_name["caller"][0];
         let unique = g.by_name["unique"][0];
         assert_eq!(g.edges[caller], vec![(0, unique)]);
@@ -314,13 +286,14 @@ mod tests {
 
     #[test]
     fn test_items_macros_and_fixture_files_are_invisible() {
-        let g = graph_of(&[
+        let files = sources_of(&[
             (
                 "crates/x/src/a.rs",
                 "#[cfg(test)]\nmod tests { fn hidden() {} }\npub fn visible() { println!(\"x\"); }\n",
             ),
             ("crates/x/tests/t.rs", "fn test_only() {}\n"),
         ]);
+        let g = build(&files);
         assert_eq!(g.fns.len(), 1);
         assert_eq!(g.fns[0].name, "visible");
         assert!(g.fns[0].calls.is_empty(), "macro counted as call");
@@ -328,10 +301,11 @@ mod tests {
 
     #[test]
     fn nested_fn_calls_are_not_attributed_to_the_outer_fn() {
-        let g = graph_of(&[(
+        let files = sources_of(&[(
             "crates/x/src/a.rs",
             "pub fn outer() {\n  fn inner() { secret(); }\n  inner();\n}\nfn secret() {}\n",
         )]);
+        let g = build(&files);
         let outer = g.by_name["outer"][0];
         let calls: Vec<&str> = g.fns[outer]
             .calls
@@ -343,10 +317,11 @@ mod tests {
 
     #[test]
     fn bodyless_trait_methods_are_skipped() {
-        let g = graph_of(&[(
+        let files = sources_of(&[(
             "crates/x/src/a.rs",
             "pub trait T { fn decl(&self); fn with_body(&self) { self.decl(); } }\n",
         )]);
+        let g = build(&files);
         assert_eq!(g.fns.len(), 1);
         assert_eq!(g.fns[0].name, "with_body");
     }

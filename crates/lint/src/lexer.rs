@@ -1,11 +1,13 @@
 //! A minimal, line-accurate Rust lexer.
 //!
 //! The build environment is offline, so `flock-lint` cannot pull in a real
-//! parser (`syn`, `ra_ap_syntax`, …). The rules it enforces are lexical —
-//! forbidden call patterns, forbidden type names, `.lock()` nesting — so a
-//! token stream is enough, *provided* the lexer gets the hard parts right:
-//! strings, raw strings, char literals vs lifetimes, and nested block
-//! comments must never leak fake identifiers into the stream.
+//! parser (`syn`, `ra_ap_syntax`, …). Its line rules are lexical —
+//! forbidden call patterns, forbidden type names, `.lock()` nesting — and
+//! its call graph is recovered from the same tokens, so a token stream is
+//! enough, *provided* the lexer gets the hard parts right: strings, raw
+//! strings vs raw identifiers, char literals vs lifetimes, and nested block
+//! comments must never leak fake identifiers into the stream or swallow
+//! real code, and every token must carry its true line.
 //!
 //! Alongside the token stream the lexer collects `flock-lint:` control
 //! comments (the escape hatch), because rules must be able to consult the
@@ -167,6 +169,13 @@ pub fn lex(src: &str) -> Lexed {
             }
             c if is_ident_start(c) => {
                 let start = i;
+                // `r#move` is a raw identifier: one token, prefix kept.
+                if c == 'r'
+                    && chars.get(i + 1) == Some(&'#')
+                    && chars.get(i + 2).is_some_and(|&c| is_ident_start(c))
+                {
+                    i += 2;
+                }
                 while i < n && is_ident_start(chars[i]) {
                     i += 1;
                 }
@@ -189,18 +198,23 @@ pub fn lex(src: &str) -> Lexed {
     out
 }
 
-/// `r"`, `r#`, `b"`, `b'`, `br"`, `br#` — how many chars of prefix before
-/// the quote machinery starts (0 if this is a plain identifier).
+/// `r"`, `r#…"`, `b"`, `b'`, `br"`, `br#…"` — how many chars of prefix
+/// before the quote machinery starts (0 if this is an identifier, raw
+/// identifiers like `r#move` included).
 fn raw_prefix_len(chars: &[char], i: usize) -> usize {
     let peek = |k: usize| chars.get(i + k).copied().unwrap_or('\0');
+    // A raw string opens on `"` after any run of `#`s.
+    let raw_quote = |mut k: usize| {
+        while peek(k) == '#' {
+            k += 1;
+        }
+        peek(k) == '"'
+    };
     match chars[i] {
-        'r' => match peek(1) {
-            '"' | '#' => 1,
-            _ => 0,
-        },
+        'r' if raw_quote(1) => 1,
         'b' => match peek(1) {
             '"' | '\'' => 1,
-            'r' if matches!(peek(2), '"' | '#') => 2,
+            'r' if raw_quote(2) => 2,
             _ => 0,
         },
         _ => 0,
@@ -212,7 +226,13 @@ fn skip_string_body(chars: &[char], i: &mut usize, line: &mut u32) {
     let n = chars.len();
     while *i < n {
         match chars[*i] {
-            '\\' => *i += 2,
+            '\\' => {
+                // A `\`-newline continuation still ends a line.
+                if chars.get(*i + 1) == Some(&'\n') {
+                    *line += 1;
+                }
+                *i += 2;
+            }
             '\n' => {
                 *line += 1;
                 *i += 1;
@@ -302,6 +322,12 @@ mod tests {
         let lexed = lex(src);
         let b = lexed.tokens.iter().find(|t| t.is("b")).expect("b token");
         assert_eq!(b.line, 3);
+        // `\`-newline continuations, in a string and a byte string.
+        let src = "let a = \"one \\\n two\";\nlet b = b\"x\\\ny\";\nlet c = 1;\n";
+        let lexed = lex(src);
+        let b = lexed.tokens.iter().find(|t| t.is("b")).expect("b token");
+        let c = lexed.tokens.iter().find(|t| t.is("c")).expect("c token");
+        assert_eq!((b.line, c.line), (3, 5));
     }
 
     #[test]
@@ -326,5 +352,33 @@ mod tests {
         assert!(ids.contains(&"br".to_string()));
         assert!(ids.contains(&"rb".to_string()));
         assert!(ids.contains(&"bytes".to_string()));
+    }
+
+    #[test]
+    fn raw_identifiers_are_not_raw_strings() {
+        let src = "pub r#move: u64,\nx.r#type();\nlet s = r#\"a \"quoted\" b\"#;\nlet t = br##\"x\"##;\nfn after() {}\n";
+        let lexed = lex(src);
+        let ids: Vec<(&str, u32)> = lexed
+            .tokens
+            .iter()
+            .filter(|t| t.is_ident)
+            .map(|t| (t.text.as_str(), t.line))
+            .collect();
+        assert_eq!(
+            ids,
+            vec![
+                ("pub", 1),
+                ("r#move", 1),
+                ("u64", 1),
+                ("x", 2),
+                ("r#type", 2),
+                ("let", 3),
+                ("s", 3),
+                ("let", 4),
+                ("t", 4),
+                ("fn", 5),
+                ("after", 5),
+            ]
+        );
     }
 }

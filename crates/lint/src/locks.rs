@@ -1,23 +1,25 @@
 //! The interprocedural lock-order pass.
 //!
-//! `flock-lint`'s lexical `lock-order` rule sees only one function body:
-//! `self.mastodon.lock()` followed by `self.clock.lock()` in the same
-//! scope. The deadlock it cannot see is the same acquisition split across
-//! a call — a guard held at a call site whose *callee* (possibly in
-//! another file, possibly through further helpers) acquires a lock at the
-//! same or a lower manifest level.
+//! The lexical `lock-order` rule ([`crate::rules`]) sees only one
+//! function body: `self.mastodon.lock()` followed by `self.clock.lock()`
+//! in the same scope. The deadlock it cannot see is the same acquisition
+//! split across a call — a guard held at a call site whose *callee*
+//! (possibly in another file, possibly through further helpers) acquires
+//! a lock at the same or a lower manifest level.
 //!
 //! The pass computes each fn's **may-acquire set** (manifest-declared
 //! receivers it can lock, directly or transitively through resolved call
-//! edges) by fixpoint, replays the lexical held-set scan per body, and
-//! flags any call site where `held.level >= callee.may_acquire.level`,
-//! printing the acquisition path down to the concrete `.lock()`.
+//! edges) by fixpoint, replays the lexical rule's held-set scan
+//! ([`HeldLocks`]) per body, and flags any call site where
+//! `held.level >= callee.may_acquire.level`, printing the acquisition
+//! path down to the concrete `.lock()`.
 
 use crate::graph::Graph;
+use crate::lexer::Token;
+use crate::manifest::LockManifest;
+use crate::rules::RULE_CALL_LOCK_ORDER;
+use crate::syntax::{is_lock_call, receiver_of, HeldLocks};
 use crate::Emitter;
-use flock_lint::manifest::LockManifest;
-use flock_lint::rules::RULE_CALL_LOCK_ORDER;
-use flock_lint::syntax::receiver_of;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
@@ -28,6 +30,8 @@ enum Acq {
     Via { callee: usize, line: u32 },
 }
 
+/// Report every call made under a held lock that may acquire a lock at
+/// the same or a lower manifest level.
 pub(crate) fn check(g: &Graph, m: &LockManifest, out: &mut Emitter) {
     if m.is_empty() {
         return;
@@ -36,22 +40,13 @@ pub(crate) fn check(g: &Graph, m: &LockManifest, out: &mut Emitter) {
     let mut acquires: Vec<BTreeMap<String, (u32, Acq)>> =
         g.fns.iter().map(|_| BTreeMap::new()).collect();
     for (id, def) in g.fns.iter().enumerate() {
-        let Some(lexed) = g.lexed.get(&def.file) else {
-            continue;
-        };
-        let t = &lexed.tokens;
+        let t = &g.src(id).lexed.tokens;
         for &k in &def.toks {
-            if is_lock_call(t, k) {
-                if let Some(name) = receiver_of(t, k) {
-                    if let Some(level) = m.level_of(&name) {
-                        acquires[id].entry(name).or_insert((
-                            level,
-                            Acq::Direct {
-                                line: t[k + 1].line,
-                            },
-                        ));
-                    }
-                }
+            if let Some((name, level)) = declared_lock(t, k, m) {
+                let line = t[k + 1].line;
+                acquires[id]
+                    .entry(name)
+                    .or_insert((level, Acq::Direct { line }));
             }
         }
     }
@@ -84,12 +79,9 @@ pub(crate) fn check(g: &Graph, m: &LockManifest, out: &mut Emitter) {
     // the callee's may-acquire set must sit strictly below every held
     // level.
     for (id, def) in g.fns.iter().enumerate() {
-        let Some(lexed) = g.lexed.get(&def.file) else {
-            continue;
-        };
-        let t = &lexed.tokens;
-        let mut depth = 0u32;
-        let mut held: Vec<(String, u32, u32, u32)> = Vec::new(); // (name, level, depth, line)
+        let src = g.src(id);
+        let t = &src.lexed.tokens;
+        let mut locks = HeldLocks::default();
         let mut site_at: BTreeMap<usize, usize> = BTreeMap::new();
         for (site, call) in def.calls.iter().enumerate() {
             site_at.insert(call.tok, site);
@@ -99,19 +91,9 @@ pub(crate) fn check(g: &Graph, m: &LockManifest, out: &mut Emitter) {
             resolved.entry(site).or_default().push(callee);
         }
         for &k in &def.toks {
-            let tok = &t[k];
-            if tok.punct('{') {
-                depth += 1;
-            } else if tok.punct('}') {
-                held.retain(|h| h.2 < depth);
-                depth = depth.saturating_sub(1);
-            }
-            if is_lock_call(t, k) {
-                if let Some(name) = receiver_of(t, k) {
-                    if let Some(level) = m.level_of(&name) {
-                        held.push((name, level, depth, t[k + 1].line));
-                    }
-                }
+            locks.step(&t[k]);
+            if let Some((name, level)) = declared_lock(t, k, m) {
+                locks.acquire(name, level, t[k + 1].line);
             }
             let Some(site) = site_at.get(&k) else {
                 continue;
@@ -122,11 +104,10 @@ pub(crate) fn check(g: &Graph, m: &LockManifest, out: &mut Emitter) {
             let call = &def.calls[*site];
             for &callee in callees {
                 for (lock, (level, _)) in &acquires[callee] {
-                    for h in &held {
-                        if *level <= h.1 {
+                    for h in &locks.held {
+                        if *level <= h.level {
                             out.emit(
-                                lexed,
-                                &def.file,
+                                src,
                                 call.line,
                                 RULE_CALL_LOCK_ORDER,
                                 format!(
@@ -134,9 +115,9 @@ pub(crate) fn check(g: &Graph, m: &LockManifest, out: &mut Emitter) {
                                      holding `{}` (level {}, line {}); the manifest ({}) orders \
                                      locks strictly downward; {}",
                                     call.callee,
-                                    h.0,
-                                    h.1,
-                                    h.3,
+                                    h.name,
+                                    h.level,
+                                    h.line,
                                     m.source,
                                     path(g, &acquires, callee, lock),
                                 ),
@@ -149,29 +130,30 @@ pub(crate) fn check(g: &Graph, m: &LockManifest, out: &mut Emitter) {
     }
 }
 
-/// `. lock ( )` at the `.` token.
-fn is_lock_call(t: &[flock_lint::lexer::Token], k: usize) -> bool {
-    t[k].punct('.')
-        && t.get(k + 1).is_some_and(|n| n.is("lock"))
-        && t.get(k + 2).is_some_and(|n| n.punct('('))
-        && t.get(k + 3).is_some_and(|n| n.punct(')'))
+/// The declared lock a `.lock()` at token `k` takes: `(receiver, level)`.
+fn declared_lock(t: &[Token], k: usize, m: &LockManifest) -> Option<(String, u32)> {
+    if !is_lock_call(t, k) {
+        return None;
+    }
+    let name = receiver_of(t, k)?;
+    let level = m.level_of(&name)?;
+    Some((name, level))
 }
 
 /// Witness path from `id` down to the concrete `.lock()` on `lock`.
 fn path(g: &Graph, acquires: &[BTreeMap<String, (u32, Acq)>], mut id: usize, lock: &str) -> String {
     let mut parts = Vec::new();
     loop {
-        let def = &g.fns[id];
+        let (name, path) = (&g.fns[id].name, &g.src(id).path);
         match acquires[id].get(lock) {
             Some((_, Acq::Direct { line })) => {
                 parts.push(format!(
-                    "{} ({}:{}) -> `.lock()` on `{lock}` at {}:{line}",
-                    def.name, def.file, line, def.file
+                    "{name} ({path}:{line}) -> `.lock()` on `{lock}` at {path}:{line}"
                 ));
                 break;
             }
             Some((_, Acq::Via { callee, line })) => {
-                parts.push(format!("{} ({}:{})", def.name, def.file, line));
+                parts.push(format!("{name} ({path}:{line})"));
                 id = *callee;
             }
             None => break,

@@ -1,42 +1,49 @@
 //! The `flock-lint` binary.
 //!
 //! ```text
-//! flock-lint --workspace            # lint every .rs file in the workspace
-//! flock-lint FILE…                  # lint specific files
-//! flock-lint --manifest PATH …      # override the lock-order manifest
+//! flock-lint --workspace              # every in-scope .rs file in the workspace
+//! flock-lint FILE…                    # specific files, analyzed as one unit
+//! flock-lint --lock-manifest PATH …   # override crates/apis/lock-order.manifest
+//! flock-lint --tier-manifest PATH …   # override tier.manifest
 //! ```
 //!
-//! Exit codes: 0 clean, 1 findings, 2 usage/configuration error.
+//! Every pass — the line rules, `tier-taint` and `call-lock-order` — runs
+//! over one read and one lex of each file, and the findings print as one
+//! sorted list. Exit codes: 0 clean, 1 findings, 2 usage/configuration
+//! error.
 
-use flock_lint::manifest::LockManifest;
-use flock_lint::rules::lint_source;
-use flock_lint::walk;
-use std::path::{Path, PathBuf};
+use flock_lint::manifest::{self, LOCK_MANIFEST_PATH, TIER_MANIFEST_PATH};
+use flock_lint::{lint, walk, LockManifest, TierManifest};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
+const USAGE: &str =
+    "usage: flock-lint [--workspace | FILE…] [--lock-manifest PATH] [--tier-manifest PATH]";
+
+#[derive(Default)]
 struct Args {
     workspace: bool,
-    manifest_override: Option<PathBuf>,
+    lock_manifest: Option<PathBuf>,
+    tier_manifest: Option<PathBuf>,
     files: Vec<PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        workspace: false,
-        manifest_override: None,
-        files: Vec::new(),
-    };
+    let mut args = Args::default();
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--workspace" => args.workspace = true,
-            "--manifest" => {
-                let path = it.next().ok_or("--manifest requires a path")?;
-                args.manifest_override = Some(PathBuf::from(path));
+            "--lock-manifest" | "--tier-manifest" => {
+                let path = it.next().ok_or(format!("{arg} requires a path"))?;
+                let slot = if arg == "--lock-manifest" {
+                    &mut args.lock_manifest
+                } else {
+                    &mut args.tier_manifest
+                };
+                *slot = Some(PathBuf::from(path));
             }
-            "--help" | "-h" => {
-                return Err("usage: flock-lint [--workspace | FILE…] [--manifest PATH]".to_string())
-            }
+            "--help" | "-h" => return Err(USAGE.to_string()),
             other if other.starts_with('-') => return Err(format!("unknown flag {other}")),
             other => args.files.push(PathBuf::from(other)),
         }
@@ -52,29 +59,31 @@ fn run() -> Result<ExitCode, String> {
     let cwd = std::env::current_dir().map_err(|e| format!("cwd: {e}"))?;
     let root = walk::find_workspace_root(&cwd)
         .ok_or("no [workspace] Cargo.toml above the current directory")?;
+    let locks = manifest::load(
+        &root,
+        args.lock_manifest.as_deref(),
+        LOCK_MANIFEST_PATH,
+        LockManifest::parse,
+    )?;
+    let tier = manifest::load(
+        &root,
+        args.tier_manifest.as_deref(),
+        TIER_MANIFEST_PATH,
+        TierManifest::parse,
+    )?;
 
-    let manifest = match &args.manifest_override {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("read {}: {e}", path.display()))?;
-            LockManifest::parse(&text, &path.display().to_string())?
-        }
-        None => walk::load_lock_manifest(&root)?,
-    };
-
-    let (findings, scanned) = if args.workspace {
-        walk::lint_workspace(&root, &manifest).map_err(|e| format!("scan: {e}"))?
+    let rels = if args.workspace {
+        walk::collect_rs_files(&root).map_err(|e| format!("scan: {e}"))?
     } else {
-        let mut findings = Vec::new();
-        for path in &args.files {
-            let rel = rel_to_root(&root, &cwd, path);
-            let src = std::fs::read_to_string(path)
-                .map_err(|e| format!("read {}: {e}", path.display()))?;
-            findings.extend(lint_source(&rel, &src, &manifest));
-        }
-        let count = args.files.len();
-        (findings, count)
+        // Workspace-relative form of each path: rule scoping keys off it.
+        let rel = |p: &PathBuf| {
+            let abs = cwd.join(p);
+            let rel = abs.strip_prefix(&root).unwrap_or(&abs);
+            rel.to_string_lossy().replace('\\', "/")
+        };
+        args.files.iter().map(rel).collect()
     };
+    let (findings, scanned) = lint(&walk::read(&root, rels)?, &locks, &tier);
 
     for f in &findings {
         println!("{f}");
@@ -89,17 +98,6 @@ fn run() -> Result<ExitCode, String> {
         );
         Ok(ExitCode::from(1))
     }
-}
-
-/// Workspace-relative form of a CLI path (rule scoping keys off it).
-fn rel_to_root(root: &Path, cwd: &Path, path: &Path) -> String {
-    let abs = if path.is_absolute() {
-        path.to_path_buf()
-    } else {
-        cwd.join(path)
-    };
-    let rel = abs.strip_prefix(root).unwrap_or(&abs);
-    rel.to_string_lossy().replace('\\', "/")
 }
 
 fn main() -> ExitCode {

@@ -1,13 +1,13 @@
-//! The rule engine: walks a lexed token stream and emits findings.
+//! The line rules: walk one file's token stream and emit findings.
 //!
-//! Three deny-by-default rule families guard the invariants the pipeline's
+//! Six deny-by-default line rules guard the invariants the pipeline's
 //! reproducibility rests on (see DESIGN.md §6):
 //!
 //! * `determinism` — no wall-clock or ambient-randomness calls in pipeline
-//!   code; virtual time and seeded [`DetRng`]s only.
+//!   code; virtual time and seeded `flock_core::DetRng`s only.
 //! * `hash-iter` — no `HashMap`/`HashSet` in the crates whose iteration
-//!   order can reach output (`fedisim`, `analysis`, `repro`, `crawler`);
-//!   use `BTreeMap`/`BTreeSet` or an explicit sort.
+//!   order can reach output (`fedisim`, `analysis`, `repro`, `crawler`,
+//!   `chaos`, `monitor`); use `BTreeMap`/`BTreeSet` or an explicit sort.
 //! * `lock-order` — `.lock()` receivers in `crates/apis` must be declared
 //!   in the lock-hierarchy manifest and acquired strictly downward.
 //! * `panic` — no `unwrap()`/`expect()`/`panic!`/bare `assert!` in library
@@ -22,16 +22,17 @@
 //!   produced pieces; float accumulation is sensitive to evaluation order,
 //!   which is exactly the nondeterminism the tier contract forbids.
 //!
-//! Test code is exempt everywhere: files under `tests/`, `benches/`,
-//! `examples/`, and items behind `#[cfg(test)]` / `#[test]`. The escape
-//! hatch is `// flock-lint: allow(<rule>) <reason>` on the offending line
-//! or the line above; the reason is mandatory.
-//!
-//! [`DetRng`]: flock_core::DetRng
+//! Test code is exempt everywhere: out-of-scope files never reach a pass
+//! ([`crate::walk::in_scope`]), and items behind `#[cfg(test)]` /
+//! `#[test]` are skipped. The escape hatch is
+//! `// flock-lint: allow(<rule>) <reason>` on the offending line or the
+//! line above; the reason is mandatory.
 
-use crate::lexer::{lex, Lexed};
 use crate::manifest::LockManifest;
-use crate::syntax::{receiver_of, scan_attr, skip_item};
+use crate::syntax::{
+    attr_open, is_lock_call, is_path, receiver_of, scan_attr, skip_item, HeldLocks,
+};
+use crate::{Emitter, Source};
 use std::collections::BTreeSet;
 
 pub const RULE_DETERMINISM: &str = "determinism";
@@ -40,9 +41,7 @@ pub const RULE_LOCK_ORDER: &str = "lock-order";
 pub const RULE_PANIC: &str = "panic";
 pub const RULE_THREAD_SPAWN: &str = "thread-spawn";
 pub const RULE_FLOAT: &str = "float-in-data-tier";
-/// Rules enforced by `flock-analyze` (the call-graph analyzer). They are
-/// named here so `allow(...)` directives for them parse as known rules —
-/// the two tools share one escape-hatch namespace.
+/// The call-graph passes ([`crate::taint`], [`crate::locks`]).
 pub const RULE_TIER_TAINT: &str = "tier-taint";
 pub const RULE_CALL_LOCK_ORDER: &str = "call-lock-order";
 /// Meta-rule for problems with the directives themselves.
@@ -60,69 +59,24 @@ pub const KNOWN_RULES: &[&str] = &[
     RULE_CALL_LOCK_ORDER,
 ];
 
-/// One reported violation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Finding {
-    pub path: String,
-    pub line: u32,
-    pub rule: &'static str,
-    pub message: String,
-}
-
-impl std::fmt::Display for Finding {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}:{}: [{}] {}",
-            self.path, self.line, self.rule, self.message
-        )
-    }
-}
-
-/// Which rule families apply to a file, derived from its workspace-relative
+/// Which line rules apply to a file, derived from its workspace-relative
 /// path.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct FileClass {
     pub determinism: bool,
     pub hash_iter: bool,
     pub lock_order: bool,
-    pub panic: bool,
     pub thread_spawn: bool,
     pub float: bool,
 }
 
-impl FileClass {
-    pub fn any(&self) -> bool {
-        self.determinism
-            || self.hash_iter
-            || self.lock_order
-            || self.panic
-            || self.thread_spawn
-            || self.float
-    }
-}
-
-/// Classify a workspace-relative path into the rules that apply to it.
+/// Classify an in-scope workspace-relative path into the line rules that
+/// apply to it (`panic` applies to every in-scope file).
 pub fn classify(rel_path: &str) -> FileClass {
     let comps: Vec<&str> = rel_path
         .split(['/', '\\'])
         .filter(|c| !c.is_empty())
         .collect();
-    // Not our code / not pipeline code: vendored shims, build output,
-    // lint fixtures (which must be free to contain violations).
-    if comps
-        .iter()
-        .any(|c| matches!(*c, "target" | "vendor" | ".git" | "fixtures"))
-    {
-        return FileClass::default();
-    }
-    // Test code is exempt from every family.
-    if comps
-        .iter()
-        .any(|c| matches!(*c, "tests" | "benches" | "examples"))
-    {
-        return FileClass::default();
-    }
     let krate = match comps.first() {
         Some(&"crates") => comps.get(1).copied().unwrap_or(""),
         Some(&"src") => "flock",
@@ -136,7 +90,6 @@ pub fn classify(rel_path: &str) -> FileClass {
             "fedisim" | "analysis" | "repro" | "crawler" | "chaos" | "monitor"
         ),
         lock_order: krate == "apis",
-        panic: true,
         // The scheduler crate and the crawler's worker pool are the only
         // sanctioned owners of OS threads.
         thread_spawn: krate != "sched" && comps.last() != Some(&"worker_pool.rs"),
@@ -146,177 +99,114 @@ pub fn classify(rel_path: &str) -> FileClass {
     }
 }
 
-/// Lint one file's source. `rel_path` is workspace-relative and selects the
-/// applicable rules; `manifest` backs the `lock-order` rule.
-pub fn lint_source(rel_path: &str, src: &str, manifest: &LockManifest) -> Vec<Finding> {
-    let class = classify(rel_path);
-    if !class.any() {
-        return Vec::new();
-    }
-    let lexed = lex(src);
+/// Run the line rules over one file; `manifest` backs `lock-order`.
+pub(crate) fn check(src: &Source, manifest: &LockManifest, out: &mut Emitter) {
     let mut ctx = Ctx {
-        path: rel_path,
-        class,
+        src,
+        class: classify(&src.path),
         manifest,
-        lexed: &lexed,
-        findings: Vec::new(),
+        out,
         hash_lines: BTreeSet::new(),
         float_lines: BTreeSet::new(),
-        flagged_directives: BTreeSet::new(),
     };
     ctx.check_directives();
     ctx.run();
-    ctx.findings.sort_by_key(|f| (f.line, f.rule));
-    ctx.findings
-}
-
-/// A lock currently held (lexically) while scanning.
-struct Held {
-    name: String,
-    level: u32,
-    depth: u32,
-    line: u32,
 }
 
 struct Ctx<'a> {
-    path: &'a str,
+    src: &'a Source,
     class: FileClass,
     manifest: &'a LockManifest,
-    lexed: &'a Lexed,
-    findings: Vec<Finding>,
+    out: &'a mut Emitter,
     /// Lines already carrying a `hash-iter` finding (one per line).
     hash_lines: BTreeSet<u32>,
     /// Lines already carrying a `float-in-data-tier` finding (one per line).
     float_lines: BTreeSet<u32>,
-    /// Directive lines already reported as missing a reason.
-    flagged_directives: BTreeSet<u32>,
 }
 
-impl<'a> Ctx<'a> {
+impl Ctx<'_> {
     fn check_directives(&mut self) {
-        for &line in &self.lexed.malformed_directives {
-            self.findings.push(Finding {
-                path: self.path.to_string(),
+        let lexed = &self.src.lexed;
+        for &line in &lexed.malformed_directives {
+            self.out.push(
+                self.src,
                 line,
-                rule: RULE_DIRECTIVE,
-                message: "malformed control comment; expected \
-                          `flock-lint: allow(<rule>) <reason>`"
+                RULE_DIRECTIVE,
+                "malformed control comment; expected \
+                 `flock-lint: allow(<rule>) <reason>`"
                     .to_string(),
-            });
+            );
         }
-        for d in &self.lexed.directives {
+        for d in &lexed.directives {
             if !KNOWN_RULES.contains(&d.rule.as_str()) {
-                self.findings.push(Finding {
-                    path: self.path.to_string(),
-                    line: d.line,
-                    rule: RULE_DIRECTIVE,
-                    message: format!(
+                self.out.push(
+                    self.src,
+                    d.line,
+                    RULE_DIRECTIVE,
+                    format!(
                         "allow({}) names an unknown rule (known: {})",
                         d.rule,
                         KNOWN_RULES.join(", ")
                     ),
-                });
+                );
             }
         }
     }
 
-    /// Report a violation unless an `allow` directive with a reason covers
-    /// its line; an `allow` *without* a reason is itself a finding.
     fn emit(&mut self, line: u32, rule: &'static str, message: String) {
-        for d in &self.lexed.directives {
-            if d.rule == rule && (d.line == line || d.line + 1 == line) {
-                if d.reason.is_some() {
-                    return; // suppressed, justified
-                }
-                if self.flagged_directives.insert(d.line) {
-                    self.findings.push(Finding {
-                        path: self.path.to_string(),
-                        line: d.line,
-                        rule: RULE_DIRECTIVE,
-                        message: format!("allow({rule}) requires a reason"),
-                    });
-                }
-                return;
-            }
-        }
-        self.findings.push(Finding {
-            path: self.path.to_string(),
-            line,
-            rule,
-            message,
-        });
+        self.out.emit(self.src, line, rule, message);
     }
 
     fn run(&mut self) {
-        let t = &self.lexed.tokens;
+        let t = &self.src.lexed.tokens;
         let mut i = 0usize;
-        let mut depth = 0u32;
-        let mut held: Vec<Held> = Vec::new();
+        let mut locks = HeldLocks::default();
         while i < t.len() {
             // Attributes: skip their token span entirely, and skip the whole
             // following item when the attribute marks test-only code.
-            if t[i].punct('#') {
-                let open = if t.get(i + 1).is_some_and(|n| n.punct('!')) {
-                    i + 2 // inner attribute `#![…]`
-                } else {
-                    i + 1
-                };
-                if t.get(open).is_some_and(|n| n.punct('[')) {
-                    let (is_test, after) = scan_attr(t, open);
-                    i = if is_test { skip_item(t, after) } else { after };
-                    continue;
-                }
+            if let Some(open) = attr_open(t, i) {
+                let (is_test, after) = scan_attr(t, open);
+                i = if is_test { skip_item(t, after) } else { after };
+                continue;
             }
             let tok = &t[i];
-            if tok.punct('{') {
-                depth += 1;
-            } else if tok.punct('}') {
-                held.retain(|h| h.depth < depth);
-                depth = depth.saturating_sub(1);
+            locks.step(tok);
+
+            if tok.punct('.')
+                && t.get(i + 1)
+                    .is_some_and(|n| n.is("unwrap") || n.is("expect"))
+                && t.get(i + 2).is_some_and(|n| n.punct('('))
+            {
+                let (line, what) = (t[i + 1].line, t[i + 1].text.clone());
+                self.emit(
+                    line,
+                    RULE_PANIC,
+                    format!(
+                        ".{what}() in library code; propagate through \
+                         flock_core::error instead"
+                    ),
+                );
+            } else if tok.is("panic") && t.get(i + 1).is_some_and(|n| n.punct('!')) {
+                self.emit(
+                    tok.line,
+                    RULE_PANIC,
+                    "panic! in library code; return a FlockError instead".to_string(),
+                );
+            } else if tok.is("assert") && t.get(i + 1).is_some_and(|n| n.punct('!')) {
+                // Bare `assert!` only: `assert_eq!`/`debug_assert!` lex
+                // as distinct idents and stay permitted (the former is
+                // test idiom, the latter compiles out of release).
+                self.emit(
+                    tok.line,
+                    RULE_PANIC,
+                    "assert! in library code; return a FlockError (or \
+                     Option) instead of panicking on bad input"
+                        .to_string(),
+                );
             }
 
-            if self.class.panic {
-                if tok.punct('.')
-                    && t.get(i + 1)
-                        .is_some_and(|n| n.is("unwrap") || n.is("expect"))
-                    && t.get(i + 2).is_some_and(|n| n.punct('('))
-                {
-                    let (line, what) = (t[i + 1].line, t[i + 1].text.clone());
-                    self.emit(
-                        line,
-                        RULE_PANIC,
-                        format!(
-                            ".{what}() in library code; propagate through \
-                             flock_core::error instead"
-                        ),
-                    );
-                } else if tok.is("panic") && t.get(i + 1).is_some_and(|n| n.punct('!')) {
-                    self.emit(
-                        tok.line,
-                        RULE_PANIC,
-                        "panic! in library code; return a FlockError instead".to_string(),
-                    );
-                } else if tok.is("assert") && t.get(i + 1).is_some_and(|n| n.punct('!')) {
-                    // Bare `assert!` only: `assert_eq!`/`debug_assert!` lex
-                    // as distinct idents and stay permitted (the former is
-                    // test idiom, the latter compiles out of release).
-                    self.emit(
-                        tok.line,
-                        RULE_PANIC,
-                        "assert! in library code; return a FlockError (or \
-                         Option) instead of panicking on bad input"
-                            .to_string(),
-                    );
-                }
-            }
-
+            let path2 = |a: &str, b: &str| is_path(t, i, a, b);
             if self.class.determinism {
-                let path2 = |a: &str, b: &str| {
-                    tok.is(a)
-                        && t.get(i + 1).is_some_and(|n| n.punct(':'))
-                        && t.get(i + 2).is_some_and(|n| n.punct(':'))
-                        && t.get(i + 3).is_some_and(|n| n.is(b))
-                };
                 let wall_clock = path2("Instant", "now")
                     || path2("Utc", "now")
                     || path2("Local", "now")
@@ -346,12 +236,6 @@ impl<'a> Ctx<'a> {
             }
 
             if self.class.thread_spawn {
-                let path2 = |a: &str, b: &str| {
-                    tok.is(a)
-                        && t.get(i + 1).is_some_and(|n| n.punct(':'))
-                        && t.get(i + 2).is_some_and(|n| n.punct(':'))
-                        && t.get(i + 3).is_some_and(|n| n.is(b))
-                };
                 // `std::thread::spawn` ends in the same `thread :: spawn`
                 // adjacency, so the two-segment match covers both spellings;
                 // `crossbeam::thread::scope` likewise ends in `thread :: scope`.
@@ -412,39 +296,24 @@ impl<'a> Ctx<'a> {
                 );
             }
 
-            if self.class.lock_order
-                && tok.punct('.')
-                && t.get(i + 1).is_some_and(|n| n.is("lock"))
-                && t.get(i + 2).is_some_and(|n| n.punct('('))
-                && t.get(i + 3).is_some_and(|n| n.punct(')'))
-            {
+            if self.class.lock_order && is_lock_call(t, i) {
                 let line = t[i + 1].line;
                 match receiver_of(t, i) {
                     Some(name) => match self.manifest.level_of(&name) {
                         Some(level) => {
-                            let violations: Vec<String> = held
-                                .iter()
-                                .filter(|h| level <= h.level)
-                                .map(|h| {
+                            for h in locks.held.iter().filter(|h| level <= h.level) {
+                                self.emit(
+                                    line,
+                                    RULE_LOCK_ORDER,
                                     format!(
                                         "acquiring `{name}` (level {level}) while \
                                          holding `{}` (level {}, line {}); the \
                                          manifest orders locks strictly downward",
                                         h.name, h.level, h.line
-                                    )
-                                })
-                                .collect();
-                            for message in violations {
-                                self.emit(line, RULE_LOCK_ORDER, message);
+                                    ),
+                                );
                             }
-                            // Conservatively held until the enclosing block
-                            // closes (lexical scope of a `let` guard).
-                            held.push(Held {
-                                name,
-                                level,
-                                depth,
-                                line,
-                            });
+                            locks.acquire(name, level, line);
                         }
                         None => self.emit(
                             line,

@@ -1,10 +1,78 @@
-//! Token-stream syntax helpers shared by the rule engine and by
-//! `flock-analyze` (the workspace call-graph analyzer builds on the same
-//! lexer, so the attribute / item / receiver scanning must agree between
-//! the two tools — a construct one skips and the other scans would make
-//! their findings disagree about the same line).
+//! Token-stream syntax helpers shared by the line rules and the call-graph
+//! passes: they read the same token streams, so attribute, item, path and
+//! `.lock()` recognition live here once — a construct one pass skipped and
+//! another scanned would make their findings disagree about the same line.
 
 use crate::lexer::Token;
+
+/// If an attribute (`#[…]` or `#![…]`) starts at `i`, the index of its `[`.
+pub fn attr_open(t: &[Token], i: usize) -> Option<usize> {
+    if !t.get(i).is_some_and(|tok| tok.punct('#')) {
+        return None;
+    }
+    let open = if t.get(i + 1).is_some_and(|n| n.punct('!')) {
+        i + 2
+    } else {
+        i + 1
+    };
+    t.get(open).is_some_and(|n| n.punct('[')).then_some(open)
+}
+
+/// `a :: b` starting at token `k`.
+pub fn is_path(t: &[Token], k: usize, a: &str, b: &str) -> bool {
+    t[k].is(a)
+        && t.get(k + 1).is_some_and(|n| n.punct(':'))
+        && t.get(k + 2).is_some_and(|n| n.punct(':'))
+        && t.get(k + 3).is_some_and(|n| n.is(b))
+}
+
+/// `. lock ( )` at the `.` token `k`.
+pub fn is_lock_call(t: &[Token], k: usize) -> bool {
+    t[k].punct('.')
+        && t.get(k + 1).is_some_and(|n| n.is("lock"))
+        && t.get(k + 2).is_some_and(|n| n.punct('('))
+        && t.get(k + 3).is_some_and(|n| n.punct(')'))
+}
+
+/// A `.lock()` guard, held (conservatively) until the block it was taken
+/// in closes — the lexical scope of a `let` guard.
+pub struct Guard {
+    pub name: String,
+    pub level: u32,
+    pub line: u32,
+    depth: u32,
+}
+
+/// The lexical held-set both lock-order passes replay: the guards held at
+/// the current token of a scan, tracked by brace depth.
+#[derive(Default)]
+pub struct HeldLocks {
+    pub held: Vec<Guard>,
+    depth: u32,
+}
+
+impl HeldLocks {
+    /// Advance over `tok`: a closing brace drops the guards taken inside.
+    pub fn step(&mut self, tok: &Token) {
+        if tok.punct('{') {
+            self.depth += 1;
+        } else if tok.punct('}') {
+            self.held.retain(|g| g.depth < self.depth);
+            self.depth = self.depth.saturating_sub(1);
+        }
+    }
+
+    /// A guard on `name` (manifest `level`) taken on `line`.
+    pub fn acquire(&mut self, name: String, level: u32, line: u32) {
+        let depth = self.depth;
+        self.held.push(Guard {
+            name,
+            level,
+            line,
+            depth,
+        });
+    }
+}
 
 /// Scan an attribute starting at its `[`; returns (marks test-only code,
 /// index just past the matching `]`).
@@ -42,18 +110,8 @@ pub fn scan_attr(t: &[Token], open: usize) -> (bool, usize) {
 pub fn skip_item(t: &[Token], start: usize) -> usize {
     let mut i = start;
     // Leading attributes of the item being skipped.
-    while i < t.len() && t[i].punct('#') {
-        let open = if t.get(i + 1).is_some_and(|n| n.punct('!')) {
-            i + 2
-        } else {
-            i + 1
-        };
-        if t.get(open).is_some_and(|n| n.punct('[')) {
-            let (_, after) = scan_attr(t, open);
-            i = after;
-        } else {
-            break;
-        }
+    while let Some(open) = attr_open(t, i) {
+        i = scan_attr(t, open).1;
     }
     let mut depth = 0u32;
     while i < t.len() {
@@ -93,8 +151,8 @@ pub fn receiver_of(t: &[Token], dot: usize) -> Option<String> {
 }
 
 /// Rust keywords (plus common expression heads) that can precede `(` in
-/// expression position without being calls. Call detection in the
-/// analyzer filters candidate `ident (` pairs through this list.
+/// expression position without being calls. Call detection in the call
+/// graph filters candidate `ident (` pairs through this list.
 pub fn is_keyword(word: &str) -> bool {
     matches!(
         word,

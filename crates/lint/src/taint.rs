@@ -17,8 +17,9 @@
 
 use crate::graph::Graph;
 use crate::manifest::TierManifest;
+use crate::rules::RULE_TIER_TAINT;
+use crate::syntax::is_path;
 use crate::Emitter;
-use flock_lint::rules::RULE_TIER_TAINT;
 use std::collections::VecDeque;
 
 /// Why a fn is tainted — enough to reconstruct a witness chain.
@@ -29,6 +30,7 @@ enum Cause {
     Via { callee: usize, line: u32 },
 }
 
+/// Report every Sched→Data flow in `g` under manifest `m`.
 pub(crate) fn check(g: &Graph, m: &TierManifest, out: &mut Emitter) {
     if m.source_calls.is_empty() && m.source_paths.is_empty() && m.source_tokens.is_empty() {
         return;
@@ -37,10 +39,7 @@ pub(crate) fn check(g: &Graph, m: &TierManifest, out: &mut Emitter) {
 
     // Direct taint: first source hit in token order wins.
     for (id, def) in g.fns.iter().enumerate() {
-        let Some(lexed) = g.lexed.get(&def.file) else {
-            continue;
-        };
-        let t = &lexed.tokens;
+        let t = &g.src(id).lexed.tokens;
         for &k in &def.toks {
             let tok = &t[k];
             if !tok.is_ident {
@@ -56,12 +55,7 @@ pub(crate) fn check(g: &Graph, m: &TierManifest, out: &mut Emitter) {
             } else {
                 m.source_paths
                     .iter()
-                    .find(|(a, b)| {
-                        tok.is(a)
-                            && t.get(k + 1).is_some_and(|n| n.punct(':'))
-                            && t.get(k + 2).is_some_and(|n| n.punct(':'))
-                            && t.get(k + 3).is_some_and(|n| n.is(b))
-                    })
+                    .find(|(a, b)| is_path(t, k, a, b))
                     .map(|(a, b)| format!("`{a}::{b}`"))
             };
             if let Some(what) = hit {
@@ -84,11 +78,8 @@ pub(crate) fn check(g: &Graph, m: &TierManifest, out: &mut Emitter) {
     }
     let mut queue: VecDeque<usize> = (0..g.fns.len()).filter(|&i| cause[i].is_some()).collect();
     while let Some(id) = queue.pop_front() {
-        let def = &g.fns[id];
-        if m.boundary_fns
-            .iter()
-            .any(|q| q.matches(&def.file, &def.name))
-        {
+        let (def, path) = (&g.fns[id], &g.src(id).path);
+        if m.boundary_fns.iter().any(|q| q.matches(path, &def.name)) {
             continue;
         }
         for &(caller, site) in &rev[id] {
@@ -107,13 +98,10 @@ pub(crate) fn check(g: &Graph, m: &TierManifest, out: &mut Emitter) {
         if cause[id].is_none() {
             continue;
         }
-        let Some(lexed) = g.lexed.get(&def.file) else {
-            continue;
-        };
-        if m.sink_fns.iter().any(|q| q.matches(&def.file, &def.name)) {
+        let src = g.src(id);
+        if m.sink_fns.iter().any(|q| q.matches(&src.path, &def.name)) {
             out.emit(
-                lexed,
-                &def.file,
+                src,
                 def.line,
                 RULE_TIER_TAINT,
                 format!(
@@ -126,8 +114,7 @@ pub(crate) fn check(g: &Graph, m: &TierManifest, out: &mut Emitter) {
         for call in &def.calls {
             if m.sink_calls.contains(&call.callee) {
                 out.emit(
-                    lexed,
-                    &def.file,
+                    src,
                     call.line,
                     RULE_TIER_TAINT,
                     format!(
@@ -146,17 +133,14 @@ pub(crate) fn check(g: &Graph, m: &TierManifest, out: &mut Emitter) {
 fn chain(g: &Graph, cause: &[Option<Cause>], mut id: usize) -> String {
     let mut parts = Vec::new();
     loop {
-        let def = &g.fns[id];
+        let (name, path) = (&g.fns[id].name, &g.src(id).path);
         match &cause[id] {
             Some(Cause::Via { callee, line }) => {
-                parts.push(format!("{} ({}:{})", def.name, def.file, line));
+                parts.push(format!("{name} ({path}:{line})"));
                 id = *callee;
             }
             Some(Cause::Direct { line, what }) => {
-                parts.push(format!(
-                    "{} ({}:{}) -> {what} [Sched source]",
-                    def.name, def.file, line
-                ));
+                parts.push(format!("{name} ({path}:{line}) -> {what} [Sched source]"));
                 break;
             }
             None => break,

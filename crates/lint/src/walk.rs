@@ -1,16 +1,24 @@
-//! Workspace discovery: find the root, collect `.rs` files in a
-//! deterministic order, and run the rules over all of them.
+//! Workspace discovery and the one scope rule: find the root, collect the
+//! in-scope `.rs` files in a deterministic order, and read them.
 
-use crate::manifest::LockManifest;
-use crate::rules::{classify, lint_source, Finding};
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Directories never descended into.
-const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "fixtures"];
+/// Directories no pass reads: build output, vendored shims, `.git`, lint
+/// fixtures (which must be free to contain violations), and test, bench
+/// and example code (exempt from every rule). The walker prunes them and
+/// [`in_scope`] drops explicit paths under them, so every pass sees the
+/// same files.
+const OUT_OF_SCOPE: &[&str] = &[
+    "target", "vendor", ".git", "fixtures", "tests", "benches", "examples",
+];
 
-/// Where the `lock-order` manifest lives, workspace-relative.
-pub const LOCK_MANIFEST_PATH: &str = "crates/apis/lock-order.manifest";
+/// Is this workspace-relative path analyzed at all?
+pub fn in_scope(rel_path: &str) -> bool {
+    !rel_path
+        .split(['/', '\\'])
+        .any(|c| OUT_OF_SCOPE.contains(&c))
+}
 
 /// Walk up from `start` to the directory whose `Cargo.toml` declares
 /// `[workspace]`.
@@ -29,8 +37,8 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     }
 }
 
-/// Every `.rs` file under `root`, workspace-relative with `/` separators,
-/// sorted (the scan order is part of the tool's output contract).
+/// Every in-scope `.rs` file under `root`, workspace-relative with `/`
+/// separators, sorted.
 pub fn collect_rs_files(root: &Path) -> io::Result<Vec<String>> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -41,7 +49,7 @@ pub fn collect_rs_files(root: &Path) -> io::Result<Vec<String>> {
             let name = entry.file_name();
             let name = name.to_string_lossy();
             if path.is_dir() {
-                if !SKIP_DIRS.contains(&name.as_ref()) {
+                if !OUT_OF_SCOPE.contains(&name.as_ref()) {
                     stack.push(path);
                 }
             } else if name.ends_with(".rs") {
@@ -55,28 +63,12 @@ pub fn collect_rs_files(root: &Path) -> io::Result<Vec<String>> {
     Ok(out)
 }
 
-/// Load the lock-order manifest from its conventional location. A missing
-/// manifest yields the empty manifest (every `.lock()` in scope is then an
-/// undeclared-lock finding, which is the deny-by-default we want).
-pub fn load_lock_manifest(root: &Path) -> Result<LockManifest, String> {
-    let path = root.join(LOCK_MANIFEST_PATH);
-    match std::fs::read_to_string(&path) {
-        Ok(text) => LockManifest::parse(&text, LOCK_MANIFEST_PATH),
-        Err(_) => Ok(LockManifest::empty()),
-    }
-}
-
-/// Lint the whole workspace. Returns `(findings, files_scanned)`.
-pub fn lint_workspace(root: &Path, manifest: &LockManifest) -> io::Result<(Vec<Finding>, usize)> {
-    let mut findings = Vec::new();
-    let mut scanned = 0usize;
-    for rel in collect_rs_files(root)? {
-        if !classify(&rel).any() {
-            continue;
-        }
-        let src = std::fs::read_to_string(root.join(&rel))?;
-        scanned += 1;
-        findings.extend(lint_source(&rel, &src, manifest));
-    }
-    Ok((findings, scanned))
+/// Read workspace-relative paths under `root` into `(path, source)` pairs.
+pub fn read(root: &Path, rels: Vec<String>) -> Result<Vec<(String, String)>, String> {
+    rels.into_iter()
+        .map(|rel| match std::fs::read_to_string(root.join(&rel)) {
+            Ok(src) => Ok((rel, src)),
+            Err(e) => Err(format!("read {rel}: {e}")),
+        })
+        .collect()
 }

@@ -6,15 +6,13 @@
 //! only, so persisting `(round, clock, roster)` is enough for a resumed
 //! run — against a **fresh** API server advanced to the checkpointed
 //! clock — to continue with byte-identical Data-tier output. Saves go
-//! through [`flock_core::durable::write_atomic`], the crawl checkpoint's
-//! write discipline too, so a crash mid-save can never leave a torn or
-//! zero-length checkpoint.
+//! through [`flock_core::durable::save`], the crawl checkpoint's
+//! format and write discipline too, so a crash mid-save can never leave a
+//! torn or zero-length checkpoint.
 
 use crate::NodeRecord;
-use flock_core::durable::write_atomic;
-use flock_core::{FlockError, Result};
+use flock_core::durable::JsonCheckpoint;
 use serde::{Deserialize, Serialize};
-use std::path::Path;
 
 /// A monitor checkpoint: the round counter, the virtual clock at the
 /// round boundary, and the roster (domain-sorted).
@@ -30,49 +28,27 @@ pub struct MonitorCheckpoint {
     pub records: Vec<NodeRecord>,
 }
 
-impl MonitorCheckpoint {
-    /// Serialize to JSON.
-    pub fn to_json(&self) -> Result<String> {
-        serde_json::to_string(self)
-            .map_err(|e| FlockError::InvalidConfig(format!("serialize monitor checkpoint: {e}")))
-    }
-
-    /// Deserialize from JSON.
-    pub fn from_json(json: &str) -> Result<MonitorCheckpoint> {
-        serde_json::from_str(json)
-            .map_err(|e| FlockError::InvalidConfig(format!("deserialize monitor checkpoint: {e}")))
-    }
-
-    /// Write atomically and durably ([`flock_core::durable::write_atomic`]).
-    pub fn save(&self, path: &Path) -> Result<()> {
-        write_atomic(path, self.to_json()?.as_bytes())
-    }
-
-    /// Read a checkpoint back.
-    pub fn load(path: &Path) -> Result<MonitorCheckpoint> {
-        let json = std::fs::read_to_string(path)
-            .map_err(|e| FlockError::InvalidConfig(format!("read {}: {e}", path.display())))?;
-        MonitorCheckpoint::from_json(&json)
-    }
-
-    /// [`MonitorCheckpoint::load`], returning `None` when no checkpoint
-    /// exists yet (the first run of a resumable monitor).
-    pub fn load_if_exists(path: &Path) -> Result<Option<MonitorCheckpoint>> {
-        if path.exists() {
-            Ok(Some(MonitorCheckpoint::load(path)?))
-        } else {
-            Ok(None)
-        }
-    }
+impl JsonCheckpoint for MonitorCheckpoint {
+    const NAME: &'static str = "monitor checkpoint";
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::NodeState;
+    use flock_core::durable;
 
-    fn sample() -> MonitorCheckpoint {
-        MonitorCheckpoint {
+    fn scratch(name: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("flock_monitor_ckpt_{name}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join("monitor.ckpt")
+    }
+
+    #[test]
+    fn save_load_round_trip() {
+        let path = scratch("round_trip");
+        let cp = MonitorCheckpoint {
             round: 7,
             clock_secs: 43_200,
             records: vec![NodeRecord {
@@ -88,23 +64,29 @@ mod tests {
                 deaths: 0,
                 rebirths: 0,
             }],
-        }
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let cp = sample();
-        let back = MonitorCheckpoint::from_json(&cp.to_json().unwrap()).unwrap();
+        };
+        durable::save(&path, &cp).unwrap();
+        let back: MonitorCheckpoint = durable::load_if_exists(&path).unwrap().unwrap();
         assert_eq!(back.round, 7);
         assert_eq!(back.clock_secs, 43_200);
         assert_eq!(back.records.len(), 1);
         assert_eq!(back.records[0].state, NodeState::Alive);
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]
     fn corrupt_checkpoint_is_rejected() {
+        let path = scratch("corrupt");
         for bad in ["", "{", "null", "{\"round\": \"x\"}"] {
-            assert!(MonitorCheckpoint::from_json(bad).is_err(), "{bad:?} parsed");
+            std::fs::write(&path, bad).unwrap();
+            match durable::load_if_exists::<MonitorCheckpoint>(&path) {
+                Err(e) => assert!(
+                    e.to_string().contains("deserialize monitor checkpoint"),
+                    "{e}"
+                ),
+                Ok(_) => panic!("{bad:?} parsed"),
+            }
         }
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 }

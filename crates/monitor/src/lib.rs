@@ -39,6 +39,7 @@ pub mod checker;
 pub mod checkpoint;
 
 use flock_apis::server::ApiServer;
+use flock_core::durable;
 use flock_core::{FlockError, Result};
 use flock_obs::{Registry, Tier, WaitCause};
 use serde::{Deserialize, Serialize};
@@ -268,7 +269,7 @@ pub fn run(api: &ApiServer, obs: &Registry, cfg: &MonitorConfig) -> Result<Monit
     let mut round: u64 = 0;
     let mut resumed_from_round = None;
     if let Some(path) = &cfg.checkpoint_path {
-        if let Some(cp) = checkpoint::MonitorCheckpoint::load_if_exists(path)? {
+        if let Some(cp) = durable::load_if_exists::<checkpoint::MonitorCheckpoint>(path)? {
             round = cp.round;
             resumed_from_round = Some(cp.round);
             for rec in cp.records {
@@ -368,12 +369,12 @@ fn checkpoint_now(
     clock_secs: u64,
     records: &BTreeMap<String, NodeRecord>,
 ) -> Result<()> {
-    checkpoint::MonitorCheckpoint {
+    let cp = checkpoint::MonitorCheckpoint {
         round,
         clock_secs,
         records: records.values().cloned().collect(),
-    }
-    .save(path)
+    };
+    durable::save(path, &cp)
 }
 
 /// Fold one completed check into the roster. `as_of` is the check's

@@ -30,6 +30,11 @@
 //! Ties wider than [`MAX_TIED`] are refused rather than sampled: a
 //! truncated exploration that claims exhaustiveness would be worse than
 //! an honest error.
+//!
+//! The models CI explores — tied retry deadlines, a canonicalized shared
+//! log, windowed admission, and a last-writer-wins counter-model the
+//! explorer must catch — are this crate's `tests/race_models.rs`, run as
+//! `cargo test -p flock-sched --test race_models`.
 
 use crate::{Step, Task};
 use std::cmp::Reverse;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, the call-graph static analyses
-# (flock-analyze tier-taint + interprocedural lock order, plus the
-# --sched-race bounded model checker), the tier-1 build + test suite, a smoke
+# Local CI gate: formatting, clippy, flock-lint (the line rules plus the
+# call-graph tier-taint and interprocedural lock-order passes, in one run),
+# the scheduler's bounded race models, the tier-1 build + test suite, a smoke
 # pass over every bench target (including the throughput bench, which in
 # --test mode does not append to the committed BENCH_history.jsonl), the
 # flockbench test suite (its workloads and output digests), the
@@ -49,11 +49,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 stage "cargo run -p flock-lint -- --workspace"
 cargo run -q -p flock-lint -- --workspace
 
-stage "cargo run -p flock-analyze -- --workspace"
-cargo run -q -p flock-analyze -- --workspace
-
-stage "cargo run -p flock-analyze -- --sched-race"
-cargo run -q -p flock-analyze -- --sched-race
+stage "sched race models (cargo test -p flock-sched --test race_models)"
+cargo test -q -p flock-sched --test race_models
 
 stage "cargo build --release"
 cargo build --release
