@@ -1,13 +1,11 @@
 //! Actors: the federated identities behind Mastodon accounts.
 
 use flock_core::MastodonHandle;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A globally unique actor identifier, `https://<domain>/users/<name>` in
-/// real ActivityPub; we store the `(domain, name)` pair and render the URI
-/// on demand.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+/// real ActivityPub; we store the `(domain, name)` pair.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ActorUri {
     /// Instance domain that hosts the actor.
     pub domain: String,
@@ -28,11 +26,6 @@ impl ActorUri {
     pub fn from_handle(h: &MastodonHandle) -> Self {
         ActorUri::new(h.username(), h.instance())
     }
-
-    /// Render the `https://…/users/…` form.
-    pub fn uri(&self) -> String {
-        format!("https://{}/users/{}", self.domain, self.name)
-    }
 }
 
 impl fmt::Display for ActorUri {
@@ -42,7 +35,7 @@ impl fmt::Display for ActorUri {
 }
 
 /// The state an instance keeps for one of its local actors.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Actor {
     /// This actor's identity.
     pub id: ActorUri,
@@ -60,8 +53,6 @@ pub struct Actor {
     /// that arrives without a matching intent (the intent was undone while
     /// the handshake was in flight) must not establish the relationship.
     pub pending_follows: Vec<ActorUri>,
-    /// Note ids in this actor's outbox (most recent last).
-    pub outbox: Vec<u64>,
 }
 
 impl Actor {
@@ -74,7 +65,6 @@ impl Actor {
             also_known_as: Vec::new(),
             moved_to: None,
             pending_follows: Vec::new(),
-            outbox: Vec::new(),
         }
     }
 
@@ -115,7 +105,6 @@ mod tests {
     #[test]
     fn uri_rendering() {
         let a = ActorUri::new("Alice", "One.Example");
-        assert_eq!(a.uri(), "https://one.example/users/alice");
         assert_eq!(a.to_string(), "@alice@one.example");
     }
 

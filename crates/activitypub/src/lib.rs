@@ -7,47 +7,33 @@
 //! `Move` activity plus the `alsoKnownAs`/`movedTo` actor properties, which
 //! cause follower instances to re-follow the new account.
 //!
-//! This crate implements that substrate in a deterministic, fully-offline
-//! form:
+//! This crate implements exactly those two mechanics, deterministically and
+//! fully offline:
 //!
 //! * [`actor`] — actor URIs and records (`alsoKnownAs`, `movedTo`, follower
 //!   and following collections);
-//! * [`activity`] — the activity vocabulary the paper's mechanics need:
-//!   `Follow`, `Accept`, `Reject`, `Create(Note)`, `Announce` (boost),
-//!   `Move`, `Undo(Follow)`;
-//! * [`transport`] — a lossy, latency-modelling message transport between
-//!   instances, with retries and a dead-letter queue (fault injection in
-//!   the style the smoltcp guide recommends);
-//! * [`federation`] — per-instance nodes that process inbound activities
-//!   (auto-accepting follows, fanning out notes to follower instances,
-//!   executing moves) and the [`federation::FediverseNetwork`] that wires
-//!   nodes together.
+//! * [`federation`] — the [`FediverseNetwork`]: per-instance actors, the
+//!   `Follow` → `Accept`/`Reject` handshake with its `Undo(Follow)`
+//!   reconciliation, `Move` with follower transfer, and the peers map each
+//!   instance exposes. Activities between instances wait in one queue and
+//!   are processed in send order.
 //!
-//! The world simulator (`flock-fedisim`) drives this substrate for the
-//! structural operations of the fediverse: cross-instance follows and
-//! account migration.
+//! The world simulator (`flock-fedisim`) drives this substrate to build
+//! the Mastodon follow graph and its instance switches.
 //!
 //! ```
-//! use flock_activitypub::prelude::*;
+//! use flock_activitypub::FediverseNetwork;
 //!
-//! let mut net = FediverseNetwork::new(NetworkConfig::default(), 1);
+//! let mut net = FediverseNetwork::default();
 //! let alice = net.register_actor("alice", "one.example").unwrap();
 //! let bob = net.register_actor("bob", "two.example").unwrap();
 //! net.follow(&alice, &bob).unwrap();
-//! net.run_to_quiescence(64);
+//! net.run_to_quiescence();
 //! assert!(net.followers_of(&bob).unwrap().contains(&alice));
 //! ```
 
-pub mod activity;
 pub mod actor;
 pub mod federation;
-pub mod transport;
 
-pub mod prelude {
-    pub use crate::activity::{Activity, Note};
-    pub use crate::actor::{Actor, ActorUri};
-    pub use crate::federation::{FediverseNetwork, NetworkConfig};
-    pub use crate::transport::{Envelope, Transport, TransportConfig};
-}
-
-pub use prelude::*;
+pub use actor::{Actor, ActorUri};
+pub use federation::FediverseNetwork;

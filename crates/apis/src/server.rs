@@ -1196,7 +1196,7 @@ impl ApiServer {
         )?;
         let peers = self
             .peers
-            .get_or_init(|| self.world.federation_peers())
+            .get_or_init(|| self.world.fediverse.federation_peers())
             .get(domain)
             .cloned()
             .unwrap_or_default();

@@ -2,7 +2,7 @@
 //! populations, and the ActivityPub federation network.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use flock_activitypub::{FediverseNetwork, NetworkConfig};
+use flock_activitypub::FediverseNetwork;
 use flock_core::DetRng;
 use flock_core::TwitterUserId;
 use flock_fedisim::graph::{build_friend_graph, realize_followees};
@@ -67,7 +67,7 @@ fn bench_federation(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("hub_1000_remote_follows", |b| {
         b.iter(|| {
-            let mut net = FediverseNetwork::new(NetworkConfig::default(), 5);
+            let mut net = FediverseNetwork::default();
             let hub = net.register_actor("hub", "hub.example").unwrap();
             for i in 0..1000 {
                 let f = net
@@ -75,13 +75,13 @@ fn bench_federation(c: &mut Criterion) {
                     .unwrap();
                 net.follow(&f, &hub).unwrap();
             }
-            net.run_to_quiescence(64);
+            net.run_to_quiescence();
             black_box(net.followers_of(&hub).unwrap().len())
         })
     });
     group.bench_function("move_account_500_followers", |b| {
         b.iter(|| {
-            let mut net = FediverseNetwork::new(NetworkConfig::default(), 6);
+            let mut net = FediverseNetwork::default();
             let old = net.register_actor("u", "big.example").unwrap();
             let new = net.register_actor("u", "niche.example").unwrap();
             for i in 0..500 {
@@ -90,10 +90,10 @@ fn bench_federation(c: &mut Criterion) {
                     .unwrap();
                 net.follow(&f, &old).unwrap();
             }
-            net.run_to_quiescence(64);
+            net.run_to_quiescence();
             net.set_also_known_as(&new, &old).unwrap();
             net.move_account(&old, &new).unwrap();
-            net.run_to_quiescence(128);
+            net.run_to_quiescence();
             black_box(net.followers_of(&new).unwrap().len())
         })
     });

@@ -38,7 +38,8 @@ pub enum FlockError {
     StaleCursor(String),
     /// A configuration value is out of range or inconsistent.
     InvalidConfig(String),
-    /// Federation delivery failed (transport loss, remote rejected, …).
+    /// Delivery failed: a follow the federation refused while the world was
+    /// built, or an injected transient API error.
     DeliveryFailed(String),
     /// The crawler's cumulative virtual rate-limit wait for one logical
     /// request exceeded its configured budget. Not retryable: retrying is

@@ -40,7 +40,14 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// embedding calls it once per token and the workspace builds without LTO.
 #[inline]
 pub fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_salted(0, s)
+}
+
+/// [`fnv1a`] with `salt` XORed into its offset basis; the dataset
+/// anonymizer keys its pseudonyms this way. A salt of 0 is plain [`fnv1a`].
+#[inline]
+pub fn fnv1a_salted(salt: u64, s: &str) -> u64 {
+    let mut h: u64 = salt ^ 0xcbf2_9ce4_8422_2325;
     for b in s.bytes() {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x1000_0000_01b3);

@@ -10,6 +10,7 @@
 
 use crate::dataset::{Dataset, MatchedUser};
 use flock_core::handle::extract_handles;
+use flock_core::rng::fnv1a_salted;
 use flock_core::{FlockError, MastodonHandle, Result};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -182,12 +183,7 @@ impl Pseudonyms {
         if let Some(p) = self.map.get(username) {
             return p.clone();
         }
-        let mut h = self.salt ^ 0xcbf2_9ce4_8422_2325;
-        for b in username.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        let p = format!("user_{h:012x}");
+        let p = format!("user_{:012x}", fnv1a_salted(self.salt, username));
         self.map.insert(username.to_string(), p.clone());
         p
     }
@@ -284,6 +280,13 @@ mod tests {
         assert_eq!(a.matched[0].twitter_username, b.matched[0].twitter_username);
         let c = ds.anonymized(43).unwrap();
         assert_ne!(a.matched[0].twitter_username, c.matched[0].twitter_username);
+    }
+
+    /// A known answer pins the pseudonym bytes of the published dataset.
+    #[test]
+    fn pseudonym_known_answer() {
+        let mut names = Pseudonyms::new(42);
+        assert_eq!(names.assign("quiet_otter"), "user_c2949eb5abb0d078");
     }
 
     #[test]

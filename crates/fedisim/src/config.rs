@@ -170,8 +170,9 @@ impl WorldConfig {
     /// users and 15,886 listed instances, every behavioural rate unchanged.
     /// Around 150k ground-truth migrants and tens of millions of posts —
     /// this is the preset the arena storage and streaming content
-    /// generation exist for. Expect minutes of wall-clock and a few GB of
-    /// RSS, not laptop-hostile hours.
+    /// generation exist for. The one recorded run (commit `347e61f`, in
+    /// `BENCH_history.jsonl`) took 781 s to generate, 64 s to crawl and
+    /// 554 s to analyze, and peaked at 43.2 GB of RSS.
     pub fn paper_scale() -> Self {
         WorldConfig {
             n_searchable_users: 1_024_577,

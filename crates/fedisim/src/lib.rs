@@ -7,8 +7,9 @@
 //!
 //! * the Twitter-side population that tweeted about the migration
 //!   ([`users`]), with the searchable corpus they produced ([`content`]);
-//! * the Mastodon instance landscape ([`instances`]) and its federation
-//!   substrate (re-exported from `flock-activitypub`);
+//! * the Mastodon instance landscape ([`instances`]) and its follow graph,
+//!   built over the `flock-activitypub` federation substrate
+//!   ([`World::fediverse`]);
 //! * the migration itself ([`migration`]): event-driven timing (takeover,
 //!   layoffs, resignations), popularity/topic/herding instance choice;
 //! * instance switching via real ActivityPub `Move`s ([`switching`]);

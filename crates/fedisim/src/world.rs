@@ -5,9 +5,9 @@
 //! 1. instances, users, and the migrant friend graph;
 //! 2. the migration model (who moves when, to which instance);
 //! 3. Twitter followee-list realization (what the follows API can return);
-//! 4. ActivityPub registration + Mastodon follows through the real
-//!    federation substrate (`flock-activitypub`), including `Move`-based
-//!    instance switches;
+//! 4. ActivityPub registration, then Mastodon follows and the `Move`-based
+//!    instance switches through the federation substrate
+//!    (`flock-activitypub`), each drained to quiescence;
 //! 5. content (tweets, statuses, announcements, cross-posts);
 //! 6. the weekly activity ledger and the Fig. 1 interest series;
 //! 7. crawl-time fault assignment (which instances are down).
@@ -25,7 +25,7 @@ use crate::interest::{generate_interest, InterestReport};
 use crate::migration::{run_migration, MastodonAccount};
 use crate::switching::run_switching;
 use crate::users::{generate_users, TwitterUser};
-use flock_activitypub::{ActorUri, FediverseNetwork, NetworkConfig};
+use flock_activitypub::{ActorUri, FediverseNetwork};
 use flock_core::{
     DetRng, FlockError, InstanceId, MastodonAccountId, MastodonHandle, Result, SortedVecMap,
     StatusId, TweetId, TwitterUserId,
@@ -330,31 +330,22 @@ impl World {
 
     /// Mastodon followees of an account, resolved through the federation
     /// substrate.
-    pub fn mastodon_following(&self, account: &MastodonAccount) -> Vec<ActorUri> {
+    pub fn mastodon_following(&self, account: &MastodonAccount) -> &[ActorUri] {
         self.fediverse
             .following_of(&self.actor_of(account))
-            .map(|s| s.to_vec())
             .unwrap_or_default()
     }
 
     /// Mastodon followers of an account.
-    pub fn mastodon_followers(&self, account: &MastodonAccount) -> Vec<ActorUri> {
+    pub fn mastodon_followers(&self, account: &MastodonAccount) -> &[ActorUri] {
         self.fediverse
             .followers_of(&self.actor_of(account))
-            .map(|s| s.to_vec())
             .unwrap_or_default()
     }
 
     /// Ground-truth migrant count.
     pub fn n_migrants(&self) -> usize {
         self.accounts.len()
-    }
-
-    /// The federation adjacency (domain → sorted peer domains) behind the
-    /// per-instance peers-list endpoint, derived from the ActivityPub
-    /// substrate's follow edges. Pure in the world seed.
-    pub fn federation_peers(&self) -> BTreeMap<String, Vec<String>> {
-        self.fediverse.federation_peers()
     }
 
     /// The flagship instance domains (the paper's `mastodon.social` tier) —
@@ -415,7 +406,10 @@ fn build_fediverse(
     config: &WorldConfig,
     rng: &mut DetRng,
 ) -> Result<FediverseNetwork> {
-    let mut net = FediverseNetwork::new(NetworkConfig::default(), rng.next_u64());
+    // Unused, but dropping it would shift every later draw of the
+    // `fediverse` stream, and with them the world's bytes.
+    let _ = rng.next_u64();
+    let mut net = FediverseNetwork::default();
     for inst in instances {
         net.register_instance(&inst.domain);
     }
@@ -503,7 +497,7 @@ fn build_fediverse(
             }
         }
     }
-    net.run_to_quiescence(64);
+    net.run_to_quiescence();
 
     // Instance switches become real ActivityPub Moves.
     for &mi in switched {
@@ -529,9 +523,8 @@ fn build_fediverse(
             }
         }
         net.move_account(old, &new)?;
-        net.run_to_quiescence(64);
+        net.run_to_quiescence();
     }
-    net.run_to_quiescence(256);
     Ok(net)
 }
 
@@ -611,10 +604,8 @@ mod tests {
         let w = world();
         for a in &w.accounts {
             assert!(
-                w.fediverse
-                    .resolve(a.handle.username(), a.handle.instance())
-                    .is_some(),
-                "unresolvable actor {}",
+                w.fediverse.actor(&w.actor_of(a)).is_some(),
+                "unregistered actor {}",
                 a.handle
             );
         }

@@ -1,90 +1,47 @@
-//! A tour of the ActivityPub substrate on its own: remote follows over a
-//! lossy transport, note fan-out, and a §5.3-style account move with
-//! follower transfer.
+//! A tour of the ActivityPub substrate on its own: remote follows, then a
+//! §5.3-style account move with follower transfer.
 //!
 //! ```sh
 //! cargo run --release --example federation_demo
 //! ```
 
-use flock::activitypub::prelude::*;
-use flock::activitypub::transport::TransportConfig;
-use flock::core::Day;
+use flock::activitypub::{ActorUri, FediverseNetwork};
+
+fn names(uris: &[ActorUri]) -> Vec<String> {
+    uris.iter().map(ToString::to_string).collect()
+}
 
 fn main() {
-    // A small fediverse with 30% packet loss and up to 16 retries.
-    let config = NetworkConfig {
-        transport: TransportConfig {
-            loss_probability: 0.3,
-            max_attempts: 16,
-            latency_steps: 2,
-        },
-    };
-    let mut net = FediverseNetwork::new(config, 42);
-
+    let mut net = FediverseNetwork::default();
     let alice = net.register_actor("alice", "mastodon.social").unwrap();
     let bob = net.register_actor("bob", "hachyderm.io").unwrap();
     let carol = net.register_actor("carol", "sigmoid.social").unwrap();
 
-    println!("== remote follows over a lossy transport ==");
+    println!("== remote follows ==");
     net.follow(&bob, &alice).unwrap();
     net.follow(&carol, &alice).unwrap();
-    let steps = net.run_to_quiescence(200);
+    let steps = net.run_to_quiescence();
     println!(
-        "converged in {steps} steps; alice's followers: {:?}",
-        net.followers_of(&alice)
-            .unwrap()
-            .iter()
-            .map(|a| a.to_string())
-            .collect::<Vec<_>>()
-    );
-    let stats = net.transport_stats();
-    println!(
-        "transport: {} sent, {} delivered, {} attempts lost to faults\n",
-        stats.sent, stats.delivered, stats.lost_attempts
-    );
-
-    println!("== note fan-out ==");
-    let note = net
-        .publish_note(&alice, "hello from the flagship #fediverse", Day(30))
-        .unwrap();
-    net.run_to_quiescence(200);
-    for domain in ["hachyderm.io", "sigmoid.social"] {
-        println!(
-            "{domain} federated timeline: {:?}",
-            net.federated_timeline(domain)
-                .unwrap()
-                .iter()
-                .map(|n| n.content.as_str())
-                .collect::<Vec<_>>()
-        );
-    }
-    net.boost(&bob, note, &alice).unwrap();
-    net.run_to_quiescence(200);
-    println!(
-        "boosts recorded at origin: {}\n",
-        net.boost_count("mastodon.social", note)
+        "handshakes done in {steps} steps; alice's followers: {:?}\n",
+        names(net.followers_of(&alice).unwrap())
     );
 
     println!("== account move (the §5.3 instance switch) ==");
     let alice_new = net.register_actor("alice", "historians.social").unwrap();
     net.set_also_known_as(&alice_new, &alice).unwrap();
     net.move_account(&alice, &alice_new).unwrap();
-    let steps = net.run_to_quiescence(400);
+    let steps = net.run_to_quiescence();
     println!("move propagated in {steps} steps");
     println!(
         "old account followers: {} (drained), new account followers: {:?}",
         net.followers_of(&alice).unwrap().len(),
-        net.followers_of(&alice_new)
-            .unwrap()
-            .iter()
-            .map(|a| a.to_string())
-            .collect::<Vec<_>>()
+        names(net.followers_of(&alice_new).unwrap())
     );
-    println!("a late follow of the old identity is rejected: {:?}", {
-        let dave = net.register_actor("dave", "mas.to").unwrap();
-        net.follow(&dave, &alice).unwrap();
-        net.run_to_quiescence(200);
-        net.following_of(&dave).unwrap().len()
-    });
-    println!("activity counters: {:?}", net.counts());
+    let dave = net.register_actor("dave", "mas.to").unwrap();
+    net.follow(&dave, &alice).unwrap();
+    net.run_to_quiescence();
+    println!(
+        "a late follow of the old identity is rejected: dave follows {:?}",
+        names(net.following_of(&dave).unwrap())
+    );
 }

@@ -3,8 +3,8 @@
 # call-graph tier-taint and interprocedural lock-order passes, in one run),
 # the scheduler's bounded race models, the tier-1 build + test suite, a smoke
 # pass over every bench target (including the throughput bench, which in
-# --test mode does not append to the committed BENCH_history.jsonl), the
-# flockbench test suite (its workloads and output digests), the
+# --test mode does not append to the committed BENCH_history.jsonl), one
+# release run of every example (each must exit 0), the flockbench test suite (its workloads and output digests), the
 # determinism matrix (seeds x worker counts must stamp byte-identically),
 # the monitor determinism matrix (the continuous-monitoring workload must
 # render byte-identical nodes lists and report Data sections at any
@@ -60,6 +60,18 @@ cargo test --workspace -q
 
 stage "cargo bench -p flock-bench -- --test (smoke)"
 cargo bench -p flock-bench -- --test
+
+# Clippy and the test build only compile the examples; this runs each one.
+stage "examples smoke (every examples/*.rs once, release)"
+for example in examples/*.rs; do
+  name="$(basename "$example" .rs)"
+  if ! cargo run -q --release --example "$name" >"$scratch/example-$name.log" 2>&1; then
+    echo "EXAMPLE FAILURE: $name exited non-zero; its output follows" >&2
+    cat "$scratch/example-$name.log" >&2
+    exit 1
+  fi
+  echo "    example $name: exit 0"
+done
 
 # flockbench is its own workspace, so `cargo test --workspace` skips it.
 # Its smoke test drives every workload through the public entry points it

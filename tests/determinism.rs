@@ -1,6 +1,7 @@
 //! Reproducibility: the same seed must reproduce the same world, crawl and
 //! analysis bit-for-bit; a different seed must not.
 
+use flock::activitypub::ActorUri;
 use flock::apis::{ApiConfig, ApiServer};
 use flock::chaos::Scenario;
 use flock::core::rng::fnv1a;
@@ -14,6 +15,7 @@ use flock_analysis::util::par_map;
 use flock_analysis::HeadlineReport;
 use flock_textsim::{cosine, embed, Embedding, SIMILARITY_THRESHOLD};
 use std::collections::BTreeSet;
+use std::fmt::Write;
 use std::sync::Arc;
 
 fn run(seed: u64) -> Dataset {
@@ -245,6 +247,48 @@ fn small_study_matches_its_golden_digests() {
     assert_eq!(
         got, golden,
         "[dataset, snapshot, figures, csv, retention, topics] digests moved; now {got:#x?}"
+    );
+}
+
+/// The golden digests above see the Mastodon follow graph only through the
+/// crawler's sample of it. This one pins the whole graph the world builds
+/// over the ActivityPub substrate, for the seed-1234 `small()` world: each
+/// account's first and current actor (following and followers in stored
+/// order, `movedTo`, `alsoKnownAs`), then the peers map the monitor crawls.
+#[test]
+fn small_follow_graph_matches_its_golden_digest() {
+    let world = World::generate(&WorldConfig::small().with_seed(1234)).unwrap();
+    let net = &world.fediverse;
+    let list = |uris: &[ActorUri]| {
+        uris.iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join(",")
+    };
+    let mut all = String::new();
+    for account in &world.accounts {
+        for handle in [&account.first_handle, &account.handle] {
+            let uri = ActorUri::from_handle(handle);
+            let actor = net.actor(&uri).expect("every handle is an actor");
+            let moved_to = actor.moved_to.as_ref().map(ToString::to_string);
+            writeln!(
+                all,
+                "{uri} following={} followers={} moved_to={} aka={}",
+                list(&actor.following),
+                list(&actor.followers),
+                moved_to.unwrap_or_default(),
+                list(&actor.also_known_as),
+            )
+            .unwrap();
+        }
+    }
+    for (domain, peers) in net.federation_peers() {
+        writeln!(all, "{domain}: {}", peers.join(",")).unwrap();
+    }
+    let got = fnv1a(&all);
+    assert_eq!(
+        got, 0xeb18_150e_4e12_668d,
+        "follow-graph digest moved; now {got:#x}"
     );
 }
 
