@@ -38,7 +38,7 @@ pub fn first_created_day(m: &MatchedUser) -> Option<Day> {
 ///
 /// The per-user loops of Figs. 14–16 are independent, so they fan out
 /// here. The worker count is read from the host, but it only sizes the
-/// pool: [`flock_crawler::worker_pool::run`] hands results back in input
+/// pool: [`flock_core::worker_pool::run`] hands results back in input
 /// order, so callers that fold them in that order produce the same bytes
 /// on any machine. The count is always at least 1, so the pool's
 /// `InvalidConfig` arm is unreachable; it maps to an empty result rather
@@ -53,7 +53,7 @@ where
         .map(|n| n.get())
         .unwrap_or(1)
         .clamp(1, 8);
-    flock_crawler::worker_pool::run(workers, items, |_, item| f(item)).unwrap_or_default()
+    flock_core::worker_pool::run(workers, items, |_, item| f(item)).unwrap_or_default()
 }
 
 /// Domain of the instance the user first joined.

@@ -476,14 +476,9 @@ impl ApiServer {
         self.acquire_inner(which, key)?;
         // Simulated network time, spent with no lock held: concurrent
         // requests overlap their latency exactly as real HTTP calls would.
-        // Inside a discrete-event scheduler task (a monitor check) the
-        // sleep is skipped — there, latency is a virtual-time concern and
-        // blocking the OS thread would stall every other logical task
-        // multiplexed onto it; overlapping all in-flight latencies to zero
-        // wall-clock is precisely the scheduler's reason to exist.
         let extra = self.chaos.extra_latency_micros(which.family(), self.now());
         let latency = self.config.request_latency_micros + extra;
-        if latency > 0 && !trace::in_scheduled_task() {
+        if latency > 0 {
             std::thread::sleep(std::time::Duration::from_micros(latency));
         }
         if extra > 0 {
@@ -964,10 +959,10 @@ impl ApiServer {
     /// [`Self::instance_checked`] evaluated at an explicit virtual time.
     /// The continuous monitor stamps every check with its *scheduled* tick
     /// and asks "was the instance up at that tick?" — a check that runs
-    /// late (because the scheduler was busy waiting out other instances)
-    /// must still observe the outage state of the tick it was scheduled
-    /// for, or the alive/dead verdicts would depend on the admission
-    /// window and thread count.
+    /// late (because other checks' rate-limit waits already moved the
+    /// shared clock) must still observe the outage state of the tick it
+    /// was scheduled for, or the alive/dead verdicts would depend on the
+    /// thread count.
     fn instance_checked_at(&self, domain: &str, as_of_secs: u64) -> Result<InstanceId> {
         let inst = self
             .world

@@ -5,10 +5,12 @@
 //! paper's study window, October 1 – November 30, 2022), the Mastodon handle
 //! grammar and extractor from §3.1 of the paper, a deterministic random
 //! number generator used to make the whole reproduction bit-reproducible,
-//! and the common error type.
+//! the common error type, and the [`worker_pool`] every parallel loop runs
+//! on.
 //!
 //! Nothing in this crate knows about the simulator, the APIs, or the
-//! analysis — it is the bottom of the dependency stack.
+//! analysis; only `flock-obs` (whose worker-slot trace context the pool
+//! sets) sits below it.
 //!
 //! ## Quick example
 //!
@@ -36,6 +38,7 @@ pub mod platform;
 pub mod rng;
 pub mod text;
 pub mod time;
+pub mod worker_pool;
 
 pub use collections::SortedVecMap;
 pub use error::{FlockError, Result};

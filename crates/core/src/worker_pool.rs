@@ -1,27 +1,31 @@
 //! A small fixed-size worker pool over crossbeam scoped threads.
 //!
-//! Every parallel crawl phase has the same shape: a read-only slice of work
-//! items, a per-item function that talks to the API server, and a need for
-//! the combined result to be **independent of scheduling** — the paper
-//! pipeline promises bit-identical datasets for a given seed no matter how
-//! many workers run. This helper centralises that shape:
+//! Every parallel loop in the workspace has the same shape: a read-only
+//! slice of work items, a per-item function, and a need for the combined
+//! result to be **independent of scheduling** — the pipeline promises
+//! bit-identical output for a given seed no matter how many workers run.
+//! This helper centralises that shape:
 //!
 //! * workers pull item *indexes* off a shared atomic counter (dynamic load
 //!   balancing, no per-item channel traffic);
 //! * results carry their input index and are merged back **in input
 //!   order**, so downstream code never observes completion order;
+//! * the calling thread is worker 0 and only `workers − 1` threads spawn,
+//!   so one loop serves every worker count and a one-worker run spawns
+//!   nothing;
 //! * a panic in any worker propagates to the caller (no half-merged data).
 //!
-//! This is the crawl's one execution model: the Twitter timeline, Mastodon
-//! timeline and followee phases each run their per-user body here, one
-//! user at a time per thread, with every request going through the
-//! crawler's blocking retry loop. Rate-limit waits move the shared virtual
-//! clock instead of sleeping; only `ApiConfig::request_latency_micros`
-//! (off by default, on in the throughput bench) really sleeps, and that
-//! sleep is what more workers overlap. The per-user loops of Figs. 14–16
-//! reuse the pool for plain CPU fan-out.
+//! This is the workspace's one execution model. The crawl's Twitter
+//! timeline, Mastodon timeline and followee phases run their per-user body
+//! here; each round of the continuous monitor runs its due checks here;
+//! the per-user loops of Figs. 14–16 reuse it for plain CPU fan-out.
+//! Requests block in the crawler's and the monitor's retry loops, and
+//! rate-limit waits move the shared virtual clock instead of sleeping;
+//! only `ApiConfig::request_latency_micros` (off by default, on in the
+//! throughput bench) really sleeps, and that sleep is what more workers
+//! overlap.
 
-use flock_core::{FlockError, Result};
+use crate::{FlockError, Result};
 use flock_obs::Gauge;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -31,10 +35,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// `workers == 0` is a typed configuration error — a zero used to be
 /// silently clamped to 1, which made `--workers 0` behave like
-/// `--workers 1` instead of failing loudly. With a single worker (or a
-/// single item) the pool degrades to a plain in-place loop — same code
-/// path the multi-worker case reduces to, so a one-worker crawl and an
-/// eight-worker crawl produce identical output by construction.
+/// `--workers 1` instead of failing loudly.
 pub fn run<T, R, F>(workers: usize, items: &[T], f: F) -> Result<Vec<R>>
 where
     T: Sync,
@@ -64,49 +65,32 @@ where
             "worker pool needs at least one worker (workers = 0)".to_string(),
         ));
     }
-    let report = |claimed: usize| {
-        if let Some(g) = depth {
-            g.set(items.len().saturating_sub(claimed) as u64);
-        }
-    };
     let workers = workers.min(items.len()).max(1);
-    if workers <= 1 {
-        // Serial runs are still "worker 0" to the trace layer, so spans
-        // carry a worker slot at every worker count.
-        let _trace = flock_obs::trace::worker_scope(0);
-        return Ok(items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                report(i);
-                f(i, item)
-            })
-            .collect());
-    }
     let next = AtomicUsize::new(0);
     let slots: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
-    crossbeam::scope(|scope| {
-        let next = &next;
-        let slots = &slots;
-        let f = &f;
-        let report = &report;
-        for slot in 0..workers {
-            scope.spawn(move |_| {
-                let _trace = flock_obs::trace::worker_scope(slot);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    report(i);
-                    let r = f(i, &items[i]);
-                    slots.lock().push((i, r));
-                }
-            });
+    let work = |slot: usize| {
+        let _trace = flock_obs::trace::worker_scope(slot);
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break;
+            }
+            if let Some(g) = depth {
+                g.set((items.len() - i) as u64);
+            }
+            let r = f(i, &items[i]);
+            slots.lock().push((i, r));
         }
+    };
+    crossbeam::scope(|scope| {
+        let work = &work;
+        for slot in 1..workers {
+            scope.spawn(move |_| work(slot));
+        }
+        work(0);
     })
-    // flock-lint: allow(panic) a panicked worker already poisoned the crawl; re-raise on the coordinator
-    .expect("crawl worker panicked");
+    // flock-lint: allow(panic) a panicked worker already poisoned the run; re-raise on the caller
+    .expect("pool worker panicked");
     let mut out = slots.into_inner();
     // Completion order is scheduling noise; input order is the contract.
     out.sort_by_key(|(i, _)| *i);
@@ -182,10 +166,29 @@ mod tests {
         let items: Vec<usize> = (0..64).collect();
         let slots = run(4, &items, |_, _| flock_obs::trace::current_worker()).unwrap();
         assert!(slots.iter().all(|s| matches!(s, Some(w) if *w < 4)));
-        // Serial path is worker 0, and the scope is restored afterwards.
+        // One worker is the calling thread as worker 0, and the scope is
+        // restored afterwards.
         let serial = run(1, &items, |_, _| flock_obs::trace::current_worker()).unwrap();
         assert!(serial.iter().all(|s| *s == Some(0)));
         assert_eq!(flock_obs::trace::current_worker(), None);
+    }
+
+    #[test]
+    fn the_calling_thread_is_worker_zero() {
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..64).collect();
+        for w in [1, 4] {
+            let seen = run(w, &items, |_, _| {
+                (
+                    flock_obs::trace::current_worker(),
+                    std::thread::current().id(),
+                )
+            })
+            .unwrap();
+            for (slot, thread) in seen {
+                assert_eq!(slot == Some(0), thread == caller, "workers={w}");
+            }
+        }
     }
 
     #[test]
@@ -195,7 +198,7 @@ mod tests {
         let out = run_gauged(4, &items, Some(&g), |_, &x| x).unwrap();
         assert_eq!(out, items);
         assert_eq!(g.high_watermark(), items.len() as u64);
-        // Serial path reports too.
+        // One worker reports too.
         let g2 = flock_obs::Registry::new().gauge("flock.test.depth2", flock_obs::Tier::Sched);
         run_gauged(1, &items, Some(&g2), |_, &x| x).unwrap();
         assert_eq!(g2.high_watermark(), items.len() as u64);

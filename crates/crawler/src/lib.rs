@@ -27,7 +27,6 @@ pub mod csv;
 pub mod dataset;
 pub mod persist;
 pub mod pipeline;
-pub mod worker_pool;
 
 pub mod prelude {
     pub use crate::checkpoint::Checkpoint;

@@ -27,11 +27,10 @@ use crate::dataset::{
     CollectedTweet, CrawlStats, Dataset, FolloweeRecord, MastodonCrawlOutcome, MatchSource,
     MatchedUser, QueryKind, TimelineStatus, TimelineTweet, TwitterCrawlOutcome,
 };
-use crate::worker_pool;
 use flock_apis::server::ApiServer;
 use flock_apis::types::TwitterUserObject;
-use flock_core::durable;
 use flock_core::handle::extract_handles;
+use flock_core::{durable, worker_pool};
 use flock_core::{Day, DetRng, FlockError, MastodonHandle, Result, TweetId, TwitterUserId};
 use flock_obs::trace::{self, FaultKind, SpanOutcome};
 use flock_obs::{Counter, Gauge, Histogram, Registry, Tier, WaitCause, SECONDS_BOUNDS};

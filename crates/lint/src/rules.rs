@@ -14,9 +14,8 @@
 //!   code; errors propagate through `flock_core::error`. (`assert_eq!` and
 //!   `debug_assert!` remain permitted.)
 //! * `thread-spawn` — no ad-hoc OS-thread creation (`thread::spawn`,
-//!   `thread::scope`, `crossbeam::scope`) outside `crates/sched` and the
-//!   crawler's `worker_pool.rs`; logical concurrency multiplexes through
-//!   `flock_sched::Executor`, OS parallelism through `worker_pool::run`.
+//!   `thread::scope`, `crossbeam::scope`) outside `flock_core`'s
+//!   `worker_pool.rs`; parallel work fans out through `worker_pool::run`.
 //! * `float-in-data-tier` — no `f32`/`f64` arithmetic in `crates/crawler`,
 //!   the code path that assembles the Data-tier dataset from concurrently
 //!   produced pieces; float accumulation is sensitive to evaluation order,
@@ -90,9 +89,8 @@ pub fn classify(rel_path: &str) -> FileClass {
             "fedisim" | "analysis" | "repro" | "crawler" | "chaos" | "monitor"
         ),
         lock_order: krate == "apis",
-        // The scheduler crate and the crawler's worker pool are the only
-        // sanctioned owners of OS threads.
-        thread_spawn: krate != "sched" && comps.last() != Some(&"worker_pool.rs"),
+        // The worker pool is the only sanctioned owner of OS threads.
+        thread_spawn: comps != ["crates", "core", "src", "worker_pool.rs"],
         // The crawler assembles the Data-tier dataset from concurrently
         // produced pieces; float accumulation there is order-sensitive.
         float: krate == "crawler",
@@ -247,9 +245,8 @@ impl Ctx<'_> {
                         tok.line,
                         RULE_THREAD_SPAWN,
                         format!(
-                            "OS-thread creation `{}::{}` outside the scheduler; \
-                             multiplex logical tasks on flock_sched::Executor or \
-                             fan out via crawler worker_pool::run",
+                            "OS-thread creation `{}::{}` outside the worker pool; \
+                             fan out via flock_core::worker_pool::run",
                             tok.text,
                             t[i + 3].text
                         ),

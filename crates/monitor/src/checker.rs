@@ -1,11 +1,11 @@
-//! Checker tasks: one `flock-sched` state machine per due domain.
+//! Checks: one blocking check per due domain, run on the worker pool.
 //!
-//! A checker is a yielding version of the crawler's blocking retry loop:
-//! the in-flight request keeps its span open across yields, every server
-//! attempt is recorded against it, and every second the executor moves
-//! the clock is billed — at event fire time — to the same
-//! `(span, phase, cause)` bucket an inline wait would have charged. What differs is the outcome policy, which must stay
-//! **Data-deterministic under scheduled-time semantics**:
+//! A check is the crawler's blocking retry loop pointed at the peers
+//! endpoint: the request keeps one span open across its attempts, every
+//! server attempt is recorded against it, and every second a wait moves
+//! the virtual clock is charged to the same `(span, phase, cause)` bucket
+//! `Crawler::request` would charge. What differs is the outcome policy,
+//! which must stay **Data-deterministic under scheduled-time semantics**:
 //!
 //! * `Ok(peers)` → [`CheckOutcome::Alive`] with the discovered peers.
 //! * Rate limits (token bucket or chaos Retry-After storm) → wait the
@@ -26,16 +26,9 @@
 
 use crate::{MonitorConfig, PHASE};
 use flock_apis::server::ApiServer;
-use flock_core::{FlockError, Result};
+use flock_core::{worker_pool, FlockError, Result};
 use flock_obs::trace::{self, FaultKind, SpanOutcome};
 use flock_obs::{Registry, WaitCause};
-use flock_sched::{Clock, Executor, Step, Task};
-
-/// What one yielded wait is charged to when its event fires.
-pub(crate) struct WaitBill {
-    span: u64,
-    cause: WaitCause,
-}
 
 /// Result of one completed check, folded into the roster by the
 /// orchestrator.
@@ -54,12 +47,12 @@ struct ReqState {
     span: u64,
     label: String,
     transient: u32,
-    last_outcome: SpanOutcome,
 }
 
-/// Either park until `until` (billing the wait at fire time) or finish.
+/// Either wait until `until` (charging the wait to `cause`) and retry, or
+/// finish.
 enum ReqPoll {
-    Wait { until: u64, bill: WaitBill },
+    Wait { until: u64, cause: WaitCause },
     Done(CheckOutcome),
 }
 
@@ -81,9 +74,6 @@ fn mon_begin(obs: &Registry, api: &ApiServer, domain: &str) -> ReqState {
         span,
         label,
         transient: 0,
-        // Overwritten by every attempt; only a task that is never polled
-        // to completion leaves the placeholder.
-        last_outcome: SpanOutcome::Fault(FaultKind::Other),
     }
 }
 
@@ -124,13 +114,13 @@ fn mon_attempt(
         before,
         before,
     );
-    st.last_outcome = outcome;
-    let finish = |st: &ReqState, out: CheckOutcome| {
-        obs.span_end(st.span, api.now(), st.last_outcome);
+    let span = st.span;
+    let finish = |out: CheckOutcome| {
+        obs.span_end(span, api.now(), outcome);
         ReqPoll::Done(out)
     };
     match r {
-        Ok(peers) => finish(st, CheckOutcome::Alive(peers)),
+        Ok(peers) => finish(CheckOutcome::Alive(peers)),
         Err(FlockError::RateLimited { retry_after_secs }) => {
             let cause = if outcome == (SpanOutcome::RateLimited { storm: true }) {
                 WaitCause::RetryAfterStorm
@@ -139,81 +129,53 @@ fn mon_attempt(
             };
             ReqPoll::Wait {
                 until: before.saturating_add(retry_after_secs),
-                bill: WaitBill {
-                    span: st.span,
-                    cause,
-                },
+                cause,
             }
         }
         Err(FlockError::InstanceOutage { .. }) | Err(FlockError::InstanceUnavailable(_)) => {
-            finish(st, CheckOutcome::Dead)
+            finish(CheckOutcome::Dead)
         }
         Err(e) if e.is_retryable() => {
             st.transient += 1;
             if st.transient > cfg.max_transient_retries {
-                return finish(st, CheckOutcome::Unreachable);
+                return finish(CheckOutcome::Unreachable);
             }
             ReqPoll::Wait {
                 until: before.saturating_add(cfg.transient_backoff_secs),
-                bill: WaitBill {
-                    span: st.span,
-                    cause: WaitCause::TransientBackoff,
-                },
+                cause: WaitCause::TransientBackoff,
             }
         }
-        Err(_) => finish(st, CheckOutcome::Unreachable),
+        Err(_) => finish(CheckOutcome::Unreachable),
     }
 }
 
-/// One due domain's checker: polls until the check classifies.
-struct CheckTask<'a> {
-    obs: &'a Registry,
-    api: &'a ApiServer,
-    cfg: &'a MonitorConfig,
-    domain: &'a str,
+/// One due domain's check as of its scheduled instant `as_of`: attempt,
+/// wait out a rate limit or transient backoff on the virtual clock, and
+/// retry until the check classifies. The wait is a `max` to the deadline,
+/// so only the seconds this call actually moved the clock are charged
+/// (another worker may already have paid part of it), which keeps the
+/// phase's wait identity exact at any thread count.
+fn check(
+    obs: &Registry,
+    api: &ApiServer,
+    cfg: &MonitorConfig,
+    domain: &str,
     as_of: u64,
-    req: Option<ReqState>,
-    out: Option<CheckOutcome>,
-}
-
-impl Task for CheckTask<'_> {
-    type Bill = WaitBill;
-
-    fn poll(&mut self, _now: u64) -> Step<WaitBill> {
-        if self.out.is_some() {
-            return Step::Done;
-        }
-        let st = match &mut self.req {
-            Some(st) => st,
-            None => self.req.insert(mon_begin(self.obs, self.api, self.domain)),
-        };
-        match mon_attempt(self.obs, self.api, self.cfg, st, self.domain, self.as_of) {
-            ReqPoll::Wait { until, bill } => Step::Wait { until, bill },
-            ReqPoll::Done(out) => {
-                self.out = Some(out);
-                Step::Done
+) -> CheckOutcome {
+    let mut st = mon_begin(obs, api, domain);
+    loop {
+        match mon_attempt(obs, api, cfg, &mut st, domain, as_of) {
+            ReqPoll::Wait { until, cause } => {
+                let applied = api.advance_clock_to(until);
+                obs.attribute_wait(st.span, PHASE, cause, applied);
             }
+            ReqPoll::Done(out) => return out,
         }
     }
 }
 
-/// The API server's virtual clock through the scheduler's eyes.
-struct MonClock<'a>(&'a ApiServer);
-
-impl Clock for MonClock<'_> {
-    fn now(&self) -> u64 {
-        self.0.now()
-    }
-
-    fn advance_to(&self, deadline_secs: u64) -> u64 {
-        self.0.advance_clock_to(deadline_secs)
-    }
-}
-
-/// Execute one round: every `due` domain checked as of `as_of`, results
-/// in `due` order. A task the executor failed to drive to completion
-/// (which cannot happen short of a scheduler bug) surfaces as
-/// [`CheckOutcome::Unreachable`] rather than a panic.
+/// Execute one round: every `due` domain checked as of `as_of` on
+/// `cfg.threads` pool workers, results in `due` order.
 pub(crate) fn run_round(
     api: &ApiServer,
     obs: &Registry,
@@ -221,24 +183,7 @@ pub(crate) fn run_round(
     due: &[String],
     as_of: u64,
 ) -> Result<Vec<CheckOutcome>> {
-    let tasks: Vec<CheckTask> = due
-        .iter()
-        .map(|domain| CheckTask {
-            obs,
-            api,
-            cfg,
-            domain,
-            as_of,
-            req: None,
-            out: None,
-        })
-        .collect();
-    let ex = Executor::new(cfg.threads, cfg.tasks)?;
-    let done = ex.run(&MonClock(api), tasks, |bill, applied| {
-        obs.attribute_wait(bill.span, PHASE, bill.cause, applied);
-    });
-    Ok(done
-        .into_iter()
-        .map(|t| t.out.unwrap_or(CheckOutcome::Unreachable))
-        .collect())
+    worker_pool::run(cfg.threads, due, |_, domain| {
+        check(obs, api, cfg, domain, as_of)
+    })
 }

@@ -6,29 +6,30 @@
 //! instance on a schedule, discover new ones through peer lists, and keep
 //! an always-fresh roster of which instances are alive. This crate
 //! reproduces that workload against the simulated fediverse: a trusted
-//! **orchestrator** keeps one [`NodeRecord`] per known domain and runs
-//! **checker** tasks — `flock-sched` state machines — whenever a record's
-//! re-check deadline comes due. A check hits the API layer's
-//! federation-peers endpoint; success refreshes the record and folds any
-//! newly discovered peers into the roster, failure classifies the node
-//! (dead vs unreachable) and backs off exponentially up to a cap. Over
-//! days-to-weeks of simulated uptime, under `flock-chaos` outage plans,
-//! the roster tracks liveness, death, and rebirth.
+//! **orchestrator** keeps one [`NodeRecord`] per known domain and runs a
+//! **check** whenever a record's re-check deadline comes due. A check hits
+//! the API layer's federation-peers endpoint; success refreshes the
+//! record and folds any newly discovered peers into the roster, failure
+//! classifies the node (dead vs unreachable) and backs off exponentially
+//! up to a cap. Over days-to-weeks of simulated uptime, under
+//! `flock-chaos` outage plans, the roster tracks liveness, death, and
+//! rebirth.
 //!
 //! Determinism is the point, and it rests on **scheduled-time
 //! semantics**: every check is stamped with the virtual instant it was
 //! *due* (`as_of`), outage windows are evaluated at that instant, and
 //! every field of a [`NodeRecord`] is derived from scheduled instants
 //! only. Actual clock positions — which depend on how rate-limit and
-//! backoff waits interleave under a given thread count and admission
-//! window — never enter the Data tier. CI compares the rendered
-//! [`nodes_list`] and the report's Data section byte-for-byte across
-//! `{threads} × {tasks}` matrices, exactly like the crawl pipeline.
+//! backoff waits interleave under a given thread count — never enter the
+//! Data tier. CI compares the rendered [`nodes_list`] and the report's
+//! Data section byte-for-byte across thread counts, exactly like the
+//! crawl pipeline.
 //!
 //! The run loop is **rounds-based**: find the earliest due instant,
 //! advance the clock there (charged to [`WaitCause::Idle`] on the
 //! orchestrator's span, so the per-phase wait identity Σ buckets + work =
-//! duration still holds), execute every due check as one executor batch,
+//! duration still holds), run every due check as a blocking loop on the
+//! worker pool (`flock_core::worker_pool`, the crawl's execution model),
 //! fold results in input order, repeat. Round boundaries are also the
 //! checkpoint grain: [`checkpoint::MonitorCheckpoint`] persists the
 //! roster atomically and durably, and a resumed run continues from the
@@ -65,10 +66,8 @@ pub struct MonitorConfig {
     /// Simulated horizon in days; the run ends when no record is due
     /// before `sim_days * 86_400` seconds of virtual time.
     pub sim_days: u64,
-    /// OS threads for the discrete-event executor.
+    /// Worker-pool threads each round's checks run on.
     pub threads: usize,
-    /// Admission window: maximum live checker tasks per round.
-    pub tasks: usize,
     /// Domains seeded into the roster at depth 0 (the flagship
     /// instances, in the default wiring).
     pub bootstrap: Vec<String>,
@@ -102,7 +101,6 @@ impl Default for MonitorConfig {
         MonitorConfig {
             sim_days: 30,
             threads: 1,
-            tasks: 64,
             bootstrap: Vec::new(),
             alive_recheck_secs: 21_600,
             backoff_base_secs: 3_600,
@@ -123,6 +121,11 @@ impl MonitorConfig {
         if self.sim_days == 0 {
             return Err(FlockError::InvalidConfig(
                 "monitor horizon must be at least one simulated day".to_string(),
+            ));
+        }
+        if self.threads == 0 {
+            return Err(FlockError::InvalidConfig(
+                "monitor needs at least one worker thread (threads = 0)".to_string(),
             ));
         }
         if self.bootstrap.is_empty() {
@@ -195,7 +198,7 @@ impl fmt::Display for NodeState {
 /// Everything the orchestrator knows about one domain. Every timestamp
 /// is a **scheduled** virtual instant (the `as_of` of the check that set
 /// it), never an actual clock position — that is what keeps the roster
-/// byte-identical across thread counts and admission windows.
+/// byte-identical across thread counts.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NodeRecord {
     /// The instance domain.
@@ -308,8 +311,8 @@ pub fn run(api: &ApiServer, obs: &Registry, cfg: &MonitorConfig) -> Result<Monit
         // phase's wait identity stays exact.
         let applied = api.advance_clock_to(due_time);
         obs.attribute_wait(orch, PHASE, WaitCause::Idle, applied);
-        // BTreeMap order makes the due set — and therefore executor
-        // admission order and the fold below — domain-sorted.
+        // BTreeMap order makes the due set — and therefore the pool's
+        // claim order and the fold below — domain-sorted.
         let due: Vec<String> = records
             .values()
             .filter(|r| r.next_check_secs == due_time)
@@ -474,7 +477,7 @@ fn publish_metrics(obs: &Registry, records: &BTreeMap<String, NodeRecord>) {
 /// Render the deterministic nodes-list artifact: a commented header
 /// (run identity only — nothing schedule-dependent) and one
 /// tab-separated line per domain in roster order. CI compares these
-/// bytes across `{threads} × {tasks}` matrix cells.
+/// bytes across thread counts.
 pub fn nodes_list(
     records: &BTreeMap<String, NodeRecord>,
     seed: u64,
@@ -538,6 +541,10 @@ mod tests {
         for bad in [
             MonitorConfig {
                 sim_days: 0,
+                ..ok.clone()
+            },
+            MonitorConfig {
+                threads: 0,
                 ..ok.clone()
             },
             MonitorConfig {

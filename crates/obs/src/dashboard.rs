@@ -8,7 +8,7 @@
 //! dashboard inherits the report's two-tier fence model, with literal
 //! HTML-comment fences ([`DASH_DATA_FENCE_BEGIN`]…) so CI can
 //! `sed`-extract the Data region and byte-compare it across worker
-//! counts (and, for monitor runs, admission windows):
+//! counts:
 //!
 //! * the **Data** region holds the history trend charts (pure functions
 //!   of the committed history file), the run report's Data section, and
@@ -881,7 +881,7 @@ pub struct DiffInput {
 
 /// Caller-supplied dashboard context. Everything here lands in the
 /// Data-tier fence and must therefore be worker-count invariant (keep
-/// worker counts and admission windows out of the title and note).
+/// worker counts out of the title and note).
 #[derive(Clone, Debug)]
 pub struct DashboardMeta {
     /// Dashboard heading.

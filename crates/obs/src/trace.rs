@@ -9,22 +9,14 @@
 //! surface for the sake of telemetry, so the context rides in
 //! thread-locals instead:
 //!
-//! * the **worker slot** — set by the crawler's worker pool around each
-//!   item, so spans can attribute work to a worker thread;
+//! * the **worker slot** — set by the worker pool on each of its threads,
+//!   so spans can attribute work to a worker thread;
 //! * the **current span id** — set by the crawler around each logical
 //!   request, available to any layer that wants to hang data off it;
 //! * the **last attempt** — written by the API server on every acquire
 //!   decision ([`record_attempt`]) and consumed by the crawler
 //!   ([`take_attempt`]) right after the call returns, carrying the
-//!   endpoint family plus the typed [`SpanOutcome`];
-//! * the **scheduled-task flag** — set by the discrete-event executor
-//!   around each task poll ([`task_scope`]), so layers below can tell a
-//!   monitor check running on the executor from a blocking crawl request
-//!   on the worker pool (the API server skips its real-time latency sleep
-//!   for scheduled tasks: simulated network time is an event on the
-//!   virtual clock there, not a thread nap). It lives here rather than in
-//!   `flock-sched` so the API layer can consult it without depending on
-//!   the executor.
+//!   endpoint family plus the typed [`SpanOutcome`].
 //!
 //! Everything here is plain `Cell` state: no wall clock, no ambient RNG,
 //! no locks. A thread that never sets the context reads `None` and all
@@ -98,7 +90,6 @@ thread_local! {
     static WORKER: Cell<Option<usize>> = const { Cell::new(None) };
     static CURRENT_SPAN: Cell<Option<u64>> = const { Cell::new(None) };
     static LAST_ATTEMPT: Cell<Option<Attempt>> = const { Cell::new(None) };
-    static SCHEDULED_TASK: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Scope guard restoring the previous worker slot on drop.
@@ -148,35 +139,6 @@ impl Drop for SpanGuard {
 /// The current span id, if inside a [`span_scope`].
 pub fn current_span() -> Option<u64> {
     CURRENT_SPAN.with(Cell::get)
-}
-
-/// Scope guard restoring the previous scheduled-task flag on drop.
-#[derive(Debug)]
-pub struct TaskGuard {
-    prev: bool,
-}
-
-/// Mark this thread as currently polling a scheduled logical task until
-/// the guard drops. The discrete-event executor wraps every task poll in
-/// this scope; the API server consults [`in_scheduled_task`] to turn
-/// simulated request latency into virtual-clock events instead of real
-/// `thread::sleep`s (thousands of scheduled tasks overlap their latency;
-/// nobody blocks).
-pub fn task_scope() -> TaskGuard {
-    TaskGuard {
-        prev: SCHEDULED_TASK.with(|t| t.replace(true)),
-    }
-}
-
-impl Drop for TaskGuard {
-    fn drop(&mut self) {
-        SCHEDULED_TASK.with(|t| t.set(self.prev));
-    }
-}
-
-/// `true` while the current thread is inside a [`task_scope`].
-pub fn in_scheduled_task() -> bool {
-    SCHEDULED_TASK.with(Cell::get)
 }
 
 /// Record the typed outcome of the attempt the current thread just made
@@ -232,21 +194,6 @@ mod tests {
             assert_eq!(current_span(), Some(2));
         }
         assert_eq!(current_span(), Some(1));
-    }
-
-    #[test]
-    fn task_scope_nests_and_restores() {
-        assert!(!in_scheduled_task());
-        {
-            let _a = task_scope();
-            assert!(in_scheduled_task());
-            {
-                let _b = task_scope();
-                assert!(in_scheduled_task());
-            }
-            assert!(in_scheduled_task());
-        }
-        assert!(!in_scheduled_task());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! ```text
 //! repro [--scale small|medium|paper|paper_scale] [--seed N] [--metrics PATH]
 //!       [--report PATH] [--chaos SCENARIO] [--workers N] <artifact>...
-//! repro --monitor [--tasks N] [--sim-days N] [--nodes PATH]
+//! repro --monitor [--sim-days N] [--nodes PATH]
 //!       [--checkpoint PATH] [--test] [--scale, --seed, --metrics,
 //!       --report, --dashboard, --chaos, --workers as above]
 //!
@@ -13,6 +13,10 @@
 //!            (determinism stamp: data-tier metrics snapshot + the
 //!            stats-zeroed dataset — byte-identical for a given seed,
 //!            scale and chaos scenario at any worker count)
+//!
+//! Every artifact is parsed before anything runs: an unknown artifact,
+//! a `csv`/`stamp`/`dump-dataset` spelled other than bare or `=PATH`, or
+//! an unknown `-`-flag is a usage error (exit 1, nothing generated).
 //!
 //! --metrics PATH writes the pipeline's telemetry (counters, histograms,
 //! phase spans) after the crawl; the format follows the extension: JSON
@@ -32,7 +36,7 @@
 //! attribution bars, the run report, and — with `--diff OTHER_REPORT` —
 //! a side-by-side Data-tier diff against another run's report file.
 //! The dashboard's Data-tier fence is byte-identical across worker
-//! counts (and, under --monitor, admission windows).
+//! counts.
 //!
 //! --chaos SCENARIO crawls through a canned deterministic fault plan
 //! seeded from the world seed: calm, rate-limit-storm, instance-massacre,
@@ -44,17 +48,15 @@
 //! byte-identical at any worker count.
 //!
 //! --monitor runs the continuous-monitoring workload instead of the crawl
-//! pipeline: an orchestrator plus per-instance checker tasks on the
-//! virtual clock, bootstrapped from the flagship instances and expanding
-//! via peers-list discovery over `--sim-days` of simulated uptime
-//! (`--workers` = executor threads, `--tasks` = admission window, the
-//! most checker tasks live per round, default 64). `--nodes PATH` writes
-//! the deterministic nodes-list artifact (byte-identical across thread
-//! counts and admission windows), `--checkpoint PATH` enables periodic
-//! checkpoint/resume, and `--test` prints throughput + peak-RSS lines
-//! for the bench trend gate. These five flags only apply with
-//! `--monitor`: a crawl run rejects them with the usage line rather
-//! than ignoring them.
+//! pipeline: an orchestrator plus per-instance checks on the virtual
+//! clock, bootstrapped from the flagship instances and expanding via
+//! peers-list discovery over `--sim-days` of simulated uptime; each
+//! round's due checks run on `--workers` pool threads. `--nodes PATH`
+//! writes the deterministic nodes-list artifact (byte-identical across
+//! thread counts), `--checkpoint PATH` enables periodic checkpoint/resume,
+//! and `--test` prints throughput + peak-RSS lines for the bench trend
+//! gate. These four flags only apply with `--monitor`: a crawl run
+//! rejects them with the usage line rather than ignoring them.
 //! ```
 
 use flock_chaos::Scenario;
@@ -71,14 +73,15 @@ fn usage() -> &'static str {
      [--report PATH (.html => HTML, else text)] \
      [--dashboard PATH [--diff OTHER_REPORT] [--history PATH]] \
      [--chaos calm|rate-limit-storm|instance-massacre|flaky-federation|rolling-outages] [--workers N] \
-     [--monitor [--tasks N] [--sim-days N] [--nodes PATH] [--checkpoint PATH] [--test]] \
-     <fig1..fig16|headline|all|experiments-md|stamp[=path]>..."
+     [--monitor [--sim-days N] [--nodes PATH] [--checkpoint PATH] [--test]] \
+     <fig1..fig16|headline|all|retention|topics|verify|experiments-md|\
+     csv[=dir]|stamp[=path]|dump-dataset[=path]>..."
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut config = WorldConfig::medium();
-    let mut artifacts: Vec<String> = Vec::new();
+    let mut artifacts: Vec<Artifact> = Vec::new();
     let mut metrics_path: Option<String> = None;
     let mut report_path: Option<String> = None;
     let mut dashboard_path: Option<String> = None;
@@ -93,7 +96,6 @@ fn main() -> ExitCode {
         checkpoint_path: None,
         test_lines: false,
         threads: 0,
-        tasks: 64,
     };
     // The last monitor-only flag seen, so a crawl run can reject it
     // instead of silently ignoring it.
@@ -154,15 +156,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 };
                 crawler_config.workers = v;
-            }
-            "--tasks" => {
-                monitor_flag = Some("--tasks");
-                i += 1;
-                let Some(v) = args.get(i).and_then(|v| v.parse::<usize>().ok()) else {
-                    eprintln!("--tasks needs an integer; {}", usage());
-                    return ExitCode::FAILURE;
-                };
-                mcli.tasks = v;
             }
             "--scale" => {
                 i += 1;
@@ -233,7 +226,17 @@ fn main() -> ExitCode {
                 println!("{}", usage());
                 return ExitCode::SUCCESS;
             }
-            other => artifacts.push(other.to_string()),
+            flag if flag.starts_with('-') => {
+                eprintln!("unknown flag {flag:?}; {}", usage());
+                return ExitCode::FAILURE;
+            }
+            other => match Artifact::parse(other) {
+                Ok(a) => artifacts.push(a),
+                Err(e) => {
+                    eprintln!("{e}; {}", usage());
+                    return ExitCode::FAILURE;
+                }
+            },
         }
         i += 1;
     }
@@ -339,8 +342,8 @@ fn main() -> ExitCode {
             eprintln!("[repro] wrote run report to {path}");
         }
         if let Some(dash) = &dashboard {
-            // Worker counts and task widths stay out of the title: it
-            // renders inside the dashboard's Data-tier fence.
+            // Worker counts stay out of the title: it renders inside the
+            // dashboard's Data-tier fence.
             let title = format!(
                 "flock run dashboard — crawl · seed {} · scenario {}",
                 config.seed,
@@ -358,15 +361,15 @@ fn main() -> ExitCode {
     // is computed once.
     let analysis = study.analysis();
     for a in &artifacts {
-        match a.as_str() {
-            "all" => {
+        match a {
+            Artifact::All => {
                 println!("{}", study.render_all_with(&analysis));
                 println!("{}", study.render_retention_with(&analysis));
                 println!("{}", study.render_topics_with(&analysis));
             }
-            "retention" => println!("{}", study.render_retention_with(&analysis)),
-            "topics" => println!("{}", study.render_topics_with(&analysis)),
-            "verify" => {
+            Artifact::Retention => println!("{}", study.render_retention_with(&analysis)),
+            Artifact::Topics => println!("{}", study.render_topics_with(&analysis)),
+            Artifact::Verify => {
                 let r = analysis.headline();
                 println!("{}", r.to_verify_table());
                 let (_, _, fails) = r.verdict_counts();
@@ -374,15 +377,11 @@ fn main() -> ExitCode {
                     eprintln!("[repro] {fails} metrics FAILED reproduction bands");
                 }
             }
-            "experiments-md" => {
+            Artifact::ExperimentsMd => {
                 println!("{}", study.experiments_markdown_with(&analysis, &config))
             }
-            other if other.starts_with("csv") => {
-                let dir = other
-                    .split_once('=')
-                    .map(|(_, p)| p.to_string())
-                    .unwrap_or_else(|| "figures-csv".to_string());
-                match study.export_csv_with(&analysis, std::path::Path::new(&dir)) {
+            Artifact::Csv(dir) => {
+                match study.export_csv_with(&analysis, std::path::Path::new(dir)) {
                     Ok(n) => eprintln!("[repro] wrote {n} CSV files to {dir}/"),
                     Err(e) => {
                         eprintln!("[repro] csv export failed: {e}");
@@ -390,11 +389,7 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            other if other.starts_with("stamp") => {
-                let path = other
-                    .split_once('=')
-                    .map(|(_, p)| p.to_string())
-                    .unwrap_or_else(|| "repro.stamp".to_string());
+            Artifact::Stamp(path) => {
                 // Data-tier snapshot + stats-zeroed dataset: everything in
                 // the stamp is a function of (seed, scale, chaos plan), so
                 // two runs differing only in worker count must produce
@@ -409,17 +404,13 @@ fn main() -> ExitCode {
                     }
                 };
                 let body = format!("{}\n{}\n", obs.snapshot(), dataset_json);
-                if let Err(e) = std::fs::write(&path, body) {
+                if let Err(e) = std::fs::write(path, body) {
                     eprintln!("[repro] stamp write failed ({path}): {e}");
                     return ExitCode::FAILURE;
                 }
                 eprintln!("[repro] wrote determinism stamp to {path}");
             }
-            other if other.starts_with("dump-dataset") => {
-                let path = other
-                    .split_once('=')
-                    .map(|(_, p)| p.to_string())
-                    .unwrap_or_else(|| "dataset.anon.json".to_string());
+            Artifact::DumpDataset(path) => {
                 let anon = match study.dataset.anonymized(config.seed) {
                     Ok(anon) => anon,
                     Err(e) => {
@@ -427,22 +418,58 @@ fn main() -> ExitCode {
                         return ExitCode::FAILURE;
                     }
                 };
-                if let Err(e) = anon.save(std::path::Path::new(&path)) {
+                if let Err(e) = anon.save(std::path::Path::new(path)) {
                     eprintln!("[repro] dump failed: {e}");
                     return ExitCode::FAILURE;
                 }
                 eprintln!("[repro] wrote anonymized dataset to {path}");
             }
-            other => match other.parse::<FigureId>() {
-                Ok(id) => println!("{}", study.render_with(&analysis, id)),
-                Err(e) => {
-                    eprintln!("{e}; {}", usage());
-                    return ExitCode::FAILURE;
-                }
-            },
+            Artifact::Figure(id) => println!("{}", study.render_with(&analysis, *id)),
         }
     }
     ExitCode::SUCCESS
+}
+
+/// One requested output of a crawl run, parsed from the command line
+/// before anything is generated.
+enum Artifact {
+    All,
+    Retention,
+    Topics,
+    Verify,
+    ExperimentsMd,
+    /// Per-figure CSV export into this directory.
+    Csv(String),
+    /// Determinism stamp written to this path.
+    Stamp(String),
+    /// Anonymized dataset release written to this path.
+    DumpDataset(String),
+    Figure(FigureId),
+}
+
+impl Artifact {
+    /// `csv`, `stamp` and `dump-dataset` take an optional `=PATH`; every
+    /// other artifact is a bare word.
+    fn parse(arg: &str) -> Result<Artifact, String> {
+        let (name, path) = match arg.split_once('=') {
+            Some((name, path)) if !path.is_empty() => (name, Some(path)),
+            Some(_) => return Err(format!("artifact {arg:?} needs a path after '='")),
+            None => (arg, None),
+        };
+        let or_default = |default: &str| path.unwrap_or(default).to_string();
+        match (name, path) {
+            ("csv", _) => Ok(Artifact::Csv(or_default("figures-csv"))),
+            ("stamp", _) => Ok(Artifact::Stamp(or_default("repro.stamp"))),
+            ("dump-dataset", _) => Ok(Artifact::DumpDataset(or_default("dataset.anon.json"))),
+            (_, Some(_)) => Err(format!("artifact {name:?} takes no path")),
+            ("all", None) => Ok(Artifact::All),
+            ("retention", None) => Ok(Artifact::Retention),
+            ("topics", None) => Ok(Artifact::Topics),
+            ("verify", None) => Ok(Artifact::Verify),
+            ("experiments-md", None) => Ok(Artifact::ExperimentsMd),
+            (other, None) => other.parse::<FigureId>().map(Artifact::Figure),
+        }
+    }
 }
 
 /// Dashboard CLI knobs (`--dashboard`, `--diff`, `--history`), already
@@ -524,7 +551,6 @@ struct MonitorCli {
     checkpoint_path: Option<String>,
     test_lines: bool,
     threads: usize,
-    tasks: usize,
 }
 
 /// Peak resident set size (`VmHWM` from `/proc/self/status`) in bytes;
@@ -586,7 +612,6 @@ fn run_monitor(
     let mcfg = MonitorConfig {
         sim_days: cli.sim_days,
         threads: cli.threads,
-        tasks: cli.tasks,
         bootstrap: world.flagship_domains(),
         checkpoint_path: cli.checkpoint_path.as_ref().map(std::path::PathBuf::from),
         ..MonitorConfig::default()
@@ -662,8 +687,8 @@ fn run_monitor(
         let count = |state: flock_monitor::NodeState| {
             out.records.values().filter(|r| r.state == state).count()
         };
-        // Facts are Data tier (scheduled-time-derived only); the executor
-        // shape goes into the Sched context below the fence.
+        // Facts are Data tier (scheduled-time-derived only); the thread
+        // count goes into the Sched context below the fence.
         let meta = flock_obs::report::ReportMeta {
             title: format!("flock monitor report — scenario {scenario_name}"),
             scenario: scenario_name.clone(),
@@ -704,10 +729,7 @@ fn run_monitor(
                 ),
             ],
             coverage: Vec::new(),
-            sched_context: vec![
-                ("threads".to_string(), cli.threads.to_string()),
-                ("tasks window".to_string(), cli.tasks.to_string()),
-            ],
+            sched_context: vec![("threads".to_string(), cli.threads.to_string())],
             top_k: 10,
         };
         let report = flock_obs::report::RunReport::build(&obs, &meta);
@@ -719,8 +741,8 @@ fn run_monitor(
             eprintln!("[repro] wrote run report to {path}");
         }
         if let Some(dash) = dashboard {
-            // Thread counts and the admission window stay out of the
-            // title: it renders inside the Data-tier fence.
+            // The thread count stays out of the title: it renders inside
+            // the Data-tier fence.
             let title = format!(
                 "flock run dashboard — monitor · seed {} · scenario {scenario_name}",
                 config.seed

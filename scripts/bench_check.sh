@@ -14,7 +14,8 @@
 #             are comparable; entries recorded before memory tracking
 #             simply drop out of the median.
 #   * monitor: a timeout-bounded long-horizon smoke (repro --monitor,
-#             30 simulated days under rolling-outages) must complete, and
+#             30 simulated days under rolling-outages, each round's checks
+#             on 8 worker-pool threads) must complete, and
 #             its checks/sec must stay >= 0.8 x the median recorded
 #             checks_per_sec, with peak RSS <= 1.2 x the median.
 #   * dashboard: repro --dashboard must render all four gated trend
@@ -138,7 +139,7 @@ fi
 # above, with its own bootstrap skip while the history fills.
 echo "==> repro --monitor --sim-days 30 --test (long-horizon smoke, timeout-bounded)"
 if ! timeout 900 cargo run -q --release -p flock-repro -- \
-  --monitor --scale small --seed 1234 --workers 8 --tasks 10000 \
+  --monitor --scale small --seed 1234 --workers 8 \
   --chaos rolling-outages --sim-days 30 --test >/dev/null 2>"$mlog"; then
   cat "$mlog" >&2
   echo "bench_check: MONITOR SMOKE FAILED: repro --monitor did not complete within 900s" >&2

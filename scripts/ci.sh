@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, clippy, flock-lint (the line rules plus the
 # call-graph tier-taint and interprocedural lock-order passes, in one run),
-# the scheduler's bounded race models, the tier-1 build + test suite, a smoke
+# the tier-1 build + test suite, a smoke
 # pass over every bench target (including the throughput bench, which in
 # --test mode does not append to the committed BENCH_history.jsonl), one
 # release run of every example (each must exit 0), the flockbench test suite (its workloads and output digests), the
 # determinism matrix (seeds x worker counts must stamp byte-identically),
 # the monitor determinism matrix (the continuous-monitoring workload must
 # render byte-identical nodes lists and report Data sections at any
-# threads x tasks point, through a chaos plan with instance rebirth),
+# thread count, through a chaos plan with instance rebirth),
 # a chaos-scenario smoke crawl, a run-dashboard smoke (self-contained
 # HTML whose fenced Data region is also byte-compared in the determinism
 # matrix, plus a --diff view that must flag chaos divergence), and an
@@ -18,7 +18,7 @@
 #
 # Every stage prints a named banner on entry and its wall-clock seconds on
 # exit, so a matrix failure in CI logs pins down both the stage and — via
-# the per-cell messages below — the exact seed/threads/tasks cell.
+# the per-cell messages below — the exact seed/workers cell.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 . scripts/lib.sh
@@ -48,9 +48,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 stage "cargo run -p flock-lint -- --workspace"
 cargo run -q -p flock-lint -- --workspace
-
-stage "sched race models (cargo test -p flock-sched --test race_models)"
-cargo test -q -p flock-sched --test race_models
 
 stage "cargo build --release"
 cargo build --release
@@ -119,7 +116,7 @@ for seed in 1 1234 9999; do
   echo "    seed $seed: workers=1 == workers=8 (stamp + report data tier + dashboard data region)"
 done
 
-stage "monitor determinism matrix (seeds x threads x tasks, 30 days under rolling outages)"
+stage "monitor determinism matrix (seeds x threads, 30 days under rolling outages)"
 # rolling-outages lifts both outage waves inside the horizon, so the
 # matrix exercises liveness, death AND rebirth detection; the nodes list
 # and the report's Data section must be byte-identical at every cell.

@@ -9,8 +9,7 @@
 //! * [`fedisim`] — the two-platform world simulator and migration models;
 //! * [`apis`] — the simulated Twitter v2 / Mastodon REST endpoints;
 //! * [`chaos`] — deterministic fault plans & canned chaos scenarios;
-//! * [`sched`] — the deterministic discrete-event executor on virtual time;
-//! * [`monitor`] — the continuous instance-monitoring workload (orchestrator + checkers);
+//! * [`monitor`] — the continuous instance-monitoring workload (orchestrator + checks);
 //! * [`crawler`] — the paper's data-collection pipeline (§3);
 //! * [`analysis`] — RQ1 / RQ2 / RQ3 analyses (§4–6);
 //! * [`repro`] — the per-figure regeneration harness;
@@ -38,7 +37,6 @@ pub use flock_fedisim as fedisim;
 pub use flock_monitor as monitor;
 pub use flock_obs as obs;
 pub use flock_repro as repro;
-pub use flock_sched as sched;
 pub use flock_textsim as textsim;
 
 /// One-stop imports for examples and quick experiments.
