@@ -18,7 +18,7 @@
 //! Out-of-order inserts still work (`O(n)` memmove worst case); they are
 //! the rare path by design.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::borrow::Borrow;
 use std::fmt;
 
@@ -236,72 +236,24 @@ impl<'a, K, V> Iterator for Iter<'a, K, V> {
 }
 
 /// Serializes like the `BTreeMap` it replaced: a JSON map in key order,
-/// keys rendered the way the serde shim renders map keys (strings stay
-/// themselves, integers stringify). Fields whose keys have no string form
-/// keep using the crawler's `as_pairs` pair-list adapter instead.
+/// keys written by the serde shim's map-key rules (strings stay
+/// themselves, integers stringify, anything else is an error). Fields
+/// whose keys have no string form use the crawler's `as_pairs` pair-list
+/// codec instead.
 impl<K: Serialize, V: Serialize> Serialize for SortedVecMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Map(
-            self.entries
-                .iter()
-                .map(|(k, v)| (map_key_string(k.to_value()), v.to_value()))
-                .collect(),
-        )
-    }
-}
-
-/// Render a map key as a JSON object key, mirroring the shim's `BTreeMap`
-/// behaviour (and `serde_json`'s): strings stay, scalars stringify.
-/// Composite keys have no string form — the caller should serialize those
-/// maps as pair lists instead, so surface the mistake loudly.
-fn map_key_string(key: Value) -> String {
-    match key {
-        Value::Str(s) => s,
-        Value::Bool(b) => b.to_string(),
-        Value::I64(n) => n.to_string(),
-        Value::U64(n) => n.to_string(),
-        Value::F64(n) => n.to_string(),
-        // Misuse of the serializer is a programming error that must fail
-        // tests, exactly like the BTreeMap shim impl.
-        // flock-lint: allow(panic) composite map keys are a caller bug
-        other => panic!("map key does not serialize to a string: {other:?}"),
+    fn serialize(&self, s: &mut Serializer) -> Result<(), serde::Error> {
+        s.collect_map(self)
     }
 }
 
 impl<'de, K: Deserialize<'de> + Ord, V: Deserialize<'de>> Deserialize<'de> for SortedVecMap<K, V> {
-    fn from_value(value: &Value) -> std::result::Result<Self, serde::Error> {
-        match value {
-            Value::Map(pairs) => {
-                let mut m = SortedVecMap::with_capacity(pairs.len());
-                for (k, v) in pairs {
-                    let key = map_key_from_string::<K>(k)?;
-                    m.insert(key, V::from_value(v)?);
-                }
-                Ok(m)
-            }
-            _ => Err(serde::Error(format!(
-                "expected map, found {}",
-                value.kind()
-            ))),
-        }
+    fn deserialize(d: &mut Deserializer<'de>) -> Result<Self, serde::Error> {
+        let mut m = SortedVecMap::new();
+        d.read_map(|k, v| {
+            m.insert(k, v);
+        })?;
+        Ok(m)
     }
-}
-
-/// Recover a typed key from a JSON object key: try it as a string first,
-/// then as a stringified number (the shim's map-key convention).
-fn map_key_from_string<'de, K: Deserialize<'de>>(
-    key: &str,
-) -> std::result::Result<K, serde::Error> {
-    if let Ok(k) = K::from_value(&Value::Str(key.to_string())) {
-        return Ok(k);
-    }
-    if let Ok(n) = key.parse::<u64>() {
-        return K::from_value(&Value::U64(n));
-    }
-    if let Ok(n) = key.parse::<i64>() {
-        return K::from_value(&Value::I64(n));
-    }
-    Err(serde::Error(format!("cannot deserialize map key `{key}`")))
 }
 
 #[cfg(test)]
@@ -367,6 +319,30 @@ mod tests {
         // And it reads what a BTreeMap would have written.
         let legacy: SortedVecMap<String, u32> = serde_json::from_str(r#"{"b":2,"a":1}"#).unwrap();
         assert_eq!(legacy, m);
+    }
+
+    #[test]
+    fn integer_keys_stringify_and_read_back() {
+        let mut m: SortedVecMap<i64, u8> = SortedVecMap::new();
+        m.insert(7, 1);
+        m.insert(-3, 2);
+        let json = serde_json::to_string(&m).unwrap();
+        assert_eq!(json, r#"{"-3":2,"7":1}"#);
+        let back: SortedVecMap<i64, u8> = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, m);
+        assert!(serde_json::from_str::<SortedVecMap<i64, u8>>(r#"{"x":1}"#).is_err());
+    }
+
+    #[test]
+    fn composite_map_keys_are_an_error_not_a_panic() {
+        let mut m: SortedVecMap<(u32, u32), String> = SortedVecMap::new();
+        m.insert((1, 2), "x".into());
+        for written in [serde_json::to_string(&m), serde_json::to_string_pretty(&m)] {
+            let err = written.unwrap_err();
+            assert!(err.to_string().contains("map key"), "{err}");
+        }
+        let read = serde_json::from_str::<SortedVecMap<(u32, u32), String>>(r#"{"1":"x"}"#);
+        assert!(read.unwrap_err().to_string().contains("map key"));
     }
 
     #[test]

@@ -23,17 +23,26 @@ pub fn save<T: JsonCheckpoint>(path: &Path, value: &T) -> Result<()> {
 
 /// Load the checkpoint [`save`] wrote at `path`; `None` when none exists
 /// yet (the first run of a resumable job). An unreadable or corrupt file
-/// is an error.
+/// is an error, classified as [`read_json_text`] and a failed parse are.
 pub fn load_if_exists<T: JsonCheckpoint>(path: &Path) -> Result<Option<T>> {
     if !path.exists() {
         return Ok(None);
     }
-    let json = std::fs::read_to_string(path).map_err(|e| {
-        FlockError::InvalidConfig(format!("read {} {}: {e}", T::NAME, path.display()))
-    })?;
+    let json = read_json_text(path, T::NAME)?;
     serde_json::from_str(&json)
         .map(Some)
-        .map_err(|e| FlockError::InvalidConfig(format!("deserialize {}: {e}", T::NAME)))
+        .map_err(|e| FlockError::MalformedRecord(format!("deserialize {}: {e}", T::NAME)))
+}
+
+/// The text of the persisted JSON artifact `what` at `path`. A file that
+/// cannot be read is an [`FlockError::InvalidConfig`]; bytes that are not
+/// UTF-8 are a [`FlockError::MalformedRecord`], as JSON that fails to
+/// parse is.
+pub fn read_json_text(path: &Path, what: &str) -> Result<String> {
+    let bytes = std::fs::read(path)
+        .map_err(|e| FlockError::InvalidConfig(format!("read {what} {}: {e}", path.display())))?;
+    String::from_utf8(bytes)
+        .map_err(|e| FlockError::MalformedRecord(format!("deserialize {what}: {e}")))
 }
 
 /// Replace `path` with `bytes` atomically **and durably**: write a temp

@@ -39,7 +39,7 @@ impl JsonCheckpoint for Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flock_core::durable;
+    use flock_core::{durable, FlockError};
 
     fn scratch(name: &str) -> std::path::PathBuf {
         let dir =
@@ -74,10 +74,15 @@ mod tests {
     #[test]
     fn corrupt_checkpoint_is_rejected() {
         let path = scratch("corrupt");
-        for bad in ["", "{", "null", "{\"completed\": 3}"] {
+        // The last is not UTF-8: corrupt, not unreadable.
+        let bad_bytes: [&[u8]; 5] = [b"", b"{", b"null", b"{\"completed\": 3}", b"\xff{"];
+        for bad in bad_bytes {
             std::fs::write(&path, bad).unwrap();
             match durable::load_if_exists::<Checkpoint>(&path) {
-                Err(e) => assert!(e.to_string().contains("deserialize checkpoint"), "{e}"),
+                Err(e @ FlockError::MalformedRecord(_)) => {
+                    assert!(e.to_string().contains("deserialize checkpoint"), "{e}")
+                }
+                Err(e) => panic!("{bad:?}: expected MalformedRecord, got {e:?}"),
                 Ok(_) => panic!("{bad:?} parsed"),
             }
         }

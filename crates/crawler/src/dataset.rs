@@ -270,25 +270,20 @@ impl Dataset {
 /// encoding: a `SortedVecMap` iterates in ascending key order too.
 pub(crate) mod as_pairs {
     use flock_core::SortedVecMap;
-    use serde::de::DeserializeOwned;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
+    use serde::{Deserialize, Deserializer, Error, Serialize, Serializer};
 
-    pub fn serialize<K, V, S>(map: &SortedVecMap<K, V>, s: S) -> Result<S::Ok, S::Error>
+    pub fn serialize<K, V>(map: &SortedVecMap<K, V>, s: &mut Serializer) -> Result<(), Error>
     where
-        K: Serialize + Ord,
+        K: Serialize,
         V: Serialize,
-        S: Serializer,
     {
-        // A SortedVecMap already iterates in key order, so output is stable.
-        let pairs: Vec<(&K, &V)> = map.iter().collect();
-        pairs.serialize(s)
+        s.collect_seq(map)
     }
 
-    pub fn deserialize<'de, K, V, D>(d: D) -> Result<SortedVecMap<K, V>, D::Error>
+    pub fn deserialize<'de, K, V>(d: &mut Deserializer<'de>) -> Result<SortedVecMap<K, V>, Error>
     where
-        K: DeserializeOwned + Ord,
-        V: DeserializeOwned,
-        D: Deserializer<'de>,
+        K: Deserialize<'de> + Ord,
+        V: Deserialize<'de>,
     {
         let pairs: Vec<(K, V)> = Vec::deserialize(d)?;
         Ok(pairs.into_iter().collect())

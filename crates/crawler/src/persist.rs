@@ -8,10 +8,10 @@
 //! are retained: they are the unit of the RQ1/RQ2 analyses), with handle
 //! occurrences inside post text rewritten to match.
 
-use crate::dataset::{Dataset, MatchedUser};
+use crate::dataset::{CrawlStats, Dataset, MatchedUser};
 use flock_core::handle::extract_handles;
 use flock_core::rng::fnv1a_salted;
-use flock_core::{FlockError, MastodonHandle, Result};
+use flock_core::{durable, FlockError, MastodonHandle, Result};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -22,10 +22,11 @@ impl Dataset {
             .map_err(|e| FlockError::InvalidConfig(format!("serialize: {e}")))
     }
 
-    /// Deserialize from JSON.
+    /// Deserialize from JSON. Input that fails strict parsing is a
+    /// [`FlockError::MalformedRecord`], as a corrupt CSV is.
     pub fn from_json(json: &str) -> Result<Dataset> {
         serde_json::from_str(json)
-            .map_err(|e| FlockError::InvalidConfig(format!("deserialize: {e}")))
+            .map_err(|e| FlockError::MalformedRecord(format!("deserialize dataset: {e}")))
     }
 
     /// Write JSON to a file.
@@ -36,15 +37,16 @@ impl Dataset {
 
     /// Read a dataset back from a file.
     pub fn load(path: &Path) -> Result<Dataset> {
-        let json = std::fs::read_to_string(path)
-            .map_err(|e| FlockError::InvalidConfig(format!("read {}: {e}", path.display())))?;
-        Dataset::from_json(&json)
+        Dataset::from_json(&durable::read_json_text(path, "dataset")?)
     }
 
     /// The anonymized release variant: every username becomes a stable
     /// pseudonym derived from `salt`, both in the records and inside post
     /// text. Instance domains, dates, counts, sources and non-handle text
-    /// are retained — they carry the scientific content.
+    /// are retained — they carry the scientific content. The crawl's own
+    /// accounting ([`CrawlStats`]) is not: it depends on thread timing, so
+    /// the release carries zeroed stats and is the same at every worker
+    /// count.
     pub fn anonymized(&self, salt: u64) -> Result<Dataset> {
         let mut names = Pseudonyms::new(salt);
         // Collect every username we must rewrite: matched users' Twitter
@@ -159,7 +161,7 @@ impl Dataset {
             instance_info: self.instance_info.clone(),
             // Skip reasons name queries and domains, never usernames.
             coverage: self.coverage.clone(),
-            stats: self.stats,
+            stats: CrawlStats::default(),
         })
     }
 }
@@ -252,9 +254,36 @@ mod tests {
     #[test]
     fn corrupt_json_is_rejected_cleanly() {
         for bad in ["", "{", "null", "[1,2,3]", "{\"matched\": 7}"] {
-            assert!(Dataset::from_json(bad).is_err(), "{bad:?} parsed");
+            match Dataset::from_json(bad) {
+                Err(FlockError::MalformedRecord(msg)) => {
+                    assert!(msg.contains("deserialize dataset"), "{msg}")
+                }
+                other => panic!("{bad:?}: expected MalformedRecord, got {other:?}"),
+            }
         }
-        assert!(Dataset::load(std::path::Path::new("/no/such/file.json")).is_err());
+        assert!(matches!(
+            Dataset::load(std::path::Path::new("/no/such/file.json")),
+            Err(FlockError::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
+    fn the_release_carries_no_crawl_accounting() {
+        let mut ds = sample();
+        ds.stats = CrawlStats {
+            requests: 2470,
+            rate_limited: 341,
+            transient_failures: 546,
+            virtual_secs: 17_520,
+        };
+        let anon = ds.anonymized(1234).unwrap();
+        assert_eq!(anon.stats.requests, 0);
+        // The release equals that of the same crawl with zeroed stats.
+        ds.stats = CrawlStats::default();
+        assert_eq!(
+            anon.to_json().unwrap(),
+            ds.anonymized(1234).unwrap().to_json().unwrap()
+        );
     }
 
     #[test]

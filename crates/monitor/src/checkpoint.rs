@@ -36,7 +36,7 @@ impl JsonCheckpoint for MonitorCheckpoint {
 mod tests {
     use super::*;
     use crate::NodeState;
-    use flock_core::durable;
+    use flock_core::{durable, FlockError};
 
     fn scratch(name: &str) -> std::path::PathBuf {
         let dir =
@@ -80,10 +80,11 @@ mod tests {
         for bad in ["", "{", "null", "{\"round\": \"x\"}"] {
             std::fs::write(&path, bad).unwrap();
             match durable::load_if_exists::<MonitorCheckpoint>(&path) {
-                Err(e) => assert!(
+                Err(e @ FlockError::MalformedRecord(_)) => assert!(
                     e.to_string().contains("deserialize monitor checkpoint"),
                     "{e}"
                 ),
+                Err(e) => panic!("{bad:?}: expected MalformedRecord, got {e:?}"),
                 Ok(_) => panic!("{bad:?} parsed"),
             }
         }

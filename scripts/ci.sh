@@ -5,7 +5,8 @@
 # pass over every bench target (including the throughput bench, which in
 # --test mode does not append to the committed BENCH_history.jsonl), one
 # release run of every example (each must exit 0), the flockbench test suite (its workloads and output digests), the
-# determinism matrix (seeds x worker counts must stamp byte-identically),
+# determinism matrix (seeds x worker counts must stamp and publish the
+# anonymized release byte-identically),
 # the monitor determinism matrix (the continuous-monitoring workload must
 # render byte-identical nodes lists and report Data sections at any
 # thread count, through a chaos plan with instance rebirth),
@@ -84,17 +85,22 @@ cargo run -q --release -p flock-repro -- \
 test -s "$metrics_out"
 grep -q '"flock.apis.search.granted"' "$metrics_out"
 
-stage "determinism matrix (seeds x workers must stamp byte-identically)"
+stage "determinism matrix (seeds x workers must stamp and release byte-identically)"
 for seed in 1 1234 9999; do
   for w in 1 8; do
     cargo run -q --release -p flock-repro -- \
       --scale small --seed "$seed" --workers "$w" \
       --report "$scratch/s$seed-w$w.report.txt" \
       --dashboard "$scratch/s$seed-w$w.dash.html" \
-      "stamp=$scratch/s$seed-w$w.stamp" headline >/dev/null 2>&1
+      "stamp=$scratch/s$seed-w$w.stamp" \
+      "dump-dataset=$scratch/s$seed-w$w.release.json" headline >/dev/null 2>&1
   done
   if ! cmp -s "$scratch/s$seed-w1.stamp" "$scratch/s$seed-w8.stamp"; then
     echo "DETERMINISM FAILURE: seed $seed stamps differ between workers=1 and workers=8" >&2
+    exit 1
+  fi
+  if ! cmp -s "$scratch/s$seed-w1.release.json" "$scratch/s$seed-w8.release.json"; then
+    echo "DETERMINISM FAILURE: seed $seed anonymized releases differ between workers=1 and workers=8" >&2
     exit 1
   fi
   # The run report's fenced Data-tier section is part of the determinism
@@ -113,7 +119,7 @@ for seed in 1 1234 9999; do
     echo "DETERMINISM FAILURE: seed $seed dashboard Data regions differ between workers=1 and workers=8" >&2
     exit 1
   fi
-  echo "    seed $seed: workers=1 == workers=8 (stamp + report data tier + dashboard data region)"
+  echo "    seed $seed: workers=1 == workers=8 (stamp + release + report data tier + dashboard data region)"
 done
 
 stage "monitor determinism matrix (seeds x threads, 30 days under rolling outages)"

@@ -172,14 +172,15 @@ fn different_seeds_differ() {
 /// across runs: `fnv1a` of the stats-zeroed dataset JSON, of the Data-tier
 /// metrics snapshot (together, the bytes of a `repro stamp`), of every
 /// rendered figure, of the `export_csv` files (name and bytes, in name
-/// order) and of the retention and topical-alignment extensions, for the
-/// seed-1234 `small()` study under a calm and a rate-limit-storm chaos
-/// plan. A refactor must leave all twelve values alone; a change that
-/// moves one on purpose updates it and says why.
+/// order), of the retention and topical-alignment extensions and of the
+/// pretty anonymized release (salt 1234), for the seed-1234 `small()` study
+/// under a calm and a rate-limit-storm chaos plan. A refactor must leave
+/// all fourteen values alone; a change that moves one on purpose updates
+/// it and says why.
 #[test]
 fn small_study_matches_its_golden_digests() {
     let config = WorldConfig::small().with_seed(1234);
-    let golden: [(Scenario, [u64; 6]); 2] = [
+    let golden: [(Scenario, [u64; 7]); 2] = [
         (
             Scenario::Calm,
             [
@@ -189,6 +190,7 @@ fn small_study_matches_its_golden_digests() {
                 0xee53_fc38_d066_fa04,
                 0x97c7_d09f_9895_91d7,
                 0x627d_a349_2b90_0c74,
+                0x4752_a5a3_561d_4da2,
             ],
         ),
         (
@@ -200,6 +202,7 @@ fn small_study_matches_its_golden_digests() {
                 0xee53_fc38_d066_fa04,
                 0x97c7_d09f_9895_91d7,
                 0x627d_a349_2b90_0c74,
+                0x4752_a5a3_561d_4da2,
             ],
         ),
     ];
@@ -223,7 +226,7 @@ fn small_study_matches_its_golden_digests() {
         std::fs::remove_dir_all(&dir).ok();
         fnv1a(&all)
     };
-    let digests = |scenario: Scenario| -> [u64; 6] {
+    let digests = |scenario: Scenario| -> [u64; 7] {
         let obs = Registry::new();
         let api_config = ApiConfig {
             chaos: scenario.plan(config.seed),
@@ -234,6 +237,14 @@ fn small_study_matches_its_golden_digests() {
                 .unwrap();
         let mut ds = study.dataset.clone();
         ds.stats = CrawlStats::default();
+        // The pretty anonymized release (`repro dump-dataset`) must read
+        // back to exactly its own bytes.
+        let release = ds.anonymized(1234).unwrap().to_json().unwrap();
+        assert_eq!(
+            Dataset::from_json(&release).unwrap().to_json().unwrap(),
+            release,
+            "{scenario}: the release does not re-serialize to its own bytes"
+        );
         [
             fnv1a(&serde_json::to_string(&ds).unwrap()),
             fnv1a(&obs.snapshot()),
@@ -241,12 +252,13 @@ fn small_study_matches_its_golden_digests() {
             csv_digest(&study, scenario),
             fnv1a(&study.render_retention()),
             fnv1a(&study.render_topics()),
+            fnv1a(&release),
         ]
     };
     let got = golden.map(|(scenario, _)| (scenario, digests(scenario)));
     assert_eq!(
         got, golden,
-        "[dataset, snapshot, figures, csv, retention, topics] digests moved; now {got:#x?}"
+        "[dataset, snapshot, figures, csv, retention, topics, release] digests moved; now {got:#x?}"
     );
 }
 

@@ -142,6 +142,14 @@ fn interrupted_monitor_resumes_to_identical_nodes_list() {
         let out = monitor::run(&api, &obs, &cfg).unwrap();
         assert!(!out.completed);
         assert!(ckpt.exists(), "interrupted run left no checkpoint");
+        // The checkpoint's bytes are pinned across commits, like the
+        // dataset goldens in tests/determinism.rs.
+        let saved = std::fs::read_to_string(&ckpt).unwrap();
+        assert_eq!(
+            fnv1a(&saved),
+            0x1d6a_9a10_489b_4bf0,
+            "the five-round checkpoint's bytes moved"
+        );
     }
 
     // Second process: fresh server and registry, resume to the horizon.
