@@ -7,7 +7,8 @@
 //! (`flock-crawler`) exercises *real* client logic:
 //!
 //! * a parsed-and-evaluated **search query language** ([`query`]) with the
-//!   operators the paper's collection used;
+//!   operators the paper's collection used, served from a compact inverted
+//!   index ([`index`]);
 //! * **token-bucket rate limits** on a virtual clock ([`ratelimit`]) —
 //!   including the brutal 15-requests-per-15-minutes follows limit that
 //!   forced the paper's 10% sample;
@@ -16,6 +17,7 @@
 //!   protected accounts, moved accounts answering `moved_to`, and optional
 //!   transient errors ([`server`]).
 
+pub mod index;
 pub mod pagination;
 pub mod query;
 pub mod ratelimit;
@@ -23,8 +25,9 @@ pub mod server;
 pub mod types;
 
 pub mod prelude {
+    pub use crate::index::Vocab;
     pub use crate::pagination::Page;
-    pub use crate::query::{Query, TweetDoc};
+    pub use crate::query::{Doc, Query};
     pub use crate::ratelimit::{RatePolicy, TokenBucket};
     pub use crate::server::{ApiConfig, ApiServer};
     pub use crate::types::{

@@ -12,18 +12,24 @@
 //! * `url:domain` / `url:"domain"` — matches tweets containing a link whose
 //!   URL contains the value;
 //! * `from:user` — author filter;
-//! * implicit AND, explicit `OR`, `-` negation, and parentheses.
+//! * implicit AND, explicit `OR`, `-` negation, and parentheses, nested at
+//!   most 128 deep.
 
+use crate::index::Vocab;
 use flock_core::{FlockError, Result};
 use flock_textsim::tokenize;
-use std::collections::HashSet;
+
+/// Deepest nesting of `(` and `-` a query may use. The parser recurses
+/// once per level, so deeper input is an error rather than a stack
+/// overflow; the JSON reader has the same limit.
+const MAX_DEPTH: usize = 128;
 
 /// A parsed query.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Query {
-    Word(String),
+    Word(Term),
     Phrase(String),
-    Hashtag(String),
+    Hashtag(Term),
     Url(String),
     From(String),
     Not(Box<Query>),
@@ -31,35 +37,28 @@ pub enum Query {
     Or(Vec<Query>),
 }
 
-/// A tweet prepared for matching.
-#[derive(Debug, Clone)]
-pub struct TweetDoc {
-    /// Lowercased full text.
-    pub text_lower: String,
-    /// Token set (hashtags kept with `#`, URLs kept whole).
-    pub tokens: HashSet<String>,
-    /// URL tokens only.
-    pub urls: Vec<String>,
-    /// Author's username (lowercase).
-    pub author: String,
+/// A word or hashtag operand: its lowercase token and, once
+/// [`Query::bind`] has run, the token's id in the bound vocabulary.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Term {
+    /// The token, lowercase; a hashtag keeps its `#`.
+    pub token: String,
+    /// `None` until bound, and when the vocabulary lacks the token.
+    id: Option<u32>,
 }
 
-impl TweetDoc {
-    /// Prepare a tweet for matching.
-    pub fn new(text: &str, author: &str) -> Self {
-        let tokens: HashSet<String> = tokenize(text).into_iter().collect();
-        let urls = tokens
-            .iter()
-            .filter(|t| t.starts_with("http://") || t.starts_with("https://"))
-            .cloned()
-            .collect();
-        TweetDoc {
-            text_lower: text.to_ascii_lowercase(),
-            tokens,
-            urls,
-            author: author.to_ascii_lowercase(),
-        }
-    }
+/// One tweet as [`Query::matches`] reads it: the text and author name as
+/// stored, plus the tweet's token ids in `vocab`.
+#[derive(Debug, Clone, Copy)]
+pub struct Doc<'a> {
+    /// The text as posted; phrases match it ASCII case-insensitively.
+    pub text: &'a str,
+    /// The author's username; `from:` matches it ASCII case-insensitively.
+    pub author: &'a str,
+    /// The text's distinct token ids in `vocab`, ascending.
+    pub tokens: &'a [u32],
+    /// The vocabulary `tokens` index; `url:` reads the links through it.
+    pub vocab: &'a Vocab,
 }
 
 /// Posting-list statistics the query planner consults when choosing which
@@ -81,10 +80,15 @@ impl TermStats for UniformStats {
 }
 
 impl Query {
-    /// Parse a query string.
+    /// Parse a query string. Its terms are unbound: call [`Self::bind`]
+    /// before matching.
     pub fn parse(input: &str) -> Result<Query> {
         let tokens = lex(input)?;
-        let mut p = Parser { tokens, pos: 0 };
+        let mut p = Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        };
         let q = p.parse_or()?;
         if p.pos != p.tokens.len() {
             return Err(FlockError::InvalidQuery(format!(
@@ -95,14 +99,30 @@ impl Query {
         Ok(q)
     }
 
-    /// Evaluate against a prepared tweet.
-    pub fn matches(&self, doc: &TweetDoc) -> bool {
+    /// Resolve every word and hashtag term to its id in `vocab`, once per
+    /// query, so that matching a document costs a binary search per term.
+    /// Only documents whose ids come from `vocab` may be matched after.
+    pub fn bind(&mut self, vocab: &Vocab) {
         match self {
-            Query::Word(w) => doc.tokens.contains(w),
-            Query::Phrase(p) => doc.text_lower.contains(p),
-            Query::Hashtag(h) => doc.tokens.contains(h),
-            Query::Url(u) => doc.urls.iter().any(|link| link.contains(u)),
-            Query::From(a) => doc.author == *a,
+            Query::Word(t) | Query::Hashtag(t) => t.id = vocab.id(&t.token),
+            Query::Not(q) => q.bind(vocab),
+            Query::And(qs) | Query::Or(qs) => qs.iter_mut().for_each(|q| q.bind(vocab)),
+            Query::Phrase(_) | Query::Url(_) | Query::From(_) => {}
+        }
+    }
+
+    /// Evaluate against one document. A term left unbound matches nothing.
+    pub fn matches(&self, doc: &Doc<'_>) -> bool {
+        match self {
+            Query::Word(t) | Query::Hashtag(t) => {
+                t.id.is_some_and(|id| doc.tokens.binary_search(&id).is_ok())
+            }
+            Query::Phrase(p) => contains_lowercased(doc.text, p),
+            Query::Url(u) => doc.tokens.iter().any(|&id| {
+                let token = doc.vocab.token(id);
+                is_url(token) && token.contains(u.as_str())
+            }),
+            Query::From(a) => eq_lowercased(doc.author.as_bytes(), a.as_bytes()),
             Query::Not(q) => !q.matches(doc),
             Query::And(qs) => qs.iter().all(|q| q.matches(doc)),
             Query::Or(qs) => qs.iter().any(|q| q.matches(doc)),
@@ -119,8 +139,7 @@ impl Query {
     /// the candidate set orders of magnitude larger than necessary).
     pub fn required_tokens(&self, stats: &dyn TermStats) -> Vec<String> {
         match self {
-            Query::Word(w) => vec![w.clone()],
-            Query::Hashtag(h) => vec![h.clone()],
+            Query::Word(t) | Query::Hashtag(t) => vec![t.token.clone()],
             Query::Phrase(p) => {
                 // Any single token of the phrase is required; demand the
                 // rarest one (ties go to the earliest token).
@@ -137,6 +156,25 @@ impl Query {
             _ => Vec::new(),
         }
     }
+}
+
+/// Whether `token` is a link (the tokenizer keeps URLs whole).
+fn is_url(token: &str) -> bool {
+    token.starts_with("http://") || token.starts_with("https://")
+}
+
+/// `hay.to_ascii_lowercase().contains(lower)`, without the copy.
+fn contains_lowercased(hay: &str, lower: &str) -> bool {
+    let (hay, lower) = (hay.as_bytes(), lower.as_bytes());
+    lower.is_empty() || hay.windows(lower.len()).any(|w| eq_lowercased(w, lower))
+}
+
+/// `a.to_ascii_lowercase() == lower`, without the copy.
+fn eq_lowercased(a: &[u8], lower: &[u8]) -> bool {
+    a.len() == lower.len()
+        && a.iter()
+            .zip(lower)
+            .all(|(x, y)| x.to_ascii_lowercase() == *y)
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -267,6 +305,8 @@ fn lex(input: &str) -> Result<Vec<Tok>> {
 struct Parser {
     tokens: Vec<Tok>,
     pos: usize,
+    /// `(` and `-` levels open around the current term.
+    depth: usize,
 }
 
 impl Parser {
@@ -311,9 +351,9 @@ impl Parser {
             .ok_or_else(|| FlockError::InvalidQuery("unexpected end".to_string()))?;
         self.pos += 1;
         match t {
-            Tok::Word(w) => Ok(Query::Word(w)),
+            Tok::Word(token) => Ok(Query::Word(Term { token, id: None })),
             Tok::Phrase(p) => Ok(Query::Phrase(p)),
-            Tok::Hashtag(h) => Ok(Query::Hashtag(h)),
+            Tok::Hashtag(token) => Ok(Query::Hashtag(Term { token, id: None })),
             Tok::Op(name, value) => match name.as_str() {
                 "url" => Ok(Query::Url(value)),
                 "from" => Ok(Query::From(value)),
@@ -321,18 +361,31 @@ impl Parser {
                     "unsupported operator {other}:"
                 ))),
             },
-            Tok::Not => Ok(Query::Not(Box::new(self.parse_term()?))),
-            Tok::LParen => {
-                let inner = self.parse_or()?;
-                if self.peek() != Some(&Tok::RParen) {
+            Tok::Not => self.nested(|p| Ok(Query::Not(Box::new(p.parse_term()?)))),
+            Tok::LParen => self.nested(|p| {
+                let inner = p.parse_or()?;
+                if p.peek() != Some(&Tok::RParen) {
                     return Err(FlockError::InvalidQuery("missing )".to_string()));
                 }
-                self.pos += 1;
+                p.pos += 1;
                 Ok(inner)
-            }
+            }),
             Tok::RParen => Err(FlockError::InvalidQuery("unexpected )".to_string())),
             Tok::Or => Err(FlockError::InvalidQuery("dangling OR".to_string())),
         }
+    }
+
+    /// Run `f` one nesting level deeper, refusing to pass [`MAX_DEPTH`].
+    fn nested(&mut self, f: impl FnOnce(&mut Self) -> Result<Query>) -> Result<Query> {
+        if self.depth == MAX_DEPTH {
+            return Err(FlockError::InvalidQuery(format!(
+                "nested deeper than {MAX_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let q = f(self)?;
+        self.depth -= 1;
+        Ok(q)
     }
 
     fn peek(&self) -> Option<&Tok> {
@@ -344,70 +397,86 @@ impl Parser {
 mod tests {
     use super::*;
 
-    fn doc(text: &str) -> TweetDoc {
-        TweetDoc::new(text, "someone")
+    /// Whether `query` matches a tweet by `author` that has a vocabulary
+    /// of its own.
+    fn hit_by(query: &Query, text: &str, author: &str) -> bool {
+        let mut vocab = Vocab::default();
+        let mut tokens = Vec::new();
+        vocab.intern_text(text, &mut tokens);
+        let mut query = query.clone();
+        query.bind(&vocab);
+        query.matches(&Doc {
+            text,
+            author,
+            tokens: &tokens,
+            vocab: &vocab,
+        })
+    }
+
+    fn hit(query: &Query, text: &str) -> bool {
+        hit_by(query, text, "someone")
     }
 
     #[test]
     fn word_match_is_token_level() {
         let q = Query::parse("mastodon").unwrap();
-        assert!(q.matches(&doc("joining Mastodon today")));
-        assert!(q.matches(&doc("MASTODON!")));
+        assert!(hit(&q, "joining Mastodon today"));
+        assert!(hit(&q, "MASTODON!"));
         // "mastodons" is a different token — word queries are not substring
         // queries (matches Twitter's behaviour).
-        assert!(!q.matches(&doc("mastodons are prehistoric")));
+        assert!(!hit(&q, "mastodons are prehistoric"));
     }
 
     #[test]
     fn phrase_match() {
         let q = Query::parse("\"bye bye twitter\"").unwrap();
-        assert!(q.matches(&doc("ok bye bye Twitter, it was fun")));
-        assert!(!q.matches(&doc("bye twitter bye")));
+        assert!(hit(&q, "ok bye bye Twitter, it was fun"));
+        assert!(!hit(&q, "bye twitter bye"));
     }
 
     #[test]
     fn hashtag_match() {
         let q = Query::parse("#TwitterMigration").unwrap();
-        assert!(q.matches(&doc("here we go #twittermigration")));
-        assert!(!q.matches(&doc("twittermigration without the tag")));
+        assert!(hit(&q, "here we go #twittermigration"));
+        assert!(!hit(&q, "twittermigration without the tag"));
     }
 
     #[test]
     fn url_operator() {
         let q = Query::parse("url:mastodon.social").unwrap();
-        assert!(q.matches(&doc("i'm at https://mastodon.social/@alice now")));
-        assert!(!q.matches(&doc("mastodon.social is an instance"))); // not a link
+        assert!(hit(&q, "i'm at https://mastodon.social/@alice now"));
+        assert!(!hit(&q, "mastodon.social is an instance")); // not a link
         let quoted = Query::parse("url:\"hachyderm.io\"").unwrap();
-        assert!(quoted.matches(&doc("see https://hachyderm.io/@bob")));
+        assert!(hit(&quoted, "see https://hachyderm.io/@bob"));
     }
 
     #[test]
     fn from_operator() {
         let q = Query::parse("from:someone mastodon").unwrap();
-        assert!(q.matches(&TweetDoc::new("mastodon time", "someone")));
-        assert!(!q.matches(&TweetDoc::new("mastodon time", "other")));
+        assert!(hit_by(&q, "mastodon time", "someone"));
+        assert!(!hit_by(&q, "mastodon time", "other"));
     }
 
     #[test]
     fn implicit_and() {
         let q = Query::parse("good bye twitter").unwrap();
-        assert!(q.matches(&doc("good bye cruel twitter")));
-        assert!(!q.matches(&doc("good bye cruel world")));
+        assert!(hit(&q, "good bye cruel twitter"));
+        assert!(!hit(&q, "good bye cruel world"));
     }
 
     #[test]
     fn or_and_parens() {
         let q = Query::parse("(mastodon OR koo) migration").unwrap();
-        assert!(q.matches(&doc("koo migration begins")));
-        assert!(q.matches(&doc("mastodon migration begins")));
-        assert!(!q.matches(&doc("hive migration begins")));
+        assert!(hit(&q, "koo migration begins"));
+        assert!(hit(&q, "mastodon migration begins"));
+        assert!(!hit(&q, "hive migration begins"));
     }
 
     #[test]
     fn negation() {
         let q = Query::parse("mastodon -#ad").unwrap();
-        assert!(q.matches(&doc("mastodon rocks")));
-        assert!(!q.matches(&doc("mastodon rocks #ad")));
+        assert!(hit(&q, "mastodon rocks"));
+        assert!(!hit(&q, "mastodon rocks #ad"));
     }
 
     #[test]
@@ -419,8 +488,63 @@ mod tests {
             assert!(Query::parse(&q).is_err());
             let mixed = format!("mastodon{ws}migration");
             let parsed = Query::parse(&mixed).unwrap();
-            assert!(parsed.matches(&doc("mastodon and migration talk")));
+            assert!(hit(&parsed, "mastodon and migration talk"));
         }
+    }
+
+    #[test]
+    fn phrases_and_authors_match_ascii_case_insensitively() {
+        let q = Query::parse("\"Bye BYE\" from:SomeOne").unwrap();
+        assert!(hit_by(&q, "ok bYe bye twitter", "someONE"));
+        assert!(!hit_by(&q, "ok bye twitter", "someone"));
+        assert!(!hit_by(&q, "ok bye bye twitter", "someone2"));
+        // Only ASCII folds: `ß` and `É` must match as written.
+        let q = Query::parse("\"STRAßE\"").unwrap();
+        assert!(hit(&q, "die strasse, die Straße"));
+        assert!(!hit(&q, "die STRASSE"));
+        assert!(!hit(&Query::parse("\"é\"").unwrap(), "CAFÉ"));
+        // The empty phrase is in every text, the empty one included.
+        let empty = Query::parse("\"\"").unwrap();
+        assert!(hit(&empty, ""));
+        assert!(hit(&empty, "anything"));
+    }
+
+    #[test]
+    fn unbound_terms_match_nothing() {
+        let q = Query::parse("mastodon").unwrap();
+        let vocab = Vocab::default();
+        let doc = Doc {
+            text: "mastodon",
+            author: "someone",
+            tokens: &[],
+            vocab: &vocab,
+        };
+        assert!(!q.matches(&doc));
+        assert!(Query::parse("-mastodon").unwrap().matches(&doc));
+    }
+
+    #[test]
+    fn nesting_deeper_than_max_depth_is_an_error_not_a_stack_overflow() {
+        fn parens(n: usize) -> String {
+            format!("{}mastodon{}", "(".repeat(n), ")".repeat(n))
+        }
+        fn negations(n: usize) -> String {
+            format!("{}mastodon", "-".repeat(n))
+        }
+        for nest in [parens, negations] {
+            let deepest = Query::parse(&nest(MAX_DEPTH)).unwrap();
+            assert!(hit(&deepest, "on mastodon"), "{MAX_DEPTH} levels");
+            for n in [MAX_DEPTH + 1, 1_000_000] {
+                assert!(
+                    matches!(Query::parse(&nest(n)), Err(FlockError::InvalidQuery(_))),
+                    "{n} levels parsed"
+                );
+            }
+        }
+        // Both kinds count toward one limit.
+        let mixed = |n: usize| format!("{}mastodon{}", "-(".repeat(n), ")".repeat(n));
+        assert!(Query::parse(&mixed(MAX_DEPTH / 2)).is_ok());
+        assert!(Query::parse(&mixed(MAX_DEPTH / 2 + 1)).is_err());
     }
 
     #[test]

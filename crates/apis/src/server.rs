@@ -20,8 +20,9 @@
 //! and are expected to call [`ApiServer::advance_clock`] (their "sleep")
 //! before retrying.
 
+use crate::index::SearchIndex;
 use crate::pagination::{decode, Page};
-use crate::query::{Query, TermStats, TweetDoc};
+use crate::query::Query;
 use crate::ratelimit::{RatePolicy, TokenBucket};
 use crate::types::{
     ActivityRow, MastodonAccountObject, StatusObject, TweetObject, TwitterUserObject,
@@ -231,84 +232,6 @@ struct MastodonShard {
     chaos_spent: HashMap<String, u32>,
 }
 
-/// The search index: per-token posting lists plus every tweet prepared for
-/// matching **once** at build time. Before the document cache, every query
-/// re-tokenized each candidate tweet (`TweetDoc::new` per candidate per
-/// query); the §3.1 collection runs thousands of queries over the same
-/// corpus, so the re-tokenization dominated search cost.
-struct SearchIndex {
-    /// token → tweet indexes, strictly ascending.
-    postings: HashMap<String, Vec<u32>>,
-    /// `docs[i]` is tweet `i` prepared for [`Query::matches`].
-    docs: Vec<TweetDoc>,
-}
-
-impl SearchIndex {
-    fn build(world: &World) -> SearchIndex {
-        let docs: Vec<TweetDoc> = world
-            .tweets
-            .iter()
-            .map(|t| TweetDoc::new(t.text, &world.users[t.author.index()].username))
-            .collect();
-        let mut postings: HashMap<String, Vec<u32>> = HashMap::new();
-        for (i, doc) in docs.iter().enumerate() {
-            for tok in &doc.tokens {
-                // URL tokens additionally index their host (and its parent
-                // domains) under reserved keys, so `url:domain` queries
-                // avoid a corpus scan.
-                if let Some(host) = url_host(tok) {
-                    for suffix in host_suffixes(host) {
-                        postings
-                            .entry(format!("{URL_KEY_PREFIX}{suffix}"))
-                            .or_default()
-                            .push(i as u32);
-                    }
-                }
-                postings.entry(tok.clone()).or_default().push(i as u32);
-            }
-        }
-        // The outer loop runs in ascending `i`, so every list is sorted;
-        // duplicates (two URLs in one tweet sharing a host) are adjacent.
-        for list in postings.values_mut() {
-            list.dedup();
-        }
-        SearchIndex { postings, docs }
-    }
-
-    fn posting(&self, token: &str) -> &[u32] {
-        self.postings
-            .get(token)
-            .map(Vec::as_slice)
-            .unwrap_or(EMPTY_POSTING)
-    }
-
-    /// Tweet indexes present in **every** posting list of `required`
-    /// (`None` = no token to demand, caller must scan). Lists are
-    /// intersected smallest-first with a galloping merge, so one rare term
-    /// keeps the whole intersection near its size.
-    fn candidates(&self, required: &[String]) -> Option<Vec<u32>> {
-        if required.is_empty() {
-            return None;
-        }
-        let mut lists: Vec<&[u32]> = required.iter().map(|t| self.posting(t)).collect();
-        lists.sort_by_key(|l| l.len());
-        let mut acc = lists[0].to_vec();
-        for list in &lists[1..] {
-            if acc.is_empty() {
-                break;
-            }
-            acc = gallop_intersect(&acc, list);
-        }
-        Some(acc)
-    }
-}
-
-impl TermStats for SearchIndex {
-    fn doc_frequency(&self, token: &str) -> usize {
-        self.posting(token).len()
-    }
-}
-
 /// The API façade over a generated world.
 ///
 /// All mutable state is sharded so concurrent crawler workers only contend
@@ -332,7 +255,7 @@ pub struct ApiServer {
     chaos: ResolvedPlan,
     /// Materialized search results keyed by scope (`query:start:end`).
     /// Pagination re-enters `twitter_search` once per page with the same
-    /// scope; without this cache every page re-ran `eval_query`, making a
+    /// scope; without this cache every page re-ran the search, making a
     /// crawl of an H-hit query `O(H²/page_size)` — hours, not minutes, at
     /// paper scale. A result is a pure function of the scope and the
     /// immutable world + index, so caching cannot perturb determinism;
@@ -360,7 +283,7 @@ impl ApiServer {
     pub fn with_obs(world: Arc<World>, config: ApiConfig, obs: Registry) -> Result<Self> {
         config.validate()?;
         let chaos = config.chaos.resolve(&world.outage_candidates())?;
-        let index = SearchIndex::build(&world);
+        let index = SearchIndex::build(world.tweets.iter().map(|t| t.text))?;
         let metrics = ApiMetrics::new(&obs);
         let mut rng = DetRng::new(world.config.seed ^ 0xA91);
         let search = FamilyState::new(config.search_policy, &mut rng, "search");
@@ -671,7 +594,7 @@ impl ApiServer {
     ) -> Result<Page<TweetObject>> {
         let scope = format!("search:{query_str}:{}:{}", start.offset(), end.offset());
         self.acquire(Endpoint::Search, &request_key(&scope, cursor))?;
-        let query = Query::parse(query_str)?;
+        let query = self.index.query(query_str)?;
         let offset = decode(&scope, cursor)?;
 
         // Candidate set: smallest posting list among required tokens, or a
@@ -685,7 +608,7 @@ impl ApiServer {
         })
     }
 
-    /// [`Self::eval_query`] through the per-scope result cache.
+    /// The index's answer for `query`, through the per-scope result cache.
     fn cached_matches(&self, scope: &str, query: &Query, start: Day, end: Day) -> Arc<Vec<u32>> {
         {
             let cache = self.search_results.lock();
@@ -695,7 +618,7 @@ impl ApiServer {
         }
         // Evaluate outside the lock: a slow first page must not block
         // unrelated queries from other workers.
-        let matches = Arc::new(self.eval_query(query, start, end));
+        let matches = Arc::new(self.index.search(&self.world, query, start, end));
         self.search_results
             .lock()
             .entry(scope.to_string())
@@ -703,52 +626,8 @@ impl ApiServer {
             .clone()
     }
 
-    fn eval_query(&self, query: &Query, start: Day, end: Day) -> Vec<u32> {
-        let mut required = query.required_tokens(&self.index);
-        // A bare `url:host` query (or one AND-ed into a conjunction) can be
-        // served from the host index; the final `Query::matches` check below
-        // still verifies every candidate.
-        let push_url = |host: &str, req: &mut Vec<String>| {
-            // Domain-shaped values are served domain-exactly from the host
-            // index; anything else falls back to scanning.
-            if host.contains('.') {
-                req.push(format!("{URL_KEY_PREFIX}{host}"));
-            }
-        };
-        if let Query::Url(host) = query {
-            push_url(host, &mut required);
-        }
-        if let Query::And(parts) = query {
-            for p in parts {
-                if let Query::Url(host) = p {
-                    push_url(host, &mut required);
-                }
-            }
-        }
-        // Intersect *all* required posting lists (the old code only scanned
-        // the smallest one, so every other conjunct was re-verified against
-        // candidates the index could already have excluded).
-        let candidates: Vec<u32> = self
-            .index
-            .candidates(&required)
-            .unwrap_or_else(|| (0..self.world.tweets.len() as u32).collect());
-        candidates
-            .into_iter()
-            .filter(|&i| {
-                let day = self.world.tweets.day(i as usize);
-                day >= start && day <= end && query.matches(&self.index.docs[i as usize])
-            })
-            .collect()
-    }
-
-    /// Documents containing `token` (planner statistics; diagnostics and
-    /// benches).
-    pub fn term_doc_frequency(&self, token: &str) -> usize {
-        self.index.doc_frequency(token)
-    }
-
     /// Diagnostic search: the ids of every tweet in `[start, end]` matching
-    /// `query_str`, served from the index and the cached documents.
+    /// `query_str`, served from the index.
     /// Unpaginated and **not** rate limited — benchmarks and ground-truth
     /// comparisons only; the crawler goes through [`Self::twitter_search`].
     pub fn search_ids_indexed(
@@ -757,33 +636,26 @@ impl ApiServer {
         start: Day,
         end: Day,
     ) -> Result<Vec<TweetId>> {
-        let query = Query::parse(query_str)?;
+        let query = self.index.query(query_str)?;
         Ok(self
-            .eval_query(&query, start, end)
+            .index
+            .search(&self.world, &query, start, end)
             .into_iter()
             .map(|i| TweetId(i as u64))
             .collect())
     }
 
     /// Diagnostic twin of [`Self::search_ids_indexed`] that answers the way
-    /// the server did before document caching: scan the whole corpus and
+    /// the server did before the index: scan the whole corpus and
     /// re-tokenize every tweet. Exists so benches can measure what the
-    /// cached documents and the posting-list intersection buy.
+    /// posting-list intersection and the token arena buy.
     pub fn search_ids_scan(&self, query_str: &str, start: Day, end: Day) -> Result<Vec<TweetId>> {
-        let query = Query::parse(query_str)?;
+        let query = self.index.query(query_str)?;
         Ok(self
-            .world
-            .tweets
-            .iter()
-            .filter(|t| {
-                t.day >= start
-                    && t.day <= end
-                    && query.matches(&TweetDoc::new(
-                        t.text,
-                        &self.world.users[t.author.index()].username,
-                    ))
-            })
-            .map(|t| t.id)
+            .index
+            .scan(&self.world, &query, start, end)
+            .into_iter()
+            .map(|i| TweetId(i as u64))
             .collect())
     }
 
@@ -1259,72 +1131,6 @@ fn request_key(scope: &str, cursor: Option<&str>) -> String {
     format!("{scope}#{}", cursor.unwrap_or(""))
 }
 
-/// Reserved index-key prefix for URL hosts (`\0` cannot occur in a token).
-const URL_KEY_PREFIX: &str = "\0url:";
-const EMPTY_POSTING: &[u32] = &[];
-
-/// First index `i >= lo` with `b[i] >= x`: gallop out of `lo`, then binary
-/// search the bracketed range. `O(log d)` in the distance `d` advanced.
-fn lower_bound_from(b: &[u32], lo: usize, x: u32) -> usize {
-    if lo >= b.len() || b[lo] >= x {
-        return lo;
-    }
-    let mut below = lo; // invariant: b[below] < x
-    let mut step = 1usize;
-    loop {
-        let probe = below.saturating_add(step);
-        if probe >= b.len() || b[probe] >= x {
-            let (mut l, mut r) = (below + 1, probe.min(b.len()));
-            while l < r {
-                let m = l + (r - l) / 2;
-                if b[m] < x {
-                    l = m + 1;
-                } else {
-                    r = m;
-                }
-            }
-            return l;
-        }
-        below = probe;
-        step <<= 1;
-    }
-}
-
-/// Intersect two strictly ascending lists; `a` should be the shorter one.
-/// Each element of `a` gallops forward in `b`, so the cost is
-/// `O(|a| log(|b|/|a|))` rather than `O(|a| + |b|)` when `b` dwarfs `a`.
-fn gallop_intersect(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let mut j = 0usize;
-    for &x in a {
-        j = lower_bound_from(b, j, x);
-        if j == b.len() {
-            break;
-        }
-        if b[j] == x {
-            out.push(x);
-            j += 1;
-        }
-    }
-    out
-}
-
-/// Extract the host of a URL token, if it is one.
-fn url_host(token: &str) -> Option<&str> {
-    let rest = token
-        .strip_prefix("https://")
-        .or_else(|| token.strip_prefix("http://"))?;
-    let host = rest.split('/').next().unwrap_or(rest);
-    (!host.is_empty()).then_some(host)
-}
-
-/// The host and every dot-suffix of it (`a.b.c` → `a.b.c`, `b.c`), matching
-/// Twitter's domain/subdomain semantics for the `url:` operator.
-fn host_suffixes(host: &str) -> impl Iterator<Item = &str> {
-    std::iter::successors(Some(host), |h| h.split_once('.').map(|(_, rest)| rest))
-        .filter(|h| h.contains('.'))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1674,113 +1480,10 @@ mod tests {
 }
 
 #[cfg(test)]
-mod intersection_tests {
-    use super::*;
-
-    #[test]
-    fn gallop_intersect_agrees_with_naive() {
-        let cases: &[(&[u32], &[u32])] = &[
-            (&[], &[1, 2, 3]),
-            (&[1, 2, 3], &[]),
-            (&[1, 3, 5, 7], &[2, 3, 4, 7, 9]),
-            (&[0, 100, 200], &[0, 1, 2, 3, 100, 150, 199, 200, 201]),
-            (&[5], &[1, 2, 3, 4, 5]),
-            (&[1, 2, 3], &[1, 2, 3]),
-            (&[10, 20], &[1, 2, 3]),
-        ];
-        for (a, b) in cases {
-            let naive: Vec<u32> = a.iter().copied().filter(|x| b.contains(x)).collect();
-            assert_eq!(gallop_intersect(a, b), naive, "a={a:?} b={b:?}");
-        }
-    }
-
-    #[test]
-    fn gallop_intersect_handles_large_skews() {
-        let a: Vec<u32> = (0..10_000).map(|i| i * 7).collect();
-        let b: Vec<u32> = (0..1_000).map(|i| i * 91).collect();
-        let naive: Vec<u32> = b
-            .iter()
-            .copied()
-            .filter(|x| a.binary_search(x).is_ok())
-            .collect();
-        assert_eq!(gallop_intersect(&b, &a), naive);
-    }
-
-    #[test]
-    fn lower_bound_from_is_a_lower_bound() {
-        let b = [2u32, 4, 4, 8, 16, 32];
-        for lo in 0..=b.len() {
-            for x in 0..40u32 {
-                let got = lower_bound_from(&b, lo, x);
-                let want = (lo..b.len()).find(|&i| b[i] >= x).unwrap_or(b.len());
-                assert_eq!(got, want, "lo={lo} x={x}");
-            }
-        }
-    }
-
-    #[test]
-    fn candidates_intersects_all_required_lists() {
-        let postings: HashMap<String, Vec<u32>> = [
-            ("common".to_string(), (0..100).collect::<Vec<u32>>()),
-            ("rare".to_string(), vec![3, 50, 99]),
-            ("other".to_string(), vec![2, 3, 99]),
-        ]
-        .into_iter()
-        .collect();
-        let index = SearchIndex {
-            postings,
-            docs: Vec::new(),
-        };
-        assert_eq!(index.candidates(&[]), None);
-        let got = index
-            .candidates(&["common".into(), "rare".into(), "other".into()])
-            .unwrap();
-        assert_eq!(got, vec![3, 99]);
-        // An absent token annihilates the conjunction.
-        let got = index
-            .candidates(&["common".into(), "missing".into()])
-            .unwrap();
-        assert!(got.is_empty());
-    }
-
-    /// The planner demands the *rarest* phrase token, so the candidate set
-    /// an index-assisted phrase search walks is the small posting list, not
-    /// the large one (this is the satellite-fix regression test: the old
-    /// planner always took the phrase's first token).
-    #[test]
-    fn phrase_candidates_shrink_with_term_stats() {
-        use flock_fedisim::WorldConfig;
-        let world = Arc::new(World::generate(&WorldConfig::small().with_seed(321)).unwrap());
-        let api = ApiServer::with_defaults(world).unwrap();
-        let q = Query::parse("\"bye bye twitter\"").unwrap();
-        let chosen = q.required_tokens(&api.index);
-        assert_eq!(chosen.len(), 1);
-        let chosen_df = api.term_doc_frequency(&chosen[0]);
-        for tok in flock_textsim::tokenize("bye bye twitter") {
-            assert!(
-                chosen_df <= api.term_doc_frequency(&tok),
-                "planner picked {:?} (df {}), but {:?} has df {}",
-                chosen[0],
-                chosen_df,
-                tok,
-                api.term_doc_frequency(&tok)
-            );
-        }
-        // And the shrink is real on generated corpora: "bye" (a common
-        // farewell word) outnumbers "twitter"-bearing phrase candidates.
-        let candidates = api.index.candidates(&chosen).unwrap().len();
-        let first_token_candidates = api.index.posting("bye").len();
-        assert!(
-            candidates <= first_token_candidates,
-            "rarest-token candidates {candidates} vs first-token {first_token_candidates}"
-        );
-    }
-}
-
-#[cfg(test)]
 mod index_differential_tests {
     use super::*;
-    use crate::query::{Query, TweetDoc};
+    use crate::index::Vocab;
+    use crate::query::{Doc, Query};
     use flock_fedisim::WorldConfig;
     use std::sync::Arc;
 
@@ -1801,20 +1504,36 @@ mod index_differential_tests {
         for inst in world.instances.iter().take(10) {
             queries.push(format!("url:\"{}\"", inst.domain));
         }
+        // The brute force interns the corpus into a vocabulary of its own:
+        // no posting list, token arena or host key is involved.
+        let mut vocab = Vocab::default();
+        let docs: Vec<Vec<u32>> = world
+            .tweets
+            .iter()
+            .map(|t| {
+                let mut ids = Vec::new();
+                vocab.intern_text(t.text, &mut ids);
+                ids
+            })
+            .collect();
         for q in queries {
-            let parsed = Query::parse(&q).unwrap();
+            let mut parsed = Query::parse(&q).unwrap();
+            parsed.bind(&vocab);
             let brute: Vec<_> = world
                 .tweets
                 .iter()
-                .filter(|t| {
+                .zip(&docs)
+                .filter(|(t, tokens)| {
                     t.day >= Day::COLLECTION_START
                         && t.day <= Day::COLLECTION_END
-                        && parsed.matches(&TweetDoc::new(
-                            t.text,
-                            &world.users[t.author.index()].username,
-                        ))
+                        && parsed.matches(&Doc {
+                            text: t.text,
+                            author: &world.users[t.author.index()].username,
+                            tokens,
+                            vocab: &vocab,
+                        })
                 })
-                .map(|t| t.id)
+                .map(|(t, _)| t.id)
                 .collect();
             let mut indexed = Vec::new();
             let mut cursor: Option<String> = None;

@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the pipeline's hot inner loops.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use flock_apis::{Query, RatePolicy, TokenBucket, TweetDoc};
+use flock_apis::{Doc, Query, RatePolicy, TokenBucket, Vocab};
 use flock_core::handle::extract_handles;
 use flock_core::DetRng;
 use flock_textsim::{
@@ -40,18 +40,25 @@ fn bench_query(c: &mut Criterion) {
             .unwrap()
         })
     });
-    let q = Query::parse("#twittermigration \"bye bye twitter\"").unwrap();
-    let doc = TweetDoc::new(
-        "ok that's it, bye bye twitter — find me on the other site #TwitterMigration",
-        "someone",
-    );
+    let text = "ok that's it, bye bye twitter — find me on the other site #TwitterMigration";
+    let mut vocab = Vocab::default();
+    let mut tokens = Vec::new();
+    vocab.intern_text(text, &mut tokens);
+    let mut q = Query::parse("#twittermigration \"bye bye twitter\"").unwrap();
+    q.bind(&vocab);
+    let doc = Doc {
+        text,
+        author: "someone",
+        tokens: &tokens,
+        vocab: &vocab,
+    };
     group.bench_function("eval_match", |b| b.iter(|| black_box(q.matches(&doc))));
-    group.bench_function("build_doc", |b| {
+    // What a corpus scan pays per tweet: re-tokenize into vocabulary ids.
+    let mut ids = Vec::new();
+    group.bench_function("doc_token_ids", |b| {
         b.iter(|| {
-            black_box(TweetDoc::new(
-                "ok that's it, bye bye twitter — find me on the other site #TwitterMigration",
-                "someone",
-            ))
+            vocab.token_ids(black_box(text), &mut ids);
+            black_box(ids.len())
         })
     });
     group.finish();

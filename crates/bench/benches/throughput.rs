@@ -8,10 +8,10 @@
 //! harness, because the measurements are *comparisons* that belong in one
 //! committed history:
 //!
-//! * **search** — repeated §3.1 query throughput served from the cached
-//!   `TweetDoc` index with posting-list intersection
-//!   (`search_ids_indexed`) versus the pre-cache behaviour of re-tokenizing
-//!   the whole corpus per query (`search_ids_scan`);
+//! * **search** — repeated §3.1 query throughput served from the search
+//!   index's posting-list intersection and token arena
+//!   (`search_ids_indexed`) versus re-tokenizing the whole corpus per
+//!   query (`search_ids_scan`);
 //! * **crawl** — wall-clock of the §3.2/§3.3 expansion phases
 //!   (`Crawler::expand`) as the worker-pool size grows, against an
 //!   identical discovery output, with 500 µs of simulated latency per

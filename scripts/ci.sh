@@ -6,7 +6,8 @@
 # --test mode does not append to the committed BENCH_history.jsonl), one
 # release run of every example (each must exit 0), the flockbench test suite (its workloads and output digests), the
 # determinism matrix (seeds x worker counts must stamp and publish the
-# anonymized release byte-identically),
+# anonymized release byte-identically; one medium() seed must also hash
+# to its recorded golden digests),
 # the monitor determinism matrix (the continuous-monitoring workload must
 # render byte-identical nodes lists and report Data sections at any
 # thread count, through a chaos plan with instance rebirth),
@@ -85,7 +86,7 @@ cargo run -q --release -p flock-repro -- \
 test -s "$metrics_out"
 grep -q '"flock.apis.search.granted"' "$metrics_out"
 
-stage "determinism matrix (seeds x workers must stamp and release byte-identically)"
+stage "determinism matrix (seeds x workers must stamp and release byte-identically; medium golden)"
 for seed in 1 1234 9999; do
   for w in 1 8; do
     cargo run -q --release -p flock-repro -- \
@@ -121,6 +122,32 @@ for seed in 1 1234 9999; do
   fi
   echo "    seed $seed: workers=1 == workers=8 (stamp + release + report data tier + dashboard data region)"
 done
+# One medium() seed: a second scale for the golden bytes. Both files must
+# match across worker counts and hash to the digests recorded before the
+# search index moved to interned token ids (commit 9852165).
+medium_stamp_sha256=10c003997bf303b894c506373361afa059acc016a55face373ca439a28bb84f3
+medium_release_sha256=7f0bfbbe1bc82b8be02088192180220b89b2c3a630a6293c7c880c3134bbb989
+for w in 1 8; do
+  cargo run -q --release -p flock-repro -- \
+    --scale medium --seed 1234 --workers "$w" \
+    "stamp=$scratch/medium-w$w.stamp" \
+    "dump-dataset=$scratch/medium-w$w.release.json" >/dev/null 2>&1
+done
+for kind in stamp release.json; do
+  if ! cmp -s "$scratch/medium-w1.$kind" "$scratch/medium-w8.$kind"; then
+    echo "DETERMINISM FAILURE: medium seed 1234 $kind differs between workers=1 and workers=8" >&2
+    exit 1
+  fi
+done
+if ! echo "$medium_stamp_sha256  $scratch/medium-w1.stamp" | sha256sum -c --quiet -; then
+  echo "GOLDEN FAILURE: medium seed 1234 stamp no longer hashes to $medium_stamp_sha256" >&2
+  exit 1
+fi
+if ! echo "$medium_release_sha256  $scratch/medium-w1.release.json" | sha256sum -c --quiet -; then
+  echo "GOLDEN FAILURE: medium seed 1234 release no longer hashes to $medium_release_sha256" >&2
+  exit 1
+fi
+echo "    medium seed 1234: workers=1 == workers=8, stamp + release match their golden digests"
 
 stage "monitor determinism matrix (seeds x threads, 30 days under rolling outages)"
 # rolling-outages lifts both outage waves inside the horizon, so the

@@ -6,7 +6,7 @@ use flock::core::{Day, DetRng, MastodonHandle};
 use flock::textsim::{cosine, embed, tokenize, ToxicityScorer};
 use flock_analysis::{cumulative_share, gini, top_fraction_share, Ecdf};
 use flock_apis::pagination::{decode, encode, Page};
-use flock_apis::{Query, RatePolicy, TokenBucket, TweetDoc};
+use flock_apis::{Doc, Query, RatePolicy, TokenBucket, Vocab};
 use proptest::prelude::*;
 
 /// Strategy: a syntactically valid Mastodon username.
@@ -225,8 +225,13 @@ proptest! {
 
     #[test]
     fn word_queries_match_their_own_token(word in "[a-z]{2,12}") {
-        let q = Query::parse(&word).unwrap();
-        let doc = TweetDoc::new(&format!("prefix {word} suffix"), "author");
+        let text = format!("prefix {word} suffix");
+        let mut vocab = Vocab::default();
+        let mut tokens = Vec::new();
+        vocab.intern_text(&text, &mut tokens);
+        let mut q = Query::parse(&word).unwrap();
+        q.bind(&vocab);
+        let doc = Doc { text: &text, author: "author", tokens: &tokens, vocab: &vocab };
         prop_assert!(q.matches(&doc));
     }
 
