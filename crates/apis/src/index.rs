@@ -9,7 +9,7 @@
 //! borrows the world's own text and author name: the index keeps no
 //! per-tweet copy of either.
 
-use crate::query::{Doc, Query, TermStats};
+use crate::query::{host_suffixes, url_host, Doc, Query, TermStats};
 use flock_core::rng::fnv1a;
 use flock_core::{Day, FlockError, Result};
 use flock_fedisim::World;
@@ -273,8 +273,9 @@ impl SearchIndex {
         let mut required = query.required_tokens(self);
         // A bare `url:host` query (or one AND-ed into a conjunction) is
         // served from the host keys; `Query::matches` below still checks
-        // every candidate. Domain-shaped values are served domain-exactly
-        // from the host keys; anything else falls back to scanning.
+        // every candidate. A dotted value matches a host or its
+        // subdomains on both paths, so its key holds every match; a
+        // dot-free value falls back to scanning.
         let urls = match query {
             Query::And(parts) => parts.as_slice(),
             single => std::slice::from_ref(single),
@@ -391,22 +392,6 @@ fn gallop_intersect(a: &[u32], b: &[u32]) -> Vec<u32> {
     out
 }
 
-/// Extract the host of a URL token, if it is one.
-fn url_host(token: &str) -> Option<&str> {
-    let rest = token
-        .strip_prefix("https://")
-        .or_else(|| token.strip_prefix("http://"))?;
-    let host = rest.split('/').next().unwrap_or(rest);
-    (!host.is_empty()).then_some(host)
-}
-
-/// The host and every dot-suffix of it (`a.b.c` → `a.b.c`, `b.c`), matching
-/// Twitter's domain/subdomain semantics for the `url:` operator.
-fn host_suffixes(host: &str) -> impl Iterator<Item = &str> {
-    std::iter::successors(Some(host), |h| h.split_once('.').map(|(_, rest)| rest))
-        .filter(|h| h.contains('.'))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,6 +479,30 @@ mod tests {
             "{per_tweet:.1} B per tweet over {} tweets",
             world.tweets.len()
         );
+    }
+
+    /// A dotted `url:` value that is not a whole host or parent domain
+    /// (a partial label, a host with a path, a trailing dot) finds nothing
+    /// on either path; a whole host finds the same tweets on both.
+    #[test]
+    fn dotted_url_values_answer_the_same_indexed_and_scanned() {
+        let world = World::generate(&WorldConfig::small().with_seed(1234)).unwrap();
+        let index = SearchIndex::build(world.tweets.iter().map(|t| t.text)).unwrap();
+        let (start, end) = (Day(i32::MIN), Day(i32::MAX));
+        let both = |input: &str| {
+            let q = index.query(input).unwrap();
+            let indexed = index.search(&world, &q, start, end);
+            assert_eq!(indexed, index.scan(&world, &q, start, end), "{input}");
+            indexed.len()
+        };
+        for partial in [
+            "url:\"astodon.social\"",
+            "url:\"mastodon.social/@\"",
+            "url:\"mastodon.\"",
+        ] {
+            assert_eq!(both(partial), 0, "{partial}");
+        }
+        assert!(both("url:\"mastodon.social\"") > 0);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! * bare words — match a token, case-insensitively;
 //! * `"quoted phrases"` — substring match;
 //! * `#hashtags` — hashtag-token match;
-//! * `url:domain` / `url:"domain"` — matches tweets containing a link whose
-//!   URL contains the value;
+//! * `url:domain` / `url:"domain"` — matches tweets containing a link to
+//!   that host or a subdomain of it; a value without a `.` matches links
+//!   that contain it;
 //! * `from:user` — author filter;
 //! * implicit AND, explicit `OR`, `-` negation, and parentheses, nested at
 //!   most 128 deep.
@@ -30,6 +31,13 @@ pub enum Query {
     Word(Term),
     Phrase(String),
     Hashtag(Term),
+    /// `url:value`, lowercase. A value with a `.` names a host: a link
+    /// matches when its host is the value or ends in `.value`, so
+    /// `url:mastodon.social` takes `https://a.mastodon.social/@x` but not
+    /// `https://notmastodon.social/`, and `url:astodon.social` takes
+    /// neither. This is the rule the index's host keys serve, so the
+    /// indexed and the scanned search agree. A value without a `.`
+    /// matches every link containing it.
     Url(String),
     From(String),
     Not(Box<Query>),
@@ -118,10 +126,10 @@ impl Query {
                 t.id.is_some_and(|id| doc.tokens.binary_search(&id).is_ok())
             }
             Query::Phrase(p) => contains_lowercased(doc.text, p),
-            Query::Url(u) => doc.tokens.iter().any(|&id| {
-                let token = doc.vocab.token(id);
-                is_url(token) && token.contains(u.as_str())
-            }),
+            Query::Url(u) => doc
+                .tokens
+                .iter()
+                .any(|&id| url_matches(doc.vocab.token(id), u)),
             Query::From(a) => eq_lowercased(doc.author.as_bytes(), a.as_bytes()),
             Query::Not(q) => !q.matches(doc),
             Query::And(qs) => qs.iter().all(|q| q.matches(doc)),
@@ -161,6 +169,31 @@ impl Query {
 /// Whether `token` is a link (the tokenizer keeps URLs whole).
 fn is_url(token: &str) -> bool {
     token.starts_with("http://") || token.starts_with("https://")
+}
+
+/// Whether the token `token` answers `url:value` (see [`Query::Url`]).
+fn url_matches(token: &str, value: &str) -> bool {
+    if value.contains('.') {
+        url_host(token).is_some_and(|host| host_suffixes(host).any(|s| s == value))
+    } else {
+        is_url(token) && token.contains(value)
+    }
+}
+
+/// The host of a link token, if it is one.
+pub(crate) fn url_host(token: &str) -> Option<&str> {
+    let rest = token
+        .strip_prefix("https://")
+        .or_else(|| token.strip_prefix("http://"))?;
+    let host = rest.split('/').next().unwrap_or(rest);
+    (!host.is_empty()).then_some(host)
+}
+
+/// The host and every dot-suffix of it that still holds a `.`
+/// (`a.b.c` → `a.b.c`, `b.c`): the values `url:` matches the host by.
+pub(crate) fn host_suffixes(host: &str) -> impl Iterator<Item = &str> {
+    std::iter::successors(Some(host), |h| h.split_once('.').map(|(_, rest)| rest))
+        .filter(|h| h.contains('.'))
 }
 
 /// `hay.to_ascii_lowercase().contains(lower)`, without the copy.
@@ -448,6 +481,28 @@ mod tests {
         assert!(!hit(&q, "mastodon.social is an instance")); // not a link
         let quoted = Query::parse("url:\"hachyderm.io\"").unwrap();
         assert!(hit(&quoted, "see https://hachyderm.io/@bob"));
+    }
+
+    #[test]
+    fn dotted_url_values_match_hosts_and_their_subdomains() {
+        let q = Query::parse("url:mastodon.social").unwrap();
+        assert!(hit(&q, "at https://eu.mastodon.social/@alice"));
+        assert!(hit(&q, "at http://MASTODON.social"));
+        assert!(!hit(&q, "at https://notmastodon.social/@alice"));
+        assert!(!hit(&q, "at https://mastodon.social.example/@alice"));
+        for partial in [
+            "astodon.social",
+            "mastodon.social/@",
+            "mastodon.",
+            ".social",
+        ] {
+            let q = Query::parse(&format!("url:\"{partial}\"")).unwrap();
+            assert!(!hit(&q, "at https://mastodon.social/@alice"), "{partial}");
+        }
+        // A value without a `.` still matches any link containing it.
+        let q = Query::parse("url:astodon").unwrap();
+        assert!(hit(&q, "at https://mastodon.social/@alice"));
+        assert!(!hit(&q, "astodon but no link"));
     }
 
     #[test]

@@ -1055,19 +1055,19 @@ impl ApiServer {
     /// there (see [`Self::instance_checked_at`]) and the tick is folded
     /// into the logical request key, so each scheduled check draws its own
     /// per-key chaos budget no matter when or on which worker it runs.
-    pub fn mastodon_instance_peers(&self, domain: &str, as_of_secs: u64) -> Result<Vec<String>> {
+    /// The list is borrowed from the server's peers map, so a check copies
+    /// only the domains its caller keeps.
+    pub fn mastodon_instance_peers(&self, domain: &str, as_of_secs: u64) -> Result<&[String]> {
         let inst = self.instance_checked_at(domain, as_of_secs)?;
         self.acquire(
             Endpoint::Mastodon(inst),
             &format!("peers:{domain}@{as_of_secs}"),
         )?;
-        let peers = self
+        Ok(self
             .peers
             .get_or_init(|| self.world.fediverse.federation_peers())
             .get(domain)
-            .cloned()
-            .unwrap_or_default();
-        Ok(peers)
+            .map_or(&[], Vec::as_slice))
     }
 }
 

@@ -17,8 +17,12 @@
 //!
 //! This is the workspace's one execution model. The crawl's Twitter
 //! timeline, Mastodon timeline and followee phases run their per-user body
-//! here; each round of the continuous monitor runs its due checks here;
-//! the per-user loops of Figs. 14–16 reuse it for plain CPU fan-out.
+//! here; each round of the continuous monitor runs its due checks here,
+//! asking for one worker per 64 checks, so its many narrow rounds run on
+//! the calling thread and never pay a spawn; the per-user loops of
+//! Figs. 14–16 reuse it for plain CPU fan-out. A spawn and join costs tens
+//! of microseconds, so a caller whose items cost a few microseconds each
+//! should size `workers` by the work, not by the cores.
 //! Requests block in the crawler's and the monitor's retry loops, and
 //! rate-limit waits move the shared virtual clock instead of sleeping;
 //! only `ApiConfig::request_latency_micros` (off by default, on in the

@@ -1,4 +1,7 @@
-//! Checks: one blocking check per due domain, run on the worker pool.
+//! Checks: one blocking check per due domain, run on the worker pool,
+//! which `round_workers` sizes per round: a round of fewer than
+//! `2 × MIN_CHECKS_PER_WORKER` checks runs on the calling thread and
+//! spawns nothing.
 //!
 //! A check is the crawler's blocking retry loop pointed at the peers
 //! endpoint: the request keeps one span open across its attempts, every
@@ -7,7 +10,8 @@
 //! `Crawler::request` would charge. What differs is the outcome policy,
 //! which must stay **Data-deterministic under scheduled-time semantics**:
 //!
-//! * `Ok(peers)` → [`CheckOutcome::Alive`] with the discovered peers.
+//! * `Ok(peers)` → [`CheckOutcome::Alive`] with the discovered peers,
+//!   borrowed from the server's peers map.
 //! * Rate limits (token bucket or chaos Retry-After storm) → wait the
 //!   advertised interval and retry the same check. The retry count is
 //!   schedule-dependent; the eventual success is not.
@@ -33,9 +37,10 @@ use flock_obs::{Registry, WaitCause};
 /// Result of one completed check, folded into the roster by the
 /// orchestrator.
 #[derive(Debug)]
-pub enum CheckOutcome {
-    /// The instance answered; these are its federation peers.
-    Alive(Vec<String>),
+pub enum CheckOutcome<'a> {
+    /// The instance answered; these are its federation peers, borrowed
+    /// from the server, so the fold copies only the domains it adds.
+    Alive(&'a [String]),
     /// The instance is down (outage window or permanent flag).
     Dead,
     /// Retries exhausted or a non-retryable error.
@@ -51,9 +56,9 @@ struct ReqState {
 
 /// Either wait until `until` (charging the wait to `cause`) and retry, or
 /// finish.
-enum ReqPoll {
+enum ReqPoll<'a> {
     Wait { until: u64, cause: WaitCause },
-    Done(CheckOutcome),
+    Done(CheckOutcome<'a>),
 }
 
 /// Open the orchestrator's span for the whole monitoring phase. Its id
@@ -82,14 +87,14 @@ fn mon_begin(obs: &Registry, api: &ApiServer, domain: &str) -> ReqState {
 /// `current_worker` for span attribution only; the returned
 /// [`CheckOutcome`] is a pure function of the API result sequence, which
 /// chaos derives from `(seed, plan, key)` — never from the schedule.
-fn mon_attempt(
+fn mon_attempt<'a>(
     obs: &Registry,
-    api: &ApiServer,
+    api: &'a ApiServer,
     cfg: &MonitorConfig,
     st: &mut ReqState,
     domain: &str,
     as_of: u64,
-) -> ReqPoll {
+) -> ReqPoll<'a> {
     let before = api.now();
     let r = {
         let _guard = trace::span_scope(st.span);
@@ -115,7 +120,7 @@ fn mon_attempt(
         before,
     );
     let span = st.span;
-    let finish = |out: CheckOutcome| {
+    let finish = |out: CheckOutcome<'a>| {
         obs.span_end(span, api.now(), outcome);
         ReqPoll::Done(out)
     };
@@ -155,13 +160,13 @@ fn mon_attempt(
 /// so only the seconds this call actually moved the clock are charged
 /// (another worker may already have paid part of it), which keeps the
 /// phase's wait identity exact at any thread count.
-fn check(
+fn check<'a>(
     obs: &Registry,
-    api: &ApiServer,
+    api: &'a ApiServer,
     cfg: &MonitorConfig,
     domain: &str,
     as_of: u64,
-) -> CheckOutcome {
+) -> CheckOutcome<'a> {
     let mut st = mon_begin(obs, api, domain);
     loop {
         match mon_attempt(obs, api, cfg, &mut st, domain, as_of) {
@@ -174,16 +179,71 @@ fn check(
     }
 }
 
+/// Fewest due checks worth one pool worker. A scoped spawn and join costs
+/// about 28 µs on a 2-CPU host and a check about 4 µs, so a worker must
+/// take dozens of checks to repay its thread. Measured on that host:
+///
+/// * no `monitor_outages` round (five simulated years of a `small()`
+///   world) reaches 64 checks: rounds hold 1–36, 7.6 on average, and
+///   spreading every round of two or more over the pool spawned about
+///   22,000 threads per job;
+/// * `paper()` rounds reach 310 checks, and giving its rounds of 128 or
+///   more to two workers ran within noise of running every round on one
+///   thread (6 alternating in-process runs each: medians 7.38 s vs
+///   7.25 s, range 4.7–12.0 s on a shared host).
+pub const MIN_CHECKS_PER_WORKER: usize = 64;
+
+/// Workers a round of `due` checks is spread over: one per
+/// [`MIN_CHECKS_PER_WORKER`] checks, capped by `threads`, at least one.
+/// A round of fewer than two workers' worth runs on the calling thread.
+pub(crate) fn round_workers(threads: usize, due: usize) -> usize {
+    threads.min(due / MIN_CHECKS_PER_WORKER).max(1)
+}
+
 /// Execute one round: every `due` domain checked as of `as_of` on
-/// `cfg.threads` pool workers, results in `due` order.
-pub(crate) fn run_round(
-    api: &ApiServer,
+/// [`round_workers`] pool workers, results in `due` order.
+pub(crate) fn run_round<'a>(
+    api: &'a ApiServer,
     obs: &Registry,
     cfg: &MonitorConfig,
     due: &[String],
     as_of: u64,
-) -> Result<Vec<CheckOutcome>> {
-    worker_pool::run(cfg.threads, due, |_, domain| {
+) -> Result<Vec<CheckOutcome<'a>>> {
+    worker_pool::run(round_workers(cfg.threads, due.len()), due, |_, domain| {
         check(obs, api, cfg, domain, as_of)
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn narrow_rounds_run_on_one_worker() {
+        for threads in [1, 2, 8, 64] {
+            for due in [0, 1, 2, 63, 64, 127] {
+                assert_eq!(
+                    round_workers(threads, due),
+                    1,
+                    "threads={threads} due={due}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn threads_cap_the_spread() {
+        assert_eq!(round_workers(8, 128), 2);
+        assert_eq!(round_workers(8, 300), 4);
+        assert_eq!(round_workers(8, 10_000), 8);
+        assert_eq!(round_workers(2, 310), 2);
+        assert_eq!(round_workers(3, 1_000), 3);
+    }
+
+    #[test]
+    fn one_thread_never_spreads_a_round() {
+        for due in [0, 1, 127, 128, 310, 1 << 20] {
+            assert_eq!(round_workers(1, due), 1, "due={due}");
+        }
+    }
 }

@@ -30,7 +30,11 @@
 //! orchestrator's span, so the per-phase wait identity Σ buckets + work =
 //! duration still holds), run every due check as a blocking loop on the
 //! worker pool (`flock_core::worker_pool`, the crawl's execution model),
-//! fold results in input order, repeat. Round boundaries are also the
+//! fold results in input order, repeat. A round takes one pool worker per
+//! [`checker::MIN_CHECKS_PER_WORKER`] due checks, up to
+//! [`MonitorConfig::threads`]: most rounds hold a few checks, which cost
+//! less than the thread a wider round would spawn, so they run on the
+//! calling thread. Round boundaries are also the
 //! checkpoint grain: [`checkpoint::MonitorCheckpoint`] persists the
 //! roster atomically and durably, and a resumed run continues from the
 //! last completed round with the same Data-tier output as an
@@ -66,7 +70,10 @@ pub struct MonitorConfig {
     /// Simulated horizon in days; the run ends when no record is due
     /// before `sim_days * 86_400` seconds of virtual time.
     pub sim_days: u64,
-    /// Worker-pool threads each round's checks run on.
+    /// Most worker-pool threads one round's checks run on. A round gets
+    /// one worker per [`checker::MIN_CHECKS_PER_WORKER`] due checks, up to
+    /// this cap, so a round of fewer than 128 checks runs on the calling
+    /// thread at any setting.
     pub threads: usize,
     /// Domains seeded into the roster at depth 0 (the flagship
     /// instances, in the default wiring).
@@ -387,7 +394,7 @@ fn fold(
     cfg: &MonitorConfig,
     domain: &str,
     as_of: u64,
-    outcome: checker::CheckOutcome,
+    outcome: checker::CheckOutcome<'_>,
 ) {
     let parent_depth = records.get(domain).map(|r| r.depth).unwrap_or(0);
     if let Some(rec) = records.get_mut(domain) {
@@ -428,13 +435,15 @@ fn fold(
             }
         }
     }
+    // Every alive check re-folds its whole peers list; only a domain the
+    // roster lacks is copied out of the server's map.
     if let checker::CheckOutcome::Alive(peers) = outcome {
         for peer in peers {
-            if !records.contains_key(&peer) {
+            if !records.contains_key(peer) {
                 records.insert(
                     peer.clone(),
                     NodeRecord::discovered(
-                        peer,
+                        peer.clone(),
                         parent_depth.saturating_add(1),
                         as_of,
                         as_of.saturating_add(cfg.discovery_delay_secs),
@@ -579,12 +588,13 @@ mod tests {
             "a.example".to_string(),
             NodeRecord::discovered("a.example".to_string(), 0, 0, 0),
         );
+        let peers = vec!["b.example".to_string()];
         fold(
             &mut records,
             &cfg,
             "a.example",
             0,
-            checker::CheckOutcome::Alive(vec!["b.example".to_string()]),
+            checker::CheckOutcome::Alive(&peers),
         );
         assert_eq!(records.len(), 2);
         let b = &records["b.example"];
@@ -625,13 +635,31 @@ mod tests {
             &cfg,
             "a.example",
             t3,
-            checker::CheckOutcome::Alive(Vec::new()),
+            checker::CheckOutcome::Alive(&[]),
         );
         let a = &records["a.example"];
         assert_eq!(a.state, NodeState::Alive);
         assert_eq!(a.rebirths, 1);
         assert_eq!(a.consecutive_failures, 0);
         assert_eq!(a.checks, 4);
+
+        // Re-folding a known peer leaves its record alone; only the new
+        // domain enters the roster.
+        let t4 = a.next_check_secs;
+        let peers = vec!["b.example".to_string(), "c.example".to_string()];
+        fold(
+            &mut records,
+            &cfg,
+            "a.example",
+            t4,
+            checker::CheckOutcome::Alive(&peers),
+        );
+        assert_eq!(records.len(), 3);
+        let b = &records["b.example"];
+        assert_eq!((b.depth, b.discovered_secs), (1, 0));
+        let c = &records["c.example"];
+        assert_eq!((c.depth, c.discovered_secs), (1, t4));
+        assert_eq!(c.next_check_secs, t4 + cfg.discovery_delay_secs);
     }
 
     #[test]

@@ -51,7 +51,9 @@
 //! pipeline: an orchestrator plus per-instance checks on the virtual
 //! clock, bootstrapped from the flagship instances and expanding via
 //! peers-list discovery over `--sim-days` of simulated uptime; each
-//! round's due checks run on `--workers` pool threads. `--nodes PATH`
+//! round's due checks run on one pool thread per 64 checks, at most
+//! `--workers`, so a round of fewer than 128 checks runs on the calling
+//! thread. `--nodes PATH`
 //! writes the deterministic nodes-list artifact (byte-identical across
 //! thread counts), `--checkpoint PATH` enables periodic checkpoint/resume,
 //! and `--test` prints throughput + peak-RSS lines for the bench trend

@@ -10,7 +10,8 @@
 # to its recorded golden digests),
 # the monitor determinism matrix (the continuous-monitoring workload must
 # render byte-identical nodes lists and report Data sections at any
-# thread count, through a chaos plan with instance rebirth),
+# thread count, through a chaos plan with instance rebirth; one medium()
+# seed's nodes list must also hash to its recorded golden digest),
 # a chaos-scenario smoke crawl, a run-dashboard smoke (self-contained
 # HTML whose fenced Data region is also byte-compared in the determinism
 # matrix, plus a --diff view that must flag chaos divergence), and an
@@ -149,10 +150,11 @@ if ! echo "$medium_release_sha256  $scratch/medium-w1.release.json" | sha256sum 
 fi
 echo "    medium seed 1234: workers=1 == workers=8, stamp + release match their golden digests"
 
-stage "monitor determinism matrix (seeds x threads, 30 days under rolling outages)"
+stage "monitor determinism matrix (seeds x threads, 30 days under rolling outages; medium golden)"
 # rolling-outages lifts both outage waves inside the horizon, so the
 # matrix exercises liveness, death AND rebirth detection; the nodes list
-# and the report's Data section must be byte-identical at every cell.
+# and the report's Data section must be byte-identical at every cell,
+# and one medium() seed's nodes list must hash to its golden digest.
 # The loop lives in its own script so the dedicated monitor-determinism
 # CI job can run exactly the same cells without re-running the rest of
 # this gate.

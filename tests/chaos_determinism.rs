@@ -1,7 +1,8 @@
 //! The chaos contract, end to end: every canned fault scenario must keep
 //! the crawl deterministic (same seed + plan ⇒ byte-identical dataset and
-//! data-tier metrics at any worker count), an interrupted crawl must resume
-//! from its checkpoint to the same dataset, and a degraded dataset — with
+//! data-tier metrics at any worker count), a crawl interrupted at any
+//! request must resume from its checkpoint to the same dataset, and a
+//! degraded dataset — with
 //! its coverage report of skipped items — must survive persistence and
 //! anonymization.
 
@@ -9,8 +10,9 @@ use flock::apis::{ApiConfig, ApiServer};
 use flock::chaos::Scenario;
 use flock::crawler::prelude::*;
 use flock::fedisim::{World, WorldConfig};
+use flock::obs::profile::phase_profiles;
 use flock::obs::Registry;
-use flock_core::FlockError;
+use flock_core::{durable, FlockError};
 use std::sync::Arc;
 
 fn chaos_api(world: &Arc<World>, scenario: Scenario, seed: u64, obs: &Registry) -> ApiServer {
@@ -95,57 +97,108 @@ fn flaky_federation_degrades_gracefully() {
     }
 }
 
-/// An interrupted crawl picks up from its checkpoint and converges to the
-/// dataset an uninterrupted crawl produces. The resumed run gets a fresh
-/// ApiServer — process-restart semantics: per-key chaos budgets are server
-/// state and reset with the process, while completed phases come from the
-/// checkpoint and are never re-crawled.
+/// Crash-anywhere resume: a crawl killed at its first request, at its
+/// last, and in the middle of every other phase that issues requests
+/// picks up from its checkpoint and converges to the dataset an
+/// uninterrupted crawl produces. Each resumed run gets a fresh ApiServer —
+/// process-restart semantics: per-key chaos budgets are server state and
+/// reset with the process, while completed phases come from the
+/// checkpoint and are never re-crawled. The killed runs use one worker,
+/// so the request an abort lands on is the same in every run; the
+/// resumed runs use the default pool.
 #[test]
 fn interrupted_crawl_resumes_to_the_same_dataset() {
     let seed = 77;
     let scenario = Scenario::RateLimitStorm;
     let world = Arc::new(World::generate(&WorldConfig::small().with_seed(seed)).unwrap());
+    let one_worker = CrawlerConfig {
+        workers: 1,
+        ..CrawlerConfig::default()
+    };
 
     let obs = Registry::new();
     let api = chaos_api(&world, scenario, seed, &obs);
-    let uninterrupted = Crawler::with_registry(&api, CrawlerConfig::default(), obs.clone())
+    let uninterrupted = Crawler::with_registry(&api, one_worker.clone(), obs.clone())
         .unwrap()
         .run()
         .unwrap();
     let total_requests = uninterrupted.stats.requests;
     assert!(total_requests > 0);
+    let reference = stats_zeroed_json(uninterrupted);
+
+    // Requests (server attempts) per phase, in execution order.
+    assert_eq!(obs.spans_dropped(), 0, "the span store evicted attempts");
+    let profiles = phase_profiles(&obs);
+    let attempts: Vec<u64> = PHASES
+        .iter()
+        .map(|name| {
+            profiles
+                .iter()
+                .find(|p| p.name == *name)
+                .map_or(0, |p| p.attempts)
+        })
+        .collect();
+    assert_eq!(attempts.iter().sum::<u64>(), total_requests);
+    // The first request, the last, and the middle request of every phase
+    // neither of those falls in.
+    let mut points = vec![0, total_requests - 1];
+    let mut before = 0;
+    for &n in &attempts {
+        let phase = before..before + n;
+        if n > 0 && !points.iter().any(|at| phase.contains(at)) {
+            points.push(before + n / 2);
+        }
+        before += n;
+    }
+    points.sort_unstable();
 
     let path = std::env::temp_dir().join(format!("flock-chaos-ckpt-{}.json", std::process::id()));
+    let mut interrupted = vec![false; PHASES.len()];
+    for &at in &points {
+        let _ = std::fs::remove_file(&path);
+
+        // First attempt: killed by the fault-injection hook before request
+        // `at` (0-based) reaches the server.
+        let obs = Registry::new();
+        let api = chaos_api(&world, scenario, seed, &obs);
+        let config = CrawlerConfig {
+            abort_after_requests: Some(at),
+            ..one_worker.clone()
+        };
+        let err = Crawler::with_registry(&api, config, obs.clone())
+            .unwrap()
+            .run_resumable(&path)
+            .unwrap_err();
+        assert!(
+            matches!(err, FlockError::Interrupted),
+            "abort at {at}: {err}"
+        );
+        let completed = durable::load_if_exists::<Checkpoint>(&path)
+            .unwrap()
+            .map_or(0, |cp| cp.completed.len());
+        let phase = PHASES[completed];
+        interrupted[completed] = true;
+
+        // Second attempt: fresh server, no abort — resumes and completes.
+        let obs = Registry::new();
+        let api = chaos_api(&world, scenario, seed, &obs);
+        let resumed = Crawler::with_registry(&api, CrawlerConfig::default(), obs.clone())
+            .unwrap()
+            .run_resumable(&path)
+            .unwrap();
+        assert_eq!(
+            stats_zeroed_json(resumed),
+            reference,
+            "crawl killed at request {at} of {total_requests} (in {phase}) resumed to another dataset"
+        );
+    }
     let _ = std::fs::remove_file(&path);
-
-    // First attempt: killed mid-crawl by the fault-injection hook.
-    let obs = Registry::new();
-    let api = chaos_api(&world, scenario, seed, &obs);
-    let config = CrawlerConfig {
-        abort_after_requests: Some(total_requests / 2),
-        ..CrawlerConfig::default()
-    };
-    let err = Crawler::with_registry(&api, config, obs.clone())
-        .unwrap()
-        .run_resumable(&path)
-        .unwrap_err();
-    assert!(matches!(err, FlockError::Interrupted), "{err}");
-    assert!(path.exists(), "interrupt must leave a checkpoint behind");
-
-    // Second attempt: fresh server, no abort — resumes and completes.
-    let obs = Registry::new();
-    let api = chaos_api(&world, scenario, seed, &obs);
-    let resumed = Crawler::with_registry(&api, CrawlerConfig::default(), obs.clone())
-        .unwrap()
-        .run_resumable(&path)
-        .unwrap();
-    std::fs::remove_file(&path).unwrap();
-
-    assert_eq!(
-        stats_zeroed_json(uninterrupted),
-        stats_zeroed_json(resumed),
-        "resumed dataset differs from the uninterrupted crawl"
-    );
+    for ((phase, n), hit) in PHASES.iter().zip(&attempts).zip(&interrupted) {
+        assert!(
+            *n == 0 || *hit,
+            "{phase} issues {n} requests but was never interrupted"
+        );
+    }
 }
 
 /// A degraded dataset — coverage report included — round-trips through the

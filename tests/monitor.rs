@@ -7,7 +7,8 @@
 //! resumes from its checkpoint, at any round boundary, to the same bytes; a
 //! death is noticed, and a rebirth is noticed no later than the
 //! configured backoff cap after the outage lifts; and every second of
-//! monitored virtual time is attributed to a wait bucket.
+//! monitored virtual time is attributed to a wait bucket. A round spreads
+//! over the pool only when it is wide enough to repay the threads.
 
 use flock::apis::{ApiConfig, ApiServer};
 use flock::chaos::{Fault, FaultPlan, InstanceSelector, Scenario, Window};
@@ -31,6 +32,18 @@ fn base_config(world: &World) -> MonitorConfig {
         bootstrap: world.flagship_domains(),
         ..MonitorConfig::default()
     }
+}
+
+/// The worker slot of every check, read off the span each check opens.
+fn check_slots(obs: &Registry) -> Vec<Option<usize>> {
+    assert_eq!(obs.spans_dropped(), 0, "the span store evicted checks");
+    obs.spans()
+        .into_iter()
+        .filter(|s| {
+            s.trace == monitor::PHASE && s.parent.is_none() && s.label.starts_with("peers:")
+        })
+        .map(|s| s.worker)
+        .collect()
 }
 
 /// The worker-pool thread count is a Sched-tier knob: every cell must
@@ -75,6 +88,77 @@ fn monitor_is_thread_count_invariant() {
         assert_eq!(nodes, nodes_ref, "nodes list differs at threads={threads}");
         assert_eq!(snap, snap_ref, "data snapshot differs at threads={threads}");
     }
+}
+
+/// Narrow rounds run on the calling thread: no round of the
+/// flagship-bootstrapped week reaches two workers' worth of checks, so at
+/// 8 threads every check still runs as worker 0 and no round spawns a
+/// thread.
+#[test]
+fn narrow_rounds_run_on_the_calling_thread() {
+    let seed = 1234;
+    let world = Arc::new(World::generate(&WorldConfig::small().with_seed(seed)).unwrap());
+    let obs = Registry::new();
+    let api = monitor_api(&world, Scenario::RollingOutages.plan(seed), &obs);
+    let cfg = MonitorConfig {
+        sim_days: 7,
+        threads: 8,
+        ..base_config(&world)
+    };
+    let out = monitor::run(&api, &obs, &cfg).unwrap();
+    assert!(out.completed);
+    let slots = check_slots(&obs);
+    assert_eq!(slots.len() as u64, out.checks_total);
+    assert!(
+        slots.iter().all(|&w| w == Some(0)),
+        "a narrow round left the calling thread"
+    );
+}
+
+/// Wide rounds spread over the pool without moving a byte: bootstrapping
+/// all 300 domains of a `small()` world makes the first round 300 checks
+/// wide, which 8 threads split over 4 workers. The nodes list and the
+/// Data-tier snapshot match the one-thread run's.
+#[test]
+fn wide_rounds_spread_over_workers_with_identical_bytes() {
+    let seed = 1234;
+    let config = WorldConfig {
+        n_instances: 300,
+        ..WorldConfig::small()
+    };
+    let world = Arc::new(World::generate(&config.with_seed(seed)).unwrap());
+    let bootstrap: Vec<String> = world.instances.iter().map(|i| i.domain.clone()).collect();
+    assert_eq!(bootstrap.len(), 300);
+    let run = |threads: usize| {
+        let obs = Registry::new();
+        let api = monitor_api(&world, Scenario::RollingOutages.plan(seed), &obs);
+        let cfg = MonitorConfig {
+            sim_days: 2,
+            threads,
+            bootstrap: bootstrap.clone(),
+            ..MonitorConfig::default()
+        };
+        let out = monitor::run(&api, &obs, &cfg).unwrap();
+        assert!(out.completed);
+        (
+            monitor::nodes_list(&out.records, seed, "rolling-outages", cfg.sim_days),
+            obs.snapshot(),
+            check_slots(&obs),
+        )
+    };
+    let (nodes_ref, snap_ref, slots) = run(1);
+    assert!(slots.iter().all(|&w| w == Some(0)));
+    let (nodes, snap, slots) = run(8);
+    assert_eq!(nodes, nodes_ref, "nodes list differs at threads=8");
+    assert_eq!(snap, snap_ref, "data snapshot differs at threads=8");
+    assert!(
+        slots.iter().all(|w| w.is_some_and(|w| w < 4)),
+        "a round of at most 300 checks took more than 4 workers"
+    );
+    assert!(
+        slots.iter().any(|w| w.is_some_and(|w| w > 0)),
+        "no check of a 300-check round ran off the calling thread"
+    );
 }
 
 /// Rolling outages must actually exercise the liveness state machine:

@@ -5,9 +5,11 @@
 //!
 //! The draws cover words from the corpus and words absent from it,
 //! phrases (the empty phrase and mixed case included), hashtags, `url:`
-//! with a domain, with a parent domain and with a value that has no `.`
-//! (which the index cannot serve and scans for), `from:` in mixed case,
-//! `OR`, `-` and parentheses.
+//! with a domain, with a parent domain, with any substring of a corpus
+//! link that holds a `.` (a partial label, a host with part of its path,
+//! a trailing dot) and with a value that has no `.` (which the index
+//! cannot serve and scans for), `from:` in mixed case, `OR`, `-` and
+//! parentheses.
 
 use flock::apis::ApiServer;
 use flock::core::{Day, DetRng};
@@ -23,6 +25,7 @@ struct Corpus {
     words: Vec<String>,
     hashtags: Vec<String>,
     domains: Vec<String>,
+    links: Vec<String>,
 }
 
 fn corpus() -> &'static Corpus {
@@ -30,16 +33,21 @@ fn corpus() -> &'static Corpus {
     CORPUS.get_or_init(|| {
         let world = Arc::new(World::generate(&WorldConfig::small().with_seed(888)).unwrap());
         let api = ApiServer::with_defaults(world.clone()).unwrap();
-        let (mut words, mut hashtags) = (Vec::new(), Vec::new());
+        let (mut words, mut hashtags, mut links) = (Vec::new(), Vec::new(), Vec::new());
         for t in world.tweets.iter().step_by(97) {
             for token in tokenize(t.text) {
                 if token.starts_with('#') {
                     hashtags.push(token);
+                } else if token.starts_with("http") {
+                    if token.contains('.') && !token.contains('"') {
+                        links.push(token);
+                    }
                 } else if !token.contains(':') && token != "or" {
                     words.push(token);
                 }
             }
         }
+        assert!(!links.is_empty(), "the corpus sample holds no links");
         let domains = world.instances.iter().map(|i| i.domain.clone()).collect();
         Corpus {
             api,
@@ -47,6 +55,7 @@ fn corpus() -> &'static Corpus {
             words,
             hashtags,
             domains,
+            links,
         }
     })
 }
@@ -64,9 +73,19 @@ fn mixed_case(s: &str, rng: &mut DetRng) -> String {
         .collect()
 }
 
+/// A substring of `link` that holds at least one of its `.`s.
+fn dotted_substring(link: &str, rng: &mut DetRng) -> String {
+    let chars: Vec<char> = link.chars().collect();
+    let dots: Vec<usize> = (0..chars.len()).filter(|&i| chars[i] == '.').collect();
+    let dot = *rng.choose(dots.as_slice());
+    let start = rng.below_usize(dot + 1);
+    let end = dot + 1 + rng.below_usize(chars.len() - dot);
+    chars[start..end].iter().collect()
+}
+
 /// One term of the grammar; `depth` bounds the nesting of `-` and `(`.
 fn term(c: &Corpus, rng: &mut DetRng, depth: usize) -> String {
-    let kinds = if depth < 3 { 12 } else { 10 };
+    let kinds = if depth < 3 { 13 } else { 11 };
     match rng.below(kinds) {
         0 | 1 => {
             let word = rng.choose(c.words.as_slice()).clone();
@@ -105,7 +124,11 @@ fn term(c: &Corpus, rng: &mut DetRng, depth: usize) -> String {
             format!("from:{}", mixed_case(name, rng))
         }
         9 => "from:nobody_at_all".to_string(),
-        10 => format!("-{}", term(c, rng, depth + 1)),
+        10 => {
+            let link = rng.choose(c.links.as_slice());
+            format!("url:\"{}\"", dotted_substring(link, rng))
+        }
+        11 => format!("-{}", term(c, rng, depth + 1)),
         _ => format!("({})", query(c, rng, depth + 1)),
     }
 }
