@@ -23,28 +23,34 @@
 //! Every entry also records a memory footprint: peak RSS (`VmHWM` from
 //! `/proc/self/status`) and the allocation count/bytes seen by a counting
 //! `#[global_allocator]` that lives in this binary only — library crates
-//! stay allocator-agnostic. `bench_check.sh` trend-gates `peak_rss_bytes`
-//! the same way it gates throughput.
+//! stay allocator-agnostic.
 //!
 //! `cargo bench -p flock-bench --bench throughput` appends to the JSONL;
-//! `-- --test` runs a seconds-long smoke version and writes nothing, so CI
-//! never dirties the committed artifact. `-- --paper` runs the paper-scale
+//! `-- --test` runs a seconds-long smoke version that writes nothing: it
+//! schema-checks the line it would have appended, judges it against the
+//! committed history with `flock_obs::dashboard::eval_gate`, and prints
+//! one `gate <rule>: <verdict>` line per rule. A missing or malformed
+//! history fails the smoke; a `REGRESSION` verdict does not (that is
+//! `scripts/bench_check.sh`'s call). `-- --paper` runs the paper-scale
 //! section instead (million-user generation, full crawl, headline
 //! analysis) and appends a `paper_scale`-labelled entry; `--paper --test`
-//! is the CI smoke of the same path at `medium()` scale.
-//! `FLOCK_BENCH_LABEL` names the entry (default `throughput`);
+//! is the CI smoke of the same path and writes nothing.
 //! `FLOCK_BENCH_SHA` overrides the commit key when git is unavailable.
 
 use flock_apis::{ApiConfig, ApiServer};
 use flock_core::Day;
 use flock_crawler::pipeline::{migration_queries, Crawler, CrawlerConfig};
 use flock_fedisim::{World, WorldConfig};
+use flock_obs::dashboard::{eval_gate, parse_history, parse_history_line, GATE_RULES};
 use flock_obs::Registry;
 use flock_repro::MigrationStudy;
 use serde::Serialize;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The committed history every recorded run appends to.
+const HISTORY_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_history.jsonl");
 
 /// Allocation accounting for the bench process. The counting allocator is
 /// deliberately confined to this binary: the library crates must not pay
@@ -153,8 +159,7 @@ struct Report {
     /// Commit this entry was recorded at (`FLOCK_BENCH_SHA` or
     /// `git rev-parse --short HEAD`).
     sha: String,
-    /// Entry label (`FLOCK_BENCH_LABEL`, default `throughput`) so one
-    /// history can carry differently-shaped recordings.
+    /// Entry label (`throughput`).
     label: String,
     world: String,
     host_cpus: usize,
@@ -171,8 +176,7 @@ struct Report {
 /// The paper-scale entry (`--paper`): one full pipeline pass — generate
 /// the million-user world, crawl it end to end, run the headline analysis
 /// — with per-phase wall-clocks and the memory footprint. Written with
-/// `label: "paper_scale"` into the same history so `bench_check.sh` can
-/// select it by label.
+/// `label: "paper_scale"` into the same history.
 #[derive(Serialize)]
 struct PaperReport {
     sha: String,
@@ -366,15 +370,29 @@ fn run_paper(smoke: bool) {
 
 /// Append one compact JSON line to the committed history, newest last.
 fn append_history(line: &str) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_history.jsonl");
-    let mut history = std::fs::read_to_string(path).unwrap_or_default();
+    let mut history = std::fs::read_to_string(HISTORY_PATH).unwrap_or_default();
     if !history.is_empty() && !history.ends_with('\n') {
         history.push('\n');
     }
     history.push_str(line);
     history.push('\n');
-    std::fs::write(path, history).expect("write BENCH_history.jsonl");
-    eprintln!("appended to {path}");
+    std::fs::write(HISTORY_PATH, history).expect("write BENCH_history.jsonl");
+    eprintln!("appended to {HISTORY_PATH}");
+}
+
+/// Schema-check `line`, append it to the committed history in memory, and
+/// print the gate's verdict on it for every rule whose metric it carries.
+fn gate_smoke(line: &str) -> Result<(), String> {
+    let entry = parse_history_line(line).map_err(|e| format!("the smoke's line: {e}"))?;
+    let text =
+        std::fs::read_to_string(HISTORY_PATH).map_err(|e| format!("read {HISTORY_PATH}: {e}"))?;
+    let mut history = parse_history(&text).map_err(|e| format!("{HISTORY_PATH}: {e}"))?;
+    history.push(entry);
+    let newest = &history[history.len() - 1];
+    for rule in GATE_RULES.iter().filter(|r| (r.metric)(newest).is_some()) {
+        eprintln!("gate {}: {}", rule.key, eval_gate(&history, rule));
+    }
+    Ok(())
 }
 
 /// The commit key for the history entry.
@@ -391,13 +409,13 @@ fn bench_sha() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-fn main() {
+fn main() -> Result<(), String> {
     // Criterion-compatible smoke flag: `cargo bench -- --test` must finish
     // in seconds and must not touch the committed artifact.
     let smoke = std::env::args().any(|a| a == "--test");
     if std::env::args().any(|a| a == "--paper") {
         run_paper(smoke);
-        return;
+        return Ok(());
     }
 
     let config = WorldConfig::small().with_seed(1234);
@@ -405,10 +423,10 @@ fn main() {
     let api = ApiServer::with_defaults(world.clone()).unwrap();
 
     // Smoke mode trims what is *expensive* (scan passes, the worker
-    // sweep), never what is *gated*: bench_check.sh compares the
-    // smoke indexed qps and expand wall-clocks against the recorded
-    // full-run medians, so those must be measured with full-run rigor or
-    // the comparison is noise.
+    // sweep), never what is *gated*: the smoke's indexed qps and expand
+    // wall-clocks are judged against the recorded full-run medians, so
+    // those must be measured with full-run rigor or the comparison is
+    // noise.
     let search = if smoke {
         bench_search(&api, 40, 1)
     } else {
@@ -449,13 +467,9 @@ fn main() {
         "mem: peak rss {} bytes, {} allocations",
         mem.peak_rss_bytes, mem.alloc_count
     );
-    if smoke {
-        eprintln!("smoke mode: not writing BENCH_history.jsonl");
-        return;
-    }
     let report = Report {
         sha: bench_sha(),
-        label: std::env::var("FLOCK_BENCH_LABEL").unwrap_or_else(|_| "throughput".to_string()),
+        label: "throughput".to_string(),
         world: format!("WorldConfig::small().with_seed({})", config.seed),
         host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
         request_latency_micros: latency_micros,
@@ -464,5 +478,11 @@ fn main() {
         crawl_speedup_at_4,
         mem,
     };
-    append_history(&serde_json::to_string(&report).expect("serialize report"));
+    let line = serde_json::to_string(&report).expect("serialize report");
+    if !smoke {
+        append_history(&line);
+        return Ok(());
+    }
+    eprintln!("smoke mode: not writing BENCH_history.jsonl");
+    gate_smoke(&line)
 }

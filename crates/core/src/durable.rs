@@ -102,6 +102,10 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
 mod tests {
     use super::*;
 
+    impl JsonCheckpoint for u64 {
+        const NAME: &'static str = "round counter";
+    }
+
     fn scratch_dir(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("flock_durable_{name}_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -134,6 +138,22 @@ mod tests {
         write_atomic(&path, b"first, and longer").unwrap();
         write_atomic(&path, b"second").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"second");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_killed_writers_temp_file_changes_nothing() {
+        let dir = scratch_dir("stale");
+        let path = dir.join("state.ckpt");
+        save(&path, &1u64).unwrap();
+        // A writer killed between its fsync and its rename leaves its
+        // temp file, named with its own pid, beside the last good save.
+        let stale = dir.join(format!(".state.ckpt.tmp.{}", std::process::id() + 1));
+        std::fs::write(&stale, b"3").unwrap();
+        assert_eq!(load_if_exists::<u64>(&path).unwrap(), Some(1));
+        save(&path, &2u64).unwrap();
+        assert_eq!(load_if_exists::<u64>(&path).unwrap(), Some(2));
+        assert_eq!(std::fs::read(&stale).unwrap(), b"3");
         std::fs::remove_dir_all(&dir).ok();
     }
 

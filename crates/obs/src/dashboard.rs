@@ -20,16 +20,17 @@
 //!   (the Σ buckets + work = duration identity, rendered), and the
 //!   report's Sched section.
 //!
-//! Trend series are shape-filtered the same way `scripts/bench_check.sh`
-//! windows the history (throughput-shaped entries carry `search`,
-//! monitor-shaped entries carry `checks_per_sec`), and each chart
-//! carries a regression marker when the corresponding trend gate would
-//! fire on the newest entry.
+//! The trend charts draw the series of [`GATE_RULES`], and each caption
+//! carries that rule's [`eval_gate`] verdict on the newest entry. The
+//! throughput bench's smoke (`cargo bench -p flock-bench --bench
+//! throughput -- --test`) runs the same rules over the committed history
+//! plus the line it would have recorded, so the dashboard and
+//! `scripts/bench_check.sh` read one gate.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-use crate::profile::{phase_profiles, PhaseProfile};
+use crate::profile::{phase_profiles, slot_label, PhaseProfile};
 use crate::report::RunReport;
 use crate::svg::{
     circle, fmt_fixed, label, rect, spark_geometry, sparkline, svg_root, trend_of, xml_escape,
@@ -52,10 +53,9 @@ pub const DASH_SCHED_FENCE_END: &str = "<!--=== END DASHBOARD SCHED TIER ===-->"
 // BENCH_history.jsonl parsing
 // ---------------------------------------------------------------------
 
-/// The recorded entry shapes `BENCH_history.jsonl` may hold. Shape
-/// selection mirrors the key-presence rules `bench_check.sh` uses to
-/// window its trend gates, so differently-shaped entries never pollute
-/// each other's medians.
+/// The recorded entry shapes `BENCH_history.jsonl` may hold. Each gate
+/// rule reads a metric only one shape carries, so differently-shaped
+/// entries never enter each other's medians.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HistoryShape {
     /// Recorded throughput bench (`search` + `crawl` blocks; older
@@ -67,19 +67,8 @@ pub enum HistoryShape {
     Monitor,
 }
 
-impl HistoryShape {
-    /// Stable label for captions and error messages.
-    pub fn label(self) -> &'static str {
-        match self {
-            HistoryShape::Throughput => "throughput",
-            HistoryShape::PaperScale => "paper-scale",
-            HistoryShape::Monitor => "monitor",
-        }
-    }
-}
-
-/// One parsed + schema-validated history line, with the metrics the
-/// trend gates (and therefore the trend charts) read.
+/// One parsed + schema-validated history line: what it measured, on
+/// which host shape, and the metrics the gate rules read.
 #[derive(Clone, Debug)]
 pub struct HistoryEntry {
     /// Recording commit (short sha).
@@ -88,14 +77,30 @@ pub struct HistoryEntry {
     pub label: String,
     /// Detected entry shape.
     pub shape: HistoryShape,
+    /// `world`: the `WorldConfig` (scale and seed) the entry measured.
+    pub world: Option<String>,
+    /// `host_cpus`: the recording host's available parallelism.
+    pub host_cpus: Option<u64>,
     /// `search.indexed_qps` (throughput shape).
     pub search_qps: Option<f64>,
     /// `expand_secs` of the `workers=1` crawl point (throughput shape).
     pub expand_w1_secs: Option<f64>,
+    /// `expand_secs` of the `workers=4` crawl point (throughput shape).
+    pub expand_w4_secs: Option<f64>,
     /// `checks_per_sec` (monitor shape).
     pub checks_per_sec: Option<f64>,
     /// `mem.peak_rss_bytes` (any shape that recorded memory).
     pub peak_rss_bytes: Option<f64>,
+}
+
+impl HistoryEntry {
+    /// Same world on the same host shape; an entry that did not record
+    /// both matches nothing.
+    fn like(&self, other: &HistoryEntry) -> bool {
+        self.world.is_some()
+            && self.host_cpus.is_some()
+            && (&self.world, self.host_cpus) == (&other.world, other.host_cpus)
+    }
 }
 
 fn num(v: &Value) -> Option<f64> {
@@ -150,19 +155,34 @@ fn classify(v: &Value) -> Result<HistoryShape, String> {
 
 /// Parse and schema-check one history line. Every shape requires `sha`
 /// and `label`; each shape additionally requires the metric keys its
-/// trend gates read, so a malformed append fails loudly here instead of
-/// silently skewing gate medians or dashboard trends.
+/// gate rules read, so a malformed append fails loudly here instead of
+/// silently skewing gate medians or dashboard trends. `world` and
+/// `host_cpus` are optional, but typed when present.
 pub fn parse_history_line(line: &str) -> Result<HistoryEntry, String> {
     let v = serde_json::parse_value(line).map_err(|e| format!("invalid JSON: {e}"))?;
     let sha = req_str(&v, "sha")?;
     let label = req_str(&v, "label")?;
     let shape = classify(&v)?;
+    let world = v.get("world").map(|_| req_str(&v, "world")).transpose()?;
+    let host_cpus = match v.get("host_cpus") {
+        None => None,
+        Some(Value::U64(n)) => Some(*n),
+        Some(other) => {
+            return Err(format!(
+                "key \"host_cpus\" must be a count, got {}",
+                other.kind()
+            ))
+        }
+    };
     let mut entry = HistoryEntry {
         sha,
         label,
         shape,
+        world,
+        host_cpus,
         search_qps: None,
         expand_w1_secs: None,
+        expand_w4_secs: None,
         checks_per_sec: None,
         peak_rss_bytes: None,
     };
@@ -192,6 +212,8 @@ pub fn parse_history_line(line: &str) -> Result<HistoryEntry, String> {
                 let secs = req_num(item, "expand_secs", "crawl[]")?;
                 if workers == 1.0 {
                     entry.expand_w1_secs = Some(secs);
+                } else if workers == 4.0 {
+                    entry.expand_w4_secs = Some(secs);
                 }
             }
             if entry.expand_w1_secs.is_none() {
@@ -232,166 +254,206 @@ pub fn parse_history(text: &str) -> Result<Vec<HistoryEntry>, String> {
 }
 
 // ---------------------------------------------------------------------
-// Trend series + gate mirrors
+// The trend gate
 // ---------------------------------------------------------------------
 
-/// Whether the newest entry would trip the matching `bench_check.sh`
-/// trend gate.
-#[derive(Clone, Debug, PartialEq)]
-pub enum GateStatus {
-    /// Not enough shape-matched entries for a median window yet (the
-    /// gate would print `SKIPPED (bootstrap)`).
-    Bootstrap {
-        /// Shape-matched entries present.
-        have: usize,
-        /// Entries the window needs.
-        need: usize,
-    },
-    /// Inside the gate's band.
-    Pass {
-        /// The median the newest entry was compared against.
-        baseline: f64,
-    },
-    /// The gate would fire; `detail` explains the comparison.
-    Fire {
-        /// Human-readable comparison (fixed-precision values).
-        detail: String,
-    },
+/// Which way a metric must not move, as a factor of its baseline median.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Bound {
+    /// A rate: the newest value must stay ≥ factor × the median.
+    AtLeast(f64),
+    /// A cost: the newest value must stay ≤ factor × the median.
+    AtMost(f64),
 }
 
-/// One chart-ready metric trajectory across shape-matched history
-/// entries, oldest first.
-#[derive(Clone, Debug)]
-pub struct TrendSeries {
-    /// Stable id (`trend-<key>` in the HTML).
+/// One trend gate: the metric it reads off each history entry and the
+/// band the newest entry must stay inside.
+#[derive(Debug)]
+pub struct GateRule {
+    /// Stable id: `trend-<key>` in the dashboard, the name on the bench's
+    /// verdict line.
     pub key: &'static str,
     /// Chart title.
     pub title: &'static str,
     /// Value unit for the caption.
     pub unit: &'static str,
-    /// Metric values, one per shape-matched entry.
-    pub values: Vec<f64>,
-    /// Recording sha per point (same order as `values`).
-    pub shas: Vec<String>,
-    /// Mirrored trend-gate verdict on the newest point.
-    pub gate: GateStatus,
+    /// The metric, `None` for an entry that does not carry it.
+    pub metric: fn(&HistoryEntry) -> Option<f64>,
+    /// The band.
+    pub bound: Bound,
+    /// Whether the dashboard draws this rule's series.
+    pub charted: bool,
 }
 
-enum GateRule {
-    /// Newest entry must stay ≥ `factor` × median of the 3 prior entries.
-    LastMin(f64),
-    /// Newest entry must stay ≤ `factor` × median of the 3 prior entries.
-    LastMax(f64),
+const MIB: f64 = 1024.0 * 1024.0;
+
+/// Entries a baseline median is taken over.
+const WINDOW: usize = 3;
+
+/// Every trend gate, in chart order. The throughput bench's smoke
+/// evaluates each rule whose metric its line carries; the dashboard
+/// charts the `charted` ones. Nothing records monitor lines yet, so the
+/// monitor rule stays in bootstrap until something does.
+pub static GATE_RULES: [GateRule; 5] = [
+    GateRule {
+        key: "search-qps",
+        title: "search indexed throughput",
+        unit: "qps",
+        metric: |e| e.search_qps,
+        bound: Bound::AtLeast(0.8),
+        charted: true,
+    },
+    GateRule {
+        key: "expand-secs",
+        title: "expand wall-clock (workers=1)",
+        unit: "s",
+        metric: |e| e.expand_w1_secs,
+        bound: Bound::AtMost(1.2),
+        charted: true,
+    },
+    GateRule {
+        key: "expand-w4-secs",
+        title: "expand wall-clock (workers=4)",
+        unit: "s",
+        metric: |e| e.expand_w4_secs,
+        bound: Bound::AtMost(1.2),
+        charted: false,
+    },
+    GateRule {
+        key: "monitor-checks",
+        title: "monitor throughput",
+        unit: "checks/s",
+        metric: |e| e.checks_per_sec,
+        bound: Bound::AtLeast(0.8),
+        charted: true,
+    },
+    GateRule {
+        key: "peak-rss",
+        title: "peak RSS (throughput bench)",
+        unit: "MiB",
+        metric: |e| match e.shape {
+            HistoryShape::Throughput => e.peak_rss_bytes.map(|b| b / MIB),
+            _ => None,
+        },
+        bound: Bound::AtMost(1.2),
+        charted: true,
+    },
+];
+
+/// A gate rule's verdict on the newest entry that carries its metric.
+#[derive(Clone, Debug, PartialEq)]
+pub enum GateStatus {
+    /// Fewer than [`WINDOW`] like-for-like entries precede the newest one.
+    Bootstrap {
+        /// The newest entry plus the like-for-like entries before it, of
+        /// the `WINDOW + 1` a verdict needs.
+        have: usize,
+    },
+    /// Inside the rule's band.
+    Pass {
+        /// The median the newest entry was compared against.
+        baseline: f64,
+    },
+    /// Outside the rule's band.
+    Fire {
+        /// The newest entry's value.
+        last: f64,
+        /// The median it was compared against.
+        baseline: f64,
+        /// The rule's factor.
+        factor: f64,
+    },
 }
 
-/// Median matching `bench_check.sh`: lower-middle element of the sorted
-/// window.
+/// The verdict as the dashboard caption and the bench's stderr print it.
+impl std::fmt::Display for GateStatus {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GateStatus::Bootstrap { have } => {
+                write!(f, "bootstrap ({have}/{} entries)", WINDOW + 1)
+            }
+            GateStatus::Pass { baseline } => write!(f, "ok (median {})", fmt_fixed(*baseline, 2)),
+            GateStatus::Fire {
+                last,
+                baseline,
+                factor,
+            } => write!(
+                f,
+                "REGRESSION — last {} vs median {} ({}x gate)",
+                fmt_fixed(*last, 2),
+                fmt_fixed(*baseline, 2),
+                fmt_fixed(*factor, 2)
+            ),
+        }
+    }
+}
+
+/// Middle element of the sorted window (its length is [`WINDOW`], odd).
 fn median(window: &[f64]) -> f64 {
     let mut sorted = window.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    match sorted.len() {
-        0 => 0.0,
-        n => sorted[n.div_ceil(2) - 1],
-    }
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2]
 }
 
-fn eval_gate(values: &[f64], rule: &GateRule) -> GateStatus {
-    // The newest entry plays bench_check's "measured" role against the
-    // median of the 3 entries recorded before it.
-    let n = values.len();
-    if n < 4 {
-        return GateStatus::Bootstrap { have: n, need: 4 };
+/// Judge the newest entry of `history` that carries `rule`'s metric
+/// against the median of the [`WINDOW`] entries before it that carry the
+/// metric and measured the same world on the same host shape.
+pub fn eval_gate(history: &[HistoryEntry], rule: &GateRule) -> GateStatus {
+    let mut carrying = history
+        .iter()
+        .filter_map(|e| (rule.metric)(e).map(|v| (e, v)));
+    let Some((newest, last)) = carrying.next_back() else {
+        return GateStatus::Bootstrap { have: 0 };
+    };
+    let like: Vec<f64> = carrying
+        .filter(|(e, _)| e.like(newest))
+        .map(|(_, v)| v)
+        .collect();
+    if like.len() < WINDOW {
+        return GateStatus::Bootstrap {
+            have: like.len() + 1,
+        };
     }
-    let baseline = median(&values[n - 4..n - 1]);
-    let last = values[n - 1];
-    let (fired, factor) = match *rule {
-        GateRule::LastMin(factor) => (last < factor * baseline, factor),
-        GateRule::LastMax(factor) => (last > factor * baseline, factor),
+    let baseline = median(&like[like.len() - WINDOW..]);
+    let (fired, factor) = match rule.bound {
+        Bound::AtLeast(factor) => (last < factor * baseline, factor),
+        Bound::AtMost(factor) => (last > factor * baseline, factor),
     };
     if fired {
         GateStatus::Fire {
-            detail: format!(
-                "last {} vs median {} ({}x gate)",
-                fmt_fixed(last, 2),
-                fmt_fixed(baseline, 2),
-                fmt_fixed(factor, 2)
-            ),
+            last,
+            baseline,
+            factor,
         }
     } else {
         GateStatus::Pass { baseline }
     }
 }
 
-fn build_series(
-    key: &'static str,
-    title: &'static str,
-    unit: &'static str,
-    history: &[HistoryEntry],
-    extract: impl Fn(&HistoryEntry) -> Option<f64>,
-    rule: &GateRule,
-) -> TrendSeries {
-    let mut values = Vec::new();
-    let mut shas = Vec::new();
-    for e in history {
-        if let Some(v) = extract(e) {
-            values.push(v);
-            shas.push(e.sha.clone());
-        }
-    }
-    let gate = eval_gate(&values, rule);
-    TrendSeries {
-        key,
-        title,
-        unit,
-        values,
-        shas,
-        gate,
-    }
+/// One chart-ready metric trajectory across the entries that carry it,
+/// oldest first.
+#[derive(Clone, Debug)]
+pub struct TrendSeries {
+    /// The gate rule the chart draws.
+    pub rule: &'static GateRule,
+    /// Metric values, one per entry that carries the metric.
+    pub values: Vec<f64>,
+    /// The rule's verdict on the newest point.
+    pub gate: GateStatus,
 }
 
-const MIB: f64 = 1024.0 * 1024.0;
-
-/// The four gated trend series, shape-filtered per `bench_check.sh`'s
-/// window rules: search qps, workers=1 expand seconds, monitor
-/// checks/sec, and the throughput bench's peak RSS.
+/// The charted series of [`GATE_RULES`]: search qps, workers=1 expand
+/// seconds, monitor checks/sec, and the throughput bench's peak RSS.
 pub fn trend_series(history: &[HistoryEntry]) -> Vec<TrendSeries> {
-    vec![
-        build_series(
-            "search-qps",
-            "search indexed throughput",
-            "qps",
-            history,
-            |e| e.search_qps,
-            &GateRule::LastMin(0.8),
-        ),
-        build_series(
-            "expand-secs",
-            "expand wall-clock (workers=1)",
-            "s",
-            history,
-            |e| e.expand_w1_secs,
-            &GateRule::LastMax(1.2),
-        ),
-        build_series(
-            "monitor-checks",
-            "monitor throughput",
-            "checks/s",
-            history,
-            |e| e.checks_per_sec,
-            &GateRule::LastMin(0.8),
-        ),
-        build_series(
-            "peak-rss",
-            "peak RSS (throughput bench)",
-            "MiB",
-            history,
-            |e| match e.shape {
-                HistoryShape::Throughput => e.peak_rss_bytes.map(|b| b / MIB),
-                _ => None,
-            },
-            &GateRule::LastMax(1.2),
-        ),
-    ]
+    GATE_RULES
+        .iter()
+        .filter(|rule| rule.charted)
+        .map(|rule| TrendSeries {
+            rule,
+            values: history.iter().filter_map(rule.metric).collect(),
+            gate: eval_gate(history, rule),
+        })
+        .collect()
 }
 
 fn trend_figure(s: &TrendSeries) -> String {
@@ -420,21 +482,15 @@ fn trend_figure(s: &TrendSeries) -> String {
             trend_of(&s.values, 0.05).indicator()
         )
     };
-    let gate = match &s.gate {
-        GateStatus::Bootstrap { have, need } => {
-            format!("gate: bootstrap ({have}/{need} entries)")
-        }
-        GateStatus::Pass { baseline } => format!("gate: ok (median {})", fmt_fixed(*baseline, 2)),
-        GateStatus::Fire { detail } => format!("gate: REGRESSION — {detail}"),
-    };
+    let gate = format!("gate: {}", s.gate);
     format!(
         "<figure class=\"trend{flag}\" id=\"trend-{key}\">{svg}\
          <figcaption><b>{title}</b> ({unit}) · {n} entries — {stats} · {gate}</figcaption></figure>",
         flag = if fired { " fire" } else { "" },
-        key = s.key,
+        key = s.rule.key,
         svg = svg.render(),
-        title = xml_escape(s.title),
-        unit = xml_escape(s.unit),
+        title = xml_escape(s.rule.title),
+        unit = xml_escape(s.rule.unit),
         n = s.values.len(),
         stats = xml_escape(&stats),
         gate = xml_escape(&gate),
@@ -516,14 +572,14 @@ pub fn gantt_svg(profiles: &[PhaseProfile]) -> String {
 /// the phase's requests (count printed in the cell).
 pub fn worker_heatmap_svg(profiles: &[PhaseProfile]) -> String {
     let phases: Vec<&PhaseProfile> = profiles.iter().filter(|p| p.requests > 0).collect();
-    let mut slots: BTreeSet<usize> = BTreeSet::new();
+    let mut slots: BTreeSet<Option<usize>> = BTreeSet::new();
     for p in &phases {
         slots.extend(p.workers.keys().copied());
     }
     if phases.is_empty() || slots.is_empty() {
         return placeholder_svg("no worker activity recorded");
     }
-    let slots: Vec<usize> = slots.into_iter().collect();
+    let slots: Vec<Option<usize>> = slots.into_iter().collect();
     let cell_w: f64 = 46.0;
     let header_h: f64 = 16.0;
     let height = 2.0 * PAD + header_h + ROW_H * phases.len() as f64;
@@ -536,7 +592,7 @@ pub fn worker_heatmap_svg(profiles: &[PhaseProfile]) -> String {
             10.0,
             "middle",
             "#374151",
-            &format!("w{slot}"),
+            &format!("w{}", slot_label(*slot)),
         ));
     }
     for (r, p) in phases.iter().enumerate() {
@@ -1006,7 +1062,7 @@ mod tests {
 
     const THROUGHPUT_LINE: &str = concat!(
         "{\"sha\":\"abc1234\",\"label\":\"throughput\",\"search\":{\"indexed_qps\":5000.5},",
-        "\"crawl\":[{\"workers\":1,\"expand_secs\":0.7},{\"workers\":8,\"expand_secs\":0.12}],",
+        "\"crawl\":[{\"workers\":1,\"expand_secs\":0.7},{\"workers\":4,\"expand_secs\":0.12}],",
         "\"sched\":{\"speedup\":20.5},\"mem\":{\"peak_rss_bytes\":353443840}}"
     );
     const MONITOR_LINE: &str = concat!(
@@ -1027,6 +1083,7 @@ mod tests {
         assert_eq!(entries[0].shape, HistoryShape::Throughput);
         assert_eq!(entries[0].search_qps, Some(5000.5));
         assert_eq!(entries[0].expand_w1_secs, Some(0.7));
+        assert_eq!(entries[0].expand_w4_secs, Some(0.12));
         assert_eq!(entries[1].shape, HistoryShape::Monitor);
         assert_eq!(entries[1].checks_per_sec, Some(40591.0));
         assert_eq!(entries[2].shape, HistoryShape::PaperScale);
@@ -1060,77 +1117,114 @@ mod tests {
         assert!(err.contains("must be a number"), "{err}");
 
         assert!(parse_history_line("not json").is_err());
+
+        // The host shape is optional, and typed when present.
+        let shaped = THROUGHPUT_LINE.replacen("{", "{\"world\":\"W\",\"host_cpus\":2,", 1);
+        let e = parse_history_line(&shaped).expect("host shape parses");
+        assert_eq!((e.world.as_deref(), e.host_cpus), (Some("W"), Some(2)));
+        for (key, typo) in [("\"host_cpus\"", ":2,"), ("\"world\"", ":\"W\",")] {
+            let err = parse_history_line(&shaped.replacen(typo, ":-2,", 1)).expect_err(key);
+            assert!(err.contains(key), "{err}");
+        }
     }
 
-    fn throughput_entry(sha: &str, qps: f64, expand: f64) -> HistoryEntry {
+    /// A throughput entry on `WorldConfig::small().with_seed(1234)` that
+    /// carries every gated metric at `v` (peak RSS in MiB).
+    fn entry(host_cpus: u64, v: f64) -> HistoryEntry {
         HistoryEntry {
-            sha: sha.to_string(),
+            sha: "abc1234".to_string(),
             label: "throughput".to_string(),
             shape: HistoryShape::Throughput,
-            search_qps: Some(qps),
-            expand_w1_secs: Some(expand),
-            checks_per_sec: None,
-            peak_rss_bytes: Some(100.0 * MIB),
+            world: Some("WorldConfig::small().with_seed(1234)".to_string()),
+            host_cpus: Some(host_cpus),
+            search_qps: Some(v),
+            expand_w1_secs: Some(v),
+            expand_w4_secs: Some(v),
+            checks_per_sec: Some(v),
+            peak_rss_bytes: Some(v * MIB),
         }
+    }
+
+    /// `rule`'s verdict on `before` (then `newest`), as printed.
+    fn verdict(rule: &GateRule, before: &[f64], newest: HistoryEntry) -> String {
+        let mut history: Vec<HistoryEntry> = before.iter().map(|&v| entry(1, v)).collect();
+        history.push(newest);
+        eval_gate(&history, rule).to_string()
     }
 
     #[test]
     fn gates_bootstrap_then_fire_like_bench_check() {
-        // Three entries: LastMin/LastMax windows need 4 → bootstrap.
-        let short: Vec<HistoryEntry> = (0..3)
-            .map(|i| throughput_entry(&format!("s{i}"), 1000.0, 0.7))
-            .collect();
-        let series = trend_series(&short);
-        let search = &series[0];
-        assert_eq!(search.key, "search-qps");
-        assert_eq!(search.gate, GateStatus::Bootstrap { have: 3, need: 4 });
+        for rule in &GATE_RULES {
+            let (worse, better, factor) = match rule.bound {
+                Bound::AtLeast(f) => (50.0, 150.0, f),
+                Bound::AtMost(f) => (150.0, 50.0, f),
+            };
+            let steady = [100.0; 3];
+            let judge = |v: f64| verdict(rule, &steady, entry(1, v));
+            assert_eq!(
+                verdict(rule, &steady[1..], entry(1, 100.0)),
+                "bootstrap (3/4 entries)"
+            );
+            assert_eq!(judge(100.0), "ok (median 100.00)", "{}", rule.key);
+            assert_eq!(judge(better), "ok (median 100.00)", "{}", rule.key);
+            assert_eq!(
+                judge(worse),
+                format!("REGRESSION — last {worse:.2} vs median 100.00 ({factor:.2}x gate)"),
+            );
+            // The window is the three entries before the newest one: an
+            // older outlier does not move the median.
+            let outlier = verdict(rule, &[1000.0, 100.0, 100.0, 100.0], entry(1, 100.0));
+            assert_eq!(outlier, "ok (median 100.00)", "{}", rule.key);
+        }
+    }
 
-        // Four entries, newest collapsed: search gate fires (< 0.8x median),
-        // expand gate fires (> 1.2x median).
-        let mut hist: Vec<HistoryEntry> = (0..3)
-            .map(|i| throughput_entry(&format!("s{i}"), 1000.0, 0.7))
-            .collect();
-        hist.push(throughput_entry("s3", 100.0, 2.0));
-        let series = trend_series(&hist);
-        assert!(
-            matches!(series[0].gate, GateStatus::Fire { .. }),
-            "search gate should fire: {:?}",
-            series[0].gate
-        );
-        assert!(
-            matches!(series[1].gate, GateStatus::Fire { .. }),
-            "expand gate should fire: {:?}",
-            series[1].gate
-        );
-        // A steady newest entry passes both.
-        hist.push(throughput_entry("s4", 1000.0, 0.7));
-        let series = trend_series(&hist[1..]);
-        assert!(matches!(series[0].gate, GateStatus::Pass { .. }));
-        assert!(matches!(series[1].gate, GateStatus::Pass { .. }));
+    #[test]
+    fn gates_compare_like_with_like_only() {
+        let other_world = HistoryEntry {
+            world: Some("WorldConfig::medium().with_seed(1234)".to_string()),
+            ..entry(1, 10.0)
+        };
+        let no_host = HistoryEntry {
+            host_cpus: None,
+            ..entry(1, 10.0)
+        };
+        for rule in &GATE_RULES {
+            // Another host shape, another world, or none recorded: nothing
+            // before the newest entry is its baseline.
+            for newest in [entry(2, 10.0), other_world.clone(), no_host.clone()] {
+                let v = verdict(rule, &[100.0; 3], newest);
+                assert_eq!(v, "bootstrap (1/4 entries)", "{}", rule.key);
+            }
+            // Such entries neither fill nor break a like-for-like window.
+            let mut history: Vec<HistoryEntry> = (0..3).map(|_| entry(1, 100.0)).collect();
+            history.splice(2..2, [entry(2, 10.0), other_world.clone(), no_host.clone()]);
+            history.push(entry(1, 100.0));
+            assert_eq!(
+                eval_gate(&history, rule),
+                GateStatus::Pass { baseline: 100.0 }
+            );
+        }
     }
 
     #[test]
     fn series_are_shape_filtered() {
-        let mut hist = vec![throughput_entry("t0", 1000.0, 0.7)];
-        hist.push(HistoryEntry {
-            sha: "m0".to_string(),
-            label: "monitor".to_string(),
+        let monitor = HistoryEntry {
             shape: HistoryShape::Monitor,
             search_qps: None,
             expand_w1_secs: None,
+            expand_w4_secs: None,
             checks_per_sec: Some(40000.0),
             peak_rss_bytes: Some(50.0 * MIB),
-        });
-        let series = trend_series(&hist);
+            ..entry(1, 0.0)
+        };
+        let throughput = HistoryEntry {
+            checks_per_sec: None,
+            ..entry(1, 100.0)
+        };
+        let series = trend_series(&[throughput, monitor]);
         // Monitor RSS must not leak into the throughput RSS trend.
-        let rss = series.iter().find(|s| s.key == "peak-rss").expect("rss");
-        assert_eq!(rss.values, vec![100.0]);
-        let checks = series
-            .iter()
-            .find(|s| s.key == "monitor-checks")
-            .expect("checks");
-        assert_eq!(checks.values, vec![40000.0]);
-        assert_eq!(checks.shas, vec!["m0".to_string()]);
+        assert_eq!(series[3].values, vec![100.0]);
+        assert_eq!(series[2].values, vec![40000.0]);
     }
 
     #[test]

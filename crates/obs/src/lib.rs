@@ -4,7 +4,7 @@
 //! one: §3 reports request volumes, rate-limit stalls, dead instances and
 //! per-phase coverage, and every follow-on study leans on knowing exactly
 //! what the crawl did. This crate is the workspace's observability layer:
-//! a dependency-free [`Registry`] of named counters, gauges and histograms
+//! a [`Registry`] of named counters, gauges and histograms
 //! plus lightweight span events, hierarchical request spans ([`Span`]),
 //! a per-phase wait-attribution ledger ([`WaitCause`]), a virtual-time
 //! profiler ([`profile`]) and a deterministic run-report renderer
@@ -900,7 +900,8 @@ impl Registry {
         out
     }
 
-    /// Full JSON export (hand-rolled: this crate has no dependencies).
+    /// Full JSON export: one map per tier, one object per metric, in
+    /// name order.
     pub fn export_json(&self) -> String {
         let mut out = String::from("{\n");
         for (i, tier) in [Tier::Data, Tier::Sched].into_iter().enumerate() {

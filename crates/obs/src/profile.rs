@@ -26,6 +26,12 @@ pub struct WorkerLoad {
     pub wait_secs: u64,
 }
 
+/// A worker slot as the report and the dashboard print it: its number, or
+/// `-` for a span opened outside the worker pool.
+pub fn slot_label(worker: Option<usize>) -> String {
+    worker.map_or_else(|| "-".to_string(), |w| w.to_string())
+}
+
 /// One segment of a phase's critical path: a span that advanced the
 /// shared virtual clock.
 #[derive(Clone, Debug)]
@@ -77,8 +83,9 @@ pub struct PhaseProfile {
     pub attempts: u64,
     /// Attempt outcomes by stable label.
     pub outcomes: BTreeMap<&'static str, u64>,
-    /// Per-worker load, keyed by worker slot.
-    pub workers: BTreeMap<usize, WorkerLoad>,
+    /// Per-worker load, keyed by worker slot; `None` holds the spans
+    /// opened outside the worker pool, which carry no slot.
+    pub workers: BTreeMap<Option<usize>, WorkerLoad>,
     /// Spans that advanced the clock, in start order.
     pub critical_path: Vec<CriticalSegment>,
     /// Every request chain, slowest first (ties broken by span id).
@@ -142,7 +149,7 @@ pub fn phase_profiles(reg: &Registry) -> Vec<PhaseProfile> {
                 slowest: Vec::new(),
             };
             for s in by_phase.get(ph.name.as_str()).into_iter().flatten() {
-                let slot = prof.workers.entry(s.worker.unwrap_or(0)).or_default();
+                let slot = prof.workers.entry(s.worker).or_default();
                 if s.parent.is_none() {
                     prof.requests += 1;
                     slot.requests += 1;
@@ -260,15 +267,32 @@ mod tests {
         let reg = seeded_registry();
         let p = &phase_profiles(&reg)[0];
         assert_eq!(p.workers.len(), 2);
-        assert_eq!(p.workers[&0].requests, 1);
-        assert_eq!(p.workers[&0].attempts, 2);
-        assert_eq!(p.workers[&0].wait_secs, 900);
-        assert_eq!(p.workers[&1].requests, 1);
-        assert_eq!(p.workers[&1].wait_secs, 0);
+        assert_eq!(p.workers[&Some(0)].requests, 1);
+        assert_eq!(p.workers[&Some(0)].attempts, 2);
+        assert_eq!(p.workers[&Some(0)].wait_secs, 900);
+        assert_eq!(p.workers[&Some(1)].requests, 1);
+        assert_eq!(p.workers[&Some(1)].wait_secs, 0);
         // Only the waiting span is on the critical path.
         assert_eq!(p.critical_path.len(), 1);
         assert_eq!(p.critical_path[0].advance_secs, 900);
         assert_eq!(p.critical_path[0].label, "following:1");
+    }
+
+    #[test]
+    fn spans_without_a_slot_are_not_worker_zeros() {
+        let reg = seeded_registry();
+        // A root span opened outside the pool, as the monitor's
+        // orchestrator opens one around its idle waits.
+        let root = reg.span_begin("expand.followees", "orchestrator", None, None, 0);
+        reg.attribute_wait(root, "expand.followees", WaitCause::Idle, 100);
+        reg.span_end(root, 900, SpanOutcome::Granted);
+        let p = &phase_profiles(&reg)[0];
+        let load = |slot| (p.workers[&slot].requests, p.workers[&slot].wait_secs);
+        assert_eq!(p.workers.len(), 3);
+        assert_eq!(
+            [load(None), load(Some(0)), load(Some(1))],
+            [(1, 100), (1, 900), (1, 0)]
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use std::fmt::Write as _;
 
-use crate::profile::{phase_profiles, PhaseProfile};
+use crate::profile::{phase_profiles, slot_label, PhaseProfile};
 use crate::svg::xml_escape;
 use crate::{Registry, Tier, WaitCause};
 
@@ -315,6 +315,7 @@ fn render_sched(reg: &Registry, meta: &ReportMeta, profiles: &[PhaseProfile]) ->
     for p in profiles.iter().filter(|p| p.requests > 0) {
         let mut line = format!("  {:<28}", p.name);
         for (slot, load) in &p.workers {
+            let slot = slot_label(*slot);
             let _ = write!(
                 line,
                 " w{slot}[req={} att={} wait={}s]",
@@ -332,7 +333,7 @@ fn render_sched(reg: &Registry, meta: &ReportMeta, profiles: &[PhaseProfile]) ->
             .then(a.span_id.cmp(&b.span_id))
     });
     for (i, c) in chains.iter().take(meta.top_k).enumerate() {
-        let worker = c.worker.map_or("-".to_string(), |w| w.to_string());
+        let worker = slot_label(c.worker);
         let _ = writeln!(
             out,
             "  {:>2}. [{}] {} — {}s, {} attempts, {}, worker {}",
@@ -367,7 +368,7 @@ fn render_sched(reg: &Registry, meta: &ReportMeta, profiles: &[PhaseProfile]) ->
         let shown = p.critical_path.iter().take(meta.top_k);
         let elided = p.critical_path.len().saturating_sub(meta.top_k);
         for seg in shown {
-            let worker = seg.worker.map_or("-".to_string(), |w| w.to_string());
+            let worker = slot_label(seg.worker);
             let _ = writeln!(
                 out,
                 "  [{}] t={} +{}s {} (worker {})",

@@ -3,9 +3,9 @@
 //! ```text
 //! repro [--scale small|medium|paper|paper_scale] [--seed N] [--metrics PATH]
 //!       [--report PATH] [--chaos SCENARIO] [--workers N] <artifact>...
-//! repro --monitor [--sim-days N] [--nodes PATH]
-//!       [--checkpoint PATH] [--test] [--scale, --seed, --metrics,
-//!       --report, --dashboard, --chaos, --workers as above]
+//! repro --monitor [--sim-days N] [--nodes PATH] [--checkpoint PATH]
+//!       [--scale, --seed, --metrics, --report, --dashboard, --chaos,
+//!       --workers as above]
 //!
 //! artifacts: fig1 .. fig16, headline, all, experiments-md, retention,
 //!            dump-dataset[=path] (anonymized JSON release, §3.4), verify,
@@ -55,10 +55,9 @@
 //! `--workers`, so a round of fewer than 128 checks runs on the calling
 //! thread. `--nodes PATH`
 //! writes the deterministic nodes-list artifact (byte-identical across
-//! thread counts), `--checkpoint PATH` enables periodic checkpoint/resume,
-//! and `--test` prints throughput + peak-RSS lines for the bench trend
-//! gate. These four flags only apply with `--monitor`: a crawl run
-//! rejects them with the usage line rather than ignoring them.
+//! thread counts), and `--checkpoint PATH` enables periodic
+//! checkpoint/resume. These three flags only apply with `--monitor`: a
+//! crawl run rejects them with the usage line rather than ignoring them.
 //! ```
 
 use flock_chaos::Scenario;
@@ -75,7 +74,7 @@ fn usage() -> &'static str {
      [--report PATH (.html => HTML, else text)] \
      [--dashboard PATH [--diff OTHER_REPORT] [--history PATH]] \
      [--chaos calm|rate-limit-storm|instance-massacre|flaky-federation|rolling-outages] [--workers N] \
-     [--monitor [--sim-days N] [--nodes PATH] [--checkpoint PATH] [--test]] \
+     [--monitor [--sim-days N] [--nodes PATH] [--checkpoint PATH]] \
      <fig1..fig16|headline|all|retention|topics|verify|experiments-md|\
      csv[=dir]|stamp[=path]|dump-dataset[=path]>..."
 }
@@ -96,7 +95,6 @@ fn main() -> ExitCode {
         sim_days: 30,
         nodes_path: None,
         checkpoint_path: None,
-        test_lines: false,
         threads: 0,
     };
     // The last monitor-only flag seen, so a crawl run can reject it
@@ -106,10 +104,6 @@ fn main() -> ExitCode {
     while i < args.len() {
         match args[i].as_str() {
             "--monitor" => monitor = true,
-            "--test" => {
-                monitor_flag = Some("--test");
-                mcli.test_lines = true;
-            }
             "--sim-days" => {
                 monitor_flag = Some("--sim-days");
                 i += 1;
@@ -551,29 +545,7 @@ struct MonitorCli {
     sim_days: u64,
     nodes_path: Option<String>,
     checkpoint_path: Option<String>,
-    test_lines: bool,
     threads: usize,
-}
-
-/// Peak resident set size (`VmHWM` from `/proc/self/status`) in bytes;
-/// 0 where procfs is unavailable. Measurement-only: feeds the bench
-/// trend gate, never the Data tier.
-fn peak_rss_bytes() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest
-                .trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse()
-                .unwrap_or(0);
-            return kb * 1024;
-        }
-    }
-    0
 }
 
 /// The continuous-monitoring workload: generate the world, bootstrap the
@@ -618,8 +590,6 @@ fn run_monitor(
         checkpoint_path: cli.checkpoint_path.as_ref().map(std::path::PathBuf::from),
         ..MonitorConfig::default()
     };
-    // flock-lint: allow(determinism) wall-clock measures real throughput for the bench trend gate; never enters the Data tier
-    let wall_start = std::time::Instant::now();
     let out = match flock_monitor::run(&api, &obs, &mcfg) {
         Ok(out) => out,
         Err(e) => {
@@ -627,7 +597,6 @@ fn run_monitor(
             return ExitCode::FAILURE;
         }
     };
-    let wall_secs = wall_start.elapsed().as_secs_f64();
     let alive = out
         .records
         .values()
@@ -755,18 +724,6 @@ fn run_monitor(
             }
             eprintln!("[repro] wrote run dashboard to {}", dash.path);
         }
-    }
-    if cli.test_lines {
-        let rate = if wall_secs > 0.0 {
-            out.checks_total as f64 / wall_secs
-        } else {
-            0.0
-        };
-        eprintln!(
-            "monitor: {} checks in {wall_secs:.2}s ({rate:.0} checks/sec)",
-            out.checks_total
-        );
-        eprintln!("monitor: peak rss {} bytes", peak_rss_bytes());
     }
     ExitCode::SUCCESS
 }

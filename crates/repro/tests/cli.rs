@@ -34,7 +34,6 @@ fn monitor_only_flags_are_rejected_without_monitor() {
         &["--checkpoint", "x.ckpt"][..],
         &["--sim-days", "5"],
         &["--nodes", "nodes.txt"],
-        &["--test"],
     ] {
         let args: Vec<&str> = ["--scale", "small"]
             .iter()
@@ -68,5 +67,9 @@ fn bad_arguments_fail_before_anything_runs() {
     assert_usage_error(
         &["--monitor", "--scale", "small", "--tasks", "64"],
         "unknown flag \"--tasks\"",
+    );
+    assert_usage_error(
+        &["--monitor", "--scale", "small", "--test"],
+        "unknown flag \"--test\"",
     );
 }

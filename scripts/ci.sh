@@ -3,7 +3,8 @@
 # call-graph tier-taint and interprocedural lock-order passes, in one run),
 # the tier-1 build + test suite, a smoke
 # pass over every bench target (including the throughput bench, which in
-# --test mode does not append to the committed BENCH_history.jsonl), one
+# --test mode does not append to the committed BENCH_history.jsonl but
+# prints its trend-gate verdicts against it, never failing on one), one
 # release run of every example (each must exit 0), the flockbench test suite (its workloads and output digests), the
 # determinism matrix (seeds x worker counts must stamp and publish the
 # anonymized release byte-identically; one medium() seed must also hash
@@ -15,9 +16,10 @@
 # a chaos-scenario smoke crawl, a run-dashboard smoke (self-contained
 # HTML whose fenced Data region is also byte-compared in the determinism
 # matrix, plus a --diff view that must flag chaos divergence), and an
-# advisory throughput-regression check. The same script backs
-# .github/workflows/ci.yml. Fenced Data regions are carved out by
-# `data_fence` from scripts/lib.sh.
+# advisory throughput-regression check (scripts/bench_check.sh: the
+# throughput smoke again, failing on a REGRESSION verdict). The same
+# script backs .github/workflows/ci.yml. Fenced Data regions are carved
+# out by `data_fence` from scripts/lib.sh.
 #
 # Every stage prints a named banner on entry and its wall-clock seconds on
 # exit, so a matrix failure in CI logs pins down both the stage and — via
@@ -208,7 +210,7 @@ grep -q '\[repro\] chaos scenario: rate-limit-storm' "$chaos_log"
 grep -q '\[repro\] coverage:' "$chaos_log"
 grep '\[repro\] coverage:' "$chaos_log"
 
-stage "bench_check (advisory: throughput + monitor trend regression)"
+stage "bench_check (advisory: throughput trend gate)"
 if ! scripts/bench_check.sh; then
   echo "WARNING: bench_check reported a regression (advisory only; not failing the gate)" >&2
 fi

@@ -263,7 +263,9 @@ fn interrupted_monitor_resumes_to_identical_nodes_list() {
 /// at every round boundary of the horizon and still renders exactly the
 /// nodes list of an uninterrupted run. Every link has a fresh registry;
 /// the links share one API server, whose clock the checkpoint already
-/// carries forward.
+/// carries forward. Before each resume a torn temp file sits beside the
+/// checkpoint, as a writer killed inside its durable write leaves one: the
+/// resume reads past it, and it never replaces the checkpoint.
 #[test]
 fn monitor_resumes_at_every_round_boundary() {
     let seed = 9;
@@ -289,6 +291,7 @@ fn monitor_resumes_at_every_round_boundary() {
     std::fs::create_dir_all(&dir).unwrap();
     let ckpt = dir.join("monitor.ckpt");
     std::fs::remove_file(&ckpt).ok();
+    let torn = dir.join(format!(".monitor.ckpt.tmp.{}", std::process::id() + 1));
 
     let api = monitor_api(
         &world,
@@ -304,7 +307,13 @@ fn monitor_resumes_at_every_round_boundary() {
             stop_after_rounds: Some(1),
             ..base_config(&world)
         };
+        let good = std::fs::read(&ckpt).unwrap_or_default();
+        let torn_bytes = &good[..good.len() / 2];
+        std::fs::write(&torn, torn_bytes).unwrap();
         let out = monitor::run(&api, &obs, &cfg).unwrap();
+        assert_eq!(std::fs::read(&torn).unwrap(), torn_bytes, "link {links}");
+        let saved = std::fs::read(&ckpt).ok();
+        assert_ne!(saved.as_deref(), Some(torn_bytes), "link {links}");
         let expected_start = if links == 0 { None } else { Some(links) };
         assert_eq!(out.resumed_from_round, expected_start, "link {links}");
         links += 1;
@@ -314,6 +323,7 @@ fn monitor_resumes_at_every_round_boundary() {
         assert_eq!(out.rounds, links, "link {links} did not run one round");
     };
     std::fs::remove_file(&ckpt).ok();
+    std::fs::remove_file(&torn).ok();
 
     // One link per round, plus the last, which finds nothing due.
     assert_eq!(links, rounds + 1, "the chain skipped a round boundary");
