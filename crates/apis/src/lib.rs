@@ -14,8 +14,9 @@
 //!   forced the paper's 10% sample;
 //! * **opaque cursor pagination** ([`pagination`]);
 //! * crawl-time **fault injection**: down instances, suspended / deleted /
-//!   protected accounts, moved accounts answering `moved_to`, and optional
-//!   transient errors ([`server`]).
+//!   protected accounts, moved accounts answering `moved_to`, and whatever
+//!   errors, storms, outages and latency a `flock-chaos` plan adds
+//!   ([`server`]).
 
 pub mod index;
 pub mod pagination;

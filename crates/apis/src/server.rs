@@ -28,9 +28,7 @@ use crate::types::{
     ActivityRow, MastodonAccountObject, StatusObject, TweetObject, TwitterUserObject,
 };
 use flock_chaos::{EndpointFamily, FaultPlan, KeyFaults, OutageStatus, ResolvedPlan};
-use flock_core::{
-    Day, DetRng, FlockError, InstanceId, MastodonHandle, Result, TweetId, TwitterUserId,
-};
+use flock_core::{Day, FlockError, InstanceId, MastodonHandle, Result, TweetId, TwitterUserId};
 use flock_fedisim::users::AccountFate;
 use flock_fedisim::World;
 use flock_obs::trace::{self, FaultKind, SpanOutcome};
@@ -40,62 +38,34 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Server tuning knobs.
+/// Tweets per search page (full-archive max is 500).
+pub const SEARCH_PAGE_SIZE: usize = 500;
+/// Tweets per timeline page.
+pub const TIMELINE_PAGE_SIZE: usize = 100;
+/// Ids per follows page (real API: 1000).
+pub const FOLLOWS_PAGE_SIZE: usize = 1000;
+/// Statuses per Mastodon page (real API max: 40).
+pub const STATUSES_PAGE_SIZE: usize = 40;
+/// Accounts per Mastodon following page (real API: 80).
+pub const FOLLOWING_PAGE_SIZE: usize = 80;
+
+/// Server tuning knobs: one rate policy per endpoint family, plus the
+/// chaos plan — the only source of injected faults and latency.
 #[derive(Debug, Clone)]
 pub struct ApiConfig {
-    /// Tweets per search page (full-archive max is 500).
-    pub search_page_size: usize,
-    /// Tweets per timeline page.
-    pub timeline_page_size: usize,
-    /// Ids per follows page (real API: 1000).
-    pub follows_page_size: usize,
-    /// Statuses per Mastodon page (real API max: 40).
-    pub statuses_page_size: usize,
-    /// Accounts per Mastodon following page (real API: 80).
-    pub following_page_size: usize,
-    /// Probability that any request fails transiently (fault injection).
-    pub transient_error_rate: f64,
-    /// Simulated network latency per granted request, in microseconds
-    /// (a real `thread::sleep`, taken **outside** every lock). Zero — the
-    /// default — keeps tests instant; throughput benches switch it on to
-    /// measure what the worker pool actually buys a network-bound crawl:
-    /// overlapping request latency.
-    pub request_latency_micros: u64,
     pub search_policy: RatePolicy,
     pub users_policy: RatePolicy,
     pub follows_policy: RatePolicy,
     pub mastodon_policy: RatePolicy,
-    /// The chaos fault plan (defaults to [`FaultPlan::calm`]: no faults).
-    /// Resolved once at server construction; see `flock-chaos` for the
-    /// determinism contract.
+    /// The chaos fault plan (defaults to [`FaultPlan::calm`]: no faults,
+    /// no added latency). Resolved once at server construction; see
+    /// `flock-chaos` for the determinism contract.
     pub chaos: FaultPlan,
-}
-
-impl ApiConfig {
-    /// Range-check every knob. The scalar `transient_error_rate` is a
-    /// probability and must be finite and in `[0, 1]`; the chaos plan
-    /// applies the same discipline to each of its own parameters.
-    pub fn validate(&self) -> Result<()> {
-        let rate = self.transient_error_rate;
-        if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
-            return Err(FlockError::InvalidConfig(format!(
-                "transient_error_rate must be a finite probability in [0, 1], got {rate}"
-            )));
-        }
-        self.chaos.validate()
-    }
 }
 
 impl Default for ApiConfig {
     fn default() -> Self {
         ApiConfig {
-            search_page_size: 500,
-            timeline_page_size: 100,
-            follows_page_size: 1000,
-            statuses_page_size: 40,
-            following_page_size: 80,
-            transient_error_rate: 0.0,
-            request_latency_micros: 0,
             search_policy: RatePolicy::twitter_search(),
             users_policy: RatePolicy::twitter_users(),
             follows_policy: RatePolicy::twitter_follows(),
@@ -105,13 +75,10 @@ impl Default for ApiConfig {
     }
 }
 
-/// Mutable state of one endpoint family: its token bucket plus its own
-/// fault-injection RNG, so the fault sequence a family sees depends only on
-/// the order of requests *to that family* — never on how worker threads
-/// interleave requests to other families.
+/// Mutable state of one endpoint family: its token bucket and the chaos
+/// budget it has spent.
 struct FamilyState {
     bucket: TokenBucket,
-    fault_rng: DetRng,
     /// Chaos faults already injected per logical request key. Only keys
     /// the plan curses are ever inserted; the count saturates at the
     /// key's budget, so the map stays proportional to cursed keys seen.
@@ -119,10 +86,9 @@ struct FamilyState {
 }
 
 impl FamilyState {
-    fn new(policy: RatePolicy, rng: &mut DetRng, label: &str) -> Mutex<FamilyState> {
+    fn new(policy: RatePolicy) -> Mutex<FamilyState> {
         Mutex::new(FamilyState {
             bucket: TokenBucket::new(policy, 0),
-            fault_rng: rng.fork(label),
             chaos_spent: HashMap::new(),
         })
     }
@@ -225,7 +191,6 @@ const MASTODON_SHARDS: usize = 16;
 /// One shard of the per-instance Mastodon bucket map.
 struct MastodonShard {
     buckets: HashMap<InstanceId, TokenBucket>,
-    fault_rng: DetRng,
     /// Chaos faults already injected per logical request key (see
     /// [`FamilyState::chaos_spent`]); instances hash to shards, so a
     /// key's counter always lives under its instance's shard lock.
@@ -240,13 +205,14 @@ struct MastodonShard {
 /// per-instance Mastodon buckets spread over [`MASTODON_SHARDS`] locks.
 pub struct ApiServer {
     world: Arc<World>,
-    config: ApiConfig,
     /// Virtual time in seconds. Advancing is a `fetch_add`; readers never
     /// block a rate-limit decision in another family.
     clock: AtomicU64,
     search: Mutex<FamilyState>,
     users: Mutex<FamilyState>,
     follows: Mutex<FamilyState>,
+    /// The policy each per-instance Mastodon bucket starts with.
+    mastodon_policy: RatePolicy,
     mastodon: Vec<Mutex<MastodonShard>>,
     index: SearchIndex,
     metrics: ApiMetrics,
@@ -272,8 +238,8 @@ pub struct ApiServer {
 
 impl ApiServer {
     /// Build a server (constructs the search index; `O(total tokens)`).
-    /// Fails with [`FlockError::InvalidConfig`] when the config — notably
-    /// `transient_error_rate` or a chaos plan parameter — is out of range.
+    /// Fails with [`FlockError::InvalidConfig`] when a chaos plan
+    /// parameter is out of range.
     pub fn new(world: Arc<World>, config: ApiConfig) -> Result<Self> {
         ApiServer::with_obs(world, config, Registry::new())
     }
@@ -281,31 +247,24 @@ impl ApiServer {
     /// Build a server whose per-family instrumentation records into `obs`
     /// (the plain constructors use a private registry nobody exports).
     pub fn with_obs(world: Arc<World>, config: ApiConfig, obs: Registry) -> Result<Self> {
-        config.validate()?;
         let chaos = config.chaos.resolve(&world.outage_candidates())?;
         let index = SearchIndex::build(world.tweets.iter().map(|t| t.text))?;
         let metrics = ApiMetrics::new(&obs);
-        let mut rng = DetRng::new(world.config.seed ^ 0xA91);
-        let search = FamilyState::new(config.search_policy, &mut rng, "search");
-        let users = FamilyState::new(config.users_policy, &mut rng, "users");
-        let follows = FamilyState::new(config.follows_policy, &mut rng, "follows");
-        let mastodon = (0..MASTODON_SHARDS)
-            .map(|i| {
-                Mutex::new(MastodonShard {
-                    buckets: HashMap::new(),
-                    fault_rng: rng.fork(&format!("mastodon-{i}")),
-                    chaos_spent: HashMap::new(),
-                })
-            })
-            .collect();
         Ok(ApiServer {
             world,
-            config,
             clock: AtomicU64::new(0),
-            search,
-            users,
-            follows,
-            mastodon,
+            search: FamilyState::new(config.search_policy),
+            users: FamilyState::new(config.users_policy),
+            follows: FamilyState::new(config.follows_policy),
+            mastodon_policy: config.mastodon_policy,
+            mastodon: (0..MASTODON_SHARDS)
+                .map(|_| {
+                    Mutex::new(MastodonShard {
+                        buckets: HashMap::new(),
+                        chaos_spent: HashMap::new(),
+                    })
+                })
+                .collect(),
             index,
             metrics,
             chaos,
@@ -317,13 +276,6 @@ impl ApiServer {
     /// Build with default config.
     pub fn with_defaults(world: Arc<World>) -> Result<Self> {
         ApiServer::new(world, ApiConfig::default())
-    }
-
-    /// Canonical description of the resolved chaos plan (byte-stable for
-    /// a given plan + seed + world; see the `flock-chaos` determinism
-    /// contract).
-    pub fn chaos_description(&self) -> String {
-        self.chaos.describe()
     }
 
     /// The world behind the server (tests / ground-truth comparisons only —
@@ -397,14 +349,11 @@ impl ApiServer {
     /// same way no matter when or on which worker it runs.
     fn acquire(&self, which: Endpoint, key: &str) -> Result<()> {
         self.acquire_inner(which, key)?;
-        // Simulated network time, spent with no lock held: concurrent
-        // requests overlap their latency exactly as real HTTP calls would.
+        // The plan's latency, slept with no lock held: concurrent requests
+        // overlap it exactly as real HTTP calls would.
         let extra = self.chaos.extra_latency_micros(which.family(), self.now());
-        let latency = self.config.request_latency_micros + extra;
-        if latency > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(latency));
-        }
         if extra > 0 {
+            std::thread::sleep(std::time::Duration::from_micros(extra));
             self.metrics
                 .family(which.family())
                 .chaos_latency_micros
@@ -415,86 +364,65 @@ impl ApiServer {
 
     fn acquire_inner(&self, which: Endpoint, key: &str) -> Result<()> {
         let clock = self.now();
-        let rate = self.config.transient_error_rate;
         let family = which.family();
         // The per-key budget is a pure function of the plan — computed
         // outside the family lock; only the spent counter lives inside.
-        let kf = if self.chaos.family_has_key_faults(family) {
-            self.chaos.key_faults(family, key)
-        } else {
-            KeyFaults::default()
-        };
+        let kf = self.chaos.key_faults(family, key);
         let mut injected: Option<Injected> = None;
-        let mut check = |bucket: &mut TokenBucket,
-                         rng: &mut DetRng,
-                         spent: &mut HashMap<String, u32>|
-         -> Result<()> {
-            // Chaos injection comes first: while a key's budget lasts,
-            // neither the legacy fault coin nor the token bucket is ever
-            // consulted, so the injected sequence per key is independent
-            // of how attempts interleave with other traffic.
-            if kf.any() {
-                if let Some(kind) = chaos_inject(&kf, spent, key) {
-                    injected = Some(kind);
-                    return Err(match kind {
-                        Injected::Error => FlockError::DeliveryFailed(
-                            "chaos: injected transient error".to_string(),
-                        ),
-                        Injected::Storm => FlockError::RateLimited {
-                            retry_after_secs: kf.storm_retry_after_secs,
-                        },
-                    });
+        let mut check =
+            |bucket: &mut TokenBucket, spent: &mut HashMap<String, u32>| -> Result<()> {
+                // Chaos injection comes first: while a key's budget lasts the
+                // token bucket is never consulted, so the injected sequence per
+                // key is independent of how attempts interleave with other
+                // traffic.
+                if kf.any() {
+                    if let Some(kind) = chaos_inject(&kf, spent, key) {
+                        injected = Some(kind);
+                        return Err(match kind {
+                            Injected::Error => FlockError::DeliveryFailed(
+                                "chaos: injected transient error".to_string(),
+                            ),
+                            Injected::Storm => FlockError::RateLimited {
+                                retry_after_secs: kf.storm_retry_after_secs,
+                            },
+                        });
+                    }
                 }
-            }
-            if rate > 0.0 && rng.chance(rate) {
-                return Err(FlockError::InstanceUnavailable(
-                    "transient upstream error".to_string(),
-                ));
-            }
-            bucket
-                .try_acquire(clock)
-                .map_err(|retry_after_secs| FlockError::RateLimited { retry_after_secs })
-        };
+                bucket
+                    .try_acquire(clock)
+                    .map_err(|retry_after_secs| FlockError::RateLimited { retry_after_secs })
+            };
         let result = match which {
             Endpoint::Search => {
-                let mut s = self.search.lock();
                 let FamilyState {
                     bucket,
-                    fault_rng,
                     chaos_spent,
-                } = &mut *s;
-                check(bucket, fault_rng, chaos_spent)
+                } = &mut *self.search.lock();
+                check(bucket, chaos_spent)
             }
             Endpoint::Users => {
-                let mut s = self.users.lock();
                 let FamilyState {
                     bucket,
-                    fault_rng,
                     chaos_spent,
-                } = &mut *s;
-                check(bucket, fault_rng, chaos_spent)
+                } = &mut *self.users.lock();
+                check(bucket, chaos_spent)
             }
             Endpoint::Follows => {
-                let mut s = self.follows.lock();
                 let FamilyState {
                     bucket,
-                    fault_rng,
                     chaos_spent,
-                } = &mut *s;
-                check(bucket, fault_rng, chaos_spent)
+                } = &mut *self.follows.lock();
+                check(bucket, chaos_spent)
             }
             Endpoint::Mastodon(inst) => {
-                let mut shard = self.mastodon[Self::shard_of(inst)].lock();
                 let MastodonShard {
                     buckets,
-                    fault_rng,
                     chaos_spent,
-                } = &mut *shard;
-                let policy = self.config.mastodon_policy;
+                } = &mut *self.mastodon[Self::shard_of(inst)].lock();
                 let bucket = buckets
                     .entry(inst)
-                    .or_insert_with(|| TokenBucket::new(policy, clock));
-                check(bucket, fault_rng, chaos_spent)
+                    .or_insert_with(|| TokenBucket::new(self.mastodon_policy, clock));
+                check(bucket, chaos_spent)
             }
         };
         // Recorded after the family lock is released: handles are atomics.
@@ -514,16 +442,13 @@ impl ApiServer {
         }
         // Thread-local trace context: tell the crawler's span what this
         // attempt really was — callers cannot distinguish a storm
-        // rejection from a genuinely empty bucket, or a chaos injection
-        // from the transient coin, but the acquire decision can.
+        // rejection from a genuinely empty bucket, but the acquire
+        // decision can.
         let outcome = match (&result, injected) {
             (Ok(()), _) => SpanOutcome::Granted,
             (Err(_), Some(Injected::Storm)) => SpanOutcome::RateLimited { storm: true },
             (Err(_), Some(Injected::Error)) => SpanOutcome::Fault(FaultKind::Injected),
-            (Err(FlockError::RateLimited { .. }), None) => {
-                SpanOutcome::RateLimited { storm: false }
-            }
-            (Err(_), None) => SpanOutcome::Fault(FaultKind::Transient),
+            (Err(_), None) => SpanOutcome::RateLimited { storm: false },
         };
         trace::record_attempt(family.label(), outcome);
         result
@@ -601,7 +526,7 @@ impl ApiServer {
         // full scan when the query promises no token. Materialized once
         // per scope — subsequent pages of the same query hit the cache.
         let matches = self.cached_matches(&scope, &query, start, end);
-        let page = self.page(&matches, &scope, offset, self.config.search_page_size)?;
+        let page = self.page(&matches, &scope, offset, SEARCH_PAGE_SIZE)?;
         Ok(Page {
             items: page.items.iter().map(|&i| self.tweet_object(i)).collect(),
             next: self.maybe_truncate(EndpointFamily::Search, &scope, offset, page.next),
@@ -773,7 +698,7 @@ impl ApiServer {
                 d >= start && d <= end
             })
             .collect();
-        let page = self.page(&ids, &scope, offset, self.config.timeline_page_size)?;
+        let page = self.page(&ids, &scope, offset, TIMELINE_PAGE_SIZE)?;
         Ok(Page {
             items: page
                 .items
@@ -813,7 +738,7 @@ impl ApiServer {
             .map(|a| self.world.twitter_followees[a.id.index()].as_slice())
             .unwrap_or(&[]);
         let offset = decode(&scope, cursor)?;
-        let page = self.page(list, &scope, offset, self.config.follows_page_size)?;
+        let page = self.page(list, &scope, offset, FOLLOWS_PAGE_SIZE)?;
         Ok(Page {
             items: page.items,
             next: self.maybe_truncate(EndpointFamily::Follows, &scope, offset, page.next),
@@ -952,7 +877,7 @@ impl ApiServer {
             .ok_or_else(|| FlockError::NotFound(handle.to_string()))?;
         let ids = self.visible_statuses(account, handle);
         let offset = decode(&scope, cursor)?;
-        let page = self.page(&ids, &scope, offset, self.config.statuses_page_size)?;
+        let page = self.page(&ids, &scope, offset, STATUSES_PAGE_SIZE)?;
         Ok(Page {
             items: page
                 .items
@@ -994,7 +919,7 @@ impl ApiServer {
                     .collect::<Result<_>>()?
             };
         let offset = decode(&scope, cursor)?;
-        let page = self.page(&handles, &scope, offset, self.config.following_page_size)?;
+        let page = self.page(&handles, &scope, offset, FOLLOWING_PAGE_SIZE)?;
         Ok(Page {
             items: page.items,
             next: self.maybe_truncate(EndpointFamily::Mastodon, &scope, offset, page.next),
@@ -1360,28 +1285,39 @@ mod tests {
         assert!(list.contains(&"mastodon.social".to_string()));
     }
 
+    /// A key an error burst curses fails with a retryable error while its
+    /// budget lasts, then goes through; each failure is counted as an
+    /// injected error of its family.
     #[test]
-    fn transient_faults_injected_when_configured() {
+    fn error_burst_fails_a_cursed_key_then_lets_it_through() {
+        let obs = Registry::new();
         let world = Arc::new(World::generate(&WorldConfig::small().with_seed(9)).unwrap());
         let config = ApiConfig {
-            transient_error_rate: 0.5,
+            chaos: FaultPlan {
+                seed: 9,
+                faults: vec![flock_chaos::Fault::ErrorBurst {
+                    family: EndpointFamily::Search,
+                    key_rate: 1.0,
+                    max_per_key: 1,
+                }],
+            },
             ..ApiConfig::default()
         };
-        let api = ApiServer::new(world, config).unwrap();
-        let mut failures = 0;
-        for _ in 0..50 {
-            if api.instances_social_list().is_empty() {
-                unreachable!()
-            }
-            match api.twitter_search("mastodon", Day(25), Day(51), None) {
-                Err(FlockError::InstanceUnavailable(_)) => failures += 1,
-                Err(FlockError::RateLimited { retry_after_secs }) => {
-                    api.advance_clock(retry_after_secs);
-                }
-                _ => {}
-            }
+        let api = ApiServer::with_obs(world, config, obs.clone()).unwrap();
+        match api.twitter_search("mastodon", Day(25), Day(51), None) {
+            Err(e) => assert!(
+                matches!(e, FlockError::DeliveryFailed(_)) && e.is_retryable(),
+                "expected a retryable injected error, got {e}"
+            ),
+            Ok(_) => panic!("a cursed key went through"),
         }
-        assert!(failures > 5, "only {failures} transient failures");
+        api.twitter_search("mastodon", Day(25), Day(51), None)
+            .expect("the key's budget is spent");
+        assert_eq!(
+            obs.counter_value("flock.apis.search.chaos.injected_errors"),
+            Some(1)
+        );
+        assert_eq!(obs.counter_value("flock.apis.search.granted"), Some(1));
     }
 
     /// Regression (clock overshoot): when N workers are all told "retry

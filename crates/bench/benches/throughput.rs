@@ -15,7 +15,8 @@
 //! * **crawl** — wall-clock of the §3.2/§3.3 expansion phases
 //!   (`Crawler::expand`) as the worker-pool size grows, against an
 //!   identical discovery output, with 500 µs of simulated latency per
-//!   granted request for the workers to overlap.
+//!   granted request (a chaos-plan `LatencyBurst` on every endpoint
+//!   family) for the workers to overlap.
 //!
 //! Older entries also carry a `sched` block, from a retired comparison
 //! against a second, scheduler-driven crawl engine; nothing reads it.
@@ -38,6 +39,7 @@
 //! `FLOCK_BENCH_SHA` overrides the commit key when git is unavailable.
 
 use flock_apis::{ApiConfig, ApiServer};
+use flock_chaos::{EndpointFamily, Fault, FaultPlan, Window};
 use flock_core::Day;
 use flock_crawler::pipeline::{migration_queries, Crawler, CrawlerConfig};
 use flock_fedisim::{World, WorldConfig};
@@ -251,6 +253,17 @@ fn bench_crawl(
     worker_counts: &[usize],
     reps: usize,
 ) -> Vec<CrawlPoint> {
+    let latency = FaultPlan {
+        seed: 0,
+        faults: EndpointFamily::ALL
+            .into_iter()
+            .map(|family| Fault::LatencyBurst {
+                family,
+                window: Window::PERMANENT,
+                extra_micros: latency_micros,
+            })
+            .collect(),
+    };
     worker_counts
         .iter()
         .map(|&workers| {
@@ -262,7 +275,7 @@ fn bench_crawl(
                 let api = ApiServer::new(
                     world.clone(),
                     ApiConfig {
-                        request_latency_micros: latency_micros,
+                        chaos: latency.clone(),
                         ..ApiConfig::default()
                     },
                 )

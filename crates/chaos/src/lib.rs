@@ -196,9 +196,19 @@ impl FaultPlan {
         }
     }
 
-    /// `true` when the plan injects nothing.
-    pub fn is_calm(&self) -> bool {
-        self.faults.is_empty()
+    /// The same error burst on every endpoint family: a `key_rate` share
+    /// of each family's logical request keys fails `1..=max_per_key`
+    /// times. The plan-based form of a uniform transient error rate.
+    pub fn error_bursts(seed: u64, key_rate: f64, max_per_key: u32) -> FaultPlan {
+        let faults = EndpointFamily::ALL
+            .into_iter()
+            .map(|family| Fault::ErrorBurst {
+                family,
+                key_rate,
+                max_per_key,
+            })
+            .collect();
+        FaultPlan { seed, faults }
     }
 
     /// Range-check every parameter: probabilities must be finite and in
@@ -379,36 +389,10 @@ pub struct ResolvedPlan {
 }
 
 impl ResolvedPlan {
-    /// The resolved calm plan (no faults).
-    pub fn calm() -> ResolvedPlan {
-        ResolvedPlan {
-            seed: 0,
-            outages: BTreeMap::new(),
-            families: Default::default(),
-        }
-    }
-
-    /// `true` when nothing is ever injected.
-    pub fn is_empty(&self) -> bool {
-        self.outages.is_empty()
-            && self.families.iter().all(|f| {
-                f.bursts.is_empty()
-                    && f.storms.is_empty()
-                    && f.truncations.is_empty()
-                    && f.latency.is_empty()
-            })
-    }
-
-    /// Does the family carry any per-key fault source? (Cheap pre-check
-    /// so the server can skip key hashing on calm families.)
-    pub fn family_has_key_faults(&self, family: EndpointFamily) -> bool {
-        let f = &self.families[family.index()];
-        !f.bursts.is_empty() || !f.storms.is_empty()
-    }
-
     /// The injected-fault budget for one logical request key — a pure
     /// function of `(seed, plan, family, key)`, independent of time and
-    /// scheduling.
+    /// scheduling. A family with no burst or storm returns the empty
+    /// budget without hashing the key.
     pub fn key_faults(&self, family: EndpointFamily, key: &str) -> KeyFaults {
         let fam = &self.families[family.index()];
         if fam.bursts.is_empty() && fam.storms.is_empty() {
@@ -922,20 +906,5 @@ mod tests {
         let json = serde_json::to_string(&plan).unwrap();
         let back: FaultPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(back, plan);
-    }
-
-    #[test]
-    fn calm_is_empty() {
-        assert!(FaultPlan::calm().is_calm());
-        assert!(FaultPlan::calm()
-            .resolve(&candidates(3))
-            .unwrap()
-            .is_empty());
-        assert!(ResolvedPlan::calm().is_empty());
-        assert!(!Scenario::RateLimitStorm
-            .plan(0)
-            .resolve(&candidates(3))
-            .unwrap()
-            .is_empty());
     }
 }

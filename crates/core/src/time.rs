@@ -114,12 +114,6 @@ impl Day {
         // division is exact (and round-trips through `Week::monday`).
         Week(((monday_epoch - 4).div_euclid(7)) as i32)
     }
-
-    /// Whole days between `self` and `other` (`self - other`).
-    #[inline]
-    pub fn days_since(self, other: Day) -> i32 {
-        self.0 - other.0
-    }
 }
 
 impl Add<i32> for Day {
@@ -349,7 +343,6 @@ mod tests {
         assert_eq!(Day(5) + 3, Day(8));
         assert_eq!(Day(5) - 3, Day(2));
         assert_eq!(Day(8) - Day(5), 3);
-        assert_eq!(Day(8).days_since(Day(5)), 3);
         let mut d = Day(0);
         d += 10;
         assert_eq!(d, Day(10));

@@ -25,9 +25,9 @@
 //! should size `workers` by the work, not by the cores.
 //! Requests block in the crawler's and the monitor's retry loops, and
 //! rate-limit waits move the shared virtual clock instead of sleeping;
-//! only `ApiConfig::request_latency_micros` (off by default, on in the
-//! throughput bench) really sleeps, and that sleep is what more workers
-//! overlap.
+//! only a chaos plan's `Fault::LatencyBurst` (none by default, 500 µs on
+//! every family in the throughput bench) really sleeps, and that sleep is
+//! what more workers overlap.
 
 use crate::{FlockError, Result};
 use flock_obs::Gauge;

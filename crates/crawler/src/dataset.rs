@@ -81,7 +81,7 @@ pub enum TwitterCrawlOutcome {
     Suspended,
     Deleted,
     Protected,
-    /// Transient retries exhausted (fault injection / chaos): the account
+    /// Transient retries exhausted (a chaos error burst): the account
     /// may exist, but the crawler could not retrieve its timeline.
     Unreachable,
 }
@@ -94,7 +94,7 @@ pub enum MastodonCrawlOutcome {
     NoStatuses,
     /// The instance was unreachable at crawl time (paper: 11.58%).
     InstanceDown,
-    /// Transient retries exhausted (fault injection / chaos): the instance
+    /// Transient retries exhausted (a chaos error burst): the instance
     /// answered, but the timeline could not be retrieved.
     Unreachable,
 }

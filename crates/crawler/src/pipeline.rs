@@ -54,8 +54,6 @@ pub struct CrawlerConfig {
     /// telemetry (who waited out which rate limit) differs. Zero is a
     /// typed configuration error, not a silent clamp.
     pub workers: usize,
-    /// Seed for the followee-sample draw.
-    pub seed: u64,
     /// Also crawl followees for every observed instance-switcher (on top of
     /// the 10% sample). Fig. 10 analyzes switchers' ego networks, which a
     /// plain 10% draw would mostly miss; the paper §5.3 likewise required
@@ -84,13 +82,15 @@ impl Default for CrawlerConfig {
             max_transient_retries: 5,
             transient_backoff_secs: 30,
             workers: 4,
-            seed: 0xC4A41,
             include_switchers: true,
             max_rate_limit_wait_secs: 604_800,
             abort_after_requests: None,
         }
     }
 }
+
+/// Seed of the followee-sample draw (§3.3).
+pub const FOLLOWEE_SAMPLE_SEED: u64 = 0xC4A41;
 
 /// The six pipeline phases in execution order — the names double as the
 /// telemetry span names and as the checkpoint granularity of
@@ -516,8 +516,12 @@ impl<'a> Crawler<'a> {
                         &format!("attempt {transient}: {e}"),
                     );
                     let applied = self.api.advance_clock(self.config.transient_backoff_secs);
-                    self.obs
-                        .attribute_wait(span, phase, WaitCause::TransientBackoff, applied);
+                    self.obs.attribute_wait(
+                        Some(span),
+                        phase,
+                        WaitCause::TransientBackoff,
+                        applied,
+                    );
                 }
                 Err(e) => return Err(e),
             }
@@ -558,7 +562,7 @@ impl<'a> Crawler<'a> {
         let applied = self
             .api
             .advance_clock_to(before.saturating_add(retry_after_secs));
-        self.obs.attribute_wait(span, phase, cause, applied);
+        self.obs.attribute_wait(Some(span), phase, cause, applied);
         Ok(())
     }
 
@@ -911,7 +915,7 @@ impl<'a> Crawler<'a> {
         let half = n / 2;
         // flock-lint: allow(float-in-data-tier) one product of one config scalar computed once on one thread; IEEE-754 multiply+round of these magnitudes is exact and platform-stable, and no cross-worker accumulation exists
         let per_side = ((n as f64) * self.config.followee_sample_fraction / 2.0).round() as usize;
-        let mut rng = DetRng::new(self.config.seed);
+        let mut rng = DetRng::new(FOLLOWEE_SAMPLE_SEED);
         let below: Vec<TwitterUserId> = rng
             .sample(by_count[..half].iter().map(|&(_, id)| id), per_side)
             .into_iter()
@@ -1038,6 +1042,7 @@ pub fn crawl(api: &ApiServer) -> Result<Dataset> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flock_chaos::FaultPlan;
     use flock_fedisim::{World, WorldConfig};
     use std::sync::Arc;
 
@@ -1230,16 +1235,25 @@ mod tests {
         assert!(ds.stats.virtual_secs > 0);
     }
 
+    /// Error bursts within the retry allowance on every family are
+    /// retried to completion: errors are injected, nothing is skipped.
     #[test]
     fn survives_transient_faults() {
         let world = Arc::new(World::generate(&WorldConfig::small().with_seed(3030)).unwrap());
+        let obs = Registry::new();
         let api_cfg = flock_apis::ApiConfig {
-            transient_error_rate: 0.05,
+            chaos: FaultPlan::error_bursts(3030, 0.05, 5),
             ..Default::default()
         };
-        let api = ApiServer::new(world, api_cfg).unwrap();
-        let ds = crawl(&api).unwrap();
-        assert!(ds.stats.transient_failures > 0);
+        let api = ApiServer::with_obs(world, api_cfg, obs.clone()).unwrap();
+        let ds = Crawler::with_registry(&api, CrawlerConfig::default(), obs.clone())
+            .unwrap()
+            .run()
+            .unwrap();
+        assert!(obs
+            .counter_value("flock.apis.search.chaos.injected_errors")
+            .is_some_and(|n| n > 0));
+        assert!(ds.coverage.is_empty(), "{}", ds.coverage.summary());
         assert!(!ds.matched.is_empty());
     }
 

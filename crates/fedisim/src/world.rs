@@ -297,11 +297,6 @@ impl World {
             .and_then(|id| self.accounts.get(id.index()))
     }
 
-    /// Migrant index of an account.
-    pub fn migrant_index(&self, account: MastodonAccountId) -> usize {
-        account.index()
-    }
-
     /// Tweets of one author (ids in chronological generation order —
     /// one contiguous run of the dense id space).
     pub fn tweets_of(&self, author: TwitterUserId) -> impl Iterator<Item = TweetId> {

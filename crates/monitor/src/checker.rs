@@ -28,7 +28,7 @@
 //! * Anything else (`NotFound`, `Forbidden`, …) →
 //!   [`CheckOutcome::Unreachable`].
 
-use crate::{MonitorConfig, PHASE};
+use crate::{MonitorConfig, MAX_TRANSIENT_RETRIES, PHASE, TRANSIENT_BACKOFF_SECS};
 use flock_apis::server::ApiServer;
 use flock_core::{worker_pool, FlockError, Result};
 use flock_obs::trace::{self, FaultKind, SpanOutcome};
@@ -61,14 +61,6 @@ enum ReqPoll<'a> {
     Done(CheckOutcome<'a>),
 }
 
-/// Open the orchestrator's span for the whole monitoring phase. Its id
-/// only ever feeds `attribute_wait` and `span_end` — Sched-tier
-/// telemetry — so the caller stays Data-clean (declared as a boundary in
-/// `tier.manifest`).
-pub(crate) fn watch_span(obs: &Registry, start_secs: u64) -> u64 {
-    obs.span_begin(PHASE, "orchestrator", None, None, start_secs)
-}
-
 /// Open the logical-request span for one check. Boundary fn: the span id
 /// and worker slot feed Sched-tier telemetry only; the check's Data-tier
 /// outcome is derived solely from the API result.
@@ -90,7 +82,6 @@ fn mon_begin(obs: &Registry, api: &ApiServer, domain: &str) -> ReqState {
 fn mon_attempt<'a>(
     obs: &Registry,
     api: &'a ApiServer,
-    cfg: &MonitorConfig,
     st: &mut ReqState,
     domain: &str,
     as_of: u64,
@@ -142,11 +133,11 @@ fn mon_attempt<'a>(
         }
         Err(e) if e.is_retryable() => {
             st.transient += 1;
-            if st.transient > cfg.max_transient_retries {
+            if st.transient > MAX_TRANSIENT_RETRIES {
                 return finish(CheckOutcome::Unreachable);
             }
             ReqPoll::Wait {
-                until: before.saturating_add(cfg.transient_backoff_secs),
+                until: before.saturating_add(TRANSIENT_BACKOFF_SECS),
                 cause: WaitCause::TransientBackoff,
             }
         }
@@ -160,19 +151,13 @@ fn mon_attempt<'a>(
 /// so only the seconds this call actually moved the clock are charged
 /// (another worker may already have paid part of it), which keeps the
 /// phase's wait identity exact at any thread count.
-fn check<'a>(
-    obs: &Registry,
-    api: &'a ApiServer,
-    cfg: &MonitorConfig,
-    domain: &str,
-    as_of: u64,
-) -> CheckOutcome<'a> {
+fn check<'a>(obs: &Registry, api: &'a ApiServer, domain: &str, as_of: u64) -> CheckOutcome<'a> {
     let mut st = mon_begin(obs, api, domain);
     loop {
-        match mon_attempt(obs, api, cfg, &mut st, domain, as_of) {
+        match mon_attempt(obs, api, &mut st, domain, as_of) {
             ReqPoll::Wait { until, cause } => {
                 let applied = api.advance_clock_to(until);
-                obs.attribute_wait(st.span, PHASE, cause, applied);
+                obs.attribute_wait(Some(st.span), PHASE, cause, applied);
             }
             ReqPoll::Done(out) => return out,
         }
@@ -210,7 +195,7 @@ pub(crate) fn run_round<'a>(
     as_of: u64,
 ) -> Result<Vec<CheckOutcome<'a>>> {
     worker_pool::run(round_workers(cfg.threads, due.len()), due, |_, domain| {
-        check(obs, api, cfg, domain, as_of)
+        check(obs, api, domain, as_of)
     })
 }
 

@@ -26,15 +26,15 @@
 //! crawl pipeline.
 //!
 //! The run loop is **rounds-based**: find the earliest due instant,
-//! advance the clock there (charged to [`WaitCause::Idle`] on the
-//! orchestrator's span, so the per-phase wait identity Σ buckets + work =
-//! duration still holds), run every due check as a blocking loop on the
-//! worker pool (`flock_core::worker_pool`, the crawl's execution model),
-//! fold results in input order, repeat. A round takes one pool worker per
-//! [`checker::MIN_CHECKS_PER_WORKER`] due checks, up to
-//! [`MonitorConfig::threads`]: most rounds hold a few checks, which cost
-//! less than the thread a wider round would spawn, so they run on the
-//! calling thread. Round boundaries are also the
+//! advance the clock there (charged to the phase's [`WaitCause::Idle`]
+//! ledger with no span, since no request waited, so the per-phase wait
+//! identity Σ buckets + work = duration still holds), run every due check
+//! as a blocking loop on the worker pool (`flock_core::worker_pool`, the
+//! crawl's execution model), fold results in input order, repeat. A
+//! round takes one pool worker per [`checker::MIN_CHECKS_PER_WORKER`] due
+//! checks, up to [`MonitorConfig::threads`]: most rounds hold a few
+//! checks, which cost less than the thread a wider round would spawn, so
+//! they run on the calling thread. Round boundaries are also the
 //! checkpoint grain: [`checkpoint::MonitorCheckpoint`] persists the
 //! roster atomically and durably, and a resumed run continues from the
 //! last completed round with the same Data-tier output as an
@@ -54,6 +54,27 @@ use std::path::PathBuf;
 
 /// Seconds per simulated day.
 pub const SECS_PER_DAY: u64 = 86_400;
+
+/// Re-check interval for an instance last seen alive.
+pub const ALIVE_RECHECK_SECS: u64 = 21_600;
+
+/// First re-check delay after a failed check; doubles per consecutive
+/// failure up to [`MonitorConfig::backoff_cap_secs`].
+pub const BACKOFF_BASE_SECS: u64 = 3_600;
+
+/// Delay between discovering a peer and first checking it.
+pub const DISCOVERY_DELAY_SECS: u64 = 300;
+
+/// Transient failures tolerated per check before classifying the node
+/// unreachable.
+pub const MAX_TRANSIENT_RETRIES: u32 = 3;
+
+/// Virtual backoff between transient retries within one check.
+pub const TRANSIENT_BACKOFF_SECS: u64 = 30;
+
+/// A run with a checkpoint path saves the roster every this many completed
+/// rounds (and whenever `stop_after_rounds` interrupts it).
+pub const CHECKPOINT_EVERY_ROUNDS: u64 = 50;
 
 /// The single obs phase every monitor span and wait is attributed to.
 pub const PHASE: &str = "monitor.watch";
@@ -78,26 +99,14 @@ pub struct MonitorConfig {
     /// Domains seeded into the roster at depth 0 (the flagship
     /// instances, in the default wiring).
     pub bootstrap: Vec<String>,
-    /// Re-check interval for an instance last seen alive.
-    pub alive_recheck_secs: u64,
-    /// First re-check delay after a failed check; doubles per
-    /// consecutive failure.
-    pub backoff_base_secs: u64,
     /// Ceiling on the failure backoff — also the worst-case rebirth
-    /// detection latency once an outage lifts.
+    /// detection latency once an outage lifts. At least
+    /// [`BACKOFF_BASE_SECS`].
     pub backoff_cap_secs: u64,
-    /// Delay between discovering a peer and first checking it.
-    pub discovery_delay_secs: u64,
-    /// Transient failures tolerated per check before classifying the
-    /// node unreachable.
-    pub max_transient_retries: u32,
-    /// Virtual backoff between transient retries within one check.
-    pub transient_backoff_secs: u64,
-    /// Where to persist [`checkpoint::MonitorCheckpoint`]s; `None`
-    /// disables checkpointing (and resume).
+    /// Where to persist [`checkpoint::MonitorCheckpoint`]s (every
+    /// [`CHECKPOINT_EVERY_ROUNDS`] rounds); `None` disables checkpointing
+    /// (and resume).
     pub checkpoint_path: Option<PathBuf>,
-    /// Checkpoint every N completed rounds (0 = only on interruption).
-    pub checkpoint_every_rounds: u64,
     /// Stop (with a checkpoint) after this many rounds in this process —
     /// the test hook for interrupt-then-resume runs.
     pub stop_after_rounds: Option<u64>,
@@ -109,14 +118,8 @@ impl Default for MonitorConfig {
             sim_days: 30,
             threads: 1,
             bootstrap: Vec::new(),
-            alive_recheck_secs: 21_600,
-            backoff_base_secs: 3_600,
             backoff_cap_secs: SECS_PER_DAY,
-            discovery_delay_secs: 300,
-            max_transient_retries: 3,
-            transient_backoff_secs: 30,
             checkpoint_path: None,
-            checkpoint_every_rounds: 50,
             stop_after_rounds: None,
         }
     }
@@ -140,16 +143,11 @@ impl MonitorConfig {
                 "monitor needs at least one bootstrap domain".to_string(),
             ));
         }
-        if self.backoff_base_secs == 0 || self.backoff_cap_secs < self.backoff_base_secs {
+        if self.backoff_cap_secs < BACKOFF_BASE_SECS {
             return Err(FlockError::InvalidConfig(format!(
-                "monitor backoff base {}s / cap {}s out of order",
-                self.backoff_base_secs, self.backoff_cap_secs
+                "monitor backoff cap {}s is below the {BACKOFF_BASE_SECS}s base",
+                self.backoff_cap_secs
             )));
-        }
-        if self.alive_recheck_secs == 0 {
-            return Err(FlockError::InvalidConfig(
-                "monitor alive re-check interval must be positive".to_string(),
-            ));
         }
         Ok(())
     }
@@ -160,10 +158,10 @@ impl MonitorConfig {
     }
 
     /// The failure backoff after `failures` consecutive failed checks:
-    /// `base * 2^(failures-1)`, capped.
+    /// `BACKOFF_BASE_SECS * 2^(failures-1)`, capped.
     pub fn failure_backoff_secs(&self, failures: u32) -> u64 {
         let doublings = failures.saturating_sub(1).min(32);
-        self.backoff_base_secs
+        BACKOFF_BASE_SECS
             .saturating_mul(1u64 << doublings)
             .min(self.backoff_cap_secs)
     }
@@ -302,7 +300,6 @@ pub fn run(api: &ApiServer, obs: &Registry, cfg: &MonitorConfig) -> Result<Monit
 
     let start = api.now();
     obs.phase_start(start, PHASE);
-    let orch = checker::watch_span(obs, start);
     let mut rounds_this_process: u64 = 0;
     let completed = loop {
         let due_time = records
@@ -314,10 +311,10 @@ pub fn run(api: &ApiServer, obs: &Registry, cfg: &MonitorConfig) -> Result<Monit
             break true;
         };
         // Nothing is runnable before the due instant: the orchestrator
-        // sleeps there, and the movement lands in the Idle bucket so the
-        // phase's wait identity stays exact.
+        // sleeps there, and the movement lands in the phase's Idle bucket
+        // (no request waited, so no span) so the wait identity stays exact.
         let applied = api.advance_clock_to(due_time);
-        obs.attribute_wait(orch, PHASE, WaitCause::Idle, applied);
+        obs.attribute_wait(None, PHASE, WaitCause::Idle, applied);
         // BTreeMap order makes the due set — and therefore the pool's
         // claim order and the fold below — domain-sorted.
         let due: Vec<String> = records
@@ -332,8 +329,7 @@ pub fn run(api: &ApiServer, obs: &Registry, cfg: &MonitorConfig) -> Result<Monit
         round += 1;
         rounds_this_process += 1;
         if let Some(path) = &cfg.checkpoint_path {
-            if cfg.checkpoint_every_rounds > 0 && round.is_multiple_of(cfg.checkpoint_every_rounds)
-            {
+            if round.is_multiple_of(CHECKPOINT_EVERY_ROUNDS) {
                 checkpoint_now(path, round, api.now(), &records)?;
             }
         }
@@ -352,12 +348,11 @@ pub fn run(api: &ApiServer, obs: &Registry, cfg: &MonitorConfig) -> Result<Monit
         // Idle out the rest of the horizon so "monitored for N days"
         // means exactly N days of attributed virtual time.
         let applied = api.advance_clock_to(horizon);
-        obs.attribute_wait(orch, PHASE, WaitCause::Idle, applied);
+        obs.attribute_wait(None, PHASE, WaitCause::Idle, applied);
         horizon.max(api.now())
     } else {
         api.now()
     };
-    obs.span_end(orch, end, flock_obs::trace::SpanOutcome::Granted);
     obs.phase_end(end, PHASE);
 
     let checks_total = records.values().map(|r| r.checks).sum();
@@ -410,7 +405,7 @@ fn fold(
                     rec.state = NodeState::Alive;
                     rec.last_change_secs = as_of;
                 }
-                rec.next_check_secs = as_of.saturating_add(cfg.alive_recheck_secs);
+                rec.next_check_secs = as_of.saturating_add(ALIVE_RECHECK_SECS);
             }
             checker::CheckOutcome::Dead => {
                 rec.consecutive_failures = rec.consecutive_failures.saturating_add(1);
@@ -446,7 +441,7 @@ fn fold(
                         peer.clone(),
                         parent_depth.saturating_add(1),
                         as_of,
-                        as_of.saturating_add(cfg.discovery_delay_secs),
+                        as_of.saturating_add(DISCOVERY_DELAY_SECS),
                     ),
                 );
             }
@@ -561,15 +556,7 @@ mod tests {
                 ..ok.clone()
             },
             MonitorConfig {
-                backoff_base_secs: 0,
-                ..ok.clone()
-            },
-            MonitorConfig {
-                backoff_cap_secs: 1,
-                ..ok.clone()
-            },
-            MonitorConfig {
-                alive_recheck_secs: 0,
+                backoff_cap_secs: BACKOFF_BASE_SECS - 1,
                 ..ok.clone()
             },
         ] {
@@ -599,10 +586,10 @@ mod tests {
         assert_eq!(records.len(), 2);
         let b = &records["b.example"];
         assert_eq!(b.depth, 1);
-        assert_eq!(b.next_check_secs, cfg.discovery_delay_secs);
+        assert_eq!(b.next_check_secs, DISCOVERY_DELAY_SECS);
         let a = &records["a.example"];
         assert_eq!(a.state, NodeState::Alive);
-        assert_eq!(a.next_check_secs, cfg.alive_recheck_secs);
+        assert_eq!(a.next_check_secs, ALIVE_RECHECK_SECS);
 
         let t1 = a.next_check_secs;
         fold(
@@ -615,7 +602,7 @@ mod tests {
         let a = &records["a.example"];
         assert_eq!(a.state, NodeState::Dead);
         assert_eq!(a.deaths, 1);
-        assert_eq!(a.next_check_secs, t1 + cfg.backoff_base_secs);
+        assert_eq!(a.next_check_secs, t1 + BACKOFF_BASE_SECS);
 
         let t2 = a.next_check_secs;
         fold(
@@ -627,7 +614,7 @@ mod tests {
         );
         let a = &records["a.example"];
         assert_eq!(a.consecutive_failures, 2);
-        assert_eq!(a.next_check_secs, t2 + 2 * cfg.backoff_base_secs);
+        assert_eq!(a.next_check_secs, t2 + 2 * BACKOFF_BASE_SECS);
 
         let t3 = a.next_check_secs;
         fold(
@@ -659,7 +646,7 @@ mod tests {
         assert_eq!((b.depth, b.discovered_secs), (1, 0));
         let c = &records["c.example"];
         assert_eq!((c.depth, c.discovered_secs), (1, t4));
-        assert_eq!(c.next_check_secs, t4 + cfg.discovery_delay_secs);
+        assert_eq!(c.next_check_secs, t4 + DISCOVERY_DELAY_SECS);
     }
 
     #[test]

@@ -1260,7 +1260,7 @@ mod tests {
         reg.counter("flock.apis.follows.granted", Tier::Data).add(2);
         reg.phase_start(0, "expand.followees");
         let r = reg.span_begin("expand.followees", "following:1", None, Some(0), 0);
-        reg.attribute_wait(r, "expand.followees", WaitCause::RetryAfterStorm, 900);
+        reg.attribute_wait(Some(r), "expand.followees", WaitCause::RetryAfterStorm, 900);
         reg.span_end(r, 900, SpanOutcome::Granted);
         reg.phase_end(900, "expand.followees");
         reg

@@ -733,19 +733,21 @@ impl Registry {
         id
     }
 
-    /// Charge `secs` of virtual clock advance to span `id` under `cause`,
-    /// and to `phase`'s wait ledger. This is the **only** write path of
-    /// the attribution invariant: callers attribute exactly the clock
-    /// delta their advance actually applied, so per-phase buckets sum to
-    /// the phase's virtual duration. Zero-second advances (another
-    /// worker already paid the wait) are skipped.
-    pub fn attribute_wait(&self, span_id: u64, phase: &str, cause: WaitCause, secs: u64) {
+    /// Charge `secs` of virtual clock advance to `phase`'s wait ledger
+    /// under `cause`, and to the span that waited, if any (`None` for a
+    /// wait no request made, such as the monitor idling to its next due
+    /// check). This is the **only** write path of the attribution
+    /// invariant: callers attribute exactly the clock delta their advance
+    /// actually applied, so per-phase buckets sum to the phase's virtual
+    /// duration. Zero-second advances (another worker already paid the
+    /// wait) are skipped.
+    pub fn attribute_wait(&self, span: Option<u64>, phase: &str, cause: WaitCause, secs: u64) {
         if secs == 0 {
             return;
         }
-        {
+        if let Some(id) = span {
             let mut store = relock(&self.0.spans);
-            if let Some(i) = store.index_of(span_id) {
+            if let Some(i) = store.index_of(id) {
                 store.spans[i].waits[cause.index()] += secs;
             }
         }
@@ -1271,8 +1273,8 @@ mod tests {
             100,
             100,
         );
-        reg.attribute_wait(root, "expand.followees", WaitCause::TokenBucket, 60);
-        reg.attribute_wait(root, "expand.followees", WaitCause::TokenBucket, 0); // no-op
+        reg.attribute_wait(Some(root), "expand.followees", WaitCause::TokenBucket, 60);
+        reg.attribute_wait(Some(root), "expand.followees", WaitCause::TokenBucket, 0); // no-op
         reg.span_end(root, 160, SpanOutcome::Granted);
         let spans = reg.spans();
         assert_eq!(spans.len(), 2);

@@ -216,7 +216,12 @@ mod tests {
             0,
             0,
         );
-        reg.attribute_wait(r1, "expand.followees", WaitCause::RetryAfterStorm, 900);
+        reg.attribute_wait(
+            Some(r1),
+            "expand.followees",
+            WaitCause::RetryAfterStorm,
+            900,
+        );
         reg.span_attempt(
             r1,
             "expand.followees",
@@ -281,10 +286,10 @@ mod tests {
     #[test]
     fn spans_without_a_slot_are_not_worker_zeros() {
         let reg = seeded_registry();
-        // A root span opened outside the pool, as the monitor's
-        // orchestrator opens one around its idle waits.
-        let root = reg.span_begin("expand.followees", "orchestrator", None, None, 0);
-        reg.attribute_wait(root, "expand.followees", WaitCause::Idle, 100);
+        // A root span opened outside the pool, as the crawl's serial
+        // phases open theirs.
+        let root = reg.span_begin("expand.followees", "following:3", None, None, 0);
+        reg.attribute_wait(Some(root), "expand.followees", WaitCause::Idle, 100);
         reg.span_end(root, 900, SpanOutcome::Granted);
         let p = &phase_profiles(&reg)[0];
         let load = |slot| (p.workers[&slot].requests, p.workers[&slot].wait_secs);

@@ -422,7 +422,7 @@ mod tests {
             0,
             0,
         );
-        reg.attribute_wait(r, "expand.followees", WaitCause::RetryAfterStorm, 900);
+        reg.attribute_wait(Some(r), "expand.followees", WaitCause::RetryAfterStorm, 900);
         reg.span_end(r, 900, SpanOutcome::Granted);
         reg.phase_end(900, "expand.followees");
         reg

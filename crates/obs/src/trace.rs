@@ -4,7 +4,7 @@
 //! API server, several stack frames below and in a different crate, knows
 //! things the crawler cannot see (did the rate-limit rejection come from
 //! the token bucket or from an injected Retry-After storm? was the fault
-//! the legacy transient coin or a chaos injection?). Threading that
+//! a chaos injection or a dead instance?). Threading that
 //! information through every endpoint signature would bloat the API
 //! surface for the sake of telemetry, so the context rides in
 //! thread-locals instead:
@@ -31,8 +31,6 @@ use std::cell::Cell;
 pub enum FaultKind {
     /// A chaos-plan injected error (counts against the key's budget).
     Injected,
-    /// The legacy transient fault coin (or any retryable upstream error).
-    Transient,
     /// The target instance was down — permanently or inside an outage
     /// window.
     Outage,
@@ -68,7 +66,6 @@ impl SpanOutcome {
             SpanOutcome::RateLimited { storm: false } => "rate_limited",
             SpanOutcome::RateLimited { storm: true } => "rate_limited(storm)",
             SpanOutcome::Fault(FaultKind::Injected) => "fault(injected)",
-            SpanOutcome::Fault(FaultKind::Transient) => "fault(transient)",
             SpanOutcome::Fault(FaultKind::Outage) => "fault(outage)",
             SpanOutcome::Fault(FaultKind::Other) => "fault(other)",
             SpanOutcome::StaleCursor => "stale_cursor",

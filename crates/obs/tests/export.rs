@@ -32,7 +32,7 @@ fn populated_registry() -> Registry {
         "detail \\ é 中 🚀 \u{1}",
     );
     let span = reg.span_begin("discover", "search:\"quote\"", None, Some(0), 0);
-    reg.attribute_wait(span, "discover", WaitCause::TokenBucket, 60);
+    reg.attribute_wait(Some(span), "discover", WaitCause::TokenBucket, 60);
     reg.span_end(span, 60, SpanOutcome::Granted);
     reg
 }

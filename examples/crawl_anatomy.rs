@@ -7,6 +7,7 @@
 //! ```
 
 use flock::apis::{ApiConfig, ApiServer};
+use flock::chaos::FaultPlan;
 use flock::crawler::prelude::*;
 use flock::prelude::*;
 use std::collections::HashSet;
@@ -22,9 +23,10 @@ fn main() {
         world.instances.len()
     );
 
-    // Inject a little transient failure so the retry path is visible.
+    // Inject a little transient failure so the retry path is visible: 1%
+    // of the requests on every endpoint family fail once, then go through.
     let api_config = ApiConfig {
-        transient_error_rate: 0.01,
+        chaos: FaultPlan::error_bursts(config.seed, 0.01, 1),
         ..ApiConfig::default()
     };
     let api = ApiServer::new(world.clone(), api_config).expect("valid api config");

@@ -7,7 +7,7 @@
 //! anonymization.
 
 use flock::apis::{ApiConfig, ApiServer};
-use flock::chaos::Scenario;
+use flock::chaos::{FaultPlan, Scenario};
 use flock::crawler::prelude::*;
 use flock::fedisim::{World, WorldConfig};
 use flock::obs::profile::phase_profiles;
@@ -15,9 +15,9 @@ use flock::obs::Registry;
 use flock_core::{durable, FlockError};
 use std::sync::Arc;
 
-fn chaos_api(world: &Arc<World>, scenario: Scenario, seed: u64, obs: &Registry) -> ApiServer {
+fn chaos_api(world: &Arc<World>, plan: FaultPlan, obs: &Registry) -> ApiServer {
     let config = ApiConfig {
-        chaos: scenario.plan(seed),
+        chaos: plan,
         ..ApiConfig::default()
     };
     ApiServer::with_obs(world.clone(), config, obs.clone()).unwrap()
@@ -30,18 +30,26 @@ fn stats_zeroed_json(mut ds: Dataset) -> String {
     serde_json::to_string(&ds).unwrap()
 }
 
-/// For every canned scenario: the worker count is an execution detail.
-/// A one-worker and an eight-worker crawl through the same fault plan must
-/// produce the same dataset (including the coverage report) byte for byte,
-/// and the same data-tier metrics snapshot.
+/// For every canned scenario, and for error bursts on every family (some
+/// keys failing beyond the crawler's retry allowance, so items are
+/// skipped): the worker count is an execution detail. A one-worker and an
+/// eight-worker crawl through the same fault plan must produce the same
+/// dataset (including the coverage report) byte for byte, and the same
+/// data-tier metrics snapshot.
 #[test]
 fn every_scenario_is_worker_count_invariant() {
     let seed = 1234;
     let world = Arc::new(World::generate(&WorldConfig::small().with_seed(seed)).unwrap());
-    for scenario in Scenario::ALL {
-        let run = |workers: usize| -> (String, String) {
+    let bursts = "error bursts on every family";
+    let mut plans: Vec<(&str, FaultPlan)> = Scenario::ALL
+        .into_iter()
+        .map(|sc| (sc.name(), sc.plan(seed)))
+        .collect();
+    plans.push((bursts, FaultPlan::error_bursts(seed, 0.10, 8)));
+    for (name, plan) in plans {
+        let run = |workers: usize| -> (Dataset, Registry) {
             let obs = Registry::new();
-            let api = chaos_api(&world, scenario, seed, &obs);
+            let api = chaos_api(&world, plan.clone(), &obs);
             let config = CrawlerConfig {
                 workers,
                 ..CrawlerConfig::default()
@@ -50,17 +58,29 @@ fn every_scenario_is_worker_count_invariant() {
                 .unwrap()
                 .run()
                 .unwrap();
-            (stats_zeroed_json(ds), obs.snapshot())
+            (ds, obs)
         };
-        let (ds1, snap1) = run(1);
-        let (ds8, snap8) = run(8);
+        let (ds1, obs1) = run(1);
+        let (ds8, obs8) = run(8);
+        if name == bursts {
+            for family in ["search", "follows", "mastodon"] {
+                let metric = format!("flock.apis.{family}.chaos.injected_errors");
+                assert!(
+                    obs1.counter_value(&metric).is_some_and(|n| n > 0),
+                    "{name}: nothing injected on {family}"
+                );
+            }
+            assert!(!ds1.coverage.is_empty(), "{name}: no item was skipped");
+        }
         assert_eq!(
-            ds1, ds8,
-            "{scenario}: dataset bytes differ between workers=1 and workers=8"
+            stats_zeroed_json(ds1),
+            stats_zeroed_json(ds8),
+            "{name}: dataset bytes differ between workers=1 and workers=8"
         );
         assert_eq!(
-            snap1, snap8,
-            "{scenario}: data-tier metrics differ between workers=1 and workers=8"
+            obs1.snapshot(),
+            obs8.snapshot(),
+            "{name}: data-tier metrics differ between workers=1 and workers=8"
         );
     }
 }
@@ -72,14 +92,14 @@ fn flaky_federation_degrades_gracefully() {
     let seed = 1234;
     let world = Arc::new(World::generate(&WorldConfig::small().with_seed(seed)).unwrap());
     let obs = Registry::new();
-    let api = chaos_api(&world, Scenario::FlakyFederation, seed, &obs);
+    let api = chaos_api(&world, Scenario::FlakyFederation.plan(seed), &obs);
     let ds = Crawler::with_registry(&api, CrawlerConfig::default(), obs.clone())
         .unwrap()
         .run()
         .unwrap();
     // A crawl under calm skies must report full coverage.
     let calm_obs = Registry::new();
-    let calm_api = chaos_api(&world, Scenario::Calm, seed, &calm_obs);
+    let calm_api = chaos_api(&world, Scenario::Calm.plan(seed), &calm_obs);
     let calm = Crawler::with_registry(&calm_api, CrawlerConfig::default(), calm_obs.clone())
         .unwrap()
         .run()
@@ -117,7 +137,7 @@ fn interrupted_crawl_resumes_to_the_same_dataset() {
     };
 
     let obs = Registry::new();
-    let api = chaos_api(&world, scenario, seed, &obs);
+    let api = chaos_api(&world, scenario.plan(seed), &obs);
     let uninterrupted = Crawler::with_registry(&api, one_worker.clone(), obs.clone())
         .unwrap()
         .run()
@@ -160,7 +180,7 @@ fn interrupted_crawl_resumes_to_the_same_dataset() {
         // First attempt: killed by the fault-injection hook before request
         // `at` (0-based) reaches the server.
         let obs = Registry::new();
-        let api = chaos_api(&world, scenario, seed, &obs);
+        let api = chaos_api(&world, scenario.plan(seed), &obs);
         let config = CrawlerConfig {
             abort_after_requests: Some(at),
             ..one_worker.clone()
@@ -181,7 +201,7 @@ fn interrupted_crawl_resumes_to_the_same_dataset() {
 
         // Second attempt: fresh server, no abort — resumes and completes.
         let obs = Registry::new();
-        let api = chaos_api(&world, scenario, seed, &obs);
+        let api = chaos_api(&world, scenario.plan(seed), &obs);
         let resumed = Crawler::with_registry(&api, CrawlerConfig::default(), obs.clone())
             .unwrap()
             .run_resumable(&path)
@@ -209,7 +229,7 @@ fn degraded_dataset_round_trips_with_coverage() {
     let seed = 1234;
     let world = Arc::new(World::generate(&WorldConfig::small().with_seed(seed)).unwrap());
     let obs = Registry::new();
-    let api = chaos_api(&world, Scenario::FlakyFederation, seed, &obs);
+    let api = chaos_api(&world, Scenario::FlakyFederation.plan(seed), &obs);
     let ds = Crawler::with_registry(&api, CrawlerConfig::default(), obs.clone())
         .unwrap()
         .run()
@@ -244,13 +264,13 @@ fn coverage_field_is_backward_compatible() {
 }
 
 /// Config validation runs at server construction: a NaN or out-of-range
-/// error rate is a typed error, not a latent crash.
+/// error-burst rate is a typed error, not a latent crash.
 #[test]
 fn invalid_api_config_is_rejected_at_construction() {
     let world = Arc::new(World::generate(&WorldConfig::small().with_seed(1)).unwrap());
     for rate in [f64::NAN, -0.1, 1.5] {
         let config = ApiConfig {
-            transient_error_rate: rate,
+            chaos: FaultPlan::error_bursts(1, rate, 5),
             ..ApiConfig::default()
         };
         match ApiServer::new(world.clone(), config) {

@@ -3,29 +3,45 @@
 //! corrupt data, never fabricate it, never deadlock.
 
 use flock::apis::{ApiConfig, ApiServer, RatePolicy};
-use flock::chaos::Scenario;
+use flock::chaos::{FaultPlan, Scenario};
 use flock::core::FlockError;
 use flock::crawler::prelude::*;
 use flock::fedisim::{World, WorldConfig};
+use flock::obs::Registry;
 use std::sync::Arc;
 
 fn world(seed: u64) -> Arc<World> {
     Arc::new(World::generate(&WorldConfig::small().with_seed(seed)).unwrap())
 }
 
+/// A server whose every endpoint family fails a `key_rate` share of its
+/// logical requests 1–5 times each: within the crawler's five retries, so
+/// every fault is retried to completion.
+fn faulty_api(w: &Arc<World>, key_rate: f64, obs: &Registry) -> ApiServer {
+    let cfg = ApiConfig {
+        chaos: FaultPlan::error_bursts(w.config.seed, key_rate, 5),
+        ..ApiConfig::default()
+    };
+    ApiServer::with_obs(w.clone(), cfg, obs.clone()).unwrap()
+}
+
+/// Errors the plan injected on `family`.
+fn injected(obs: &Registry, family: &str) -> u64 {
+    obs.counter_value(&format!("flock.apis.{family}.chaos.injected_errors"))
+        .unwrap_or(0)
+}
+
 #[test]
 fn heavy_transient_faults_still_produce_a_consistent_dataset() {
     let w = world(1);
-    let cfg = ApiConfig {
-        transient_error_rate: 0.10,
-        ..ApiConfig::default()
-    };
-    let api = ApiServer::new(w.clone(), cfg).unwrap();
+    let obs = Registry::new();
+    let api = faulty_api(&w, 0.10, &obs);
     let ds = crawl(&api).expect("crawl should survive 10% fault rate");
-    assert!(
-        ds.stats.transient_failures > 0,
-        "faults must have been injected"
-    );
+    for family in ["search", "follows", "mastodon"] {
+        assert!(injected(&obs, family) > 0, "no {family} faults injected");
+    }
+    // Every fault was retried to completion: nothing was skipped.
+    assert!(ds.coverage.is_empty(), "{}", ds.coverage.summary());
     // Consistency under faults: no phantom matches.
     for m in &ds.matched {
         assert!(w.account_by_handle(&m.handle).is_some());
@@ -39,11 +55,13 @@ fn heavy_transient_faults_still_produce_a_consistent_dataset() {
 fn fault_free_and_faulty_crawls_agree_on_the_matched_set() {
     let w = world(2);
     let clean = crawl(&ApiServer::with_defaults(w.clone()).unwrap()).unwrap();
-    let cfg = ApiConfig {
-        transient_error_rate: 0.05,
-        ..ApiConfig::default()
-    };
-    let faulty = crawl(&ApiServer::new(w.clone(), cfg).unwrap()).unwrap();
+    let obs = Registry::new();
+    let faulty = crawl(&faulty_api(&w, 0.05, &obs)).unwrap();
+    assert!(injected(&obs, "search") > 0, "no search faults injected");
+    assert!(
+        injected(&obs, "mastodon") > 0,
+        "no mastodon faults injected"
+    );
     // Transient faults are retried to completion, so identification must
     // not lose users.
     let a: std::collections::BTreeSet<_> = clean.matched.iter().map(|m| m.twitter_id).collect();

@@ -400,7 +400,10 @@ fn monitor_phase_waits_sum_to_the_horizon() {
         .find(|p| p.name == monitor::PHASE)
         .expect("monitor phase profiled");
     assert_eq!(p.duration_secs(), cfg.sim_days * 86_400);
+    // Every profiled request is a check: the orchestrator's idle waits
+    // reach the phase ledger without a span of their own.
     assert!(p.requests > 0);
+    assert_eq!(p.requests, out.checks_total);
     assert_eq!(
         p.work_secs(),
         0,
