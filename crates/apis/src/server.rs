@@ -34,7 +34,7 @@ use flock_fedisim::World;
 use flock_obs::trace::{self, FaultKind, SpanOutcome};
 use flock_obs::{Counter, Histogram, Registry, Tier, SECONDS_BOUNDS};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -230,10 +230,10 @@ pub struct ApiServer {
     /// through (and therefore holds) anyway.
     search_results: Mutex<HashMap<String, Arc<Vec<u32>>>>,
     /// Federation adjacency behind the peers-list discovery endpoint,
-    /// built lazily on first use (crawl-only runs never pay for it). A
-    /// pure function of the immutable world, so caching cannot perturb
-    /// determinism.
-    peers: OnceLock<BTreeMap<String, Vec<String>>>,
+    /// indexed by [`InstanceId`] and built lazily on first use (crawl-only
+    /// runs never pay for it). A pure function of the immutable world, so
+    /// caching cannot perturb determinism.
+    peers: OnceLock<Vec<Vec<String>>>,
 }
 
 impl ApiServer {
@@ -980,19 +980,34 @@ impl ApiServer {
     /// there (see [`Self::instance_checked_at`]) and the tick is folded
     /// into the logical request key, so each scheduled check draws its own
     /// per-key chaos budget no matter when or on which worker it runs.
-    /// The list is borrowed from the server's peers map, so a check copies
-    /// only the domains its caller keeps.
+    ///
+    /// The list is lent out of a table built once per server and never
+    /// changed after, so every successful call for one domain returns the
+    /// same slice (same address, same length) for the server's lifetime.
+    /// A caller may take a repeated slice as proof that nothing changed
+    /// since it last read it; the monitor skips re-folding it on exactly
+    /// that test. A check copies only the domains its caller keeps.
     pub fn mastodon_instance_peers(&self, domain: &str, as_of_secs: u64) -> Result<&[String]> {
         let inst = self.instance_checked_at(domain, as_of_secs)?;
         self.acquire(
             Endpoint::Mastodon(inst),
             &format!("peers:{domain}@{as_of_secs}"),
         )?;
-        Ok(self
-            .peers
-            .get_or_init(|| self.world.fediverse.federation_peers())
-            .get(domain)
-            .map_or(&[], Vec::as_slice))
+        Ok(self.instance_peers(inst))
+    }
+
+    /// The peers table's row for `inst`: `federation_peers()[domain]`, or
+    /// empty when the federation has no entry for the domain.
+    fn instance_peers(&self, inst: InstanceId) -> &[String] {
+        let table = self.peers.get_or_init(|| {
+            let mut by_domain = self.world.fediverse.federation_peers();
+            self.world
+                .instances
+                .iter()
+                .map(|i| by_domain.remove(&i.domain).unwrap_or_default())
+                .collect()
+        });
+        table.get(inst.index()).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -1412,6 +1427,21 @@ mod tests {
         let snap = obs.snapshot();
         assert!(snap.contains("counter flock.apis.search.granted 2"));
         assert!(!snap.contains("rate_limited"));
+    }
+
+    #[test]
+    fn peers_table_lends_each_instance_its_federation_peers() {
+        let api = server();
+        let world = api.ground_truth();
+        let by_domain = world.fediverse.federation_peers();
+        for (i, inst) in world.instances.iter().enumerate() {
+            assert_eq!(inst.id.index(), i, "instance ids are table rows");
+            let lent = api.instance_peers(inst.id);
+            let want = by_domain.get(&inst.domain).map_or(&[][..], Vec::as_slice);
+            assert_eq!(lent, want, "{}", inst.domain);
+            // The same row every time: the contract the monitor's memo uses.
+            assert!(std::ptr::eq(lent, api.instance_peers(inst.id)));
+        }
     }
 }
 

@@ -946,22 +946,27 @@ impl<'a> Crawler<'a> {
             .collect();
         let merged = self.fan_out(&targets, |m| self.crawl_one_followees(m))?;
         for (m, (rec, skip)) in targets.iter().zip(merged) {
+            if let Some(reason) = skip {
+                // A record that survives a skip lost only its Mastodon side.
+                let side = if rec.is_some() {
+                    "mastodon followees"
+                } else {
+                    "followees"
+                };
+                ds.coverage
+                    .record_skip(PHASES[4], format!("{side} of {}", m.twitter_id.0), reason);
+            }
             if let Some(rec) = rec {
                 ds.followees.insert(m.twitter_id, rec);
-            }
-            if let Some(reason) = skip {
-                ds.coverage.record_skip(
-                    PHASES[4],
-                    format!("followees of {}", m.twitter_id.0),
-                    reason,
-                );
             }
         }
         Ok(())
     }
 
     /// Both followee lists for one sampled user; `(None, reason)` when the
-    /// Twitter side (the endpoint the record hinges on) is unavailable.
+    /// Twitter side (the endpoint the record hinges on) is unavailable, and
+    /// `(Some(record), reason)` when only the Mastodon side was cut short:
+    /// the record then keeps its Twitter side and an empty Mastodon list.
     fn crawl_one_followees(
         &self,
         m: &MatchedUser,
@@ -1004,7 +1009,18 @@ impl<'a> Crawler<'a> {
                     }
                 }
                 Err(FlockError::Interrupted) => return Err(FlockError::Interrupted),
-                // The record survives without the Mastodon side.
+                // A dead instance is an expected state: skip silently.
+                Err(FlockError::InstanceUnavailable(_)) => break,
+                // Retries exhausted: a list cut short is not kept. The
+                // record survives without the Mastodon side, and the gap
+                // is reported.
+                Err(e) if e.is_retryable() => {
+                    let record = FolloweeRecord {
+                        twitter,
+                        mastodon: Vec::new(),
+                    };
+                    return Ok((Some(record), Some(e.to_string())));
+                }
                 Err(_) => break,
             }
         }

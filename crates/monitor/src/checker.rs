@@ -39,7 +39,10 @@ use flock_obs::{Registry, WaitCause};
 #[derive(Debug)]
 pub enum CheckOutcome<'a> {
     /// The instance answered; these are its federation peers, borrowed
-    /// from the server, so the fold copies only the domains it adds.
+    /// from the server, so the fold copies only the domains it adds. The
+    /// server lends one slice per domain for its lifetime, so the fold
+    /// skips a slice (same address and length) it already folded for
+    /// this domain.
     Alive(&'a [String]),
     /// The instance is down (outage window or permanent flag).
     Dead,

@@ -11,7 +11,10 @@
 //! the API layer's federation-peers endpoint; success refreshes the
 //! record and folds any newly discovered peers into the roster, failure
 //! classifies the node (dead vs unreachable) and backs off exponentially
-//! up to a cap. Over days-to-weeks of simulated uptime, under
+//! up to a cap. The server lends each domain's peers list as one slice
+//! for its lifetime, so the run loop remembers the slice each domain last
+//! folded and skips the per-peer roster lookups when an alive check lends
+//! that same slice again. Over days-to-weeks of simulated uptime, under
 //! `flock-chaos` outage plans, the roster tracks liveness, death, and
 //! rebirth.
 //!
@@ -298,6 +301,9 @@ pub fn run(api: &ApiServer, obs: &Registry, cfg: &MonitorConfig) -> Result<Monit
         }
     }
 
+    // Not checkpointed, so a resumed run starts it empty too: each
+    // domain's first alive check in this process folds its list in full.
+    let mut folded: BTreeMap<String, &[String]> = BTreeMap::new();
     let start = api.now();
     obs.phase_start(start, PHASE);
     let mut rounds_this_process: u64 = 0;
@@ -324,7 +330,7 @@ pub fn run(api: &ApiServer, obs: &Registry, cfg: &MonitorConfig) -> Result<Monit
             .collect();
         let outcomes = checker::run_round(api, obs, cfg, &due, due_time)?;
         for (domain, outcome) in due.iter().zip(outcomes) {
-            fold(&mut records, cfg, domain, due_time, outcome);
+            fold(&mut records, &mut folded, cfg, domain, due_time, outcome);
         }
         round += 1;
         rounds_this_process += 1;
@@ -384,15 +390,20 @@ fn checkpoint_now(
 
 /// Fold one completed check into the roster. `as_of` is the check's
 /// scheduled instant; every timestamp written here derives from it.
-fn fold(
+/// `folded` is the memo: the peers slice each domain's alive checks last
+/// folded, kept in the run loop only (never in a [`NodeRecord`] or a
+/// checkpoint).
+fn fold<'a>(
     records: &mut BTreeMap<String, NodeRecord>,
+    folded: &mut BTreeMap<String, &'a [String]>,
     cfg: &MonitorConfig,
     domain: &str,
     as_of: u64,
-    outcome: checker::CheckOutcome<'_>,
+    outcome: checker::CheckOutcome<'a>,
 ) {
-    let parent_depth = records.get(domain).map(|r| r.depth).unwrap_or(0);
+    let mut parent_depth = 0;
     if let Some(rec) = records.get_mut(domain) {
+        parent_depth = rec.depth;
         rec.checks += 1;
         rec.last_checked_secs = Some(as_of);
         match &outcome {
@@ -430,9 +441,20 @@ fn fold(
             }
         }
     }
-    // Every alive check re-folds its whole peers list; only a domain the
-    // roster lacks is copied out of the server's map.
+    // An alive check folds its peers list unless it lends the very slice
+    // (same address and length) this domain folded last. The server lends
+    // one slice per domain for its lifetime, so a changed list is always a
+    // new slice, and the roster never drops a domain, so every lookup of
+    // a skipped loop would hit. Only a domain the roster lacks is copied
+    // out of the server's table.
     if let checker::CheckOutcome::Alive(peers) = outcome {
+        let lent_again = folded
+            .get(domain)
+            .is_some_and(|last| std::ptr::eq(*last, peers));
+        if lent_again {
+            return;
+        }
+        folded.insert(domain.to_string(), peers);
         for peer in peers {
             if !records.contains_key(peer) {
                 records.insert(
@@ -575,9 +597,11 @@ mod tests {
             "a.example".to_string(),
             NodeRecord::discovered("a.example".to_string(), 0, 0, 0),
         );
+        let mut folded = BTreeMap::new();
         let peers = vec!["b.example".to_string()];
         fold(
             &mut records,
+            &mut folded,
             &cfg,
             "a.example",
             0,
@@ -594,6 +618,7 @@ mod tests {
         let t1 = a.next_check_secs;
         fold(
             &mut records,
+            &mut folded,
             &cfg,
             "a.example",
             t1,
@@ -607,6 +632,7 @@ mod tests {
         let t2 = a.next_check_secs;
         fold(
             &mut records,
+            &mut folded,
             &cfg,
             "a.example",
             t2,
@@ -619,6 +645,7 @@ mod tests {
         let t3 = a.next_check_secs;
         fold(
             &mut records,
+            &mut folded,
             &cfg,
             "a.example",
             t3,
@@ -636,6 +663,7 @@ mod tests {
         let peers = vec!["b.example".to_string(), "c.example".to_string()];
         fold(
             &mut records,
+            &mut folded,
             &cfg,
             "a.example",
             t4,
@@ -647,6 +675,100 @@ mod tests {
         let c = &records["c.example"];
         assert_eq!((c.depth, c.discovered_secs), (1, t4));
         assert_eq!(c.next_check_secs, t4 + DISCOVERY_DELAY_SECS);
+    }
+
+    /// A roster of `a.example` at depth 1 plus `peers`, after one alive
+    /// check of `a.example` at instant 0 folded them.
+    fn folded_once(
+        peers: &[String],
+    ) -> (BTreeMap<String, NodeRecord>, BTreeMap<String, &[String]>) {
+        let mut records = BTreeMap::new();
+        records.insert(
+            "a.example".to_string(),
+            NodeRecord::discovered("a.example".to_string(), 1, 0, 0),
+        );
+        let mut folded = BTreeMap::new();
+        let cfg = MonitorConfig::default();
+        let alive = checker::CheckOutcome::Alive(peers);
+        fold(&mut records, &mut folded, &cfg, "a.example", 0, alive);
+        (records, folded)
+    }
+
+    fn domains(list: &[&str]) -> Vec<String> {
+        list.iter().map(|d| d.to_string()).collect()
+    }
+
+    #[test]
+    fn refolding_the_same_slice_leaves_the_roster_untouched() {
+        let cfg = MonitorConfig::default();
+        let peers = domains(&["b.example", "c.example"]);
+        let (mut records, mut folded) = folded_once(&peers);
+        assert_eq!(records.len(), 3);
+        // Drop a peer behind the memo's back (the run loop never does):
+        // a second fold of the same slice must not read the roster.
+        records.remove("c.example");
+        let before = nodes_list(&records, 0, "-", 1);
+        let t1 = ALIVE_RECHECK_SECS;
+        let alive = checker::CheckOutcome::Alive(&peers);
+        fold(&mut records, &mut folded, &cfg, "a.example", t1, alive);
+        assert!(!records.contains_key("c.example"));
+        // The checked record itself still updates.
+        let a = &records["a.example"];
+        assert_eq!((a.checks, a.last_checked_secs), (2, Some(t1)));
+        assert_eq!(a.next_check_secs, t1 + ALIVE_RECHECK_SECS);
+        let others = |text: &str| {
+            text.lines()
+                .filter(|l| !l.starts_with("a.example"))
+                .map(str::to_string)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(others(&before), others(&nodes_list(&records, 0, "-", 1)));
+    }
+
+    #[test]
+    fn a_newly_lent_list_is_folded_in_full() {
+        let cfg = MonitorConfig::default();
+        let peers = domains(&["b.example", "c.example"]);
+        let (mut records, mut folded) = folded_once(&peers);
+        // The same contents, allocated apart, plus one domain more.
+        let grown = domains(&["b.example", "c.example", "d.example"]);
+        let t1 = ALIVE_RECHECK_SECS;
+        let alive = checker::CheckOutcome::Alive(&grown);
+        fold(&mut records, &mut folded, &cfg, "a.example", t1, alive);
+        assert_eq!(records.len(), 4);
+        let d = &records["d.example"];
+        assert_eq!((d.depth, d.discovered_secs), (2, t1));
+        assert_eq!(d.next_check_secs, t1 + DISCOVERY_DELAY_SECS);
+        assert_eq!(records["b.example"].discovered_secs, 0);
+        assert!(std::ptr::eq(folded["a.example"], grown.as_slice()));
+    }
+
+    #[test]
+    fn failed_checks_between_memoized_folds_still_update_the_record() {
+        let cfg = MonitorConfig::default();
+        let peers = domains(&["b.example"]);
+        let (mut records, mut folded) = folded_once(&peers);
+        let mut t = ALIVE_RECHECK_SECS;
+        for failed in [
+            checker::CheckOutcome::Dead,
+            checker::CheckOutcome::Unreachable,
+        ] {
+            fold(&mut records, &mut folded, &cfg, "a.example", t, failed);
+            let a = &records["a.example"];
+            assert_ne!(a.state, NodeState::Alive);
+            assert_eq!(a.last_change_secs, t);
+            t = a.next_check_secs;
+            let alive = checker::CheckOutcome::Alive(&peers);
+            fold(&mut records, &mut folded, &cfg, "a.example", t, alive);
+            let a = &records["a.example"];
+            assert_eq!((a.state, a.last_change_secs), (NodeState::Alive, t));
+            assert_eq!(a.consecutive_failures, 0);
+            assert_eq!(a.next_check_secs, t + ALIVE_RECHECK_SECS);
+            t = a.next_check_secs;
+        }
+        let a = &records["a.example"];
+        assert_eq!((a.checks, a.deaths, a.rebirths), (5, 1, 1));
+        assert_eq!(records.len(), 2);
     }
 
     #[test]

@@ -13,6 +13,11 @@
 # must hash to a digest recorded before the monitor's rounds were sized
 # by width and its peers lists borrowed (commit d82a8f6).
 #
+# Last, the same medium() seed resumes: 15 days at workers 2 with a
+# checkpoint, then the same command run to 30 days, which resumes from
+# the 15-day run's last checkpoint (round 150) with an empty fold memo.
+# The resumed nodes list must hash to the same digest.
+#
 # Shared by scripts/ci.sh (as one stage) and the dedicated
 # monitor-determinism job in .github/workflows/ci.yml. Assumes the
 # release profile is already built (it builds on demand otherwise).
@@ -75,4 +80,20 @@ if ! echo "$medium_nodes_sha256  $scratch/mon-medium-w1.nodes" | sha256sum -c --
   exit 1
 fi
 echo "    medium seed 1234: monitor workers=1 == workers=8, nodes list matches its golden digest"
+
+resume=(cargo run -q --release -p flock-repro --
+  --monitor --scale medium --seed 1234 --chaos rolling-outages --workers 2
+  --checkpoint "$scratch/mon-medium.ckpt")
+"${resume[@]}" --sim-days 15 >/dev/null 2>&1
+"${resume[@]}" --sim-days 30 --nodes "$scratch/mon-medium-resumed.nodes" \
+  >/dev/null 2>"$scratch/mon-medium-resumed.log"
+if ! grep -q 'resumed from round [1-9]' "$scratch/mon-medium-resumed.log"; then
+  echo "RESUME FAILURE: medium seed 1234 monitor did not resume from its 15-day checkpoint" >&2
+  exit 1
+fi
+if ! echo "$medium_nodes_sha256  $scratch/mon-medium-resumed.nodes" | sha256sum -c --quiet -; then
+  echo "GOLDEN FAILURE: medium seed 1234 monitor nodes list resumed at day 15 no longer hashes to $medium_nodes_sha256" >&2
+  exit 1
+fi
+echo "    medium seed 1234: resumed from its 15-day checkpoint, nodes list matches its golden digest"
 echo "monitor determinism matrix passed."

@@ -3,11 +3,12 @@
 //! corrupt data, never fabricate it, never deadlock.
 
 use flock::apis::{ApiConfig, ApiServer, RatePolicy};
-use flock::chaos::{FaultPlan, Scenario};
-use flock::core::FlockError;
+use flock::chaos::{EndpointFamily, Fault, FaultPlan, Scenario};
+use flock::core::{FlockError, MastodonHandle};
 use flock::crawler::prelude::*;
 use flock::fedisim::{World, WorldConfig};
 use flock::obs::Registry;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn world(seed: u64) -> Arc<World> {
@@ -67,6 +68,80 @@ fn fault_free_and_faulty_crawls_agree_on_the_matched_set() {
     let a: std::collections::BTreeSet<_> = clean.matched.iter().map(|m| m.twitter_id).collect();
     let b: std::collections::BTreeSet<_> = faulty.matched.iter().map(|m| m.twitter_id).collect();
     assert_eq!(a, b, "fault retries changed the matched set");
+}
+
+/// Every page of `handle`'s Mastodon following list, waiting out rate
+/// limits, up to the first other error (none for a dead instance).
+fn following_as_paged(api: &ApiServer, handle: &MastodonHandle) -> Vec<MastodonHandle> {
+    let mut out = Vec::new();
+    let mut cursor: Option<String> = None;
+    loop {
+        match api.mastodon_account_following(handle, cursor.as_deref()) {
+            Ok(page) => {
+                out.extend(page.items);
+                match page.next {
+                    Some(c) => cursor = Some(c),
+                    None => return out,
+                }
+            }
+            Err(FlockError::RateLimited { retry_after_secs }) => {
+                api.advance_clock(retry_after_secs);
+            }
+            Err(_) => return out,
+        }
+    }
+}
+
+#[test]
+fn cut_short_mastodon_followee_lists_are_reported_not_kept() {
+    let w = world(1234);
+    let cfg = ApiConfig {
+        chaos: FaultPlan {
+            seed: 1234,
+            faults: vec![Fault::ErrorBurst {
+                family: EndpointFamily::Mastodon,
+                key_rate: 0.5,
+                max_per_key: 8,
+            }],
+        },
+        ..ApiConfig::default()
+    };
+    let ds = crawl(&ApiServer::new(w.clone(), cfg).unwrap()).unwrap();
+    let cut: BTreeSet<u64> = ds
+        .coverage
+        .skipped
+        .iter()
+        .filter_map(|s| s.item.strip_prefix("mastodon followees of "))
+        .map(|id| id.parse().unwrap())
+        .collect();
+    assert_eq!(cut, BTreeSet::from([178, 684]), "{}", ds.coverage.summary());
+    // A cut user keeps the Twitter side and no Mastodon list; every list
+    // kept is the whole list a calm server pages out for that handle.
+    let calm = ApiServer::with_defaults(w.clone()).unwrap();
+    for (id, rec) in &ds.followees {
+        if cut.contains(&id.0) {
+            assert!(
+                !rec.twitter.is_empty(),
+                "user {} lost its Twitter side",
+                id.0
+            );
+            assert!(rec.mastodon.is_empty(), "user {} kept a cut list", id.0);
+            continue;
+        }
+        let m = ds.matched_by_id(*id).unwrap();
+        assert_eq!(
+            rec.mastodon,
+            following_as_paged(&calm, &m.resolved_handle),
+            "user {}",
+            id.0
+        );
+    }
+    for id in &cut {
+        assert!(
+            ds.followees.keys().any(|k| k.0 == *id),
+            "no record for {id}"
+        );
+    }
 }
 
 #[test]

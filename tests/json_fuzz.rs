@@ -1,17 +1,21 @@
 //! Fuzzing the JSON reader at the boundaries that load persisted
-//! artifacts: the dataset release (`Dataset::from_json`), the monitor
-//! checkpoint (`durable::load_if_exists`) and the bare value parser
+//! artifacts: the dataset release (`Dataset::from_json`), the monitor and
+//! crawl checkpoints (`durable::load_if_exists`, which `flock_monitor::run`
+//! and `Crawler::run_resumable` resume from) and the bare value parser
 //! (`serde_json::parse_value`). Whatever the bytes — arbitrary, JSON-ish,
 //! or a valid document truncated or with one byte replaced — every call
 //! returns `Ok` or an error and never panics. Every value tree the writer
 //! emits, compact or pretty, reads back unchanged.
 
 use flock::apis::types::{ActivityRow, InstanceInfoObject, MastodonAccountObject};
+use flock::core::durable::JsonCheckpoint;
 use flock::core::{durable, Day, FlockError, MastodonHandle, TweetId, TwitterUserId, Week};
+use flock::crawler::checkpoint::Checkpoint as CrawlCheckpoint;
 use flock::crawler::dataset::{
     CollectedTweet, CoverageReport, CrawlStats, Dataset, FolloweeRecord, MastodonCrawlOutcome,
     MatchSource, MatchedUser, QueryKind, TimelineStatus, TimelineTweet, TwitterCrawlOutcome,
 };
+use flock::crawler::pipeline::PHASES;
 use flock::monitor::checkpoint::MonitorCheckpoint;
 use flock::monitor::{NodeRecord, NodeState};
 use proptest::prelude::*;
@@ -150,25 +154,36 @@ fn checkpoint() -> MonitorCheckpoint {
     }
 }
 
+/// A crawl checkpoint taken after the expansion's first phase, carrying
+/// the populated dataset.
+fn crawl_checkpoint() -> CrawlCheckpoint {
+    CrawlCheckpoint {
+        completed: PHASES[..3].iter().map(|p| p.to_string()).collect(),
+        clock_secs: 17_520,
+        dataset: full_dataset(),
+    }
+}
+
 /// One file per test, so parallel tests never share a path.
 fn scratch_file(test: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("flock_json_fuzz_{test}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    dir.join("monitor.ckpt")
+    dir.join("artifact.ckpt")
 }
 
-/// Load `bytes` as a monitor checkpoint file: a typed result, no panic.
-fn load_checkpoint(path: &Path, bytes: &[u8]) -> Result<Option<MonitorCheckpoint>, FlockError> {
+/// Load `bytes` as a checkpoint file of type `T`: a typed result, no panic.
+fn load_checkpoint<T: JsonCheckpoint>(path: &Path, bytes: &[u8]) -> Result<Option<T>, FlockError> {
     std::fs::write(path, bytes).unwrap();
-    durable::load_if_exists::<MonitorCheckpoint>(path)
+    durable::load_if_exists::<T>(path)
 }
 
-/// Each hostile input through all three readers; none may panic.
+/// Each hostile input through all four readers; none may panic.
 fn read_everywhere(path: &Path, bytes: &[u8]) {
     let text = String::from_utf8_lossy(bytes);
     let _ = Dataset::from_json(&text);
     let _ = serde_json::parse_value(&text);
-    let _ = load_checkpoint(path, bytes);
+    let _ = load_checkpoint::<MonitorCheckpoint>(path, bytes);
+    let _ = load_checkpoint::<CrawlCheckpoint>(path, bytes);
 }
 
 /// JSON-ish fragments: random sequences of them reach deeper into the
@@ -197,6 +212,8 @@ const SOUP: &[&str] = &[
     "\"round\"",
     "\"records\"",
     "\"Alive\"",
+    "\"completed\"",
+    "\"dataset\"",
 ];
 
 /// Random JSON value trees: nesting, every escape, control characters,
@@ -302,14 +319,17 @@ proptest! {
         let path = scratch_file("mutations");
         let release = full_dataset().to_json().unwrap();
         durable::save(&path, &checkpoint()).unwrap();
-        let saved = std::fs::read(&path).unwrap();
-        for doc in [release.as_bytes(), saved.as_slice()] {
+        let monitor = std::fs::read(&path).unwrap();
+        durable::save(&path, &crawl_checkpoint()).unwrap();
+        let crawl = std::fs::read(&path).unwrap();
+        for doc in [release.as_bytes(), monitor.as_slice(), crawl.as_slice()] {
             // Any proper prefix of a document is unterminated.
             let prefix = &doc[..(cut % doc.len() as u64) as usize];
             let text = String::from_utf8_lossy(prefix);
             prop_assert!(Dataset::from_json(&text).is_err());
             prop_assert!(serde_json::parse_value(&text).is_err());
-            prop_assert!(load_checkpoint(&path, prefix).is_err());
+            prop_assert!(load_checkpoint::<MonitorCheckpoint>(&path, prefix).is_err());
+            prop_assert!(load_checkpoint::<CrawlCheckpoint>(&path, prefix).is_err());
 
             let mut patched = doc.to_vec();
             patched[(at % doc.len() as u64) as usize] = byte;
@@ -317,6 +337,10 @@ proptest! {
             // What the reader accepts, the writer writes back readably.
             if let Ok(ds) = Dataset::from_json(&String::from_utf8_lossy(&patched)) {
                 prop_assert!(Dataset::from_json(&ds.to_json().unwrap()).is_ok());
+            }
+            if let Ok(Some(cp)) = load_checkpoint::<CrawlCheckpoint>(&path, &patched) {
+                durable::save(&path, &cp).unwrap();
+                prop_assert!(durable::load_if_exists::<CrawlCheckpoint>(&path).is_ok());
             }
         }
     }
@@ -342,7 +366,11 @@ fn the_fixtures_round_trip_exactly() {
     let path = scratch_file("fixtures");
     durable::save(&path, &checkpoint()).unwrap();
     let saved = std::fs::read_to_string(&path).unwrap();
-    let back = load_checkpoint(&path, saved.as_bytes()).unwrap().unwrap();
+    let back: MonitorCheckpoint = load_checkpoint(&path, saved.as_bytes()).unwrap().unwrap();
+    assert_eq!(serde_json::to_string(&back).unwrap(), saved);
+    durable::save(&path, &crawl_checkpoint()).unwrap();
+    let saved = std::fs::read_to_string(&path).unwrap();
+    let back: CrawlCheckpoint = load_checkpoint(&path, saved.as_bytes()).unwrap().unwrap();
     assert_eq!(serde_json::to_string(&back).unwrap(), saved);
 }
 
