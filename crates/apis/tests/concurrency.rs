@@ -1,11 +1,12 @@
-//! Concurrency contracts of the rate limiter and the sharded server state.
+//! Concurrency contracts of the rate limiter and the server's rate table.
 //!
 //! The crawler fans requests out over worker threads, so the token buckets
-//! are hit from many threads at once. These tests pin down the two
-//! properties the crawl relies on: a bucket never over-issues no matter how
-//! acquisition interleaves, and the `retry_after_secs` it advertises is
-//! honest and monotone (waiting the advertised time always suffices, and
-//! waiting longer never makes things worse).
+//! are hit from many threads at once. These tests pin down the properties
+//! the crawl relies on: a bucket never over-issues no matter how
+//! acquisition interleaves, the `retry_after_secs` it advertises is honest
+//! and monotone (waiting the advertised time always suffices, and waiting
+//! longer never makes things worse), and each family and each Mastodon
+//! instance spends a bucket of its own, though one lock guards them all.
 
 use flock_apis::ratelimit::{RatePolicy, TokenBucket};
 use flock_apis::{ApiConfig, ApiServer};
@@ -134,9 +135,9 @@ fn retry_after_is_monotone_and_sufficient() {
     }
 }
 
-/// Server-level: 8 threads share the users family; the family lock must
-/// hand out exactly `capacity` tokens at a frozen clock, and rejected
-/// callers must all see the same coherent retry horizon.
+/// Server-level: 8 threads share the users family; its bucket must hand
+/// out exactly `capacity` tokens at a frozen clock, and rejected callers
+/// must all see the same coherent retry horizon.
 #[test]
 fn server_families_never_over_issue_under_contention() {
     let world = Arc::new(World::generate(&WorldConfig::small().with_seed(11)).unwrap());
@@ -181,7 +182,7 @@ fn server_families_never_over_issue_under_contention() {
 }
 
 /// Families are independent: draining the search bucket must not block the
-/// users or follows families (the point of breaking the single state lock).
+/// users family, whose bucket is its own.
 #[test]
 fn families_do_not_interfere() {
     let world = Arc::new(World::generate(&WorldConfig::small().with_seed(12)).unwrap());
@@ -204,4 +205,81 @@ fn families_do_not_interfere() {
     // Search is exhausted; users must still answer.
     let ids: Vec<_> = world.users.iter().take(5).map(|u| u.id).collect();
     assert!(api.twitter_users_lookup(&ids).is_ok());
+}
+
+/// 8 threads, half on the users family and half on search, each family
+/// at 40 tokens with a frozen clock: under the one lock each family must
+/// grant exactly its own 40, however the two interleave.
+#[test]
+fn mixed_families_each_grant_their_own_capacity_under_contention() {
+    let world = Arc::new(World::generate(&WorldConfig::small().with_seed(13)).unwrap());
+    let policy = RatePolicy {
+        capacity: 40,
+        window_secs: 1_000_000,
+    };
+    let config = ApiConfig {
+        search_policy: policy,
+        users_policy: policy,
+        ..ApiConfig::default()
+    };
+    let api = ApiServer::new(world.clone(), config).unwrap();
+    let ids: Vec<_> = world.users.iter().take(10).map(|u| u.id).collect();
+    let day = flock_core::Day::COLLECTION_START;
+    let end = flock_core::Day::COLLECTION_END;
+    // Grants per family: [users, search].
+    let granted = [AtomicU64::new(0), AtomicU64::new(0)];
+    std::thread::scope(|s| {
+        for t in 0..8 {
+            let (api, ids, granted) = (&api, &ids, &granted);
+            s.spawn(move || {
+                // 4 threads × 20 attempts = 80 per family against 40 tokens.
+                for _ in 0..20 {
+                    let r = if t % 2 == 0 {
+                        api.twitter_users_lookup(ids).map(drop)
+                    } else {
+                        api.twitter_search("mastodon", day, end, None).map(drop)
+                    };
+                    match r {
+                        Ok(()) => {
+                            granted[t % 2].fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(FlockError::RateLimited { .. }) => {}
+                        Err(e) => panic!("{e}"),
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(granted.map(AtomicU64::into_inner), [40, 40]);
+}
+
+/// Every Mastodon instance has a bucket of its own: with one token per
+/// instance and a window that never refills, a second request to one
+/// instance is rate limited while another instance, and the search
+/// family, still answer.
+#[test]
+fn mastodon_buckets_are_per_instance() {
+    let world = Arc::new(World::generate(&WorldConfig::small().with_seed(14)).unwrap());
+    let config = ApiConfig {
+        mastodon_policy: RatePolicy {
+            capacity: 1,
+            window_secs: 1_000_000,
+        },
+        ..ApiConfig::default()
+    };
+    let api = ApiServer::new(world.clone(), config).unwrap();
+    let mut up = world
+        .instances
+        .iter()
+        .filter(|i| !i.down_at_crawl && world.ledger.instance_weeks(i.id).is_some());
+    let (a, b) = (up.next().unwrap(), up.next().unwrap());
+    api.mastodon_instance_info(&a.domain).unwrap();
+    assert!(matches!(
+        api.mastodon_instance_info(&a.domain),
+        Err(FlockError::RateLimited { .. })
+    ));
+    api.mastodon_instance_info(&b.domain).unwrap();
+    let day = flock_core::Day::COLLECTION_START;
+    let end = flock_core::Day::COLLECTION_END;
+    api.twitter_search("mastodon", day, end, None).unwrap();
 }

@@ -45,7 +45,8 @@ pub enum FlockError {
     /// request exceeded its configured budget. Not retryable: retrying is
     /// exactly what exhausted the budget.
     RetryBudgetExhausted { waited_secs: u64 },
-    /// A persisted artifact (CSV / JSON) failed strict parsing.
+    /// A persisted JSON artifact (dataset or checkpoint) failed strict
+    /// parsing.
     MalformedRecord(String),
     /// The crawl was interrupted (kill switch / shutdown request) and
     /// should be resumed from its checkpoint. Never retryable.

@@ -23,14 +23,12 @@
 //! ```
 
 pub mod checkpoint;
-pub mod csv;
 pub mod dataset;
 pub mod persist;
 pub mod pipeline;
 
 pub mod prelude {
     pub use crate::checkpoint::Checkpoint;
-    pub use crate::csv::{tweets_from_csv, tweets_to_csv};
     pub use crate::dataset::{
         CollectedTweet, CoverageReport, CrawlStats, Dataset, FolloweeRecord, MastodonCrawlOutcome,
         MatchSource, MatchedUser, QueryKind, SkippedItem, TimelineStatus, TimelineTweet,

@@ -23,7 +23,7 @@ impl Dataset {
     }
 
     /// Deserialize from JSON. Input that fails strict parsing is a
-    /// [`FlockError::MalformedRecord`], as a corrupt CSV is.
+    /// [`FlockError::MalformedRecord`].
     pub fn from_json(json: &str) -> Result<Dataset> {
         serde_json::from_str(json)
             .map_err(|e| FlockError::MalformedRecord(format!("deserialize dataset: {e}")))

@@ -27,7 +27,7 @@ use crate::dataset::{
     CollectedTweet, CrawlStats, Dataset, FolloweeRecord, MastodonCrawlOutcome, MatchSource,
     MatchedUser, QueryKind, TimelineStatus, TimelineTweet, TwitterCrawlOutcome,
 };
-use flock_apis::server::ApiServer;
+use flock_apis::server::{take_attempt_outcome, ApiServer};
 use flock_apis::types::TwitterUserObject;
 use flock_core::handle::extract_handles;
 use flock_core::{durable, worker_pool};
@@ -444,30 +444,13 @@ impl<'a> Crawler<'a> {
             self.m.attempts.inc();
             let before = self.api.now();
             let r = f();
-            // The acquire decision left the typed outcome in the
-            // thread-local context; a request that never reached a token
-            // bucket (unknown handle, interrupt) falls back to the shape
-            // of its error.
-            let attempt = trace::take_attempt();
-            let outcome = match (&r, attempt) {
-                (_, Some(a)) => a.outcome,
-                (Ok(_), None) => SpanOutcome::Granted,
-                (Err(FlockError::RateLimited { .. }), None) => {
-                    SpanOutcome::RateLimited { storm: false }
-                }
-                (Err(FlockError::InstanceOutage { .. }), None)
-                | (Err(FlockError::InstanceUnavailable(_)), None) => {
-                    SpanOutcome::Fault(FaultKind::Outage)
-                }
-                (Err(FlockError::StaleCursor(_)), None) => SpanOutcome::StaleCursor,
-                (Err(_), None) => SpanOutcome::Fault(FaultKind::Other),
-            };
+            let (family, outcome) = take_attempt_outcome(&r);
             self.obs.span_attempt(
                 span,
                 phase,
                 label,
                 trace::current_worker(),
-                attempt.map(|a| a.family),
+                family,
                 outcome,
                 before,
                 before,

@@ -29,9 +29,9 @@
 //!   [`CheckOutcome::Unreachable`].
 
 use crate::{MonitorConfig, MAX_TRANSIENT_RETRIES, PHASE, TRANSIENT_BACKOFF_SECS};
-use flock_apis::server::ApiServer;
+use flock_apis::server::{take_attempt_outcome, ApiServer};
 use flock_core::{worker_pool, FlockError, Result};
-use flock_obs::trace::{self, FaultKind, SpanOutcome};
+use flock_obs::trace::{self, SpanOutcome};
 use flock_obs::{Registry, WaitCause};
 
 /// Result of one completed check, folded into the roster by the
@@ -78,10 +78,11 @@ fn mon_begin(obs: &Registry, api: &ApiServer, domain: &str) -> ReqState {
 }
 
 /// One server attempt of an in-flight check, evaluated at the check's
-/// scheduled instant `as_of`. Boundary fn: consumes `take_attempt` /
-/// `current_worker` for span attribution only; the returned
-/// [`CheckOutcome`] is a pure function of the API result sequence, which
-/// chaos derives from `(seed, plan, key)` — never from the schedule.
+/// scheduled instant `as_of`. Boundary fn: consumes
+/// `take_attempt_outcome` / `current_worker` for span attribution only;
+/// the returned [`CheckOutcome`] is a pure function of the API result
+/// sequence, which chaos derives from `(seed, plan, key)` — never from
+/// the schedule.
 fn mon_attempt<'a>(
     obs: &Registry,
     api: &'a ApiServer,
@@ -94,21 +95,13 @@ fn mon_attempt<'a>(
         let _guard = trace::span_scope(st.span);
         api.mastodon_instance_peers(domain, as_of)
     };
-    let attempt = trace::take_attempt();
-    let outcome = match (&r, attempt) {
-        (_, Some(a)) => a.outcome,
-        (Ok(_), None) => SpanOutcome::Granted,
-        (Err(FlockError::RateLimited { .. }), None) => SpanOutcome::RateLimited { storm: false },
-        (Err(FlockError::InstanceOutage { .. }), None)
-        | (Err(FlockError::InstanceUnavailable(_)), None) => SpanOutcome::Fault(FaultKind::Outage),
-        (Err(_), None) => SpanOutcome::Fault(FaultKind::Other),
-    };
+    let (family, outcome) = take_attempt_outcome(&r);
     obs.span_attempt(
         st.span,
         PHASE,
         &st.label,
         trace::current_worker(),
-        attempt.map(|a| a.family),
+        family,
         outcome,
         before,
         before,

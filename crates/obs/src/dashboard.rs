@@ -343,7 +343,7 @@ pub static GATE_RULES: [GateRule; 5] = [
 /// A gate rule's verdict on the newest entry that carries its metric.
 #[derive(Clone, Debug, PartialEq)]
 pub enum GateStatus {
-    /// Fewer than [`WINDOW`] like-for-like entries precede the newest one.
+    /// Fewer than `WINDOW` like-for-like entries precede the newest one.
     Bootstrap {
         /// The newest entry plus the like-for-like entries before it, of
         /// the `WINDOW + 1` a verdict needs.
@@ -396,7 +396,7 @@ fn median(window: &[f64]) -> f64 {
 }
 
 /// Judge the newest entry of `history` that carries `rule`'s metric
-/// against the median of the [`WINDOW`] entries before it that carry the
+/// against the median of the `WINDOW` entries before it that carry the
 /// metric and measured the same world on the same host shape.
 pub fn eval_gate(history: &[HistoryEntry], rule: &GateRule) -> GateStatus {
     let mut carrying = history

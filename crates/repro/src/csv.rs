@@ -7,9 +7,27 @@
 use crate::study::MigrationStudy;
 use flock_analysis::prelude::*;
 use flock_core::{FlockError, Result};
-use flock_crawler::csv::escape_field;
 use std::fmt::Write as _;
 use std::path::Path;
+
+/// Quote a field iff RFC 4180 requires it: a field containing `"`, `,`,
+/// CR or LF is wrapped in quotes with every `"` doubled.
+fn escape_field(field: &str) -> String {
+    if field.contains(['"', ',', '\r', '\n']) {
+        let mut out = String::with_capacity(field.len() + 2);
+        out.push('"');
+        for c in field.chars() {
+            if c == '"' {
+                out.push('"');
+            }
+            out.push(c);
+        }
+        out.push('"');
+        out
+    } else {
+        field.to_string()
+    }
+}
 
 /// An ECDF as `series,x,cdf` rows appended to `out`.
 fn ecdf_rows(out: &mut String, series: &str, e: &Ecdf, points: usize) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, clippy, flock-lint (the line rules plus the
 # call-graph tier-taint and interprocedural lock-order passes, in one run),
-# the tier-1 build + test suite, a smoke
+# the workspace docs (rustdoc under the workspace's deny-warnings lints,
+# so a broken intra-doc link fails here), the tier-1 build + test suite, a smoke
 # pass over every bench target (including the throughput bench, which in
 # --test mode does not append to the committed BENCH_history.jsonl but
 # prints its trend-gate verdicts against it, never failing on one), one
@@ -55,6 +56,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 stage "cargo run -p flock-lint -- --workspace"
 cargo run -q -p flock-lint -- --workspace
+
+stage "cargo doc --workspace --no-deps"
+cargo doc --workspace --no-deps
 
 stage "cargo build --release"
 cargo build --release
