@@ -375,7 +375,7 @@ impl ApiServer {
             (Err(_), Some(Injected::Error)) => SpanOutcome::Fault(FaultKind::Injected),
             (Err(_), None) => SpanOutcome::RateLimited { storm: false },
         };
-        trace::record_attempt(family.label(), outcome);
+        trace::record_attempt(outcome);
         result
     }
 
@@ -666,10 +666,6 @@ impl ApiServer {
             .instance_by_domain(domain)
             .ok_or_else(|| FlockError::NotFound(format!("instance {domain}")))?;
         if inst.down_at_crawl {
-            trace::record_attempt(
-                EndpointFamily::Mastodon.label(),
-                SpanOutcome::Fault(FaultKind::Outage),
-            );
             return Err(FlockError::InstanceUnavailable(domain.to_string()));
         }
         // Chaos outage windows: a permanent window answers exactly like a
@@ -679,18 +675,10 @@ impl ApiServer {
             OutageStatus::Up => {}
             OutageStatus::Permanent => {
                 self.metrics.chaos_outage_rejections.inc();
-                trace::record_attempt(
-                    EndpointFamily::Mastodon.label(),
-                    SpanOutcome::Fault(FaultKind::Outage),
-                );
                 return Err(FlockError::InstanceUnavailable(domain.to_string()));
             }
             OutageStatus::Until { end_secs } => {
                 self.metrics.chaos_outage_rejections.inc();
-                trace::record_attempt(
-                    EndpointFamily::Mastodon.label(),
-                    SpanOutcome::Fault(FaultKind::Outage),
-                );
                 return Err(FlockError::InstanceOutage {
                     retry_after_secs: end_secs.saturating_sub(as_of_secs).max(1),
                 });
@@ -911,17 +899,16 @@ impl ApiServer {
     }
 }
 
-/// What the server made of the attempt that returned `result`: the label
-/// of the endpoint family it charged and its typed outcome, both taken
-/// from the thread-local trace context the acquire decision writes (so
-/// the next attempt starts clean). An attempt that never reached a token
-/// bucket (unknown handle, interrupt) names no family, and its outcome
-/// falls back to the shape of its error.
-pub fn take_attempt_outcome<T>(result: &Result<T>) -> (Option<&'static str>, SpanOutcome) {
-    if let Some(a) = trace::take_attempt() {
-        return (Some(a.family), a.outcome);
+/// What the server made of the attempt that returned `result`: its typed
+/// outcome, taken from the thread-local trace context the acquire
+/// decision writes (so the next attempt starts clean). An attempt that
+/// never reached a token bucket (a down instance, an unknown handle, an
+/// interrupt) falls back to the shape of its error.
+pub fn take_attempt_outcome<T>(result: &Result<T>) -> SpanOutcome {
+    if let Some(outcome) = trace::take_attempt() {
+        return outcome;
     }
-    let outcome = match result {
+    match result {
         Ok(_) => SpanOutcome::Granted,
         Err(FlockError::RateLimited { .. }) => SpanOutcome::RateLimited { storm: false },
         Err(FlockError::InstanceOutage { .. } | FlockError::InstanceUnavailable(_)) => {
@@ -929,8 +916,7 @@ pub fn take_attempt_outcome<T>(result: &Result<T>) -> (Option<&'static str>, Spa
         }
         Err(FlockError::StaleCursor(_)) => SpanOutcome::StaleCursor,
         Err(_) => SpanOutcome::Fault(FaultKind::Other),
-    };
-    (None, outcome)
+    }
 }
 
 /// What a token bucket is kept for: one per Twitter family, one per

@@ -32,7 +32,7 @@ use flock_apis::types::TwitterUserObject;
 use flock_core::handle::extract_handles;
 use flock_core::{durable, worker_pool};
 use flock_core::{Day, DetRng, FlockError, MastodonHandle, Result, TweetId, TwitterUserId};
-use flock_obs::trace::{self, FaultKind, SpanOutcome};
+use flock_obs::trace::{self, SpanOutcome};
 use flock_obs::{Counter, Gauge, Histogram, Registry, Tier, WaitCause, SECONDS_BOUNDS};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -290,7 +290,7 @@ impl<'a> Crawler<'a> {
     /// tweets all earlier queries collected.
     pub fn discover(&self) -> Result<Dataset> {
         let mut ds = self.base_dataset();
-        for name in &PHASES[..2] {
+        for &name in &PHASES[..2] {
             self.run_phase(name, &mut ds)?;
         }
         Ok(ds)
@@ -301,7 +301,7 @@ impl<'a> Crawler<'a> {
     /// matched-index order. Public (separately from [`Crawler::run`]) so
     /// benches can time the parallel phases against a fixed discovery.
     pub fn expand(&self, ds: &mut Dataset) -> Result<()> {
-        for name in &PHASES[2..] {
+        for &name in &PHASES[2..] {
             self.run_phase(name, ds)?;
         }
         Ok(())
@@ -316,7 +316,7 @@ impl<'a> Crawler<'a> {
     }
 
     /// Run one named phase: telemetry span, body, dataset-derived counter.
-    fn run_phase(&self, name: &str, ds: &mut Dataset) -> Result<()> {
+    fn run_phase(&self, name: &'static str, ds: &mut Dataset) -> Result<()> {
         let idx = PHASES.iter().position(|p| *p == name).unwrap_or(usize::MAX);
         self.phase_idx.store(idx, Ordering::Relaxed);
         self.obs.phase_start(self.api.now(), name);
@@ -404,33 +404,27 @@ impl<'a> Crawler<'a> {
     /// typed error instead of a livelock.
     ///
     /// Every call opens one **logical request span** (trace id = current
-    /// phase, label = the caller-supplied request name) and records one
-    /// child span per server attempt, with the typed outcome the API
-    /// layer left in the thread-local trace context. Every second the
-    /// wrapper moves the virtual clock is charged to a [`WaitCause`]
+    /// phase, label = the caller-supplied request name) and counts every
+    /// server attempt on it, keeping the typed outcome the API layer left
+    /// in the thread-local trace context for the last one. Every second
+    /// the wrapper moves the virtual clock is charged to a [`WaitCause`]
     /// bucket on the span *and* on the phase's wait ledger — the
     /// attribution invariant the profiler and the integration tests rest
     /// on: per-phase buckets sum exactly to the phase's virtual duration.
-    fn request<T>(&self, label: &str, f: impl FnMut() -> Result<T>) -> Result<T> {
+    fn request<T>(&self, label: String, f: impl FnMut() -> Result<T>) -> Result<T> {
         let phase = self.current_phase();
         let span = self
             .obs
-            .span_begin(phase, label, None, trace::current_worker(), self.api.now());
-        let _guard = trace::span_scope(span);
-        // Overwritten by every attempt; only an interrupt before the
-        // first attempt leaves the placeholder.
-        let mut last_outcome = SpanOutcome::Fault(FaultKind::Other);
-        let result = self.request_attempts(phase, span, label, &mut last_outcome, f);
-        self.obs.span_end(span, self.api.now(), last_outcome);
+            .span_begin(phase, label, trace::current_worker(), self.api.now());
+        let result = self.request_attempts(phase, span, f);
+        self.obs.span_end(span, self.api.now());
         result
     }
 
     fn request_attempts<T>(
         &self,
-        phase: &str,
+        phase: &'static str,
         span: u64,
-        label: &str,
-        last_outcome: &mut SpanOutcome,
         mut f: impl FnMut() -> Result<T>,
     ) -> Result<T> {
         let mut transient = 0;
@@ -444,18 +438,8 @@ impl<'a> Crawler<'a> {
             self.m.attempts.inc();
             let before = self.api.now();
             let r = f();
-            let (family, outcome) = take_attempt_outcome(&r);
-            self.obs.span_attempt(
-                span,
-                phase,
-                label,
-                trace::current_worker(),
-                family,
-                outcome,
-                before,
-                before,
-            );
-            *last_outcome = outcome;
+            let outcome = take_attempt_outcome(&r);
+            self.obs.span_attempt(span, outcome);
             match r {
                 Ok(v) => return Ok(v),
                 Err(FlockError::RateLimited { retry_after_secs }) => {
@@ -493,11 +477,6 @@ impl<'a> Crawler<'a> {
                     if transient > self.config.max_transient_retries {
                         return Err(e);
                     }
-                    self.obs.event(
-                        before,
-                        "crawler.transient_retry",
-                        &format!("attempt {transient}: {e}"),
-                    );
                     let applied = self.api.advance_clock(self.config.transient_backoff_secs);
                     self.obs.attribute_wait(
                         Some(span),
@@ -523,21 +502,13 @@ impl<'a> Crawler<'a> {
         retry_after_secs: u64,
         before: u64,
         span: u64,
-        phase: &str,
+        phase: &'static str,
         cause: WaitCause,
     ) -> Result<()> {
         self.m.retry_wait_secs.record(retry_after_secs);
         *waited = waited.saturating_add(retry_after_secs);
         if *waited > self.config.max_rate_limit_wait_secs {
             self.m.budget_exhausted.inc();
-            self.obs.event(
-                before,
-                "crawler.retry_budget_exhausted",
-                &format!(
-                    "waited {waited}s virtual > cap {}s",
-                    self.config.max_rate_limit_wait_secs
-                ),
-            );
             return Err(FlockError::RetryBudgetExhausted {
                 waited_secs: *waited,
             });
@@ -560,7 +531,7 @@ impl<'a> Crawler<'a> {
         for (q, kind) in queries {
             let mut cursor: Option<String> = None;
             loop {
-                let page = match self.request(&format!("search:{q}"), || {
+                let page = match self.request(format!("search:{q}"), || {
                     self.api.twitter_search(
                         &q,
                         Day::COLLECTION_START,
@@ -622,7 +593,7 @@ impl<'a> Crawler<'a> {
         for chunk in authors.chunks(100) {
             let first = chunk.first().map_or(0, |id| id.0);
             let users = match self
-                .request(&format!("user_expansion:{first}+{}", chunk.len()), || {
+                .request(format!("user_expansion:{first}+{}", chunk.len()), || {
                     self.api.twitter_search_user_expansion(chunk)
                 }) {
                 Ok(users) => users,
@@ -675,13 +646,13 @@ impl<'a> Crawler<'a> {
 
             // Resolve the handle on its instance, following moved_to once.
             let (account, first_account, resolved_handle) = match self
-                .request(&format!("lookup:{handle}"), || {
+                .request(format!("lookup:{handle}"), || {
                     self.api.mastodon_lookup_account(&handle)
                 }) {
                 Ok(acct) => match &acct.moved_to {
                     Some(target) => {
                         let target = target.clone();
-                        match self.request(&format!("lookup:{target}"), || {
+                        match self.request(format!("lookup:{target}"), || {
                             self.api.mastodon_lookup_account(&target)
                         }) {
                             Ok(new_acct) => (Some(new_acct), Some(acct), target.clone()),
@@ -765,7 +736,7 @@ impl<'a> Crawler<'a> {
         let mut cursor: Option<String> = None;
         let mut skip = None;
         let outcome = loop {
-            match self.request(&format!("twitter_timeline:{}", m.twitter_id.0), || {
+            match self.request(format!("twitter_timeline:{}", m.twitter_id.0), || {
                 self.api.twitter_timeline(
                     m.twitter_id,
                     Day::STUDY_START,
@@ -840,7 +811,7 @@ impl<'a> Crawler<'a> {
         for src in sources {
             let mut cursor: Option<String> = None;
             loop {
-                match self.request(&format!("statuses:{src}"), || {
+                match self.request(format!("statuses:{src}"), || {
                     self.api.mastodon_account_statuses(&src, cursor.as_deref())
                 }) {
                     Ok(page) => {
@@ -958,7 +929,7 @@ impl<'a> Crawler<'a> {
         let mut twitter = Vec::new();
         let mut cursor: Option<String> = None;
         loop {
-            match self.request(&format!("twitter_following:{}", m.twitter_id.0), || {
+            match self.request(format!("twitter_following:{}", m.twitter_id.0), || {
                 self.api.twitter_following(m.twitter_id, cursor.as_deref())
             }) {
                 Ok(page) => {
@@ -980,7 +951,7 @@ impl<'a> Crawler<'a> {
         let mut mastodon = Vec::new();
         let mut cursor: Option<String> = None;
         loop {
-            match self.request(&format!("mastodon_following:{}", m.resolved_handle), || {
+            match self.request(format!("mastodon_following:{}", m.resolved_handle), || {
                 self.api
                     .mastodon_account_following(&m.resolved_handle, cursor.as_deref())
             }) {
@@ -1014,7 +985,7 @@ impl<'a> Crawler<'a> {
 
     fn crawl_weekly_activity(&self, ds: &mut Dataset) -> Result<()> {
         for domain in ds.landing_instances() {
-            match self.request(&format!("weekly_activity:{domain}"), || {
+            match self.request(format!("weekly_activity:{domain}"), || {
                 self.api.mastodon_instance_activity(&domain)
             }) {
                 Ok(rows) => {
@@ -1281,7 +1252,7 @@ mod tests {
     }
 
     /// The registry sees everything `CrawlStats` reports, plus the
-    /// dataset-derived counters and the per-phase span events.
+    /// dataset-derived counters and the phase table.
     #[test]
     fn registry_captures_counters_and_phase_spans() {
         let (world, _) = shared();
@@ -1306,11 +1277,11 @@ mod tests {
             obs.counter_value("flock.crawler.discover.matched_users"),
             Some(ds.matched.len() as u64)
         );
-        // crawl + 2 discover + 4 expand phases, a start and an end each.
-        assert!(obs.event_count() >= 14, "{} events", obs.event_count());
-        let text = obs.export_text();
-        assert!(text.contains("phase_start name=discover.collect_tweets"));
-        assert!(text.contains("phase_end name=expand.weekly_activity"));
+        // The crawl envelope, then its six phases, each closed.
+        let phases: Vec<&str> = obs.phases().iter().map(|p| p.name).collect();
+        assert_eq!(phases[0], "crawl");
+        assert_eq!(phases[1..], PHASES);
+        assert!(obs.phases().iter().all(|p| p.end_secs.is_some()));
         // The API server recorded into the same registry.
         assert!(obs
             .counter_value("flock.apis.search.granted")

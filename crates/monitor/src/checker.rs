@@ -5,7 +5,7 @@
 //!
 //! A check is the crawler's blocking retry loop pointed at the peers
 //! endpoint: the request keeps one span open across its attempts, every
-//! server attempt is recorded against it, and every second a wait moves
+//! server attempt is counted on it, and every second a wait moves
 //! the virtual clock is charged to the same `(span, phase, cause)` bucket
 //! `Crawler::request` would charge. What differs is the outcome policy,
 //! which must stay **Data-deterministic under scheduled-time semantics**:
@@ -53,7 +53,6 @@ pub enum CheckOutcome<'a> {
 /// The open span plus retry state of one in-flight check.
 struct ReqState {
     span: u64,
-    label: String,
     transient: u32,
 }
 
@@ -69,17 +68,13 @@ enum ReqPoll<'a> {
 /// outcome is derived solely from the API result.
 fn mon_begin(obs: &Registry, api: &ApiServer, domain: &str) -> ReqState {
     let label = format!("peers:{domain}");
-    let span = obs.span_begin(PHASE, &label, None, trace::current_worker(), api.now());
-    ReqState {
-        span,
-        label,
-        transient: 0,
-    }
+    let span = obs.span_begin(PHASE, label, trace::current_worker(), api.now());
+    ReqState { span, transient: 0 }
 }
 
 /// One server attempt of an in-flight check, evaluated at the check's
 /// scheduled instant `as_of`. Boundary fn: consumes
-/// `take_attempt_outcome` / `current_worker` for span attribution only;
+/// `take_attempt_outcome` for span attribution only;
 /// the returned [`CheckOutcome`] is a pure function of the API result
 /// sequence, which chaos derives from `(seed, plan, key)` — never from
 /// the schedule.
@@ -91,24 +86,12 @@ fn mon_attempt<'a>(
     as_of: u64,
 ) -> ReqPoll<'a> {
     let before = api.now();
-    let r = {
-        let _guard = trace::span_scope(st.span);
-        api.mastodon_instance_peers(domain, as_of)
-    };
-    let (family, outcome) = take_attempt_outcome(&r);
-    obs.span_attempt(
-        st.span,
-        PHASE,
-        &st.label,
-        trace::current_worker(),
-        family,
-        outcome,
-        before,
-        before,
-    );
+    let r = api.mastodon_instance_peers(domain, as_of);
+    let outcome = take_attempt_outcome(&r);
+    obs.span_attempt(st.span, outcome);
     let span = st.span;
     let finish = |out: CheckOutcome<'a>| {
-        obs.span_end(span, api.now(), outcome);
+        obs.span_end(span, api.now());
         ReqPoll::Done(out)
     };
     match r {

@@ -546,7 +546,7 @@ pub fn gantt_svg(profiles: &[PhaseProfile]) -> String {
                 10.0,
                 "end",
                 "#111827",
-                &p.name,
+                p.name,
             ))
             .child(rect(
                 x0,
@@ -603,7 +603,7 @@ pub fn worker_heatmap_svg(profiles: &[PhaseProfile]) -> String {
             10.0,
             "end",
             "#111827",
-            &p.name,
+            p.name,
         ));
         let row_max = p.workers.values().map(|l| l.requests).max().unwrap_or(0);
         for (c, slot) in slots.iter().enumerate() {
@@ -679,7 +679,7 @@ pub fn wait_bars_svg(profiles: &[PhaseProfile]) -> String {
             10.0,
             "end",
             "#111827",
-            &p.name,
+            p.name,
         ));
         let mut x = LABEL_W;
         for cause in WaitCause::ALL {
@@ -1259,9 +1259,10 @@ mod tests {
         let reg = Registry::new();
         reg.counter("flock.apis.follows.granted", Tier::Data).add(2);
         reg.phase_start(0, "expand.followees");
-        let r = reg.span_begin("expand.followees", "following:1", None, Some(0), 0);
+        let r = reg.span_begin("expand.followees", "following:1".to_string(), Some(0), 0);
+        reg.span_attempt(r, SpanOutcome::Granted);
         reg.attribute_wait(Some(r), "expand.followees", WaitCause::RetryAfterStorm, 900);
-        reg.span_end(r, 900, SpanOutcome::Granted);
+        reg.span_end(r, 900);
         reg.phase_end(900, "expand.followees");
         reg
     }

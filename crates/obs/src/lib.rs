@@ -4,12 +4,12 @@
 //! one: §3 reports request volumes, rate-limit stalls, dead instances and
 //! per-phase coverage, and every follow-on study leans on knowing exactly
 //! what the crawl did. This crate is the workspace's observability layer:
-//! a [`Registry`] of named counters, gauges and histograms
-//! plus lightweight span events, hierarchical request spans ([`Span`]),
-//! a per-phase wait-attribution ledger ([`WaitCause`]), a virtual-time
-//! profiler ([`profile`]) and a deterministic run-report renderer
-//! ([`report`]) — all designed around the same rules as the rest of the
-//! pipeline:
+//! a [`Registry`] of named counters, gauges and histograms, a phase
+//! table, one span per logical request ([`Span`]) counting its server
+//! attempts, a per-phase wait-attribution ledger ([`WaitCause`]), a
+//! virtual-time profiler ([`profile`]) and a deterministic run-report
+//! renderer ([`report`]) — all designed around the same rules as the
+//! rest of the pipeline:
 //!
 //! * **No wall clock.** Every timestamp is caller-supplied virtual time
 //!   (the `ApiServer` clock, or a simulated day offset). Exports never
@@ -25,11 +25,10 @@
 //!   `workers=1` and `workers=8` — while [`Registry::export_text`] /
 //!   [`Registry::export_json`] / [`Registry::export_prometheus`] render
 //!   everything.
-//! * **Bounded buffers.** The event log and the span store are ring
-//!   buffers capped at construction ([`Registry::with_capacities`]);
-//!   overflow drops the oldest record and counts the drop in a
-//!   scheduling-tier counter, so telemetry can never balloon a long
-//!   crawl's memory.
+//! * **A bounded span store.** The span store is a ring buffer capped at
+//!   construction ([`Registry::with_span_capacity`]); overflow drops the
+//!   oldest span and counts the drop in a scheduling-tier counter, so
+//!   telemetry can never balloon a long crawl's memory.
 //!
 //! Handles are cheap `Arc`-backed atomics: register once at construction
 //! time, then `inc()`/`record()` from any thread without touching the
@@ -266,37 +265,6 @@ impl Histogram {
     }
 }
 
-/// What a span event marks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EventKind {
-    /// A named phase began.
-    PhaseStart,
-    /// A named phase finished.
-    PhaseEnd,
-    /// A point-in-time annotation (a retry decision, a migration wave…).
-    Point,
-}
-
-impl EventKind {
-    fn label(self) -> &'static str {
-        match self {
-            EventKind::PhaseStart => "phase_start",
-            EventKind::PhaseEnd => "phase_end",
-            EventKind::Point => "event",
-        }
-    }
-}
-
-/// One structured trace record, stamped with **virtual** time only.
-#[derive(Clone, Debug)]
-pub struct SpanEvent {
-    /// Virtual-clock timestamp (seconds) supplied by the caller.
-    pub ts_secs: u64,
-    pub kind: EventKind,
-    pub name: String,
-    pub detail: String,
-}
-
 /// Why the crawler advanced the virtual clock — the wait-attribution
 /// taxonomy. Every second the clock moves during a phase is charged to
 /// exactly one cause, so the per-phase buckets sum to the phase's
@@ -355,32 +323,31 @@ impl WaitCause {
     }
 }
 
-/// One hierarchical request span, stamped with **virtual** time.
+/// One logical request's span, stamped with **virtual** time.
 ///
-/// The crawler opens a parent span per *logical request* (trace id = the
-/// pipeline phase, span id = a global sequence number) and records one
-/// child span per *attempt* the server answered — so a request that was
-/// rate-limited twice and then granted owns three children. Waits are
-/// charged to the parent (`waits`), attempts are instants.
+/// The crawler and the monitor open one span per *logical request*
+/// (trace id = the pipeline phase, span id = a global sequence number)
+/// and count on it every attempt the server answered, keeping the last
+/// attempt's outcome: a request rate-limited twice and then granted
+/// reads `attempts == 3` and `Granted`. Waits between attempts are
+/// charged to the span (`waits`); attempts themselves are instants.
 #[derive(Clone, Debug)]
 pub struct Span {
     /// Globally unique, monotonically increasing id (1-based).
     pub id: u64,
-    /// Parent span id (`None` for logical-request roots).
-    pub parent: Option<u64>,
     /// Trace id: the pipeline phase this span belongs to.
-    pub trace: String,
+    pub trace: &'static str,
     /// Human-readable request label (query, user id, domain…).
     pub label: String,
     /// Worker slot of the thread that ran this span, if inside a pool.
     pub worker: Option<usize>,
-    /// Endpoint family label, once an attempt reached the server.
-    pub family: Option<&'static str>,
     /// Virtual start time (seconds).
     pub start_secs: u64,
     /// Virtual end time (seconds; == start until the span ends).
     pub end_secs: u64,
-    /// Typed outcome (`None` while the span is open).
+    /// Server attempts answered so far.
+    pub attempts: u32,
+    /// The last attempt's typed outcome (`None` before the first).
     pub outcome: Option<SpanOutcome>,
     /// Virtual seconds of clock advance charged to this span, by cause.
     pub waits: [u64; WaitCause::COUNT],
@@ -401,14 +368,11 @@ impl Span {
 /// One entry of the phase table: a named phase's virtual extent.
 #[derive(Clone, Debug)]
 pub struct PhaseSpan {
-    pub name: String,
+    pub name: &'static str,
     pub start_secs: u64,
     /// `None` while the phase is still open.
     pub end_secs: Option<u64>,
 }
-
-/// Default ring-buffer capacity of the event log.
-pub const DEFAULT_EVENT_CAPACITY: usize = 65_536;
 
 /// Default ring-buffer capacity of the span store.
 pub const DEFAULT_SPAN_CAPACITY: usize = 65_536;
@@ -432,14 +396,6 @@ impl Slot {
     }
 }
 
-/// Ring-buffered event log: overflow drops the oldest record and counts.
-#[derive(Debug)]
-struct EventLog {
-    events: VecDeque<SpanEvent>,
-    capacity: usize,
-    dropped: u64,
-}
-
 /// Ring-buffered span store. Ids are assigned sequentially and spans are
 /// only ever evicted from the front, so the live window is contiguous and
 /// id → index lookup is O(1).
@@ -453,34 +409,28 @@ struct SpanStore {
 }
 
 impl SpanStore {
-    fn index_of(&self, id: u64) -> Option<usize> {
+    /// Live span `id`; `None` once the ring has evicted it.
+    fn get_mut(&mut self, id: u64) -> Option<&mut Span> {
         let front = self.spans.front()?.id;
-        let idx = id.checked_sub(front)? as usize;
-        (idx < self.spans.len()).then_some(idx)
+        let idx = usize::try_from(id.checked_sub(front)?).ok()?;
+        self.spans.get_mut(idx)
     }
 }
 
 #[derive(Debug)]
 struct RegistryInner {
     metrics: Mutex<BTreeMap<String, Slot>>,
-    events: Mutex<EventLog>,
     spans: Mutex<SpanStore>,
     phases: Mutex<Vec<PhaseSpan>>,
     /// Per-phase wait ledger: phase name → seconds per [`WaitCause`].
-    waits: Mutex<BTreeMap<String, [u64; WaitCause::COUNT]>>,
-    events_dropped: OnceLock<Counter>,
+    waits: Mutex<BTreeMap<&'static str, [u64; WaitCause::COUNT]>>,
     spans_dropped: OnceLock<Counter>,
 }
 
 impl RegistryInner {
-    fn with_capacities(event_capacity: usize, span_capacity: usize) -> Self {
+    fn with_span_capacity(span_capacity: usize) -> Self {
         RegistryInner {
             metrics: Mutex::new(BTreeMap::new()),
-            events: Mutex::new(EventLog {
-                events: VecDeque::new(),
-                capacity: event_capacity,
-                dropped: 0,
-            }),
             spans: Mutex::new(SpanStore {
                 spans: VecDeque::new(),
                 capacity: span_capacity,
@@ -489,7 +439,6 @@ impl RegistryInner {
             }),
             phases: Mutex::new(Vec::new()),
             waits: Mutex::new(BTreeMap::new()),
-            events_dropped: OnceLock::new(),
             spans_dropped: OnceLock::new(),
         }
     }
@@ -497,7 +446,7 @@ impl RegistryInner {
 
 impl Default for RegistryInner {
     fn default() -> Self {
-        RegistryInner::with_capacities(DEFAULT_EVENT_CAPACITY, DEFAULT_SPAN_CAPACITY)
+        RegistryInner::with_span_capacity(DEFAULT_SPAN_CAPACITY)
     }
 }
 
@@ -513,15 +462,11 @@ impl Registry {
         Registry::default()
     }
 
-    /// Fresh registry with explicit event-log / span-store capacities.
-    /// Overflow evicts the oldest record and increments the scheduling-
-    /// tier `flock.obs.events.dropped` / `flock.obs.spans.dropped`
-    /// counter.
-    pub fn with_capacities(event_capacity: usize, span_capacity: usize) -> Self {
-        Registry(Arc::new(RegistryInner::with_capacities(
-            event_capacity,
-            span_capacity,
-        )))
+    /// Fresh registry whose span store holds at most `span_capacity`
+    /// spans. Overflow evicts the oldest span and increments the
+    /// scheduling-tier `flock.obs.spans.dropped` counter.
+    pub fn with_span_capacity(span_capacity: usize) -> Self {
+        Registry(Arc::new(RegistryInner::with_span_capacity(span_capacity)))
     }
 
     /// Get-or-register the counter `name`. Registration is idempotent:
@@ -567,12 +512,11 @@ impl Registry {
     }
 
     /// Record the start of a named phase at virtual time `ts_secs`.
-    pub fn phase_start(&self, ts_secs: u64, name: &str) {
-        self.push_event(ts_secs, EventKind::PhaseStart, name, "");
+    pub fn phase_start(&self, ts_secs: u64, name: &'static str) {
         let mut phases = relock(&self.0.phases);
         if phases.len() < PHASE_TABLE_CAP {
             phases.push(PhaseSpan {
-                name: name.to_string(),
+                name,
                 start_secs: ts_secs,
                 end_secs: None,
             });
@@ -580,8 +524,7 @@ impl Registry {
     }
 
     /// Record the end of a named phase at virtual time `ts_secs`.
-    pub fn phase_end(&self, ts_secs: u64, name: &str) {
-        self.push_event(ts_secs, EventKind::PhaseEnd, name, "");
+    pub fn phase_end(&self, ts_secs: u64, name: &'static str) {
         let mut phases = relock(&self.0.phases);
         if let Some(ph) = phases
             .iter_mut()
@@ -592,145 +535,72 @@ impl Registry {
         }
     }
 
-    /// Record a point-in-time annotation at virtual time `ts_secs`.
-    pub fn event(&self, ts_secs: u64, name: &str, detail: &str) {
-        self.push_event(ts_secs, EventKind::Point, name, detail);
-    }
-
-    fn push_event(&self, ts_secs: u64, kind: EventKind, name: &str, detail: &str) {
-        let mut overflow = 0u64;
-        {
-            let mut log = relock(&self.0.events);
-            log.events.push_back(SpanEvent {
-                ts_secs,
-                kind,
-                name: name.to_string(),
-                detail: detail.to_string(),
-            });
-            while log.events.len() > log.capacity {
-                log.events.pop_front();
-                log.dropped += 1;
-                overflow += 1;
-            }
-        }
-        // Counter registration takes the metrics lock — done strictly
-        // after the event lock is released.
-        if overflow > 0 {
-            self.0
-                .events_dropped
-                .get_or_init(|| self.counter("flock.obs.events.dropped", Tier::Sched))
-                .add(overflow);
-        }
-    }
-
     // ---- spans ----------------------------------------------------------
 
-    /// Open a span and return its id. `trace_name` is the trace id (the
-    /// pipeline phase); `parent` links attempts under their logical
-    /// request.
+    /// Open the span of one logical request and return its id. `trace`
+    /// is the trace id (the pipeline phase). When the store is full the
+    /// oldest span is evicted first, so the ring never grows past its
+    /// capacity.
     pub fn span_begin(
         &self,
-        trace_name: &str,
-        label: &str,
-        parent: Option<u64>,
+        trace: &'static str,
+        label: String,
         worker: Option<usize>,
         start_secs: u64,
     ) -> u64 {
-        self.push_span(
-            trace_name, label, parent, worker, None, None, start_secs, start_secs,
-        )
+        let (id, evicted) = {
+            let mut store = relock(&self.0.spans);
+            let id = store.next_id;
+            store.next_id += 1;
+            let evicted = store.spans.len() >= store.capacity;
+            if evicted {
+                store.spans.pop_front();
+                store.dropped += 1;
+            }
+            if store.capacity > 0 {
+                store.spans.push_back(Span {
+                    id,
+                    trace,
+                    label,
+                    worker,
+                    start_secs,
+                    end_secs: start_secs,
+                    attempts: 0,
+                    outcome: None,
+                    waits: [0; WaitCause::COUNT],
+                });
+            }
+            (id, evicted)
+        };
+        // Counter registration takes the metrics lock — done strictly
+        // after the span lock is released.
+        if evicted {
+            self.0
+                .spans_dropped
+                .get_or_init(|| self.counter("flock.obs.spans.dropped", Tier::Sched))
+                .inc();
+        }
+        id
     }
 
-    /// Close span `id` with a typed outcome. A span already evicted by
+    /// Count one server attempt on span `id` and keep its typed outcome
+    /// as the span's. Attempts are instants: the server answered at once
+    /// in virtual time, and the waits between attempts are charged to
+    /// the span by [`Self::attribute_wait`]. A span already evicted by
     /// the ring buffer is silently skipped.
-    pub fn span_end(&self, id: u64, end_secs: u64, outcome: SpanOutcome) {
-        let mut store = relock(&self.0.spans);
-        if let Some(i) = store.index_of(id) {
-            let s = &mut store.spans[i];
-            s.end_secs = end_secs;
+    pub fn span_attempt(&self, id: u64, outcome: SpanOutcome) {
+        if let Some(s) = relock(&self.0.spans).get_mut(id) {
+            s.attempts = s.attempts.saturating_add(1);
             s.outcome = Some(outcome);
         }
     }
 
-    /// Record one completed *attempt* as a child span of `parent` in a
-    /// single call (attempts are instants: the server answered at once
-    /// in virtual time; the waits between attempts belong to the parent).
-    #[allow(clippy::too_many_arguments)]
-    pub fn span_attempt(
-        &self,
-        parent: u64,
-        trace_name: &str,
-        label: &str,
-        worker: Option<usize>,
-        family: Option<&'static str>,
-        outcome: SpanOutcome,
-        start_secs: u64,
-        end_secs: u64,
-    ) -> u64 {
-        {
-            // Stamp the family onto the parent while we know it.
-            let mut store = relock(&self.0.spans);
-            if let Some(i) = store.index_of(parent) {
-                if family.is_some() {
-                    store.spans[i].family = family;
-                }
-            }
+    /// Close span `id` at virtual time `end_secs`. A span already evicted
+    /// by the ring buffer is silently skipped.
+    pub fn span_end(&self, id: u64, end_secs: u64) {
+        if let Some(s) = relock(&self.0.spans).get_mut(id) {
+            s.end_secs = end_secs;
         }
-        self.push_span(
-            trace_name,
-            label,
-            Some(parent),
-            worker,
-            family,
-            Some(outcome),
-            start_secs,
-            end_secs,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn push_span(
-        &self,
-        trace_name: &str,
-        label: &str,
-        parent: Option<u64>,
-        worker: Option<usize>,
-        family: Option<&'static str>,
-        outcome: Option<SpanOutcome>,
-        start_secs: u64,
-        end_secs: u64,
-    ) -> u64 {
-        let mut overflow = 0u64;
-        let id;
-        {
-            let mut store = relock(&self.0.spans);
-            id = store.next_id;
-            store.next_id += 1;
-            store.spans.push_back(Span {
-                id,
-                parent,
-                trace: trace_name.to_string(),
-                label: label.to_string(),
-                worker,
-                family,
-                start_secs,
-                end_secs,
-                outcome,
-                waits: [0; WaitCause::COUNT],
-            });
-            while store.spans.len() > store.capacity {
-                store.spans.pop_front();
-                store.dropped += 1;
-                overflow += 1;
-            }
-        }
-        if overflow > 0 {
-            self.0
-                .spans_dropped
-                .get_or_init(|| self.counter("flock.obs.spans.dropped", Tier::Sched))
-                .add(overflow);
-        }
-        id
     }
 
     /// Charge `secs` of virtual clock advance to `phase`'s wait ledger
@@ -741,19 +611,23 @@ impl Registry {
     /// actually applied, so per-phase buckets sum to the phase's virtual
     /// duration. Zero-second advances (another worker already paid the
     /// wait) are skipped.
-    pub fn attribute_wait(&self, span: Option<u64>, phase: &str, cause: WaitCause, secs: u64) {
+    pub fn attribute_wait(
+        &self,
+        span: Option<u64>,
+        phase: &'static str,
+        cause: WaitCause,
+        secs: u64,
+    ) {
         if secs == 0 {
             return;
         }
         if let Some(id) = span {
-            let mut store = relock(&self.0.spans);
-            if let Some(i) = store.index_of(id) {
-                store.spans[i].waits[cause.index()] += secs;
+            if let Some(s) = relock(&self.0.spans).get_mut(id) {
+                s.waits[cause.index()] += secs;
             }
         }
-        let mut ledger = relock(&self.0.waits);
-        ledger
-            .entry(phase.to_string())
+        relock(&self.0.waits)
+            .entry(phase)
             .or_insert([0; WaitCause::COUNT])[cause.index()] += secs;
     }
 
@@ -772,11 +646,6 @@ impl Registry {
         relock(&self.0.spans).dropped
     }
 
-    /// Events evicted by the ring buffer so far.
-    pub fn events_dropped(&self) -> u64 {
-        relock(&self.0.events).dropped
-    }
-
     /// Snapshot of the phase table, start order.
     pub fn phases(&self) -> Vec<PhaseSpan> {
         relock(&self.0.phases).clone()
@@ -784,7 +653,7 @@ impl Registry {
 
     /// Snapshot of the per-phase wait ledger (phase → seconds per cause,
     /// indexed by [`WaitCause::index`]).
-    pub fn waits(&self) -> BTreeMap<String, [u64; WaitCause::COUNT]> {
+    pub fn waits(&self) -> BTreeMap<&'static str, [u64; WaitCause::COUNT]> {
         relock(&self.0.waits).clone()
     }
 
@@ -798,11 +667,6 @@ impl Registry {
     /// Number of registered metrics.
     pub fn metric_count(&self) -> usize {
         relock(&self.0.metrics).len()
-    }
-
-    /// Number of recorded (live) span events.
-    pub fn event_count(&self) -> usize {
-        relock(&self.0.events).events.len()
     }
 
     /// Current value of the counter `name`, if registered as a counter.
@@ -871,39 +735,25 @@ impl Registry {
         out
     }
 
-    /// Full text export: both tiers (tagged) plus the event log and the
-    /// ring-buffer drop accounting.
+    /// Full text export: both tiers (tagged) plus the span ring's
+    /// accounting.
     pub fn export_text(&self) -> String {
         let mut out = String::from("# deterministic tier\n");
         self.render_metrics(&mut out, Some(Tier::Data));
         out.push_str("# scheduling tier\n");
         self.render_metrics(&mut out, Some(Tier::Sched));
-        {
-            let spans = relock(&self.0.spans);
-            let _ = writeln!(
-                out,
-                "# spans recorded={} dropped={}",
-                spans.spans.len(),
-                spans.dropped
-            );
-        }
-        let events = relock(&self.0.events);
-        let _ = writeln!(out, "# events (dropped {})", events.dropped);
-        for ev in events.events.iter() {
-            let _ = writeln!(
-                out,
-                "event ts={} kind={} name={} detail={}",
-                ev.ts_secs,
-                ev.kind.label(),
-                ev.name,
-                ev.detail.replace('\n', "\\n")
-            );
-        }
+        let spans = relock(&self.0.spans);
+        let _ = writeln!(
+            out,
+            "# spans recorded={} dropped={}",
+            spans.spans.len(),
+            spans.dropped
+        );
         out
     }
 
     /// Full JSON export: one map per tier, one object per metric, in
-    /// name order.
+    /// name order, then the span ring's accounting.
     pub fn export_json(&self) -> String {
         let mut out = String::from("{\n");
         for (i, tier) in [Tier::Data, Tier::Sched].into_iter().enumerate() {
@@ -961,35 +811,13 @@ impl Registry {
             }
             out.push('}');
         }
-        {
-            let spans = relock(&self.0.spans);
-            let _ = write!(
-                out,
-                ",\n  \"spans\": {{\"recorded\":{},\"dropped\":{}}}",
-                spans.spans.len(),
-                spans.dropped
-            );
-        }
-        let events = relock(&self.0.events);
-        let _ = write!(out, ",\n  \"events_dropped\": {}", events.dropped);
-        out.push_str(",\n  \"events\": [");
-        for (i, ev) in events.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"ts_secs\":{},\"kind\":\"{}\",\"name\":\"{}\",\"detail\":\"{}\"}}",
-                ev.ts_secs,
-                ev.kind.label(),
-                json_escape(&ev.name),
-                json_escape(&ev.detail)
-            );
-        }
-        if !events.events.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
+        let spans = relock(&self.0.spans);
+        let _ = writeln!(
+            out,
+            ",\n  \"spans\": {{\"recorded\":{},\"dropped\":{}}}\n}}",
+            spans.spans.len(),
+            spans.dropped
+        );
         out
     }
 
@@ -1194,19 +1022,6 @@ mod tests {
     }
 
     #[test]
-    fn events_are_recorded_in_order_with_virtual_timestamps() {
-        let reg = Registry::new();
-        reg.phase_start(0, "discover");
-        reg.event(42, "retry", "rate limited, waiting 900s");
-        reg.phase_end(100, "discover");
-        assert_eq!(reg.event_count(), 3);
-        let text = reg.export_text();
-        assert!(text.contains("event ts=0 kind=phase_start name=discover"));
-        assert!(text.contains("event ts=42 kind=event name=retry"));
-        assert!(text.contains("event ts=100 kind=phase_end name=discover"));
-    }
-
-    #[test]
     fn phase_table_tracks_extents() {
         let reg = Registry::new();
         reg.phase_start(5, "a");
@@ -1221,38 +1036,19 @@ mod tests {
     }
 
     #[test]
-    fn event_log_is_a_ring_buffer_that_counts_drops() {
-        let reg = Registry::with_capacities(3, 8);
-        for i in 0..5 {
-            reg.event(i, "tick", "");
-        }
-        assert_eq!(reg.event_count(), 3);
-        assert_eq!(reg.events_dropped(), 2);
-        assert_eq!(reg.counter_value("flock.obs.events.dropped"), Some(2));
-        // The oldest events are the ones evicted.
-        let text = reg.export_text();
-        assert!(!text.contains("event ts=0 "));
-        assert!(!text.contains("event ts=1 "));
-        assert!(text.contains("event ts=2 "));
-        assert!(text.contains("event ts=4 "));
-        assert!(text.contains("# events (dropped 2)"));
-        let json = reg.export_json();
-        assert!(json.contains("\"events_dropped\": 2"));
-    }
-
-    #[test]
     fn span_store_is_a_ring_buffer_that_counts_drops() {
-        let reg = Registry::with_capacities(8, 2);
-        let a = reg.span_begin("phase", "a", None, None, 0);
-        let b = reg.span_begin("phase", "b", None, None, 1);
-        let c = reg.span_begin("phase", "c", None, None, 2);
+        let reg = Registry::with_span_capacity(2);
+        let a = reg.span_begin("phase", "a".to_string(), None, 0);
+        let b = reg.span_begin("phase", "b".to_string(), None, 1);
+        let c = reg.span_begin("phase", "c".to_string(), None, 2);
         assert_eq!(reg.span_count(), 2);
         assert_eq!(reg.spans_dropped(), 1);
         assert_eq!(reg.counter_value("flock.obs.spans.dropped"), Some(1));
-        // Ending an evicted span is a no-op, not a crash.
-        reg.span_end(a, 10, SpanOutcome::Granted);
-        reg.span_end(b, 10, SpanOutcome::Granted);
-        reg.span_end(c, 12, SpanOutcome::Granted);
+        // Updating an evicted span is a no-op, not a crash.
+        reg.span_attempt(a, SpanOutcome::Granted);
+        reg.span_end(a, 10);
+        reg.span_end(b, 10);
+        reg.span_end(c, 12);
         let spans = reg.spans();
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].id, b);
@@ -1260,32 +1056,39 @@ mod tests {
     }
 
     #[test]
-    fn spans_link_parents_and_accumulate_waits() {
+    fn span_ring_never_allocates_past_its_capacity() {
+        let reg = Registry::with_span_capacity(64);
+        for i in 0..1_000 {
+            reg.span_begin("phase", i.to_string(), None, i);
+        }
+        assert_eq!(reg.span_count(), 64);
+        assert_eq!(reg.spans_dropped(), 936);
+        assert_eq!(relock(&reg.0.spans).spans.capacity(), 64);
+        // A zero-capacity store keeps nothing and counts every span.
+        let none = Registry::with_span_capacity(0);
+        let id = none.span_begin("phase", "x".to_string(), None, 0);
+        none.span_attempt(id, SpanOutcome::Granted);
+        none.span_end(id, 1);
+        assert_eq!(none.span_count(), 0);
+        assert_eq!(none.spans_dropped(), 1);
+    }
+
+    #[test]
+    fn spans_count_attempts_and_accumulate_waits() {
         let reg = Registry::new();
-        let root = reg.span_begin("expand.followees", "following:42", None, Some(1), 100);
-        let att = reg.span_attempt(
-            root,
-            "expand.followees",
-            "following:42",
-            Some(1),
-            Some("follows"),
-            SpanOutcome::RateLimited { storm: false },
-            100,
-            100,
-        );
-        reg.attribute_wait(Some(root), "expand.followees", WaitCause::TokenBucket, 60);
-        reg.attribute_wait(Some(root), "expand.followees", WaitCause::TokenBucket, 0); // no-op
-        reg.span_end(root, 160, SpanOutcome::Granted);
+        let id = reg.span_begin("expand.followees", "following:42".to_string(), Some(1), 100);
+        reg.span_attempt(id, SpanOutcome::RateLimited { storm: false });
+        reg.attribute_wait(Some(id), "expand.followees", WaitCause::TokenBucket, 60);
+        reg.attribute_wait(Some(id), "expand.followees", WaitCause::TokenBucket, 0); // no-op
+        reg.span_attempt(id, SpanOutcome::Granted);
+        reg.span_end(id, 160);
         let spans = reg.spans();
-        assert_eq!(spans.len(), 2);
-        let root_span = spans.iter().find(|s| s.id == root).unwrap();
-        let att_span = spans.iter().find(|s| s.id == att).unwrap();
-        assert_eq!(att_span.parent, Some(root));
-        assert_eq!(att_span.family, Some("follows"));
-        assert_eq!(root_span.family, Some("follows")); // inherited
-        assert_eq!(root_span.wait_total_secs(), 60);
-        assert_eq!(root_span.duration_secs(), 60);
-        assert_eq!(root_span.outcome, Some(SpanOutcome::Granted));
+        assert_eq!(spans.len(), 1, "an attempt records no span of its own");
+        let s = &spans[0];
+        assert_eq!(s.attempts, 2);
+        assert_eq!(s.outcome, Some(SpanOutcome::Granted)); // the last attempt's
+        assert_eq!(s.wait_total_secs(), 60);
+        assert_eq!(s.duration_secs(), 60);
         let ledger = reg.waits();
         assert_eq!(
             ledger["expand.followees"][WaitCause::TokenBucket.index()],
@@ -1300,7 +1103,7 @@ mod tests {
         reg.gauge("flock.test.depth", Tier::Sched).set(4);
         reg.histogram("flock.test.wait", Tier::Sched, &[5])
             .record(7);
-        reg.event(3, "note", "line1\nline2 \"quoted\"");
+        reg.counter("flock.test.line1\nline2 \"quoted\"", Tier::Sched);
         let json = reg.export_json();
         assert!(json.contains("\"flock.test.count\": {\"kind\":\"counter\",\"value\":1}"));
         assert!(json.contains("\"high\":4"));

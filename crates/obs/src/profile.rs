@@ -4,8 +4,8 @@
 //! clock — so profiling is exact, not sampled: a phase's virtual duration
 //! decomposes into the [`WaitCause`] buckets its requests charged plus
 //! whatever remains as useful work. The profiler groups spans by trace id
-//! (= phase), splits logical requests from attempt children, aggregates
-//! outcome tallies and per-worker load, extracts the **critical path**
+//! (= phase) — one span per logical request, counting its attempts —
+//! aggregates per-worker load, extracts the **critical path**
 //! (the ordered list of spans that actually advanced the clock — on a
 //! shared virtual clock, a span that charged N seconds *is* N seconds of
 //! the phase's wall time, whatever the other workers were doing), and
@@ -46,18 +46,18 @@ pub struct CriticalSegment {
     pub advance_secs: u64,
 }
 
-/// A ranked logical request chain (parent span + its attempts).
+/// A ranked logical request chain (one request span and its attempts).
 #[derive(Clone, Debug)]
 pub struct ChainSummary {
     pub span_id: u64,
-    pub phase: String,
+    pub phase: &'static str,
     pub label: String,
     pub worker: Option<usize>,
     pub start_secs: u64,
     pub end_secs: u64,
-    /// Number of attempt children the server answered.
+    /// Number of attempts the server answered.
     pub attempts: u64,
-    /// Final outcome label (`"open"` if the span never ended).
+    /// The last attempt's outcome label (`"open"` before the first).
     pub outcome: &'static str,
     pub wait_secs: u64,
 }
@@ -72,17 +72,15 @@ impl ChainSummary {
 /// Everything the profiler knows about one phase.
 #[derive(Clone, Debug)]
 pub struct PhaseProfile {
-    pub name: String,
+    pub name: &'static str,
     pub start_secs: u64,
     pub end_secs: u64,
     /// Virtual seconds charged per [`WaitCause`] (ledger order).
     pub waits: [u64; WaitCause::COUNT],
-    /// Logical requests (root spans).
+    /// Logical requests (spans).
     pub requests: u64,
-    /// Server attempts (child spans).
+    /// Server attempts (Σ `Span::attempts`).
     pub attempts: u64,
-    /// Attempt outcomes by stable label.
-    pub outcomes: BTreeMap<&'static str, u64>,
     /// Per-worker load, keyed by worker slot; `None` holds the spans
     /// opened outside the worker pool, which carry no slot.
     pub workers: BTreeMap<Option<usize>, WorkerLoad>,
@@ -123,64 +121,52 @@ pub fn phase_profiles(reg: &Registry) -> Vec<PhaseProfile> {
 
     let mut by_phase: BTreeMap<&str, Vec<&Span>> = BTreeMap::new();
     for s in &spans {
-        by_phase.entry(s.trace.as_str()).or_default().push(s);
-    }
-    // Attempt counts per parent id, for chain summaries.
-    let mut children: BTreeMap<u64, u64> = BTreeMap::new();
-    for s in &spans {
-        if let Some(p) = s.parent {
-            *children.entry(p).or_default() += 1;
-        }
+        by_phase.entry(s.trace).or_default().push(s);
     }
 
     phases
         .iter()
         .map(|ph| {
             let mut prof = PhaseProfile {
-                name: ph.name.clone(),
+                name: ph.name,
                 start_secs: ph.start_secs,
                 end_secs: ph.end_secs.unwrap_or(ph.start_secs),
-                waits: ledger.get(&ph.name).copied().unwrap_or_default(),
+                waits: ledger.get(ph.name).copied().unwrap_or_default(),
                 requests: 0,
                 attempts: 0,
-                outcomes: BTreeMap::new(),
                 workers: BTreeMap::new(),
                 critical_path: Vec::new(),
                 slowest: Vec::new(),
             };
-            for s in by_phase.get(ph.name.as_str()).into_iter().flatten() {
+            for s in by_phase.get(ph.name).into_iter().flatten() {
+                let attempts = u64::from(s.attempts);
+                let wait = s.wait_total_secs();
+                prof.requests += 1;
+                prof.attempts += attempts;
                 let slot = prof.workers.entry(s.worker).or_default();
-                if s.parent.is_none() {
-                    prof.requests += 1;
-                    slot.requests += 1;
-                    slot.wait_secs += s.wait_total_secs();
-                    if s.wait_total_secs() > 0 {
-                        prof.critical_path.push(CriticalSegment {
-                            span_id: s.id,
-                            label: s.label.clone(),
-                            worker: s.worker,
-                            start_secs: s.start_secs,
-                            advance_secs: s.wait_total_secs(),
-                        });
-                    }
-                    prof.slowest.push(ChainSummary {
+                slot.requests += 1;
+                slot.attempts += attempts;
+                slot.wait_secs += wait;
+                if wait > 0 {
+                    prof.critical_path.push(CriticalSegment {
                         span_id: s.id,
-                        phase: s.trace.clone(),
                         label: s.label.clone(),
                         worker: s.worker,
                         start_secs: s.start_secs,
-                        end_secs: s.end_secs,
-                        attempts: children.get(&s.id).copied().unwrap_or(0),
-                        outcome: s.outcome.map_or("open", |o| o.label()),
-                        wait_secs: s.wait_total_secs(),
+                        advance_secs: wait,
                     });
-                } else {
-                    prof.attempts += 1;
-                    slot.attempts += 1;
-                    if let Some(o) = s.outcome {
-                        *prof.outcomes.entry(o.label()).or_default() += 1;
-                    }
                 }
+                prof.slowest.push(ChainSummary {
+                    span_id: s.id,
+                    phase: s.trace,
+                    label: s.label.clone(),
+                    worker: s.worker,
+                    start_secs: s.start_secs,
+                    end_secs: s.end_secs,
+                    attempts,
+                    outcome: s.outcome.map_or("open", |o| o.label()),
+                    wait_secs: wait,
+                });
             }
             prof.critical_path
                 .sort_by_key(|seg| (seg.start_secs, seg.span_id));
@@ -205,47 +191,20 @@ mod tests {
         reg.counter("flock.test.touch", Tier::Data).inc(); // irrelevant noise
         reg.phase_start(0, "expand.followees");
         // Request 1 on worker 0: rate-limited once, then granted.
-        let r1 = reg.span_begin("expand.followees", "following:1", None, Some(0), 0);
-        reg.span_attempt(
-            r1,
-            "expand.followees",
-            "following:1",
-            Some(0),
-            Some("follows"),
-            SpanOutcome::RateLimited { storm: true },
-            0,
-            0,
-        );
+        let r1 = reg.span_begin("expand.followees", "following:1".to_string(), Some(0), 0);
+        reg.span_attempt(r1, SpanOutcome::RateLimited { storm: true });
         reg.attribute_wait(
             Some(r1),
             "expand.followees",
             WaitCause::RetryAfterStorm,
             900,
         );
-        reg.span_attempt(
-            r1,
-            "expand.followees",
-            "following:1",
-            Some(0),
-            Some("follows"),
-            SpanOutcome::Granted,
-            900,
-            900,
-        );
-        reg.span_end(r1, 900, SpanOutcome::Granted);
+        reg.span_attempt(r1, SpanOutcome::Granted);
+        reg.span_end(r1, 900);
         // Request 2 on worker 1: granted immediately.
-        let r2 = reg.span_begin("expand.followees", "following:2", None, Some(1), 900);
-        reg.span_attempt(
-            r2,
-            "expand.followees",
-            "following:2",
-            Some(1),
-            Some("follows"),
-            SpanOutcome::Granted,
-            900,
-            900,
-        );
-        reg.span_end(r2, 900, SpanOutcome::Granted);
+        let r2 = reg.span_begin("expand.followees", "following:2".to_string(), Some(1), 900);
+        reg.span_attempt(r2, SpanOutcome::Granted);
+        reg.span_end(r2, 900);
         reg.phase_end(900, "expand.followees");
         reg
     }
@@ -263,8 +222,6 @@ mod tests {
         assert_eq!(p.waits[WaitCause::RetryAfterStorm.index()], 900);
         assert_eq!(p.wait_total_secs(), 900);
         assert_eq!(p.work_secs(), 0); // fully attributed
-        assert_eq!(p.outcomes["granted"], 2);
-        assert_eq!(p.outcomes["rate_limited(storm)"], 1);
     }
 
     #[test]
@@ -286,11 +243,11 @@ mod tests {
     #[test]
     fn spans_without_a_slot_are_not_worker_zeros() {
         let reg = seeded_registry();
-        // A root span opened outside the pool, as the crawl's serial
-        // phases open theirs.
-        let root = reg.span_begin("expand.followees", "following:3", None, None, 0);
+        // A span opened outside the pool, as the crawl's serial phases
+        // open theirs.
+        let root = reg.span_begin("expand.followees", "following:3".to_string(), None, 0);
         reg.attribute_wait(Some(root), "expand.followees", WaitCause::Idle, 100);
-        reg.span_end(root, 900, SpanOutcome::Granted);
+        reg.span_end(root, 900);
         let p = &phase_profiles(&reg)[0];
         let load = |slot| (p.workers[&slot].requests, p.workers[&slot].wait_secs);
         assert_eq!(p.workers.len(), 3);

@@ -388,11 +388,9 @@ fn render_sched(reg: &Registry, meta: &ReportMeta, profiles: &[PhaseProfile]) ->
 
     let _ = writeln!(
         out,
-        "\naccounting: spans={} (dropped {}), events={} (dropped {})",
+        "\naccounting: spans={} (dropped {})",
         reg.span_count(),
-        reg.spans_dropped(),
-        reg.event_count(),
-        reg.events_dropped()
+        reg.spans_dropped()
     );
     out
 }
@@ -411,19 +409,11 @@ mod tests {
         reg.counter("flock.apis.chaos.latency_micros", Tier::Sched)
             .add(250);
         reg.phase_start(0, "expand.followees");
-        let r = reg.span_begin("expand.followees", "following:1", None, Some(0), 0);
-        reg.span_attempt(
-            r,
-            "expand.followees",
-            "following:1",
-            Some(0),
-            Some("follows"),
-            SpanOutcome::RateLimited { storm: true },
-            0,
-            0,
-        );
+        let r = reg.span_begin("expand.followees", "following:1".to_string(), Some(0), 0);
+        reg.span_attempt(r, SpanOutcome::RateLimited { storm: true });
         reg.attribute_wait(Some(r), "expand.followees", WaitCause::RetryAfterStorm, 900);
-        reg.span_end(r, 900, SpanOutcome::Granted);
+        reg.span_attempt(r, SpanOutcome::Granted);
+        reg.span_end(r, 900);
         reg.phase_end(900, "expand.followees");
         reg
     }
@@ -473,9 +463,10 @@ mod tests {
         assert!(sched.contains("retry_after_storm=900"));
         assert!(sched.contains("work=0"));
         assert!(sched.contains("injected latency (wall-clock, outside virtual time): 250us"));
-        assert!(sched.contains("following:1 — 900s, 1 attempts, granted, worker 0"));
+        assert!(sched.contains("following:1 — 900s, 2 attempts, granted, worker 0"));
+        assert!(sched.contains("w0[req=1 att=2 wait=900s]"));
         assert!(sched.contains("t=0 +900s following:1"));
-        assert!(sched.contains("accounting: spans=2 (dropped 0)"));
+        assert!(sched.contains("accounting: spans=1 (dropped 0)\n"));
     }
 
     #[test]
@@ -483,9 +474,9 @@ mod tests {
         let reg = sample_registry();
         // Four more single-attempt requests: 5 chains total, top_k = 2.
         for i in 2..6 {
-            let label = format!("following:{i}");
-            let r = reg.span_begin("expand.followees", &label, None, Some(0), 900);
-            reg.span_end(r, 900, SpanOutcome::Granted);
+            let r = reg.span_begin("expand.followees", format!("following:{i}"), Some(0), 900);
+            reg.span_attempt(r, SpanOutcome::Granted);
+            reg.span_end(r, 900);
         }
         let mut meta = sample_meta();
         meta.top_k = 2;
@@ -499,12 +490,12 @@ mod tests {
 
     #[test]
     fn span_ring_overflow_prints_a_dropped_line_from_the_counter() {
-        let reg = Registry::with_capacities(16, 2);
+        let reg = Registry::with_span_capacity(2);
         reg.phase_start(0, "expand.followees");
         for i in 0..5 {
-            let label = format!("following:{i}");
-            let r = reg.span_begin("expand.followees", &label, None, Some(0), 0);
-            reg.span_end(r, 0, SpanOutcome::Granted);
+            let r = reg.span_begin("expand.followees", format!("following:{i}"), Some(0), 0);
+            reg.span_attempt(r, SpanOutcome::Granted);
+            reg.span_end(r, 0);
         }
         reg.phase_end(0, "expand.followees");
         assert!(reg.spans_dropped() > 0);

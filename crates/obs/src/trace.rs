@@ -11,12 +11,10 @@
 //!
 //! * the **worker slot** — set by the worker pool on each of its threads,
 //!   so spans can attribute work to a worker thread;
-//! * the **current span id** — set by the crawler around each logical
-//!   request, available to any layer that wants to hang data off it;
-//! * the **last attempt** — written by the API server on every acquire
-//!   decision ([`record_attempt`]) and consumed by the crawler
-//!   ([`take_attempt`]) right after the call returns, carrying the
-//!   endpoint family plus the typed [`SpanOutcome`].
+//! * the **last attempt's outcome** — written by the API server on every
+//!   acquire decision ([`record_attempt`]) and consumed by the crawler
+//!   ([`take_attempt`]) right after the call returns: the typed
+//!   [`SpanOutcome`] the caller counts on its request's span.
 //!
 //! Everything here is plain `Cell` state: no wall clock, no ambient RNG,
 //! no locks. A thread that never sets the context reads `None` and all
@@ -73,20 +71,9 @@ impl SpanOutcome {
     }
 }
 
-/// What the API server recorded about the most recent attempt on this
-/// thread.
-#[derive(Clone, Copy, Debug)]
-pub struct Attempt {
-    /// Endpoint family label (`search` / `users` / `follows` / `mastodon`).
-    pub family: &'static str,
-    /// The typed outcome of the attempt.
-    pub outcome: SpanOutcome,
-}
-
 thread_local! {
     static WORKER: Cell<Option<usize>> = const { Cell::new(None) };
-    static CURRENT_SPAN: Cell<Option<u64>> = const { Cell::new(None) };
-    static LAST_ATTEMPT: Cell<Option<Attempt>> = const { Cell::new(None) };
+    static LAST_ATTEMPT: Cell<Option<SpanOutcome>> = const { Cell::new(None) };
 }
 
 /// Scope guard restoring the previous worker slot on drop.
@@ -113,35 +100,10 @@ pub fn current_worker() -> Option<usize> {
     WORKER.with(Cell::get)
 }
 
-/// Scope guard restoring the previous span id on drop.
-#[derive(Debug)]
-pub struct SpanGuard {
-    prev: Option<u64>,
-}
-
-/// Make `span_id` the current span until the guard drops (nesting
-/// restores the outer span).
-pub fn span_scope(span_id: u64) -> SpanGuard {
-    SpanGuard {
-        prev: CURRENT_SPAN.with(|s| s.replace(Some(span_id))),
-    }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        CURRENT_SPAN.with(|s| s.set(self.prev));
-    }
-}
-
-/// The current span id, if inside a [`span_scope`].
-pub fn current_span() -> Option<u64> {
-    CURRENT_SPAN.with(Cell::get)
-}
-
 /// Record the typed outcome of the attempt the current thread just made
 /// (called by the API layer at the acquire decision).
-pub fn record_attempt(family: &'static str, outcome: SpanOutcome) {
-    LAST_ATTEMPT.with(|a| a.set(Some(Attempt { family, outcome })));
+pub fn record_attempt(outcome: SpanOutcome) {
+    LAST_ATTEMPT.with(|a| a.set(Some(outcome)));
 }
 
 /// Upgrade the last attempt's outcome to [`SpanOutcome::StaleCursor`]
@@ -149,17 +111,16 @@ pub fn record_attempt(family: &'static str, outcome: SpanOutcome) {
 /// when no attempt is pending.
 pub fn mark_stale_cursor() {
     LAST_ATTEMPT.with(|a| {
-        if let Some(mut at) = a.get() {
-            at.outcome = SpanOutcome::StaleCursor;
-            a.set(Some(at));
+        if a.get().is_some() {
+            a.set(Some(SpanOutcome::StaleCursor));
         }
     });
 }
 
-/// Take (and clear) the last recorded attempt. Clearing on read keeps a
-/// failed pre-acquire path (e.g. an unknown instance) from replaying the
-/// previous request's outcome.
-pub fn take_attempt() -> Option<Attempt> {
+/// Take (and clear) the last recorded attempt's outcome. Clearing on
+/// read keeps a failed pre-acquire path (e.g. an unknown instance) from
+/// replaying the previous request's outcome.
+pub fn take_attempt() -> Option<SpanOutcome> {
     LAST_ATTEMPT.with(Cell::take)
 }
 
@@ -183,34 +144,19 @@ mod tests {
     }
 
     #[test]
-    fn span_scope_nests_and_restores() {
-        assert_eq!(current_span(), None);
-        let _a = span_scope(1);
-        {
-            let _b = span_scope(2);
-            assert_eq!(current_span(), Some(2));
-        }
-        assert_eq!(current_span(), Some(1));
-    }
-
-    #[test]
     fn attempts_are_taken_once() {
-        record_attempt("search", SpanOutcome::Granted);
-        let a = take_attempt().unwrap();
-        assert_eq!(a.family, "search");
-        assert_eq!(a.outcome, SpanOutcome::Granted);
-        assert!(take_attempt().is_none());
+        record_attempt(SpanOutcome::Granted);
+        assert_eq!(take_attempt(), Some(SpanOutcome::Granted));
+        assert_eq!(take_attempt(), None);
     }
 
     #[test]
     fn stale_cursor_upgrades_the_pending_attempt() {
         mark_stale_cursor(); // no pending attempt: no-op
-        assert!(take_attempt().is_none());
-        record_attempt("follows", SpanOutcome::Granted);
+        assert_eq!(take_attempt(), None);
+        record_attempt(SpanOutcome::Granted);
         mark_stale_cursor();
-        let a = take_attempt().unwrap();
-        assert_eq!(a.outcome, SpanOutcome::StaleCursor);
-        assert_eq!(a.family, "follows");
+        assert_eq!(take_attempt(), Some(SpanOutcome::StaleCursor));
     }
 
     #[test]

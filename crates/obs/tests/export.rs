@@ -10,8 +10,12 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use serde::Value;
 
-/// Build a registry exercising every slot kind, span/event machinery, and
-/// the characters most likely to break a hand-written JSON encoder.
+/// A metric name made of the characters most likely to break a
+/// hand-written JSON encoder.
+const HOSTILE: &str = "weird \"name\"\twith\ncontrol chars \\ é 中 🚀 \u{1}";
+
+/// Build a registry exercising every slot kind, the span store, and a
+/// hostile metric name.
 fn populated_registry() -> Registry {
     let reg = Registry::new();
     reg.counter("flock.test.requests", Tier::Data).add(41);
@@ -26,14 +30,12 @@ fn populated_registry() -> Registry {
     for v in [0, 1, 5, 40, 900, 3600] {
         h.record(v);
     }
-    reg.event(
-        7,
-        "weird \"name\"\twith\ncontrol chars",
-        "detail \\ é 中 🚀 \u{1}",
-    );
-    let span = reg.span_begin("discover", "search:\"quote\"", None, Some(0), 0);
+    reg.counter(HOSTILE, Tier::Sched).add(7);
+    let span = reg.span_begin("discover", "search:\"quote\"".to_string(), Some(0), 0);
+    reg.span_attempt(span, SpanOutcome::RateLimited { storm: false });
     reg.attribute_wait(Some(span), "discover", WaitCause::TokenBucket, 60);
-    reg.span_end(span, 60, SpanOutcome::Granted);
+    reg.span_attempt(span, SpanOutcome::Granted);
+    reg.span_end(span, 60);
     reg
 }
 
@@ -73,29 +75,21 @@ fn export_json_parses_with_the_vendored_shim() {
     }
     assert!(matches!(hist.get("buckets"), Some(Value::Array(_))));
 
-    // Span/event accounting sections are present and well-typed.
+    // The hostile name survives the encode→parse round trip.
+    let hostile = sched.get(HOSTILE).expect("hostile-named counter");
+    assert_eq!(hostile.get("value"), Some(&Value::U64(7)));
+
+    // The span accounting section is present and well-typed.
     let spans = doc.get("spans").expect("spans section");
     assert_eq!(spans.get("recorded"), Some(&Value::U64(1)));
     assert_eq!(spans.get("dropped"), Some(&Value::U64(0)));
-    assert_eq!(doc.get("events_dropped"), Some(&Value::U64(0)));
-    let Some(Value::Array(events)) = doc.get("events") else {
-        panic!("events should be an array");
-    };
-    assert_eq!(events.len(), 1);
-    assert_eq!(
-        events[0].get("name"),
-        Some(&Value::Str("weird \"name\"\twith\ncontrol chars".into()))
-    );
-    assert_eq!(
-        events[0].get("detail"),
-        Some(&Value::Str("detail \\ é 中 🚀 \u{1}".into()))
-    );
 }
 
 #[test]
 fn export_json_of_an_empty_registry_parses_too() {
     let doc = serde_json::parse_value(&Registry::new().export_json()).expect("empty export");
-    assert!(matches!(doc.get("events"), Some(Value::Array(v)) if v.is_empty()));
+    let spans = doc.get("spans").expect("spans section");
+    assert_eq!(spans.get("recorded"), Some(&Value::U64(0)));
 }
 
 /// Strategy: printable base text (the shim's `.` palette already mixes in

@@ -18,10 +18,11 @@
 //! a `csv`/`stamp`/`dump-dataset` spelled other than bare or `=PATH`, or
 //! an unknown `-`-flag is a usage error (exit 1, nothing generated).
 //!
-//! --metrics PATH writes the pipeline's telemetry (counters, histograms,
-//! phase spans) after the crawl; the format follows the extension: JSON
-//! for `.json`, Prometheus text exposition for `.prom`, the plain text
-//! format otherwise.
+//! --metrics PATH writes the pipeline's telemetry (counters, gauges,
+//! histograms, and the span ring's recorded and dropped counts) after
+//! the crawl; the format follows the extension: JSON for `.json`,
+//! Prometheus text exposition for `.prom`, the plain text format
+//! otherwise.
 //!
 //! --report PATH writes the deterministic run report (phase timeline,
 //! wait attribution, chaos impact, coverage gaps, slowest request
@@ -316,11 +317,7 @@ fn main() -> ExitCode {
             eprintln!("[repro] metrics write failed ({path}): {e}");
             return ExitCode::FAILURE;
         }
-        eprintln!(
-            "[repro] wrote {} metrics and {} events to {path}",
-            obs.metric_count(),
-            obs.event_count()
-        );
+        eprintln!("[repro] wrote {} metrics to {path}", obs.metric_count());
     }
     if report_path.is_some() || dashboard.is_some() {
         let report = match study.run_report(&obs, chaos, config.seed, workers) {

@@ -13,7 +13,7 @@
 //! * [`crawler`] — the paper's data-collection pipeline (§3);
 //! * [`analysis`] — RQ1 / RQ2 / RQ3 analyses (§4–6);
 //! * [`repro`] — the per-figure regeneration harness;
-//! * [`obs`] — the deterministic metrics registry & span-event tracing.
+//! * [`obs`] — the deterministic metrics registry & request-span tracing.
 //!
 //! ## Quickstart
 //!

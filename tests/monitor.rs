@@ -39,9 +39,7 @@ fn check_slots(obs: &Registry) -> Vec<Option<usize>> {
     assert_eq!(obs.spans_dropped(), 0, "the span store evicted checks");
     obs.spans()
         .into_iter()
-        .filter(|s| {
-            s.trace == monitor::PHASE && s.parent.is_none() && s.label.starts_with("peers:")
-        })
+        .filter(|s| s.trace == monitor::PHASE && s.label.starts_with("peers:"))
         .map(|s| s.worker)
         .collect()
 }
@@ -113,6 +111,34 @@ fn narrow_rounds_run_on_the_calling_thread() {
         slots.iter().all(|&w| w == Some(0)),
         "a narrow round left the calling thread"
     );
+}
+
+/// A check is one span: the monitor records exactly one span per check
+/// and counts the check's server attempts on it, so the span ring holds
+/// checks, not attempts.
+#[test]
+fn every_check_is_one_span_counting_its_attempts() {
+    let seed = 1234;
+    let world = Arc::new(World::generate(&WorldConfig::small().with_seed(seed)).unwrap());
+    let obs = Registry::new();
+    let api = monitor_api(&world, Scenario::RollingOutages.plan(seed), &obs);
+    let cfg = MonitorConfig {
+        sim_days: 7,
+        threads: 1,
+        ..base_config(&world)
+    };
+    let out = monitor::run(&api, &obs, &cfg).unwrap();
+    assert!(out.completed);
+    assert_eq!(
+        obs.span_count() as u64 + obs.spans_dropped(),
+        out.checks_total,
+        "spans recorded per check"
+    );
+    for s in obs.spans() {
+        assert_eq!(s.trace, monitor::PHASE);
+        assert!(s.attempts >= 1, "check span {} has no attempt", s.label);
+        assert!(s.outcome.is_some(), "check span {} has no outcome", s.label);
+    }
 }
 
 /// Wide rounds spread over the pool without moving a byte: bootstrapping

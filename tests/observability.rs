@@ -4,9 +4,9 @@
 //! backoff) — granted requests are instantaneous, so a fully attributed
 //! phase reports zero residual "work". The chaos scenarios must show up
 //! in the right bucket (a rate-limit storm bills Retry-After waits; calm
-//! skies bill none), spans must carry sane worker slots and parent
-//! links, and the run report's Data-tier section must be byte-identical
-//! across worker counts.
+//! skies bill none), every request must be one span counting its
+//! attempts, and the run report's Data-tier section must be
+//! byte-identical across worker counts.
 
 use flock::apis::{ApiConfig, ApiServer};
 use flock::chaos::Scenario;
@@ -128,30 +128,41 @@ fn storm_waits_are_billed_to_the_storm_and_only_the_storm() {
     );
 }
 
-/// Spans carry the worker slot that drove them, parents resolve to
-/// recorded spans, and attempt children never outlive their chain.
+/// One span per logical request: a rate-limit-storm crawl on 4 workers
+/// keeps every request's span, each span carries the worker slot that
+/// drove it, at least one attempt and the last attempt's outcome, and
+/// the spans' attempts add up to the crawler's own attempt counter. The
+/// storm makes some request take more than one attempt.
 #[test]
-fn spans_link_workers_and_parents_sanely() {
+fn one_span_per_request_counts_its_attempts() {
     let world = small_world();
     let workers = 4;
     let obs = crawl(&world, Scenario::RateLimitStorm, workers);
+    assert_eq!(obs.spans_dropped(), 0, "the span store evicted requests");
     let spans = obs.spans();
     assert!(!spans.is_empty());
-    let ids: std::collections::BTreeSet<u64> = spans.iter().map(|s| s.id).collect();
     for s in &spans {
         if let Some(w) = s.worker {
             assert!(w < workers, "span {} claims worker slot {w}", s.id);
         }
-        if let Some(p) = s.parent {
-            assert!(ids.contains(&p), "span {} has dangling parent {p}", s.id);
-            assert!(p < s.id, "child span {} precedes its parent {p}", s.id);
-        }
         assert!(s.end_secs >= s.start_secs, "span {} ends early", s.id);
+        assert!(
+            s.attempts >= 1,
+            "span {} ({}) has no attempt",
+            s.id,
+            s.label
+        );
+        assert!(s.outcome.is_some(), "span {} has no outcome", s.id);
     }
-    // Every attempt (child) belongs to a chain that recorded an outcome.
-    for s in spans.iter().filter(|s| s.parent.is_some()) {
-        assert!(s.outcome.is_some(), "attempt span {} has no outcome", s.id);
-    }
+    let attempts: u64 = spans.iter().map(|s| u64::from(s.attempts)).sum();
+    assert_eq!(
+        Some(attempts),
+        obs.counter_value("flock.crawler.requests.attempts")
+    );
+    assert!(
+        spans.iter().any(|s| s.attempts > 1),
+        "no request took a second attempt under the storm"
+    );
 }
 
 /// The run report's Data-tier section is a pure function of
