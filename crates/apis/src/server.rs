@@ -17,8 +17,10 @@
 //! real API, and everything is paginated behind opaque cursors.
 //!
 //! Time is **virtual**: rate-limited callers receive `retry_after_secs`
-//! and are expected to call [`ApiServer::advance_clock`] (their "sleep")
-//! before retrying.
+//! and are expected to call [`ApiServer::advance_clock_to`] with their
+//! attempt's start plus that wait (their "sleep") before retrying. Every
+//! error says what the attempt was; [`attempt_outcome`] reads its typed
+//! [`SpanOutcome`] off the `Result` alone.
 
 use crate::index::SearchIndex;
 use crate::pagination::{decode, Page};
@@ -31,7 +33,7 @@ use flock_chaos::{EndpointFamily, FaultPlan, KeyFaults, OutageStatus, ResolvedPl
 use flock_core::{Day, FlockError, InstanceId, MastodonHandle, Result, TweetId, TwitterUserId};
 use flock_fedisim::users::{AccountFate, TwitterUser};
 use flock_fedisim::World;
-use flock_obs::trace::{self, FaultKind, SpanOutcome};
+use flock_obs::trace::{FaultKind, SpanOutcome};
 use flock_obs::{Counter, Histogram, Registry, Tier, SECONDS_BOUNDS};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -177,8 +179,8 @@ struct Limits {
 /// shards once did.
 pub struct ApiServer {
     world: Arc<World>,
-    /// Virtual time in seconds. Advancing is a `fetch_add`; readers never
-    /// block a rate-limit decision.
+    /// Virtual time in seconds. Advancing is a `fetch_max` to a deadline;
+    /// readers never block a rate-limit decision.
     clock: AtomicU64,
     /// The policy each family's buckets start with, indexed by
     /// [`EndpointFamily::index`].
@@ -254,38 +256,13 @@ impl ApiServer {
         self.clock.load(Ordering::SeqCst)
     }
 
-    /// Advance the virtual clock (the caller's "sleep"). The advance is
-    /// **additive**: `N` concurrent callers move time forward by the sum
-    /// of their sleeps. Right for genuine backoff sleeps; for waiting out
-    /// a rate limit use [`Self::advance_clock_to`], which cannot stack
-    /// concurrent waits past the refill point.
-    ///
-    /// Returns the seconds applied (normally `secs` — additive advances
-    /// never lose a race), mirroring [`Self::advance_clock_to`] so
-    /// tracing callers charge exactly what they moved the clock by. The
-    /// addition **saturates**: a pathological backoff near `u64::MAX`
-    /// pins the clock at the end of time instead of wrapping it around
-    /// (a plain `fetch_add` would silently rewind history), and the
-    /// saturated remainder is what gets reported as applied.
-    pub fn advance_clock(&self, secs: u64) -> u64 {
-        let mut cur = self.clock.load(Ordering::SeqCst);
-        loop {
-            let next = cur.saturating_add(secs);
-            match self
-                .clock
-                .compare_exchange(cur, next, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => return next - cur,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
     /// Advance the virtual clock to at least `deadline_secs` (a `max`, not
-    /// an add). When several workers are told "retry after X" by the same
-    /// bucket, each knows the *deadline* at which a token exists; additive
-    /// advances from all of them would overshoot far past that refill
-    /// point and silently deflate the virtual crawl duration's meaning.
+    /// an add): the only way the clock moves. A caller's wait is a
+    /// deadline — its attempt's start plus the advertised retry-after or
+    /// its backoff — so when several workers wait on the same bucket, the
+    /// clock moves to the shared refill point once instead of by the sum
+    /// of their waits. A deadline near `u64::MAX` pins the clock at the
+    /// end of time; it never wraps.
     ///
     /// Returns the seconds this call actually moved the clock (zero when
     /// another worker already advanced past the deadline) — the exact
@@ -341,20 +318,26 @@ impl ApiServer {
             )),
             Some(Injected::Storm) => Err(FlockError::RateLimited {
                 retry_after_secs: kf.storm_retry_after_secs,
+                storm: true,
             }),
             None => limits
                 .buckets
                 .entry(which)
                 .or_insert(fresh)
                 .try_acquire(clock)
-                .map_err(|retry_after_secs| FlockError::RateLimited { retry_after_secs }),
+                .map_err(|retry_after_secs| FlockError::RateLimited {
+                    retry_after_secs,
+                    storm: false,
+                }),
         };
         drop(limits);
         // Recorded after the lock is released: handles are atomics.
         let fam = self.metrics.family(family);
         match &result {
             Ok(()) => fam.granted.inc(),
-            Err(FlockError::RateLimited { retry_after_secs }) => {
+            Err(FlockError::RateLimited {
+                retry_after_secs, ..
+            }) => {
                 fam.rate_limited.inc();
                 fam.retry_after_secs.record(*retry_after_secs);
             }
@@ -365,17 +348,6 @@ impl ApiServer {
             Some(Injected::Storm) => fam.chaos_storms.inc(),
             None => {}
         }
-        // Thread-local trace context: tell the crawler's span what this
-        // attempt really was — callers cannot distinguish a storm
-        // rejection from a genuinely empty bucket, but the acquire
-        // decision can.
-        let outcome = match (&result, injected) {
-            (Ok(()), _) => SpanOutcome::Granted,
-            (Err(_), Some(Injected::Storm)) => SpanOutcome::RateLimited { storm: true },
-            (Err(_), Some(Injected::Error)) => SpanOutcome::Fault(FaultKind::Injected),
-            (Err(_), None) => SpanOutcome::RateLimited { storm: false },
-        };
-        trace::record_attempt(outcome);
         result
     }
 
@@ -404,15 +376,10 @@ impl ApiServer {
         offset: usize,
         limit: usize,
     ) -> Result<Page<T>> {
-        Page::slice(all, scope, offset, limit).map_err(|e| {
+        Page::slice(all, scope, offset, limit).inspect_err(|e| {
             if matches!(e, FlockError::StaleCursor(_)) {
                 self.metrics.stale_cursors.inc();
-                // The acquire was granted, then pagination found the
-                // cursor pointing past a shrunk result set: upgrade the
-                // pending attempt so the span shows what really happened.
-                trace::mark_stale_cursor();
             }
-            e
         })
     }
 
@@ -899,18 +866,16 @@ impl ApiServer {
     }
 }
 
-/// What the server made of the attempt that returned `result`: its typed
-/// outcome, taken from the thread-local trace context the acquire
-/// decision writes (so the next attempt starts clean). An attempt that
-/// never reached a token bucket (a down instance, an unknown handle, an
-/// interrupt) falls back to the shape of its error.
-pub fn take_attempt_outcome<T>(result: &Result<T>) -> SpanOutcome {
-    if let Some(outcome) = trace::take_attempt() {
-        return outcome;
-    }
+/// The typed outcome of the attempt that returned `result`, read off the
+/// result alone. The server's only `DeliveryFailed` is a chaos-injected
+/// error, a rate limit carries its `storm` bit, and a request granted a
+/// token and then answered with an error (`NotFound`, `Forbidden`, …)
+/// reads `fault(other)`, like the same error before any token.
+pub fn attempt_outcome<T>(result: &Result<T>) -> SpanOutcome {
     match result {
         Ok(_) => SpanOutcome::Granted,
-        Err(FlockError::RateLimited { .. }) => SpanOutcome::RateLimited { storm: false },
+        Err(FlockError::RateLimited { storm, .. }) => SpanOutcome::RateLimited { storm: *storm },
+        Err(FlockError::DeliveryFailed(_)) => SpanOutcome::Fault(FaultKind::Injected),
         Err(FlockError::InstanceOutage { .. } | FlockError::InstanceUnavailable(_)) => {
             SpanOutcome::Fault(FaultKind::Outage)
         }
@@ -1023,8 +988,10 @@ mod tests {
                         None => break,
                     }
                 }
-                Err(FlockError::RateLimited { retry_after_secs }) => {
-                    api.advance_clock(retry_after_secs);
+                Err(FlockError::RateLimited {
+                    retry_after_secs, ..
+                }) => {
+                    api.advance_clock_to(api.now() + retry_after_secs);
                 }
                 Err(e) => panic!("{e}"),
             }
@@ -1085,9 +1052,13 @@ mod tests {
         for _ in 0..5 {
             match api.twitter_following(migrant, None) {
                 Ok(_) => {}
-                Err(FlockError::RateLimited { retry_after_secs }) => {
+                Err(FlockError::RateLimited {
+                    retry_after_secs,
+                    storm,
+                }) => {
+                    assert!(!storm, "an empty bucket is not a storm");
                     limited = true;
-                    api.advance_clock(retry_after_secs);
+                    api.advance_clock_to(api.now() + retry_after_secs);
                     api.twitter_following(migrant, None).expect("after backoff");
                     break;
                 }
@@ -1119,8 +1090,10 @@ mod tests {
         loop {
             match api.twitter_timeline(active, Day(0), Day(60), None) {
                 Ok(_) => break,
-                Err(FlockError::RateLimited { retry_after_secs }) => {
-                    api.advance_clock(retry_after_secs);
+                Err(FlockError::RateLimited {
+                    retry_after_secs, ..
+                }) => {
+                    api.advance_clock_to(api.now() + retry_after_secs);
                 }
                 Err(e) => panic!("{e}"),
             }
@@ -1162,8 +1135,10 @@ mod tests {
                             assert_eq!(world.statuses.account(s.id.index()), a.id);
                         }
                     }
-                    Err(FlockError::RateLimited { retry_after_secs }) => {
-                        api.advance_clock(retry_after_secs);
+                    Err(FlockError::RateLimited {
+                        retry_after_secs, ..
+                    }) => {
+                        api.advance_clock_to(api.now() + retry_after_secs);
                     }
                     Err(e) => panic!("{e}"),
                 }
@@ -1225,49 +1200,72 @@ mod tests {
         assert!(list.contains(&"mastodon.social".to_string()));
     }
 
-    /// A key an error burst curses fails with a retryable error while its
-    /// budget lasts, then goes through; each failure is counted as an
-    /// injected error of its family.
+    /// A key an error burst or a Retry-After storm curses fails with a
+    /// retryable error while its budget lasts, then goes through; each
+    /// failure is counted as its family's injected error or storm, and
+    /// only the storm's rate limit carries `storm: true`.
     #[test]
     fn error_burst_fails_a_cursed_key_then_lets_it_through() {
-        let obs = Registry::new();
         let world = Arc::new(World::generate(&WorldConfig::small().with_seed(9)).unwrap());
-        let config = ApiConfig {
-            chaos: FaultPlan {
-                seed: 9,
-                faults: vec![flock_chaos::Fault::ErrorBurst {
-                    family: EndpointFamily::Search,
+        let search = EndpointFamily::Search;
+        let cases = [
+            (
+                flock_chaos::Fault::ErrorBurst {
+                    family: search,
                     key_rate: 1.0,
                     max_per_key: 1,
-                }],
-            },
-            ..ApiConfig::default()
-        };
-        let api = ApiServer::with_obs(world, config, obs.clone()).unwrap();
-        match api.twitter_search("mastodon", Day(25), Day(51), None) {
-            Err(e) => assert!(
-                matches!(e, FlockError::DeliveryFailed(_)) && e.is_retryable(),
-                "expected a retryable injected error, got {e}"
+                },
+                "injected_errors",
+                SpanOutcome::Fault(FaultKind::Injected),
             ),
-            Ok(_) => panic!("a cursed key went through"),
+            (
+                flock_chaos::Fault::RetryAfterStorm {
+                    family: search,
+                    key_rate: 1.0,
+                    retry_after_secs: 900,
+                    max_per_key: 1,
+                },
+                "storms",
+                SpanOutcome::RateLimited { storm: true },
+            ),
+        ];
+        for (fault, counter, outcome) in cases {
+            let obs = Registry::new();
+            let config = ApiConfig {
+                chaos: FaultPlan {
+                    seed: 9,
+                    faults: vec![fault],
+                },
+                ..ApiConfig::default()
+            };
+            let api = ApiServer::with_obs(world.clone(), config, obs.clone()).unwrap();
+            let first = api.twitter_search("mastodon", Day(25), Day(51), None);
+            match &first {
+                Err(FlockError::DeliveryFailed(_)) if counter == "injected_errors" => {}
+                Err(FlockError::RateLimited {
+                    retry_after_secs: 900,
+                    storm: true,
+                }) if counter == "storms" => {}
+                other => panic!("{counter}: expected a retryable chaos answer, got {other:?}"),
+            }
+            assert!(first.as_ref().is_err_and(FlockError::is_retryable));
+            assert_eq!(attempt_outcome(&first), outcome, "{counter}");
+            api.twitter_search("mastodon", Day(25), Day(51), None)
+                .expect("the key's budget is spent");
+            let name = format!("flock.apis.search.chaos.{counter}");
+            assert_eq!(obs.counter_value(&name), Some(1), "{name}");
+            assert_eq!(obs.counter_value("flock.apis.search.granted"), Some(1));
         }
-        api.twitter_search("mastodon", Day(25), Day(51), None)
-            .expect("the key's budget is spent");
-        assert_eq!(
-            obs.counter_value("flock.apis.search.chaos.injected_errors"),
-            Some(1)
-        );
-        assert_eq!(obs.counter_value("flock.apis.search.granted"), Some(1));
     }
 
     /// Regression (clock overshoot): when N workers are all told "retry
     /// after X" by the same bucket, waiting out the limit must move the
-    /// clock to the shared deadline once — not add X per worker. The old
-    /// additive `advance_clock` stacked to `start + N·X`.
+    /// clock to the shared deadline once — not add X per worker, which
+    /// would stack to `start + N·X`.
     #[test]
     fn concurrent_waits_advance_to_the_deadline_not_past_it() {
         let api = server();
-        api.advance_clock(100);
+        api.advance_clock_to(100);
         let deadline = api.now() + 60;
         std::thread::scope(|s| {
             for _ in 0..8 {
@@ -1286,24 +1284,17 @@ mod tests {
         assert_eq!(api.now(), deadline + 5);
     }
 
-    /// Regression (clock wraparound): `retry_after_secs` near `u64::MAX`
-    /// must pin the virtual clock at the end of time, not wrap it back to
-    /// the beginning. Both the additive and the deadline advance saturate,
-    /// and both report the saturated seconds they actually applied.
+    /// Regression (clock wraparound): a deadline at `u64::MAX` must pin
+    /// the virtual clock at the end of time, not wrap it back to the
+    /// beginning, and report the seconds it actually applied.
     #[test]
     fn clock_advances_saturate_near_u64_max() {
         let api = server();
-        api.advance_clock(1000);
-        // Additive advance with a pathological backoff: saturates, and the
-        // applied seconds reflect the clamp.
-        let applied = api.advance_clock(u64::MAX);
-        assert_eq!(applied, u64::MAX - 1000);
+        api.advance_clock_to(1000);
+        assert_eq!(api.advance_clock_to(u64::MAX), u64::MAX - 1000);
         assert_eq!(api.now(), u64::MAX);
-        // Further advances of either kind are exact no-ops — no wrap, no
-        // backwards movement, no infinite catch-up loop.
-        assert_eq!(api.advance_clock(u64::MAX), 0);
-        assert_eq!(api.advance_clock(5), 0);
-        assert_eq!(api.now(), u64::MAX);
+        // Further advances are exact no-ops — no wrap, no backwards
+        // movement, no infinite catch-up loop.
         assert_eq!(api.advance_clock_to(u64::MAX), 0);
         assert_eq!(api.advance_clock_to(12), 0);
         assert_eq!(api.now(), u64::MAX);
@@ -1328,6 +1319,69 @@ mod tests {
             obs.counter_value("flock.apis.pagination.stale_cursors"),
             Some(1)
         );
+    }
+
+    /// Every `Result` shape maps to one typed outcome, read off the
+    /// result alone — including a request the server granted a token and
+    /// then answered with `NotFound`.
+    #[test]
+    fn attempt_outcome_reads_every_result_shape() {
+        use SpanOutcome::{Fault, Granted, RateLimited, StaleCursor};
+        let limited = |storm| FlockError::RateLimited {
+            retry_after_secs: 60,
+            storm,
+        };
+        let other = Fault(FaultKind::Other);
+        let table: [(Result<()>, SpanOutcome); 16] = [
+            (Ok(()), Granted),
+            (Err(limited(false)), RateLimited { storm: false }),
+            (Err(limited(true)), RateLimited { storm: true }),
+            (
+                Err(FlockError::DeliveryFailed("chaos".into())),
+                Fault(FaultKind::Injected),
+            ),
+            (
+                Err(FlockError::InstanceOutage {
+                    retry_after_secs: 60,
+                }),
+                Fault(FaultKind::Outage),
+            ),
+            (
+                Err(FlockError::InstanceUnavailable("x".into())),
+                Fault(FaultKind::Outage),
+            ),
+            (Err(FlockError::StaleCursor("x".into())), StaleCursor),
+            (Err(FlockError::NotFound("x".into())), other),
+            (Err(FlockError::Forbidden("x".into())), other),
+            (Err(FlockError::InvalidQuery("x".into())), other),
+            (Err(FlockError::InvalidHandle("x".into())), other),
+            (Err(FlockError::BadCursor("x".into())), other),
+            (Err(FlockError::InvalidConfig("x".into())), other),
+            (
+                Err(FlockError::RetryBudgetExhausted { waited_secs: 1 }),
+                other,
+            ),
+            (Err(FlockError::MalformedRecord("x".into())), other),
+            (Err(FlockError::Interrupted), other),
+        ];
+        for (result, want) in &table {
+            assert_eq!(attempt_outcome(result), *want, "{result:?}");
+        }
+        // A deleted user's timeline spends a search token, then answers
+        // NotFound: the grant does not make the attempt `granted`.
+        let obs = Registry::new();
+        let world = Arc::new(World::generate(&WorldConfig::small().with_seed(123)).unwrap());
+        let api = ApiServer::with_obs(world.clone(), ApiConfig::default(), obs.clone()).unwrap();
+        let deleted = world
+            .users
+            .iter()
+            .find(|u| u.fate == AccountFate::Deleted)
+            .expect("some deleted user")
+            .id;
+        let r = api.twitter_timeline(deleted, Day(0), Day(60), None);
+        assert!(matches!(r, Err(FlockError::NotFound(_))), "{r:?}");
+        assert_eq!(obs.counter_value("flock.apis.search.granted"), Some(1));
+        assert_eq!(attempt_outcome(&r), other);
     }
 
     #[test]
@@ -1442,8 +1496,10 @@ mod index_differential_tests {
                             None => break,
                         }
                     }
-                    Err(FlockError::RateLimited { retry_after_secs }) => {
-                        api.advance_clock(retry_after_secs);
+                    Err(FlockError::RateLimited {
+                        retry_after_secs, ..
+                    }) => {
+                        api.advance_clock_to(api.now() + retry_after_secs);
                     }
                     Err(e) => panic!("{q}: {e}"),
                 }

@@ -164,7 +164,9 @@ fn server_families_never_over_issue_under_contention() {
                         Ok(_) => {
                             ok.fetch_add(1, Ordering::Relaxed);
                         }
-                        Err(FlockError::RateLimited { retry_after_secs }) => {
+                        Err(FlockError::RateLimited {
+                            retry_after_secs, ..
+                        }) => {
                             assert!(retry_after_secs >= 1);
                             limited.fetch_add(1, Ordering::Relaxed);
                         }

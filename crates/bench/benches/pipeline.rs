@@ -31,7 +31,7 @@ fn bench_api_server(c: &mut Criterion) {
     let mut group = c.benchmark_group("api_requests");
     group.bench_function("search_keyword", |b| {
         b.iter(|| {
-            api.advance_clock(10); // keep the rate limiter satisfied
+            api.advance_clock_to(api.now() + 10); // keep the rate limiter satisfied
             black_box(
                 api.twitter_search("mastodon", Day::COLLECTION_START, Day::COLLECTION_END, None)
                     .unwrap(),
@@ -44,7 +44,7 @@ fn bench_api_server(c: &mut Criterion) {
     // 15,886 instance-link queries of §3.1.
     group.bench_function("search_or_query_full_scan", |b| {
         b.iter(|| {
-            api.advance_clock(10);
+            api.advance_clock_to(api.now() + 10);
             black_box(
                 api.twitter_search(
                     "url:\"mastodon.social\" OR url:\"mastodon.online\"",
@@ -58,7 +58,7 @@ fn bench_api_server(c: &mut Criterion) {
     });
     group.bench_function("search_instance_link", |b| {
         b.iter(|| {
-            api.advance_clock(10);
+            api.advance_clock_to(api.now() + 10);
             black_box(
                 api.twitter_search(
                     "url:\"mastodon.social\"",

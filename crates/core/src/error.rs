@@ -22,8 +22,10 @@ pub enum FlockError {
     /// (protected tweets, suspended account, …).
     Forbidden(String),
     /// The caller is rate limited; retry after the given number of
-    /// virtual-time seconds.
-    RateLimited { retry_after_secs: u64 },
+    /// virtual-time seconds. `storm` is true when the rejection was a
+    /// chaos Retry-After storm rather than an empty token bucket; the
+    /// message is the same either way.
+    RateLimited { retry_after_secs: u64, storm: bool },
     /// The remote instance is down / unreachable at the moment.
     InstanceUnavailable(String),
     /// The remote instance is inside a scheduled outage window and will
@@ -60,7 +62,9 @@ impl fmt::Display for FlockError {
             FlockError::InvalidQuery(s) => write!(f, "invalid search query: {s}"),
             FlockError::NotFound(s) => write!(f, "not found: {s}"),
             FlockError::Forbidden(s) => write!(f, "forbidden: {s}"),
-            FlockError::RateLimited { retry_after_secs } => {
+            FlockError::RateLimited {
+                retry_after_secs, ..
+            } => {
                 write!(f, "rate limited; retry after {retry_after_secs}s")
             }
             FlockError::InstanceUnavailable(s) => write!(f, "instance unavailable: {s}"),
@@ -107,8 +111,15 @@ mod tests {
     fn display_is_informative() {
         let e = FlockError::RateLimited {
             retry_after_secs: 900,
+            storm: false,
         };
         assert!(e.to_string().contains("900"));
+        // A storm reads like any other rate limit.
+        let storm = FlockError::RateLimited {
+            retry_after_secs: 900,
+            storm: true,
+        };
+        assert_eq!(storm.to_string(), e.to_string());
         assert!(FlockError::NotFound("tw:1".into())
             .to_string()
             .contains("tw:1"));
@@ -117,7 +128,8 @@ mod tests {
     #[test]
     fn retryability_classification() {
         assert!(FlockError::RateLimited {
-            retry_after_secs: 1
+            retry_after_secs: 1,
+            storm: true
         }
         .is_retryable());
         assert!(FlockError::InstanceUnavailable("x".into()).is_retryable());

@@ -16,23 +16,24 @@
 //! 4. **Fig. 3 cross-check** — crawl weekly activity for every landing
 //!    instance.
 //!
-//! Rate limits are honoured by advancing the server's virtual clock
-//! (the crawler's "sleep"); transient errors are retried with backoff, all
-//! in one retry loop, `Crawler::request`. The timeline and followee
-//! phases fan out per matched user over [`worker_pool`] and merge in
-//! matched order, so the dataset is the same at any worker count.
+//! Rate limits are honoured by advancing the server's virtual clock to
+//! each wait's deadline (the crawler's "sleep"); transient errors are
+//! retried with backoff, all in one retry loop, `Crawler::request`. The
+//! timeline and followee phases fan out per matched user over
+//! [`worker_pool`] and merge in matched order, so the dataset is the same
+//! at any worker count.
 
 use crate::checkpoint::Checkpoint;
 use crate::dataset::{
     CollectedTweet, CrawlStats, Dataset, FolloweeRecord, MastodonCrawlOutcome, MatchSource,
     MatchedUser, QueryKind, TimelineStatus, TimelineTweet, TwitterCrawlOutcome,
 };
-use flock_apis::server::{take_attempt_outcome, ApiServer};
+use flock_apis::server::{attempt_outcome, ApiServer};
 use flock_apis::types::TwitterUserObject;
 use flock_core::handle::extract_handles;
 use flock_core::{durable, worker_pool};
 use flock_core::{Day, DetRng, FlockError, MastodonHandle, Result, TweetId, TwitterUserId};
-use flock_obs::trace::{self, SpanOutcome};
+use flock_obs::trace;
 use flock_obs::{Counter, Gauge, Histogram, Registry, Tier, WaitCause, SECONDS_BOUNDS};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -44,10 +45,6 @@ pub struct CrawlerConfig {
     /// Fraction of matched users whose followees are crawled (paper: 10%).
     // flock-lint: allow(float-in-data-tier) single scalar config knob, never accumulated; its one use is a reason-allowed product below
     pub followee_sample_fraction: f64,
-    /// Retries for transient failures before giving up on a request.
-    pub max_transient_retries: u32,
-    /// Backoff (virtual seconds) between transient retries.
-    pub transient_backoff_secs: u64,
     /// Worker-pool threads for the Twitter timeline, Mastodon timeline and
     /// followee phases; each thread crawls one matched user at a time.
     /// The dataset is byte-identical at any count; only scheduling-tier
@@ -59,14 +56,6 @@ pub struct CrawlerConfig {
     /// plain 10% draw would mostly miss; the paper §5.3 likewise required
     /// followee data for its switcher analysis.
     pub include_switchers: bool,
-    /// Cap on the **cumulative** virtual seconds one logical request may
-    /// spend waiting out rate limits before the crawler gives up with
-    /// [`FlockError::RetryBudgetExhausted`]. The legitimate waits are
-    /// large (the follows family allows 15 requests / 15 min, §3.3), so
-    /// the default is one generous virtual week — far above anything a
-    /// healthy policy produces, small enough that a zero-refill or
-    /// misconfigured bucket fails fast instead of livelocking the crawl.
-    pub max_rate_limit_wait_secs: u64,
     /// Fault-injection hook for checkpoint/resume tests: after this many
     /// logical requests the crawler stops cold with
     /// [`FlockError::Interrupted`], simulating a mid-crawl kill. `None`
@@ -79,15 +68,29 @@ impl Default for CrawlerConfig {
         CrawlerConfig {
             // flock-lint: allow(float-in-data-tier) literal default for the reason-allowed config scalar above
             followee_sample_fraction: 0.10,
-            max_transient_retries: 5,
-            transient_backoff_secs: 30,
             workers: 4,
             include_switchers: true,
-            max_rate_limit_wait_secs: 604_800,
             abort_after_requests: None,
         }
     }
 }
+
+/// Retries of a transient error (an injected error burst, a dead
+/// instance) before a request gives up with that error.
+const MAX_TRANSIENT_RETRIES: u32 = 5;
+
+/// Virtual seconds a request backs off after a transient error, counted
+/// from the failed attempt's start.
+const TRANSIENT_BACKOFF_SECS: u64 = 30;
+
+/// Cap on the **cumulative** virtual seconds one logical request may
+/// spend waiting out rate limits and outage windows before the crawler
+/// gives up with [`FlockError::RetryBudgetExhausted`]. The legitimate
+/// waits are large (the follows family allows 15 requests / 15 min,
+/// §3.3), so the cap is one generous virtual week — far above anything a
+/// healthy policy produces, small enough that a zero-refill or
+/// misconfigured bucket fails fast instead of livelocking the crawl.
+const MAX_RATE_LIMIT_WAIT_SECS: u64 = 604_800;
 
 /// Seed of the followee-sample draw (§3.3).
 pub const FOLLOWEE_SAMPLE_SEED: u64 = 0xC4A41;
@@ -392,68 +395,57 @@ impl<'a> Crawler<'a> {
         .collect()
     }
 
-    /// Rate-limit-aware, transient-retrying request wrapper.
-    ///
-    /// Rate limits are waited out with [`ApiServer::advance_clock_to`]
-    /// against a deadline computed from the clock **before** the attempt:
-    /// when several workers are parked on the same bucket, each advance is
-    /// a `max` to the shared refill point, where the old additive
-    /// `advance_clock(retry_after_secs)` stacked all the waits and
-    /// overshot it. The cumulative wait per logical request is capped by
-    /// `max_rate_limit_wait_secs` so a non-refilling bucket surfaces as a
-    /// typed error instead of a livelock.
+    /// Rate-limit-aware, transient-retrying request wrapper: the crawl's
+    /// one retry loop.
     ///
     /// Every call opens one **logical request span** (trace id = current
     /// phase, label = the caller-supplied request name) and counts every
-    /// server attempt on it, keeping the typed outcome the API layer left
-    /// in the thread-local trace context for the last one. Every second
-    /// the wrapper moves the virtual clock is charged to a [`WaitCause`]
-    /// bucket on the span *and* on the phase's wait ledger — the
-    /// attribution invariant the profiler and the integration tests rest
-    /// on: per-phase buckets sum exactly to the phase's virtual duration.
-    fn request<T>(&self, label: String, f: impl FnMut() -> Result<T>) -> Result<T> {
+    /// server attempt on it, with the outcome [`attempt_outcome`] reads
+    /// off that attempt's `Result`. Every wait is a deadline from the
+    /// attempt's start, reached through [`ApiServer::advance_clock_to`]: a
+    /// rate limit or a finite outage window waits its advertised seconds,
+    /// and a transient error (an injected error, a dead instance) backs
+    /// off [`TRANSIENT_BACKOFF_SECS`], at most [`MAX_TRANSIENT_RETRIES`]
+    /// times. Workers parked on one bucket thus move the clock to its
+    /// refill point once instead of stacking their waits. The advertised
+    /// waits of one request are capped in sum by
+    /// [`MAX_RATE_LIMIT_WAIT_SECS`], so a non-refilling bucket surfaces as
+    /// a typed error instead of a livelock.
+    ///
+    /// Every second the loop moves the virtual clock is charged to a
+    /// [`WaitCause`] bucket on the span *and* on the phase's wait ledger —
+    /// the attribution invariant the profiler and the integration tests
+    /// rest on: per-phase buckets sum exactly to the phase's virtual
+    /// duration.
+    fn request<T>(&self, label: String, mut f: impl FnMut() -> Result<T>) -> Result<T> {
         let phase = self.current_phase();
         let span = self
             .obs
             .span_begin(phase, label, trace::current_worker(), self.api.now());
-        let result = self.request_attempts(phase, span, f);
-        self.obs.span_end(span, self.api.now());
-        result
-    }
-
-    fn request_attempts<T>(
-        &self,
-        phase: &'static str,
-        span: u64,
-        mut f: impl FnMut() -> Result<T>,
-    ) -> Result<T> {
         let mut transient = 0;
         let mut waited: u64 = 0;
-        loop {
+        let result = loop {
             if let Some(cap) = self.config.abort_after_requests {
                 if self.requests_made.fetch_add(1, Ordering::Relaxed) >= cap {
-                    return Err(FlockError::Interrupted);
+                    break Err(FlockError::Interrupted);
                 }
             }
             self.m.attempts.inc();
             let before = self.api.now();
             let r = f();
-            let outcome = take_attempt_outcome(&r);
-            self.obs.span_attempt(span, outcome);
-            match r {
-                Ok(v) => return Ok(v),
-                Err(FlockError::RateLimited { retry_after_secs }) => {
+            self.obs.span_attempt(span, attempt_outcome(&r));
+            let (wait, cause) = match r {
+                Err(FlockError::RateLimited {
+                    retry_after_secs,
+                    storm,
+                }) => {
                     self.m.rate_limited.inc();
-                    // Storm rejections are indistinguishable from a
-                    // genuinely empty bucket out here — the typed outcome
-                    // from the server is what tells the wait buckets
-                    // apart.
-                    let cause = if outcome == (SpanOutcome::RateLimited { storm: true }) {
+                    let cause = if storm {
                         WaitCause::RetryAfterStorm
                     } else {
                         WaitCause::TokenBucket
                     };
-                    self.wait_out(&mut waited, retry_after_secs, before, span, phase, cause)?;
+                    (retry_after_secs, cause)
                 }
                 // A finite chaos outage window advertises when the
                 // instance is back; wait it out exactly like a rate limit
@@ -462,62 +454,35 @@ impl<'a> Crawler<'a> {
                 // of when the window was hit.
                 Err(FlockError::InstanceOutage { retry_after_secs }) => {
                     self.m.outage_waits.inc();
-                    self.wait_out(
-                        &mut waited,
-                        retry_after_secs,
-                        before,
-                        span,
-                        phase,
-                        WaitCause::Outage,
-                    )?;
+                    (retry_after_secs, WaitCause::Outage)
                 }
                 Err(e) if e.is_retryable() => {
                     self.m.transient_failures.inc();
                     transient += 1;
-                    if transient > self.config.max_transient_retries {
-                        return Err(e);
+                    if transient > MAX_TRANSIENT_RETRIES {
+                        break Err(e);
                     }
-                    let applied = self.api.advance_clock(self.config.transient_backoff_secs);
-                    self.obs.attribute_wait(
-                        Some(span),
-                        phase,
-                        WaitCause::TransientBackoff,
-                        applied,
-                    );
+                    (TRANSIENT_BACKOFF_SECS, WaitCause::TransientBackoff)
                 }
-                Err(e) => return Err(e),
+                done => break done,
+            };
+            if cause != WaitCause::TransientBackoff {
+                self.m.retry_wait_secs.record(wait);
+                waited = waited.saturating_add(wait);
+                if waited > MAX_RATE_LIMIT_WAIT_SECS {
+                    self.m.budget_exhausted.inc();
+                    break Err(FlockError::RetryBudgetExhausted {
+                        waited_secs: waited,
+                    });
+                }
             }
-        }
-    }
-
-    /// Shared wait path for rate limits and finite outage windows: record
-    /// the wait, enforce the cumulative cap, advance the clock to the
-    /// deadline computed from the pre-attempt instant, and charge exactly
-    /// the seconds the clock actually moved (another worker may already
-    /// have paid part of the wait) to the span and the phase ledger.
-    #[allow(clippy::too_many_arguments)]
-    fn wait_out(
-        &self,
-        waited: &mut u64,
-        retry_after_secs: u64,
-        before: u64,
-        span: u64,
-        phase: &'static str,
-        cause: WaitCause,
-    ) -> Result<()> {
-        self.m.retry_wait_secs.record(retry_after_secs);
-        *waited = waited.saturating_add(retry_after_secs);
-        if *waited > self.config.max_rate_limit_wait_secs {
-            self.m.budget_exhausted.inc();
-            return Err(FlockError::RetryBudgetExhausted {
-                waited_secs: *waited,
-            });
-        }
-        let applied = self
-            .api
-            .advance_clock_to(before.saturating_add(retry_after_secs));
-        self.obs.attribute_wait(Some(span), phase, cause, applied);
-        Ok(())
+            // Only the seconds the clock actually moved are charged:
+            // another worker may already have paid part of the wait.
+            let applied = self.api.advance_clock_to(before.saturating_add(wait));
+            self.obs.attribute_wait(Some(span), phase, cause, applied);
+        };
+        self.obs.span_end(span, self.api.now());
+        result
     }
 
     // ---- §3.1 phase A: tweet collection ---------------------------------
@@ -1245,7 +1210,7 @@ mod tests {
         let crawler = Crawler::new(&api, CrawlerConfig::default()).unwrap();
         match crawler.run() {
             Err(FlockError::RetryBudgetExhausted { waited_secs }) => {
-                assert!(waited_secs > CrawlerConfig::default().max_rate_limit_wait_secs);
+                assert!(waited_secs > MAX_RATE_LIMIT_WAIT_SECS);
             }
             other => panic!("expected RetryBudgetExhausted, got {other:?}"),
         }

@@ -3,11 +3,13 @@
 //! `2 × MIN_CHECKS_PER_WORKER` checks runs on the calling thread and
 //! spawns nothing.
 //!
-//! A check is the crawler's blocking retry loop pointed at the peers
-//! endpoint: the request keeps one span open across its attempts, every
-//! server attempt is counted on it, and every second a wait moves
-//! the virtual clock is charged to the same `(span, phase, cause)` bucket
-//! `Crawler::request` would charge. What differs is the outcome policy,
+//! A check is one plain retry loop pointed at the peers endpoint, the
+//! same shape as `Crawler::request`: the request keeps one span open
+//! across its attempts, counts every server attempt on it with the
+//! outcome `attempt_outcome` reads off the attempt's `Result`, and waits
+//! to a deadline from the attempt's start through `advance_clock_to`,
+//! charging every second the clock moves to the same `(span, phase,
+//! cause)` bucket the crawler would. What differs is the outcome policy,
 //! which must stay **Data-deterministic under scheduled-time semantics**:
 //!
 //! * `Ok(peers)` → [`CheckOutcome::Alive`] with the discovered peers,
@@ -29,9 +31,9 @@
 //!   [`CheckOutcome::Unreachable`].
 
 use crate::{MonitorConfig, MAX_TRANSIENT_RETRIES, PHASE, TRANSIENT_BACKOFF_SECS};
-use flock_apis::server::{take_attempt_outcome, ApiServer};
+use flock_apis::server::{attempt_outcome, ApiServer};
 use flock_core::{worker_pool, FlockError, Result};
-use flock_obs::trace::{self, SpanOutcome};
+use flock_obs::trace;
 use flock_obs::{Registry, WaitCause};
 
 /// Result of one completed check, folded into the roster by the
@@ -50,97 +52,53 @@ pub enum CheckOutcome<'a> {
     Unreachable,
 }
 
-/// The open span plus retry state of one in-flight check.
-struct ReqState {
-    span: u64,
-    transient: u32,
-}
-
-/// Either wait until `until` (charging the wait to `cause`) and retry, or
-/// finish.
-enum ReqPoll<'a> {
-    Wait { until: u64, cause: WaitCause },
-    Done(CheckOutcome<'a>),
-}
-
-/// Open the logical-request span for one check. Boundary fn: the span id
-/// and worker slot feed Sched-tier telemetry only; the check's Data-tier
-/// outcome is derived solely from the API result.
-fn mon_begin(obs: &Registry, api: &ApiServer, domain: &str) -> ReqState {
-    let label = format!("peers:{domain}");
-    let span = obs.span_begin(PHASE, label, trace::current_worker(), api.now());
-    ReqState { span, transient: 0 }
-}
-
-/// One server attempt of an in-flight check, evaluated at the check's
-/// scheduled instant `as_of`. Boundary fn: consumes
-/// `take_attempt_outcome` for span attribution only;
-/// the returned [`CheckOutcome`] is a pure function of the API result
-/// sequence, which chaos derives from `(seed, plan, key)` — never from
-/// the schedule.
-fn mon_attempt<'a>(
-    obs: &Registry,
-    api: &'a ApiServer,
-    st: &mut ReqState,
-    domain: &str,
-    as_of: u64,
-) -> ReqPoll<'a> {
-    let before = api.now();
-    let r = api.mastodon_instance_peers(domain, as_of);
-    let outcome = take_attempt_outcome(&r);
-    obs.span_attempt(st.span, outcome);
-    let span = st.span;
-    let finish = |out: CheckOutcome<'a>| {
-        obs.span_end(span, api.now());
-        ReqPoll::Done(out)
-    };
-    match r {
-        Ok(peers) => finish(CheckOutcome::Alive(peers)),
-        Err(FlockError::RateLimited { retry_after_secs }) => {
-            let cause = if outcome == (SpanOutcome::RateLimited { storm: true }) {
-                WaitCause::RetryAfterStorm
-            } else {
-                WaitCause::TokenBucket
-            };
-            ReqPoll::Wait {
-                until: before.saturating_add(retry_after_secs),
-                cause,
-            }
-        }
-        Err(FlockError::InstanceOutage { .. }) | Err(FlockError::InstanceUnavailable(_)) => {
-            finish(CheckOutcome::Dead)
-        }
-        Err(e) if e.is_retryable() => {
-            st.transient += 1;
-            if st.transient > MAX_TRANSIENT_RETRIES {
-                return finish(CheckOutcome::Unreachable);
-            }
-            ReqPoll::Wait {
-                until: before.saturating_add(TRANSIENT_BACKOFF_SECS),
-                cause: WaitCause::TransientBackoff,
-            }
-        }
-        Err(_) => finish(CheckOutcome::Unreachable),
-    }
-}
-
 /// One due domain's check as of its scheduled instant `as_of`: attempt,
 /// wait out a rate limit or transient backoff on the virtual clock, and
-/// retry until the check classifies. The wait is a `max` to the deadline,
-/// so only the seconds this call actually moved the clock are charged
-/// (another worker may already have paid part of it), which keeps the
-/// phase's wait identity exact at any thread count.
+/// retry until the check classifies. Each wait is a `max` to a deadline
+/// from the attempt's start, so only the seconds this call actually moved
+/// the clock are charged (another worker may already have paid part of
+/// it), which keeps the phase's wait identity exact at any thread count.
+/// The span feeds Sched-tier telemetry only: the returned
+/// [`CheckOutcome`] is a pure function of the API result sequence, which
+/// chaos derives from `(seed, plan, key)` — never from the schedule.
 fn check<'a>(obs: &Registry, api: &'a ApiServer, domain: &str, as_of: u64) -> CheckOutcome<'a> {
-    let mut st = mon_begin(obs, api, domain);
-    loop {
-        match mon_attempt(obs, api, &mut st, domain, as_of) {
-            ReqPoll::Wait { until, cause } => {
-                let applied = api.advance_clock_to(until);
-                obs.attribute_wait(Some(st.span), PHASE, cause, applied);
+    let label = format!("peers:{domain}");
+    let span = obs.span_begin(PHASE, label, trace::current_worker(), api.now());
+    let mut transient = 0;
+    let outcome = loop {
+        let before = api.now();
+        let r = api.mastodon_instance_peers(domain, as_of);
+        obs.span_attempt(span, attempt_outcome(&r));
+        let (wait, cause) = match r {
+            Ok(peers) => break CheckOutcome::Alive(peers),
+            Err(FlockError::RateLimited {
+                retry_after_secs,
+                storm,
+            }) => {
+                let cause = if storm {
+                    WaitCause::RetryAfterStorm
+                } else {
+                    WaitCause::TokenBucket
+                };
+                (retry_after_secs, cause)
             }
-            ReqPoll::Done(out) => return out,
-        }
-    }
+            Err(FlockError::InstanceOutage { .. } | FlockError::InstanceUnavailable(_)) => {
+                break CheckOutcome::Dead
+            }
+            Err(e) if e.is_retryable() => {
+                transient += 1;
+                if transient > MAX_TRANSIENT_RETRIES {
+                    break CheckOutcome::Unreachable;
+                }
+                (TRANSIENT_BACKOFF_SECS, WaitCause::TransientBackoff)
+            }
+            Err(_) => break CheckOutcome::Unreachable,
+        };
+        let applied = api.advance_clock_to(before.saturating_add(wait));
+        obs.attribute_wait(Some(span), PHASE, cause, applied);
+    };
+    obs.span_end(span, api.now());
+    outcome
 }
 
 /// Fewest due checks worth one pool worker. A scoped spawn and join costs

@@ -62,8 +62,12 @@ pub const SECS_PER_DAY: u64 = 86_400;
 pub const ALIVE_RECHECK_SECS: u64 = 21_600;
 
 /// First re-check delay after a failed check; doubles per consecutive
-/// failure up to [`MonitorConfig::backoff_cap_secs`].
+/// failure up to [`BACKOFF_CAP_SECS`].
 pub const BACKOFF_BASE_SECS: u64 = 3_600;
+
+/// Ceiling on the failure backoff — also the worst-case rebirth
+/// detection latency once an outage lifts.
+pub const BACKOFF_CAP_SECS: u64 = SECS_PER_DAY;
 
 /// Delay between discovering a peer and first checking it.
 pub const DISCOVERY_DELAY_SECS: u64 = 300;
@@ -102,16 +106,13 @@ pub struct MonitorConfig {
     /// Domains seeded into the roster at depth 0 (the flagship
     /// instances, in the default wiring).
     pub bootstrap: Vec<String>,
-    /// Ceiling on the failure backoff — also the worst-case rebirth
-    /// detection latency once an outage lifts. At least
-    /// [`BACKOFF_BASE_SECS`].
-    pub backoff_cap_secs: u64,
     /// Where to persist [`checkpoint::MonitorCheckpoint`]s (every
     /// [`CHECKPOINT_EVERY_ROUNDS`] rounds); `None` disables checkpointing
     /// (and resume).
     pub checkpoint_path: Option<PathBuf>,
     /// Stop (with a checkpoint) after this many rounds in this process —
-    /// the test hook for interrupt-then-resume runs.
+    /// the test hook for interrupt-then-resume runs. At least one round:
+    /// `Some(0)` is rejected, not run as one.
     pub stop_after_rounds: Option<u64>,
 }
 
@@ -121,7 +122,6 @@ impl Default for MonitorConfig {
             sim_days: 30,
             threads: 1,
             bootstrap: Vec::new(),
-            backoff_cap_secs: SECS_PER_DAY,
             checkpoint_path: None,
             stop_after_rounds: None,
         }
@@ -146,11 +146,11 @@ impl MonitorConfig {
                 "monitor needs at least one bootstrap domain".to_string(),
             ));
         }
-        if self.backoff_cap_secs < BACKOFF_BASE_SECS {
-            return Err(FlockError::InvalidConfig(format!(
-                "monitor backoff cap {}s is below the {BACKOFF_BASE_SECS}s base",
-                self.backoff_cap_secs
-            )));
+        // The cap is checked only after a round, so zero would run one.
+        if self.stop_after_rounds == Some(0) {
+            return Err(FlockError::InvalidConfig(
+                "monitor must run at least one round (stop_after_rounds = 0)".to_string(),
+            ));
         }
         Ok(())
     }
@@ -159,15 +159,15 @@ impl MonitorConfig {
     pub fn horizon_secs(&self) -> u64 {
         self.sim_days.saturating_mul(SECS_PER_DAY)
     }
+}
 
-    /// The failure backoff after `failures` consecutive failed checks:
-    /// `BACKOFF_BASE_SECS * 2^(failures-1)`, capped.
-    pub fn failure_backoff_secs(&self, failures: u32) -> u64 {
-        let doublings = failures.saturating_sub(1).min(32);
-        BACKOFF_BASE_SECS
-            .saturating_mul(1u64 << doublings)
-            .min(self.backoff_cap_secs)
-    }
+/// The failure backoff after `failures` consecutive failed checks:
+/// `BACKOFF_BASE_SECS * 2^(failures-1)`, capped at [`BACKOFF_CAP_SECS`].
+fn failure_backoff_secs(failures: u32) -> u64 {
+    let doublings = failures.saturating_sub(1).min(32);
+    BACKOFF_BASE_SECS
+        .saturating_mul(1u64 << doublings)
+        .min(BACKOFF_CAP_SECS)
 }
 
 /// Liveness classification of one known domain.
@@ -330,7 +330,7 @@ pub fn run(api: &ApiServer, obs: &Registry, cfg: &MonitorConfig) -> Result<Monit
             .collect();
         let outcomes = checker::run_round(api, obs, cfg, &due, due_time)?;
         for (domain, outcome) in due.iter().zip(outcomes) {
-            fold(&mut records, &mut folded, cfg, domain, due_time, outcome);
+            fold(&mut records, &mut folded, domain, due_time, outcome);
         }
         round += 1;
         rounds_this_process += 1;
@@ -396,7 +396,6 @@ fn checkpoint_now(
 fn fold<'a>(
     records: &mut BTreeMap<String, NodeRecord>,
     folded: &mut BTreeMap<String, &'a [String]>,
-    cfg: &MonitorConfig,
     domain: &str,
     as_of: u64,
     outcome: checker::CheckOutcome<'a>,
@@ -428,7 +427,7 @@ fn fold<'a>(
                     rec.last_change_secs = as_of;
                 }
                 rec.next_check_secs =
-                    as_of.saturating_add(cfg.failure_backoff_secs(rec.consecutive_failures));
+                    as_of.saturating_add(failure_backoff_secs(rec.consecutive_failures));
             }
             checker::CheckOutcome::Unreachable => {
                 rec.consecutive_failures = rec.consecutive_failures.saturating_add(1);
@@ -437,7 +436,7 @@ fn fold<'a>(
                     rec.last_change_secs = as_of;
                 }
                 rec.next_check_secs =
-                    as_of.saturating_add(cfg.failure_backoff_secs(rec.consecutive_failures));
+                    as_of.saturating_add(failure_backoff_secs(rec.consecutive_failures));
             }
         }
     }
@@ -549,12 +548,11 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let cfg = MonitorConfig::default();
-        assert_eq!(cfg.failure_backoff_secs(1), 3_600);
-        assert_eq!(cfg.failure_backoff_secs(2), 7_200);
-        assert_eq!(cfg.failure_backoff_secs(3), 14_400);
-        assert_eq!(cfg.failure_backoff_secs(10), SECS_PER_DAY);
-        assert_eq!(cfg.failure_backoff_secs(u32::MAX), SECS_PER_DAY);
+        assert_eq!(failure_backoff_secs(1), 3_600);
+        assert_eq!(failure_backoff_secs(2), 7_200);
+        assert_eq!(failure_backoff_secs(3), 14_400);
+        assert_eq!(failure_backoff_secs(10), SECS_PER_DAY);
+        assert_eq!(failure_backoff_secs(u32::MAX), SECS_PER_DAY);
     }
 
     #[test]
@@ -578,20 +576,16 @@ mod tests {
                 ..ok.clone()
             },
             MonitorConfig {
-                backoff_cap_secs: BACKOFF_BASE_SECS - 1,
+                stop_after_rounds: Some(0),
                 ..ok.clone()
             },
         ] {
-            assert!(bad.validate().is_err());
+            assert!(matches!(bad.validate(), Err(FlockError::InvalidConfig(_))));
         }
     }
 
     #[test]
     fn fold_tracks_discovery_death_and_rebirth() {
-        let cfg = MonitorConfig {
-            bootstrap: vec!["a.example".to_string()],
-            ..MonitorConfig::default()
-        };
         let mut records = BTreeMap::new();
         records.insert(
             "a.example".to_string(),
@@ -602,7 +596,6 @@ mod tests {
         fold(
             &mut records,
             &mut folded,
-            &cfg,
             "a.example",
             0,
             checker::CheckOutcome::Alive(&peers),
@@ -619,7 +612,6 @@ mod tests {
         fold(
             &mut records,
             &mut folded,
-            &cfg,
             "a.example",
             t1,
             checker::CheckOutcome::Dead,
@@ -633,7 +625,6 @@ mod tests {
         fold(
             &mut records,
             &mut folded,
-            &cfg,
             "a.example",
             t2,
             checker::CheckOutcome::Dead,
@@ -646,7 +637,6 @@ mod tests {
         fold(
             &mut records,
             &mut folded,
-            &cfg,
             "a.example",
             t3,
             checker::CheckOutcome::Alive(&[]),
@@ -664,7 +654,6 @@ mod tests {
         fold(
             &mut records,
             &mut folded,
-            &cfg,
             "a.example",
             t4,
             checker::CheckOutcome::Alive(&peers),
@@ -688,9 +677,8 @@ mod tests {
             NodeRecord::discovered("a.example".to_string(), 1, 0, 0),
         );
         let mut folded = BTreeMap::new();
-        let cfg = MonitorConfig::default();
         let alive = checker::CheckOutcome::Alive(peers);
-        fold(&mut records, &mut folded, &cfg, "a.example", 0, alive);
+        fold(&mut records, &mut folded, "a.example", 0, alive);
         (records, folded)
     }
 
@@ -700,7 +688,6 @@ mod tests {
 
     #[test]
     fn refolding_the_same_slice_leaves_the_roster_untouched() {
-        let cfg = MonitorConfig::default();
         let peers = domains(&["b.example", "c.example"]);
         let (mut records, mut folded) = folded_once(&peers);
         assert_eq!(records.len(), 3);
@@ -710,7 +697,7 @@ mod tests {
         let before = nodes_list(&records, 0, "-", 1);
         let t1 = ALIVE_RECHECK_SECS;
         let alive = checker::CheckOutcome::Alive(&peers);
-        fold(&mut records, &mut folded, &cfg, "a.example", t1, alive);
+        fold(&mut records, &mut folded, "a.example", t1, alive);
         assert!(!records.contains_key("c.example"));
         // The checked record itself still updates.
         let a = &records["a.example"];
@@ -727,14 +714,13 @@ mod tests {
 
     #[test]
     fn a_newly_lent_list_is_folded_in_full() {
-        let cfg = MonitorConfig::default();
         let peers = domains(&["b.example", "c.example"]);
         let (mut records, mut folded) = folded_once(&peers);
         // The same contents, allocated apart, plus one domain more.
         let grown = domains(&["b.example", "c.example", "d.example"]);
         let t1 = ALIVE_RECHECK_SECS;
         let alive = checker::CheckOutcome::Alive(&grown);
-        fold(&mut records, &mut folded, &cfg, "a.example", t1, alive);
+        fold(&mut records, &mut folded, "a.example", t1, alive);
         assert_eq!(records.len(), 4);
         let d = &records["d.example"];
         assert_eq!((d.depth, d.discovered_secs), (2, t1));
@@ -745,7 +731,6 @@ mod tests {
 
     #[test]
     fn failed_checks_between_memoized_folds_still_update_the_record() {
-        let cfg = MonitorConfig::default();
         let peers = domains(&["b.example"]);
         let (mut records, mut folded) = folded_once(&peers);
         let mut t = ALIVE_RECHECK_SECS;
@@ -753,13 +738,13 @@ mod tests {
             checker::CheckOutcome::Dead,
             checker::CheckOutcome::Unreachable,
         ] {
-            fold(&mut records, &mut folded, &cfg, "a.example", t, failed);
+            fold(&mut records, &mut folded, "a.example", t, failed);
             let a = &records["a.example"];
             assert_ne!(a.state, NodeState::Alive);
             assert_eq!(a.last_change_secs, t);
             t = a.next_check_secs;
             let alive = checker::CheckOutcome::Alive(&peers);
-            fold(&mut records, &mut folded, &cfg, "a.example", t, alive);
+            fold(&mut records, &mut folded, "a.example", t, alive);
             let a = &records["a.example"];
             assert_eq!((a.state, a.last_change_secs), (NodeState::Alive, t));
             assert_eq!(a.consecutive_failures, 0);

@@ -81,9 +81,11 @@ pub struct ReportMeta {
     pub coverage: Vec<String>,
     /// Scheduling-dependent key/value context (worker count etc.).
     pub sched_context: Vec<(String, String)>,
-    /// How many slowest chains / critical-path segments to show.
-    pub top_k: usize,
 }
+
+/// How many slowest chains, and critical-path segments per phase, the
+/// Sched section shows before its `(+N more)` line.
+const TOP_K: usize = 10;
 
 impl Default for ReportMeta {
     fn default() -> Self {
@@ -94,7 +96,6 @@ impl Default for ReportMeta {
             facts: Vec::new(),
             coverage: Vec::new(),
             sched_context: Vec::new(),
-            top_k: 5,
         }
     }
 }
@@ -325,14 +326,14 @@ fn render_sched(reg: &Registry, meta: &ReportMeta, profiles: &[PhaseProfile]) ->
         let _ = writeln!(out, "{line}");
     }
 
-    let _ = writeln!(out, "\ntop {} slowest request chains:", meta.top_k);
+    let _ = writeln!(out, "\ntop {TOP_K} slowest request chains:");
     let mut chains: Vec<_> = profiles.iter().flat_map(|p| p.slowest.iter()).collect();
     chains.sort_by(|a, b| {
         b.duration_secs()
             .cmp(&a.duration_secs())
             .then(a.span_id.cmp(&b.span_id))
     });
-    for (i, c) in chains.iter().take(meta.top_k).enumerate() {
+    for (i, c) in chains.iter().take(TOP_K).enumerate() {
         let worker = slot_label(c.worker);
         let _ = writeln!(
             out,
@@ -349,7 +350,7 @@ fn render_sched(reg: &Registry, meta: &ReportMeta, profiles: &[PhaseProfile]) ->
     // Truncation is never silent: ranked-but-unshown chains get an
     // explicit elision line, and chains lost to span-ring overflow are
     // surfaced from the flock.obs.spans.dropped counter.
-    let chains_elided = chains.len().saturating_sub(meta.top_k);
+    let chains_elided = chains.len().saturating_sub(TOP_K);
     if chains_elided > 0 {
         let _ = writeln!(out, "  (+{chains_elided} more)");
     }
@@ -365,8 +366,8 @@ fn render_sched(reg: &Registry, meta: &ReportMeta, profiles: &[PhaseProfile]) ->
 
     let _ = writeln!(out, "\ncritical path (spans that advanced the clock):");
     for p in profiles.iter().filter(|p| !p.critical_path.is_empty()) {
-        let shown = p.critical_path.iter().take(meta.top_k);
-        let elided = p.critical_path.len().saturating_sub(meta.top_k);
+        let shown = p.critical_path.iter().take(TOP_K);
+        let elided = p.critical_path.len().saturating_sub(TOP_K);
         for seg in shown {
             let worker = slot_label(seg.worker);
             let _ = writeln!(
@@ -426,7 +427,6 @@ mod tests {
             facts: vec![("matched users".to_string(), "12".to_string())],
             coverage: vec!["expand.followees: 1".to_string()],
             sched_context: vec![("workers".to_string(), "8".to_string())],
-            top_k: 5,
         }
     }
 
@@ -472,18 +472,18 @@ mod tests {
     #[test]
     fn truncated_chain_list_prints_an_explicit_elision_line() {
         let reg = sample_registry();
-        // Four more single-attempt requests: 5 chains total, top_k = 2.
-        for i in 2..6 {
+        // Eleven more single-attempt requests: 12 chains, 10 shown.
+        for i in 2..13 {
             let r = reg.span_begin("expand.followees", format!("following:{i}"), Some(0), 900);
             reg.span_attempt(r, SpanOutcome::Granted);
             reg.span_end(r, 900);
         }
-        let mut meta = sample_meta();
-        meta.top_k = 2;
-        let sched = RunReport::build(&reg, &meta).sched_section().to_string();
-        assert!(sched.contains("top 2 slowest request chains"));
+        let sched = RunReport::build(&reg, &sample_meta())
+            .sched_section()
+            .to_string();
+        assert!(sched.contains("top 10 slowest request chains"));
         assert!(
-            sched.contains("  (+3 more)"),
+            sched.contains("  (+2 more)"),
             "missing elision line:\n{sched}"
         );
     }

@@ -1,25 +1,19 @@
-//! Thread-local trace context — the `TraceCtx` glue between the layers.
+//! Trace vocabulary and the one piece of thread-local context.
 //!
-//! The crawler opens a *logical request* span per API call it makes; the
-//! API server, several stack frames below and in a different crate, knows
-//! things the crawler cannot see (did the rate-limit rejection come from
-//! the token bucket or from an injected Retry-After storm? was the fault
-//! a chaos injection or a dead instance?). Threading that
-//! information through every endpoint signature would bloat the API
-//! surface for the sake of telemetry, so the context rides in
-//! thread-locals instead:
+//! The crawler and the monitor open one *logical request* span per API
+//! call and count every server attempt on it. What an attempt was —
+//! granted, rate limited by a token bucket or by an injected Retry-After
+//! storm, failed by a chaos injection or a dead instance, or served a
+//! stale cursor — is read off the attempt's own `Result` by
+//! `flock_apis::server::attempt_outcome`: the server's errors carry
+//! everything the typed [`SpanOutcome`] needs, so nothing rides beside
+//! them.
 //!
-//! * the **worker slot** — set by the worker pool on each of its threads,
-//!   so spans can attribute work to a worker thread;
-//! * the **last attempt's outcome** — written by the API server on every
-//!   acquire decision ([`record_attempt`]) and consumed by the crawler
-//!   ([`take_attempt`]) right after the call returns: the typed
-//!   [`SpanOutcome`] the caller counts on its request's span.
-//!
-//! Everything here is plain `Cell` state: no wall clock, no ambient RNG,
-//! no locks. A thread that never sets the context reads `None` and all
-//! instrumentation degrades to no-ops — the server works unchanged when
-//! driven by code that does not trace (benches, unit tests).
+//! The **worker slot** is the only ambient context: the worker pool sets
+//! it on each of its threads ([`worker_scope`]) so spans can attribute
+//! work to a worker without every call signature carrying a slot. It is
+//! plain `Cell` state: no wall clock, no ambient RNG, no locks. A thread
+//! outside any pool reads `None`.
 
 use std::cell::Cell;
 
@@ -32,7 +26,9 @@ pub enum FaultKind {
     /// The target instance was down — permanently or inside an outage
     /// window.
     Outage,
-    /// Anything else (application-level errors, interrupts).
+    /// Anything else: an application-level answer such as `NotFound` or
+    /// `Forbidden` (also when the request had been granted a token), or
+    /// an interrupt.
     Other,
 }
 
@@ -40,16 +36,17 @@ pub enum FaultKind {
 /// `granted | rate_limited | fault(kind) | stale_cursor`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SpanOutcome {
-    /// The request consumed a token and was served.
+    /// The request was served.
     Granted,
     /// Rejected by the rate limiter; `storm` is true when the rejection
     /// was an injected Retry-After storm rather than a genuine empty
-    /// token bucket (indistinguishable to callers, distinguished here).
+    /// token bucket (the error's `storm` bit).
     RateLimited {
         /// Injected by a chaos Retry-After storm.
         storm: bool,
     },
-    /// The attempt failed before consuming a token.
+    /// The attempt failed with an error other than a rate limit or a
+    /// stale cursor.
     Fault(FaultKind),
     /// Granted, but the pagination cursor pointed past a shrunk result
     /// set.
@@ -73,7 +70,6 @@ impl SpanOutcome {
 
 thread_local! {
     static WORKER: Cell<Option<usize>> = const { Cell::new(None) };
-    static LAST_ATTEMPT: Cell<Option<SpanOutcome>> = const { Cell::new(None) };
 }
 
 /// Scope guard restoring the previous worker slot on drop.
@@ -100,30 +96,6 @@ pub fn current_worker() -> Option<usize> {
     WORKER.with(Cell::get)
 }
 
-/// Record the typed outcome of the attempt the current thread just made
-/// (called by the API layer at the acquire decision).
-pub fn record_attempt(outcome: SpanOutcome) {
-    LAST_ATTEMPT.with(|a| a.set(Some(outcome)));
-}
-
-/// Upgrade the last attempt's outcome to [`SpanOutcome::StaleCursor`]
-/// (the grant happened, then pagination found the cursor stale). A no-op
-/// when no attempt is pending.
-pub fn mark_stale_cursor() {
-    LAST_ATTEMPT.with(|a| {
-        if a.get().is_some() {
-            a.set(Some(SpanOutcome::StaleCursor));
-        }
-    });
-}
-
-/// Take (and clear) the last recorded attempt's outcome. Clearing on
-/// read keeps a failed pre-acquire path (e.g. an unknown instance) from
-/// replaying the previous request's outcome.
-pub fn take_attempt() -> Option<SpanOutcome> {
-    LAST_ATTEMPT.with(Cell::take)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,22 +113,6 @@ mod tests {
             assert_eq!(current_worker(), Some(3));
         }
         assert_eq!(current_worker(), None);
-    }
-
-    #[test]
-    fn attempts_are_taken_once() {
-        record_attempt(SpanOutcome::Granted);
-        assert_eq!(take_attempt(), Some(SpanOutcome::Granted));
-        assert_eq!(take_attempt(), None);
-    }
-
-    #[test]
-    fn stale_cursor_upgrades_the_pending_attempt() {
-        mark_stale_cursor(); // no pending attempt: no-op
-        assert_eq!(take_attempt(), None);
-        record_attempt(SpanOutcome::Granted);
-        mark_stale_cursor();
-        assert_eq!(take_attempt(), Some(SpanOutcome::StaleCursor));
     }
 
     #[test]

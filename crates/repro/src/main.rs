@@ -20,7 +20,8 @@
 //!
 //! --metrics PATH writes the pipeline's telemetry (counters, gauges,
 //! histograms, and the span ring's recorded and dropped counts) after
-//! the crawl; the format follows the extension: JSON for `.json`,
+//! the crawl or the monitor run and prints `[repro] wrote N metrics to
+//! PATH`; the format follows the extension: JSON for `.json`,
 //! Prometheus text exposition for `.prom`, the plain text format
 //! otherwise.
 //!
@@ -306,18 +307,10 @@ fn main() -> ExitCode {
         }
     }
     if let Some(path) = &metrics_path {
-        let body = if path.ends_with(".json") {
-            obs.export_json()
-        } else if path.ends_with(".prom") {
-            obs.export_prometheus()
-        } else {
-            obs.export_text()
-        };
-        if let Err(e) = std::fs::write(path, body) {
-            eprintln!("[repro] metrics write failed ({path}): {e}");
+        if let Err(e) = write_metrics(path, &obs) {
+            eprintln!("[repro] {e}");
             return ExitCode::FAILURE;
         }
-        eprintln!("[repro] wrote {} metrics to {path}", obs.metric_count());
     }
     if report_path.is_some() || dashboard.is_some() {
         let report = match study.run_report(&obs, chaos, config.seed, workers) {
@@ -480,6 +473,22 @@ fn scenario_label(chaos: Option<Scenario>) -> String {
         .unwrap_or_else(|| "none".to_string())
 }
 
+/// Write the registry's telemetry to `path`, picking the format from the
+/// extension: JSON for `.json`, Prometheus text exposition for `.prom`,
+/// the plain text format otherwise. Confirms the write on stderr.
+fn write_metrics(path: &str, obs: &Registry) -> Result<(), String> {
+    let body = if path.ends_with(".json") {
+        obs.export_json()
+    } else if path.ends_with(".prom") {
+        obs.export_prometheus()
+    } else {
+        obs.export_text()
+    };
+    std::fs::write(path, body).map_err(|e| format!("metrics write failed ({path}): {e}"))?;
+    eprintln!("[repro] wrote {} metrics to {path}", obs.metric_count());
+    Ok(())
+}
+
 /// Write a run report to `path`, picking the format from the extension:
 /// `.html` renders the standalone HTML page, anything else the text
 /// format whose Data fence CI byte-compares.
@@ -629,15 +638,8 @@ fn run_monitor(
         );
     }
     if let Some(path) = metrics_path {
-        let body = if path.ends_with(".json") {
-            obs.export_json()
-        } else if path.ends_with(".prom") {
-            obs.export_prometheus()
-        } else {
-            obs.export_text()
-        };
-        if let Err(e) = std::fs::write(path, body) {
-            eprintln!("[repro] metrics write failed ({path}): {e}");
+        if let Err(e) = write_metrics(path, &obs) {
+            eprintln!("[repro] {e}");
             return ExitCode::FAILURE;
         }
     }
@@ -698,7 +700,6 @@ fn run_monitor(
             ],
             coverage: Vec::new(),
             sched_context: vec![("threads".to_string(), cli.threads.to_string())],
-            top_k: 10,
         };
         let report = flock_obs::report::RunReport::build(&obs, &meta);
         if let Some(path) = report_path {

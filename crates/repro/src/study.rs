@@ -228,7 +228,6 @@ impl MigrationStudy {
                     ds.stats.virtual_secs.to_string(),
                 ),
             ],
-            top_k: 10,
         };
         Ok(flock_obs::report::RunReport::build(obs, &meta))
     }

@@ -6,15 +6,19 @@
 # pass over every bench target (including the throughput bench, which in
 # --test mode does not append to the committed BENCH_history.jsonl but
 # prints its trend-gate verdicts against it, never failing on one), one
-# release run of every example (each must exit 0), the flockbench test suite (its workloads and output digests), the
+# release run of every example (each must exit 0), the flockbench test suite (its workloads and output digests), a
+# metrics smoke (a crawl's JSON export and a monitor run's Prometheus
+# export, each confirmed by `repro`'s `wrote N metrics` line), the
 # determinism matrix (seeds x worker counts must stamp and publish the
 # anonymized release byte-identically; one medium() seed must also hash
 # to its recorded golden digests),
 # the monitor determinism matrix (the continuous-monitoring workload must
 # render byte-identical nodes lists and report Data sections at any
-# thread count, through a chaos plan with instance rebirth; one medium()
-# seed's nodes list must also hash to its recorded golden digest, run
-# straight through and resumed from a 15-day checkpoint),
+# thread count, through a chaos plan with instance rebirth and
+# Retry-After storms, each seed's one-thread report billing seconds to
+# the storm bucket; one medium() seed's nodes list must also hash to its
+# recorded golden digest, run straight through and resumed from a 15-day
+# checkpoint),
 # a chaos-scenario smoke crawl, and a run-dashboard smoke (self-contained
 # HTML whose fenced Data region is also byte-compared in the determinism
 # matrix, plus a --diff view that must flag chaos divergence). The
@@ -94,6 +98,14 @@ cargo run -q --release -p flock-repro -- \
   --scale small --seed 1234 --metrics "$metrics_out" headline >/dev/null
 test -s "$metrics_out"
 grep -q '"flock.apis.search.granted"' "$metrics_out"
+# A monitor run writes its metrics through the same helper, and confirms
+# the write the way a crawl does.
+monitor_prom="$scratch/monitor.prom"
+cargo run -q --release -p flock-repro -- \
+  --monitor --scale small --sim-days 3 --metrics "$monitor_prom" \
+  >/dev/null 2>"$scratch/monitor-metrics.log"
+grep -Eq '^\[repro\] wrote [1-9][0-9]* metrics to ' "$scratch/monitor-metrics.log"
+grep -q '^monitor_checks_total' "$monitor_prom"
 
 stage "determinism matrix (seeds x workers must stamp and release byte-identically; medium golden)"
 for seed in 1 1234 9999; do
@@ -160,8 +172,9 @@ echo "    medium seed 1234: workers=1 == workers=8, stamp + release match their 
 
 stage "monitor determinism matrix (seeds x threads, 30 days under rolling outages; medium golden, straight and resumed)"
 # rolling-outages lifts both outage waves inside the horizon, so the
-# matrix exercises liveness, death AND rebirth detection; the nodes list
-# and the report's Data section must be byte-identical at every cell,
+# matrix exercises liveness, death AND rebirth detection, and its
+# Retry-After storms must reach each seed's storm wait bucket; the nodes
+# list and the report's Data section must be byte-identical at every cell,
 # and one medium() seed's nodes list must hash to its golden digest,
 # both run straight through and resumed from a 15-day checkpoint.
 # The loop lives in its own script so the dedicated monitor-determinism

@@ -3,9 +3,13 @@
 # render a byte-identical nodes list and report Data section at every
 # seeds x threads cell, over 30 simulated days under the rolling-outages
 # chaos plan (both outage waves lift inside the horizon, so the matrix
-# exercises liveness, death AND rebirth detection). Threads are the most
-# worker-pool threads one round's checks run on (`--workers`); at small()
-# no round is wide enough to leave the calling thread.
+# exercises liveness, death AND rebirth detection). Each seed's
+# one-thread report must also show a rebirth in its Data section and
+# Retry-After storm seconds (`retry_after_storm=` above zero) in its
+# wait attribution: a check reads the storm bit off its rate limit.
+# Threads are the most worker-pool threads one round's checks run on
+# (`--workers`); at small() no round is wide enough to leave the calling
+# thread.
 #
 # After the small() matrix, one medium() seed runs 30 days at workers 1
 # and 8: its 110-domain roster has rounds of up to 109 checks. The two
@@ -51,6 +55,11 @@ for seed in 1 1234 9999; do
   # revived instances: demand at least one observed rebirth.
   if ! grep -Eq '^  rebirths: [1-9]' "$scratch/mon-s$seed-w1.report.data"; then
     echo "MONITOR FAILURE: seed $seed saw no instance rebirth under rolling-outages" >&2
+    exit 1
+  fi
+  # Its Retry-After storms must be billed to the storm bucket.
+  if ! grep -Eq 'retry_after_storm=[1-9]' "$scratch/mon-s$seed-w1.report.txt"; then
+    echo "MONITOR FAILURE: seed $seed billed no wait to the Retry-After storm bucket" >&2
     exit 1
   fi
   echo "    seed $seed: monitor threads {1,2,8} byte-identical (nodes list + report data tier)"

@@ -16,7 +16,7 @@ use flock::core::rng::fnv1a;
 use flock::fedisim::{World, WorldConfig};
 use flock::monitor::{self, MonitorConfig, NodeState};
 use flock::obs::profile::phase_profiles;
-use flock::obs::Registry;
+use flock::obs::{Registry, WaitCause};
 use std::sync::Arc;
 
 fn monitor_api(world: &Arc<World>, plan: FaultPlan, obs: &Registry) -> ApiServer {
@@ -361,14 +361,16 @@ fn monitor_resumes_at_every_round_boundary() {
 
 /// Death → rebirth detection latency is bounded by the failure-backoff
 /// cap: once a permanent-looking outage lifts, the next scheduled
-/// re-check — at most `backoff_cap_secs` after the lift — flips the
-/// record back to alive.
+/// re-check — at most `BACKOFF_CAP_SECS` after the lift — flips the
+/// record back to alive. The outage lasts three days, so the doubling
+/// backoff reaches the one-day cap before the lift: uncapped, the
+/// re-check after it would come 198,000 s after the lift.
 #[test]
 fn rebirth_detection_latency_is_bounded_by_the_backoff_cap() {
     let seed = 7;
     let world = Arc::new(World::generate(&WorldConfig::small().with_seed(seed)).unwrap());
     let victim = world.outage_candidates().into_iter().next().unwrap();
-    let lift_secs = 2 * 86_400;
+    let lift_secs = 4 * 86_400;
     let plan = FaultPlan {
         seed,
         faults: vec![Fault::InstanceOutage {
@@ -382,9 +384,8 @@ fn rebirth_detection_latency_is_bounded_by_the_backoff_cap() {
     let obs = Registry::new();
     let api = monitor_api(&world, plan, &obs);
     let cfg = MonitorConfig {
-        sim_days: 4,
+        sim_days: 5,
         bootstrap: vec![victim.clone()],
-        backoff_cap_secs: 14_400,
         ..MonitorConfig::default()
     };
     let out = monitor::run(&api, &obs, &cfg).unwrap();
@@ -396,10 +397,10 @@ fn rebirth_detection_latency_is_bounded_by_the_backoff_cap() {
     // trail the lift by at most one capped backoff.
     assert!(rec.last_change_secs >= lift_secs);
     assert!(
-        rec.last_change_secs - lift_secs <= cfg.backoff_cap_secs,
+        rec.last_change_secs - lift_secs <= monitor::BACKOFF_CAP_SECS,
         "rebirth seen {}s after the lift, cap is {}s",
         rec.last_change_secs - lift_secs,
-        cfg.backoff_cap_secs
+        monitor::BACKOFF_CAP_SECS
     );
 }
 
@@ -407,6 +408,8 @@ fn rebirth_detection_latency_is_bounded_by_the_backoff_cap() {
 /// every virtual second of the monitor phase lands in some wait bucket
 /// (idle, rate-limit, storm, transient backoff) and none is left as
 /// unattributed "work" — the monitor never computes in virtual time.
+/// The rolling-outages plan's Retry-After storms reach the storm bucket:
+/// a check reads the storm bit off its rate limit.
 #[test]
 fn monitor_phase_waits_sum_to_the_horizon() {
     let seed = 1234;
@@ -436,5 +439,10 @@ fn monitor_phase_waits_sum_to_the_horizon() {
         "unattributed clock movement: duration {} != waits {}",
         p.duration_secs(),
         p.wait_total_secs()
+    );
+    assert!(
+        p.waits[WaitCause::RetryAfterStorm.index()] > 0,
+        "no check waited out a Retry-After storm: {:?}",
+        p.waits
     );
 }
