@@ -409,9 +409,11 @@ impl ApiServer {
         end: Day,
         cursor: Option<&str>,
     ) -> Result<Page<TweetObject>> {
+        // A query that does not parse is refused before it reaches the
+        // bucket or the chaos budgets: it spends no quota.
+        let query = self.index.query(query_str)?;
         let scope = format!("search:{query_str}:{}:{}", start.offset(), end.offset());
         self.acquire(Endpoint::Search, &request_key(&scope, cursor))?;
-        let query = self.index.query(query_str)?;
         let offset = decode(&scope, cursor)?;
 
         // Candidate set: smallest posting list among required tokens, or a
@@ -495,13 +497,13 @@ impl ApiServer {
         &self,
         ids: &[TwitterUserId],
     ) -> Result<Vec<TwitterUserObject>> {
-        self.acquire(Endpoint::Search, &ids_key("expansion", ids))?;
         if ids.len() > 100 {
             return Err(FlockError::InvalidQuery(format!(
                 "at most 100 ids per expansion, got {}",
                 ids.len()
             )));
         }
+        self.acquire(Endpoint::Search, &ids_key("expansion", ids))?;
         Ok(ids
             .iter()
             .filter_map(|id| self.world.user(*id))
@@ -511,13 +513,13 @@ impl ApiServer {
 
     /// Batch user lookup (max 100 ids per request, like the real API).
     pub fn twitter_users_lookup(&self, ids: &[TwitterUserId]) -> Result<Vec<TwitterUserObject>> {
-        self.acquire(Endpoint::Users, &ids_key("lookup", ids))?;
         if ids.len() > 100 {
             return Err(FlockError::InvalidQuery(format!(
                 "at most 100 ids per lookup, got {}",
                 ids.len()
             )));
         }
+        self.acquire(Endpoint::Users, &ids_key("lookup", ids))?;
         Ok(ids
             .iter()
             .filter_map(|id| self.world.user(*id))
@@ -1027,13 +1029,47 @@ mod tests {
         assert!(page.items.iter().all(|t| t.day == Day(27)));
     }
 
+    /// A server with its own registry, to read what requests spent.
+    fn observed_server() -> (ApiServer, Registry) {
+        let obs = Registry::new();
+        let world = Arc::new(World::generate(&WorldConfig::small().with_seed(123)).unwrap());
+        let api = ApiServer::with_obs(world, ApiConfig::default(), obs.clone()).unwrap();
+        (api, obs)
+    }
+
     #[test]
     fn search_rejects_bad_query_without_spending_quota() {
-        let api = server();
+        let (api, obs) = observed_server();
         assert!(matches!(
             api.twitter_search("\"unterminated", Day(0), Day(60), None),
             Err(FlockError::InvalidQuery(_))
         ));
+        assert_eq!(obs.counter_value("flock.apis.search.granted"), Some(0));
+        assert_eq!(obs.counter_value("flock.apis.search.rate_limited"), Some(0));
+    }
+
+    /// The 100-id cap is checked before the bucket: an oversized batch
+    /// spends no quota on either endpoint that takes one.
+    #[test]
+    fn oversized_id_batches_are_rejected_without_spending_quota() {
+        let (api, obs) = observed_server();
+        let ids: Vec<TwitterUserId> = (0..101).map(TwitterUserId).collect();
+        assert!(matches!(
+            api.twitter_users_lookup(&ids),
+            Err(FlockError::InvalidQuery(msg)) if msg.contains("got 101")
+        ));
+        assert!(matches!(
+            api.twitter_search_user_expansion(&ids),
+            Err(FlockError::InvalidQuery(msg)) if msg.contains("got 101")
+        ));
+        for family in ["users", "search"] {
+            for counter in ["granted", "rate_limited", "faults"] {
+                let name = format!("flock.apis.{family}.{counter}");
+                assert_eq!(obs.counter_value(&name), Some(0), "{name}");
+            }
+        }
+        api.twitter_users_lookup(&ids[..100]).unwrap();
+        assert_eq!(obs.counter_value("flock.apis.users.granted"), Some(1));
     }
 
     #[test]

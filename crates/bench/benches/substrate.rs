@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flock_activitypub::FediverseNetwork;
 use flock_core::DetRng;
 use flock_core::TwitterUserId;
-use flock_fedisim::graph::{build_friend_graph, realize_followees};
+use flock_fedisim::graph::{build_friend_graph, FolloweeSampler};
 use flock_fedisim::instances::generate_instances;
 use flock_fedisim::migration::InstanceSampler;
 use std::hint::black_box;
@@ -26,18 +26,20 @@ fn bench_friend_graph(c: &mut Criterion) {
 
 fn bench_followee_realization(c: &mut Criterion) {
     let friends: Vec<TwitterUserId> = (0..40).map(TwitterUserId).collect();
-    let pool: Vec<TwitterUserId> = (1_000..100_000).map(TwitterUserId).collect();
+    // A pool far larger than the target: few draws are rejected.
+    let mut sparse = FolloweeSampler::new((1_000..100_000).map(TwitterUserId).collect()).unwrap();
     c.bench_function("realize_followees_800", |b| {
         let mut rng = DetRng::new(2);
-        b.iter(|| {
-            black_box(realize_followees(
-                TwitterUserId(0),
-                &friends,
-                800,
-                &pool,
-                &mut rng,
-            ))
-        })
+        b.iter(|| black_box(sparse.realize(TwitterUserId(0), &friends, 800, &mut rng)))
+    });
+    // Shaped like `small()`: a migrant asks for about 1,000 ids from about
+    // 2,150 non-migrants, so about one draw in four is rejected. (`small()`
+    // rejects nine in ten overall: a fifth of its migrants ask for more
+    // than the pool holds and spend all `fill * 10 + 100` draws.)
+    let mut dense = FolloweeSampler::new((1_000..3_150).map(TwitterUserId).collect()).unwrap();
+    c.bench_function("realize_followees_1000_of_2150", |b| {
+        let mut rng = DetRng::new(2);
+        b.iter(|| black_box(dense.realize(TwitterUserId(0), &friends, 1_000, &mut rng)))
     });
 }
 

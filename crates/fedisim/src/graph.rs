@@ -17,7 +17,7 @@
 //! The friend graph is also what the migration model's herding and the
 //! switching model's "friends moved there first" behaviour read.
 
-use flock_core::{DetRng, TwitterUserId};
+use flock_core::{DetRng, FlockError, Result, TwitterUserId};
 
 /// Undirected friend graph over the migrant subset, by migrant index
 /// (positions in the world's migrant list, *not* raw user ids).
@@ -129,43 +129,99 @@ pub fn build_friend_graph(
     MigrantFriendGraph { adj }
 }
 
-/// Realize the full followee list of one migrant: their migrated friends
-/// (mapped to user ids) plus uniformly-sampled non-migrant fill up to
-/// `target_count`.
+/// Realizes migrants' full followee lists: their migrated friends (mapped
+/// to user ids), then non-migrant fill drawn uniformly from one pool up to
+/// each migrant's followee-count target.
 ///
-/// `non_migrant_pool` must be non-empty. The result is deduplicated and
-/// never contains `self_id`.
-pub fn realize_followees(
-    self_id: TwitterUserId,
-    friend_user_ids: &[TwitterUserId],
-    target_count: usize,
-    non_migrant_pool: &[TwitterUserId],
-    rng: &mut DetRng,
-) -> Vec<TwitterUserId> {
-    let mut out: Vec<TwitterUserId> = friend_user_ids
-        .iter()
-        .copied()
-        .filter(|&u| u != self_id)
-        .collect();
-    let fill = target_count.saturating_sub(out.len());
-    if fill > 0 && !non_migrant_pool.is_empty() {
-        // Sample without replacement when the pool is large relative to the
-        // request; fall back to best-effort rejection otherwise.
-        let mut seen: std::collections::BTreeSet<TwitterUserId> = out.iter().copied().collect();
-        seen.insert(self_id);
+/// One sampler serves every migrant of a world. The fill is drawn by
+/// rejection: `pool[rng.below_usize(pool.len())]`, at most
+/// `fill * 10 + 100` draws, each kept unless that id is already in the
+/// list or is the migrant. Membership is one `u32` stamp per pool slot
+/// rather than a set per list: every call takes a fresh stamp, so a slot
+/// holds this call's stamp exactly when its id is already taken, and the
+/// test per draw is one load. The pool is strictly ascending (checked at
+/// construction), so slots and ids are one-to-one, and a friend is found
+/// in it by binary search; an id outside the pool can never be drawn and
+/// needs no stamp.
+#[derive(Debug, Clone)]
+pub struct FolloweeSampler {
+    pool: Vec<TwitterUserId>,
+    /// `stamps[i] == stamp` while `pool[i]` is taken in the current list.
+    stamps: Vec<u32>,
+    /// The current call's stamp; the table starts at 0, which no call uses.
+    stamp: u32,
+}
+
+impl FolloweeSampler {
+    /// A sampler over `pool`, which must be strictly ascending (a pool in
+    /// any other order is [`FlockError::InvalidConfig`]). It may be empty:
+    /// every list is then its friends alone.
+    pub fn new(pool: Vec<TwitterUserId>) -> Result<Self> {
+        if let Some(w) = pool.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(FlockError::InvalidConfig(format!(
+                "followee pool must be strictly ascending, found {} then {}",
+                w[0], w[1]
+            )));
+        }
+        let stamps = vec![0; pool.len()];
+        Ok(FolloweeSampler {
+            pool,
+            stamps,
+            stamp: 0,
+        })
+    }
+
+    /// The followee list of `self_id`: every entry of `friend_user_ids`
+    /// other than `self_id`, in order, then fill drawn from the pool until
+    /// the list reaches `target_count` or the draws run out. Drawn ids are
+    /// distinct and never `self_id` or a friend. The list is allocated
+    /// once, at the longest it can grow to.
+    pub fn realize(
+        &mut self,
+        self_id: TwitterUserId,
+        friend_user_ids: &[TwitterUserId],
+        target_count: usize,
+        rng: &mut DetRng,
+    ) -> Vec<TwitterUserId> {
+        let friends = friend_user_ids.iter().copied().filter(|&u| u != self_id);
+        let n_friends = friends.clone().count();
+        let fill = target_count.saturating_sub(n_friends);
+        let mut out = Vec::with_capacity(n_friends + fill.min(self.pool.len()));
+        out.extend(friends);
+        if fill == 0 || self.pool.is_empty() {
+            return out;
+        }
+        let stamp = self.next_stamp();
+        for id in out.iter().chain([&self_id]) {
+            if let Ok(slot) = self.pool.binary_search(id) {
+                self.stamps[slot] = stamp;
+            }
+        }
         let mut added = 0;
         let mut attempts = 0;
-        let max_attempts = fill * 10 + 100;
+        let max_attempts = fill.saturating_mul(10).saturating_add(100);
         while added < fill && attempts < max_attempts {
             attempts += 1;
-            let cand = non_migrant_pool[rng.below_usize(non_migrant_pool.len())];
-            if seen.insert(cand) {
-                out.push(cand);
+            let slot = rng.below_usize(self.pool.len());
+            if self.stamps[slot] != stamp {
+                self.stamps[slot] = stamp;
+                out.push(self.pool[slot]);
                 added += 1;
             }
         }
+        out
     }
-    out
+
+    /// A stamp no slot carries. When the counter wraps, stamps left from
+    /// 2^32 calls ago could match again, so the table is cleared first.
+    fn next_stamp(&mut self) -> u32 {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.stamps.fill(0);
+            self.stamp = 1;
+        }
+        self.stamp
+    }
 }
 
 #[cfg(test)]
@@ -244,12 +300,12 @@ mod tests {
         let me = TwitterUserId(0);
         let friends: Vec<TwitterUserId> = (1..=10).map(TwitterUserId).collect();
         let pool: Vec<TwitterUserId> = (100..1100).map(TwitterUserId).collect();
-        let list = realize_followees(me, &friends, 50, &pool, &mut rng);
+        let mut sampler = FolloweeSampler::new(pool).unwrap();
+        let list = sampler.realize(me, &friends, 50, &mut rng);
         assert_eq!(list.len(), 50);
-        for f in &friends {
-            assert!(list.contains(f));
-        }
-        let unique: std::collections::HashSet<_> = list.iter().collect();
+        assert_eq!(list.capacity(), 50, "reserved at the target");
+        assert_eq!(&list[..10], &friends[..], "friends lead, in order");
+        let unique: std::collections::BTreeSet<_> = list.iter().collect();
         assert_eq!(unique.len(), list.len(), "duplicates in followees");
         assert!(!list.contains(&me));
     }
@@ -260,10 +316,34 @@ mod tests {
         let me = TwitterUserId(0);
         let friends: Vec<TwitterUserId> = (1..=30).map(TwitterUserId).collect();
         let pool: Vec<TwitterUserId> = (100..200).map(TwitterUserId).collect();
+        let mut sampler = FolloweeSampler::new(pool).unwrap();
         // Target smaller than friend count: all friends still included
         // (the relationship exists regardless of the scalar target).
-        let list = realize_followees(me, &friends, 10, &pool, &mut rng);
-        assert_eq!(list.len(), 30);
+        let list = sampler.realize(me, &friends, 10, &mut rng);
+        assert_eq!(list, friends);
+        assert_eq!(list.capacity(), 30);
+    }
+
+    /// When the stamp counter wraps, slots still carrying an old stamp
+    /// must not read as taken: the table is cleared, and the call draws
+    /// exactly what a fresh sampler draws.
+    #[test]
+    fn a_wrapped_stamp_clears_the_table() {
+        let me = TwitterUserId(0);
+        let friends = [TwitterUserId(7)];
+        let pool: Vec<TwitterUserId> = (1..300).map(TwitterUserId).collect();
+        let mut fresh = FolloweeSampler::new(pool.clone()).unwrap();
+        let mut worn = FolloweeSampler::new(pool).unwrap();
+        worn.stamps.fill(1);
+        worn.stamp = u32::MAX;
+        for seed in 0..3 {
+            let (mut a, mut b) = (DetRng::new(seed), DetRng::new(seed));
+            let want = fresh.realize(me, &friends, 120, &mut a);
+            assert_eq!(worn.realize(me, &friends, 120, &mut b), want);
+            assert_eq!(want.len(), 120);
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+        assert_eq!(worn.stamp, 3);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use crate::activity::{build_ledger, ActivityLedger};
 use crate::config::WorldConfig;
 use crate::content::{generate_content, Corpora, MirrorBehavior, StatusStore, TweetStore};
-use crate::graph::{build_friend_graph, realize_followees, MigrantFriendGraph};
+use crate::graph::{build_friend_graph, FolloweeSampler, MigrantFriendGraph};
 use crate::instances::{generate_instances, Instance};
 use crate::interest::{generate_interest, InterestReport};
 use crate::migration::{run_migration, MastodonAccount};
@@ -118,6 +118,7 @@ impl World {
             .filter(|u| !u.is_migrant)
             .map(|u| u.id)
             .collect();
+        let mut sampler = FolloweeSampler::new(non_migrant_pool)?;
         let mut followee_rng = root.fork("followees");
         let twitter_followees: Vec<Vec<TwitterUserId>> = migrant_users
             .iter()
@@ -128,11 +129,10 @@ impl World {
                     .iter()
                     .map(|&f| users[migrant_users[f as usize]].id)
                     .collect();
-                realize_followees(
+                sampler.realize(
                     users[ui].id,
                     &friend_ids,
                     users[ui].followee_count as usize,
-                    &non_migrant_pool,
                     &mut followee_rng,
                 )
             })

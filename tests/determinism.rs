@@ -304,6 +304,25 @@ fn small_follow_graph_matches_its_golden_digest() {
     );
 }
 
+/// The Twitter followee lists the seed-1234 `small()` world realizes, one
+/// line per migrant in migrant-index order, each list in stored order.
+/// RQ2 reads them through the crawler; this pins them at the source, so a
+/// change to the sampler that moves a single draw shows up here.
+#[test]
+fn small_twitter_followees_match_their_golden_digest() {
+    let world = World::generate(&WorldConfig::small().with_seed(1234)).unwrap();
+    let mut all = String::new();
+    for list in &world.twitter_followees {
+        let ids: Vec<String> = list.iter().map(|u| u.0.to_string()).collect();
+        writeln!(all, "{}", ids.join(",")).unwrap();
+    }
+    let got = fnv1a(&all);
+    assert_eq!(
+        got, 0x1627_ba72_90b2_c648,
+        "twitter-followee digest moved; now {got:#x}"
+    );
+}
+
 #[test]
 fn figure_rendering_is_deterministic() {
     let s1 = MigrationStudy::run(&WorldConfig::small().with_seed(5)).unwrap();
