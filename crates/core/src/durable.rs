@@ -58,10 +58,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
     let file_name = path
         .file_name()
         .ok_or_else(|| {
-            FlockError::InvalidConfig(format!(
-                "checkpoint path {} has no file name",
-                path.display()
-            ))
+            FlockError::InvalidConfig(format!("path {} has no file name to write", path.display()))
         })?
         .to_string_lossy()
         .into_owned();

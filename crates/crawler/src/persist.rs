@@ -29,10 +29,11 @@ impl Dataset {
             .map_err(|e| FlockError::MalformedRecord(format!("deserialize dataset: {e}")))
     }
 
-    /// Write JSON to a file.
+    /// Write JSON to a file through [`durable::write_atomic`], as the
+    /// checkpoints are: a kill mid-save leaves the old file or the new
+    /// one at `path`, never a torn one.
     pub fn save(&self, path: &Path) -> Result<()> {
-        std::fs::write(path, self.to_json()?)
-            .map_err(|e| FlockError::InvalidConfig(format!("write {}: {e}", path.display())))
+        durable::write_atomic(path, self.to_json()?.as_bytes())
     }
 
     /// Read a dataset back from a file.
@@ -249,6 +250,38 @@ mod tests {
         let back = Dataset::load(&path).unwrap();
         assert_eq!(back.matched.len(), ds.matched.len());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn saving_over_a_release_replaces_it_whole() {
+        let dir = std::env::temp_dir().join(format!("flock_persist_over_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("release.json");
+        let ds = sample();
+        ds.save(&path).unwrap();
+        // A second name for the first release's file: a save that rewrote
+        // the file in place would change what it reads, a rename does not.
+        let old = dir.join("old.json");
+        std::fs::hard_link(&path, &old).unwrap();
+        let anon = ds.anonymized(7).unwrap();
+        anon.save(&path).unwrap();
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        assert_eq!(
+            names,
+            ["old.json", "release.json"],
+            "a temp file was left behind"
+        );
+        assert_eq!(
+            std::fs::read_to_string(&old).unwrap(),
+            ds.to_json().unwrap()
+        );
+        let back = Dataset::load(&path).unwrap();
+        assert_eq!(back.to_json().unwrap(), anon.to_json().unwrap());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -622,6 +622,20 @@ impl<'a> Crawler<'a> {
                         }) {
                             Ok(new_acct) => (Some(new_acct), Some(acct), target.clone()),
                             Err(FlockError::Interrupted) => return Err(FlockError::Interrupted),
+                            // Retries exhausted on an instance that is up:
+                            // keep the match without the new account, as
+                            // for a down one, and report the gap.
+                            Err(e)
+                                if e.is_retryable()
+                                    && !matches!(e, FlockError::InstanceUnavailable(_)) =>
+                            {
+                                ds.coverage.record_skip(
+                                    PHASES[1],
+                                    format!("moved_to lookup for author {}", author.0),
+                                    e,
+                                );
+                                (None, Some(acct), target.clone())
+                            }
                             Err(_) => (None, Some(acct), target.clone()),
                         }
                     }
@@ -767,7 +781,6 @@ impl<'a> Crawler<'a> {
     ) -> Result<(Vec<TimelineStatus>, MastodonCrawlOutcome, Option<String>)> {
         let mut statuses = Vec::new();
         let mut any_down = false;
-        let mut skip = None;
         // A switched user's pre-move statuses live on the first instance.
         let mut sources = vec![m.resolved_handle.clone()];
         if m.switched() {
@@ -794,9 +807,12 @@ impl<'a> Crawler<'a> {
                         break;
                     }
                     Err(FlockError::Interrupted) => return Err(FlockError::Interrupted),
+                    // Retries exhausted: a timeline cut short is not kept
+                    // and the other source is not walked; the gap is
+                    // reported, as for a Twitter timeline.
                     Err(e) if e.is_retryable() => {
-                        skip = Some(e.to_string());
-                        break;
+                        let outcome = MastodonCrawlOutcome::Unreachable;
+                        return Ok((Vec::new(), outcome, Some(e.to_string())));
                     }
                     Err(_) => break,
                 }
@@ -805,8 +821,6 @@ impl<'a> Crawler<'a> {
         Ok(if statuses.is_empty() {
             if any_down {
                 (statuses, MastodonCrawlOutcome::InstanceDown, None)
-            } else if skip.is_some() {
-                (statuses, MastodonCrawlOutcome::Unreachable, skip)
             } else {
                 (statuses, MastodonCrawlOutcome::NoStatuses, None)
             }

@@ -8,9 +8,9 @@
 //!
 //! * the *tracked* migrants' registrations and statuses, counted exactly;
 //! * an *untracked background* population whose registrations surge after
-//!   the takeover by `background_surge_factor`.
+//!   the takeover by [`BACKGROUND_SURGE_FACTOR`].
 
-use crate::config::WorldConfig;
+use crate::config::{WorldConfig, BACKGROUND_SURGE_FACTOR};
 use crate::content::StatusStore;
 use crate::instances::Instance;
 use crate::migration::MastodonAccount;
@@ -107,7 +107,7 @@ pub fn build_ledger(
             if w.monday() < inst.created {
                 continue;
             }
-            let s = surge_factor(w, config.background_surge_factor);
+            let s = surge_factor(w, BACKGROUND_SURGE_FACTOR);
             let regs = rng.poisson(base_reg * s);
             // Logins scale with the (slowly accumulating) background user
             // base; statuses with logins.
@@ -155,6 +155,7 @@ pub fn build_ledger(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::INSTANCE_ZIPF_EXPONENT;
     use crate::instances::generate_instances;
 
     #[test]
@@ -184,7 +185,7 @@ mod tests {
         let mut rng = DetRng::new(1);
         let instances = generate_instances(
             config.n_instances,
-            config.instance_zipf_exponent,
+            INSTANCE_ZIPF_EXPONENT,
             &mut rng.fork("inst"),
         );
         let ledger = build_ledger(&instances, &[], &StatusStore::default(), &config, &mut rng);
@@ -252,7 +253,7 @@ mod tests {
         let mut rng = DetRng::new(3);
         let instances = generate_instances(
             config.n_instances,
-            config.instance_zipf_exponent,
+            INSTANCE_ZIPF_EXPONENT,
             &mut rng.fork("i"),
         );
         let ledger = build_ledger(&instances, &[], &StatusStore::default(), &config, &mut rng);

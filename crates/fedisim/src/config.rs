@@ -1,18 +1,109 @@
-//! World configuration: scale presets and every behavioural rate, each
-//! anchored to the paper statistic it reproduces.
+//! World configuration: scale presets, the rates a study varies, and every
+//! other behavioural rate as a constant, each anchored to the paper
+//! statistic it reproduces.
 //!
 //! The reproduction target is the *proportions* the paper reports, not its
 //! absolute counts (our substrate is a simulator, not Nov-2022 Twitter), so
 //! the presets scale the population down while keeping every rate intact.
+//! [`WorldConfig`] holds the scale and the rates a follow-up study varies on
+//! its own sample (herding, switching, cross-posting, abandonment, downtime,
+//! background registrations); the rest are the `pub const`s below.
 
 use flock_core::FlockError;
-use serde::{Deserialize, Serialize};
 
-/// Full configuration of the simulated world.
+// ---- §3.1 identification ------------------------------------------------
+
+/// P(migrant reuses their Twitter username on Mastodon) (paper: 72%).
+pub const SAME_USERNAME_RATE: f64 = 0.645;
+/// P(migrant puts the Mastodon handle in their Twitter bio). Bio matches are
+/// accepted for any username; tweet-text matches only when usernames are
+/// identical, so this drives identification coverage.
+pub const HANDLE_IN_BIO_RATE: f64 = 0.62;
+/// P(migrant tweets their handle at migration time).
+pub const HANDLE_IN_TWEET_RATE: f64 = 0.75;
+/// P(searchable non-migrant tweets migration keywords on a given
+/// event-window day) — the noise corpus the search must sift.
+pub const NOISE_TWEET_RATE: f64 = 0.065;
+/// P(migrant has legacy verified status) (paper: 4%).
+pub const VERIFIED_RATE: f64 = 0.04;
+
+// ---- §3.2 crawl-coverage fates ------------------------------------------
+
+/// P(identified migrant's Twitter account is suspended at crawl time)
+/// (paper: 0.08%).
+pub const TWITTER_SUSPENDED_RATE: f64 = 0.0008;
+/// P(deleted/deactivated at crawl time) (paper: 2.26%).
+pub const TWITTER_DELETED_RATE: f64 = 0.0226;
+/// P(tweets protected at crawl time) (paper: 2.78%).
+pub const TWITTER_PROTECTED_RATE: f64 = 0.0278;
+/// P(migrant never posted a status) (paper: 9.20%).
+pub const NEVER_POSTED_RATE: f64 = 0.092;
+
+// ---- §4 instance landscape ----------------------------------------------
+
+/// Zipf exponent of instance popularity. Calibrated so ≈ 96% of users land
+/// on the top 25% of instances (Fig. 5) with a heavy single-user tail
+/// (13.16% of instances, Fig. 6a).
+pub const INSTANCE_ZIPF_EXPONENT: f64 = 2.25;
+/// P(Mastodon account predates the takeover) (paper: 21%).
+pub const EARLY_ADOPTER_RATE: f64 = 0.21;
+
+// ---- §5 social network --------------------------------------------------
+
+/// Median Twitter followees of migrated users (paper: 787).
+pub const TWITTER_FOLLOWEE_MEDIAN: f64 = 787.0;
+/// Median Twitter followers of migrated users (paper: 744).
+pub const TWITTER_FOLLOWER_MEDIAN: f64 = 744.0;
+/// Log-normal sigma for both Twitter degree distributions.
+pub const TWITTER_DEGREE_SIGMA: f64 = 1.1;
+/// Mean fraction of a migrant's followees who also migrate (paper: 5.99%).
+pub const FOLLOWEE_MIGRANT_FRACTION: f64 = 0.0599;
+/// Fraction of a migrant's migrated Twitter followees they manage to
+/// re-follow on Mastodon (drives the 38/48 median degrees of Fig. 7).
+pub const MASTODON_REFOLLOW_RATE: f64 = 0.75;
+/// Mean number of *local* (same-instance) discoveries a migrant follows on
+/// Mastodon, scaled by engagement.
+pub const MASTODON_LOCAL_FOLLOW_MEAN: f64 = 30.0;
+
+// ---- §5.3 switching -----------------------------------------------------
+
+/// P(a switch happens after the takeover | switch) (paper: 97.22%).
+pub const SWITCH_POST_TAKEOVER_RATE: f64 = 0.9722;
+
+// ---- §6 content ---------------------------------------------------------
+
+/// Mean tweets/day of an active migrant during the window
+/// (paper: 16.1M tweets / 129k users / 61 days ≈ 2.0).
+pub const TWEETS_PER_DAY_MEAN: f64 = 2.0;
+/// Mean statuses/day once on Mastodon (paper: 5.7M / 107k / ~30 days,
+/// ramping from 0 at join).
+pub const STATUSES_PER_DAY_MEAN: f64 = 1.6;
+/// Per-post mirror probability for manual mirrorers (paraphrased, hence
+/// "similar" not "identical").
+pub const MANUAL_MIRROR_PER_POST: f64 = 0.95;
+/// Per-post mirror probability for cross-poster users (identical text).
+pub const CROSSPOST_PER_POST: f64 = 0.28;
+/// Mean days between joining and going quiet, for abandoners.
+pub const MASTODON_ABANDON_AFTER_DAYS_MEAN: f64 = 16.0;
+/// Mean per-user toxic fraction on Twitter (paper: 4.02%).
+pub const TWITTER_TOXICITY_MEAN: f64 = 0.0402;
+/// Multiplier applied to a user's toxicity on Mastodon (paper observes
+/// 2.07% vs 4.02% ⇒ ≈ 0.5).
+pub const MASTODON_TOXICITY_FACTOR: f64 = 0.5;
+
+// ---- background fediverse activity (Fig. 3) -----------------------------
+
+/// Surge multiplier applied to background registrations after the takeover
+/// (Mastodon gained 1M+ users while the paper tracked 136k, i.e. most of the
+/// wave is invisible to the §3.1 method).
+pub const BACKGROUND_SURGE_FACTOR: f64 = 9.0;
+
+/// The settable part of the simulated world: its scale and the rates a
+/// study varies.
 ///
 /// Defaults reproduce the paper's published rates; the scale fields choose
 /// how many users/instances/posts to simulate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorldConfig {
     /// Master seed; every subsystem forks its own stream from it.
     pub seed: u64,
@@ -29,77 +120,22 @@ pub struct WorldConfig {
     /// (paper: 15,886; migrants landed on 2,879 of them).
     pub n_instances: usize,
 
-    // ---- §3.1 identification --------------------------------------------
-    /// P(migrant reuses their Twitter username on Mastodon) (paper: 72%).
-    pub same_username_rate: f64,
-    /// P(migrant puts the Mastodon handle in their Twitter bio). Bio
-    /// matches are accepted for any username; tweet-text matches only when
-    /// usernames are identical, so this drives identification coverage.
-    pub handle_in_bio_rate: f64,
-    /// P(migrant tweets their handle at migration time).
-    pub handle_in_tweet_rate: f64,
-    /// P(searchable non-migrant tweets migration keywords on a given
-    /// event-window day) — the noise corpus the search must sift.
-    pub noise_tweet_rate: f64,
-    /// P(migrant has legacy verified status) (paper: 4%).
-    pub verified_rate: f64,
-
     // ---- §3.2 crawl-coverage fates --------------------------------------
-    /// P(identified migrant's Twitter account is suspended at crawl time)
-    /// (paper: 0.08%).
-    pub twitter_suspended_rate: f64,
-    /// P(deleted/deactivated at crawl time) (paper: 2.26%).
-    pub twitter_deleted_rate: f64,
-    /// P(tweets protected at crawl time) (paper: 2.78%).
-    pub twitter_protected_rate: f64,
     /// P(a migrant's instance is down at Mastodon crawl time)
     /// (paper: 11.58% of users were on unreachable instances).
     pub instance_down_rate: f64,
-    /// P(migrant never posted a status) (paper: 9.20%).
-    pub never_posted_rate: f64,
-
-    // ---- §4 instance landscape ------------------------------------------
-    /// Zipf exponent of instance popularity. Calibrated so ≈ 96% of users
-    /// land on the top 25% of instances (Fig. 5) with a heavy single-user
-    /// tail (13.16% of instances, Fig. 6a).
-    pub instance_zipf_exponent: f64,
-    /// P(Mastodon account predates the takeover) (paper: 21%).
-    pub early_adopter_rate: f64,
 
     // ---- §5 social network ----------------------------------------------
-    /// Median Twitter followees of migrated users (paper: 787).
-    pub twitter_followee_median: f64,
-    /// Median Twitter followers of migrated users (paper: 744).
-    pub twitter_follower_median: f64,
-    /// Log-normal sigma for both Twitter degree distributions.
-    pub twitter_degree_sigma: f64,
-    /// Mean fraction of a migrant's followees who also migrate
-    /// (paper: 5.99%).
-    pub followee_migrant_fraction: f64,
     /// P(choosing the modal instance of one's already-migrated friends
     /// instead of sampling by popularity/topic) — the herding knob behind
     /// the 14.72% same-instance statistic.
     pub herding_probability: f64,
-    /// Fraction of a migrant's migrated Twitter followees they manage to
-    /// re-follow on Mastodon (drives the 38/48 median degrees of Fig. 7).
-    pub mastodon_refollow_rate: f64,
-    /// Mean number of *local* (same-instance) discoveries a migrant follows
-    /// on Mastodon, scaled by engagement.
-    pub mastodon_local_follow_mean: f64,
 
     // ---- §5.3 switching --------------------------------------------------
     /// P(a migrant switches instance during the window) (paper: 4.09%).
     pub switch_rate: f64,
-    /// P(a switch happens after the takeover | switch) (paper: 97.22%).
-    pub switch_post_takeover_rate: f64,
 
     // ---- §6 content -------------------------------------------------------
-    /// Mean tweets/day of an active migrant during the window
-    /// (paper: 16.1M tweets / 129k users / 61 days ≈ 2.0).
-    pub tweets_per_day_mean: f64,
-    /// Mean statuses/day once on Mastodon (paper: 5.7M / 107k / ~30 days,
-    /// ramping from 0 at join).
-    pub statuses_per_day_mean: f64,
     /// P(user runs a cross-posting tool) (paper: 5.73% used one at least
     /// once).
     pub crossposter_rate: f64,
@@ -107,32 +143,16 @@ pub struct WorldConfig {
     /// cross-posters this complements the 84.45% of users whose content is
     /// fully different.
     pub manual_mirror_rate: f64,
-    /// Per-post mirror probability for manual mirrorers (paraphrased, hence
-    /// "similar" not "identical").
-    pub manual_mirror_per_post: f64,
-    /// Per-post mirror probability for cross-poster users (identical text).
-    pub crosspost_per_post: f64,
     /// P(a migrant abandons Mastodon before the window ends). The paper's
     /// §8 asks whether users retain their accounts; follow-up studies in
     /// early 2023 found roughly a quarter of the wave going quiet within
     /// weeks — this knob drives the `retention` extension analysis.
     pub mastodon_abandon_rate: f64,
-    /// Mean days between joining and going quiet, for abandoners.
-    pub mastodon_abandon_after_days_mean: f64,
-    /// Mean per-user toxic fraction on Twitter (paper: 4.02%).
-    pub twitter_toxicity_mean: f64,
-    /// Multiplier applied to a user's toxicity on Mastodon (paper observes
-    /// 2.07% vs 4.02% ⇒ ≈ 0.5).
-    pub mastodon_toxicity_factor: f64,
 
     // ---- background fediverse activity (Fig. 3) ---------------------------
     /// Untracked background registrations per instance per week before the
     /// takeover (scaled by instance popularity).
     pub background_weekly_registrations: f64,
-    /// Surge multiplier applied to background registrations after the
-    /// takeover (Mastodon gained 1M+ users while the paper tracked 136k,
-    /// i.e. most of the wave is invisible to the §3.1 method).
-    pub background_surge_factor: f64,
 }
 
 impl WorldConfig {
@@ -169,10 +189,10 @@ impl WorldConfig {
     /// Full paper scale, 1:1 with the study's counts: 1,024,577 searchable
     /// users and 15,886 listed instances, every behavioural rate unchanged.
     /// Around 150k ground-truth migrants and tens of millions of posts —
-    /// this is the preset the arena storage and streaming content
-    /// generation exist for. The one recorded run (commit `347e61f`, in
-    /// `BENCH_history.jsonl`) took 781 s to generate, 64 s to crawl and
-    /// 554 s to analyze, and peaked at 43.2 GB of RSS.
+    /// this is the preset the columnar tweet and status arenas exist for.
+    /// The one recorded run (commit `347e61f`, in `BENCH_history.jsonl`)
+    /// took 781 s to generate, 64 s to crawl and 554 s to analyze, and
+    /// peaked at 43.2 GB of RSS.
     pub fn paper_scale() -> Self {
         WorldConfig {
             n_searchable_users: 1_024_577,
@@ -188,39 +208,13 @@ impl WorldConfig {
             n_searchable_users: 2_500,
             migrant_fraction: 0.146,
             n_instances: 120,
-            same_username_rate: 0.645,
-            handle_in_bio_rate: 0.62,
-            handle_in_tweet_rate: 0.75,
-            noise_tweet_rate: 0.065,
-            verified_rate: 0.04,
-            twitter_suspended_rate: 0.0008,
-            twitter_deleted_rate: 0.0226,
-            twitter_protected_rate: 0.0278,
             instance_down_rate: 0.1158,
-            never_posted_rate: 0.092,
-            instance_zipf_exponent: 2.25,
-            early_adopter_rate: 0.21,
-            twitter_followee_median: 787.0,
-            twitter_follower_median: 744.0,
-            twitter_degree_sigma: 1.1,
-            followee_migrant_fraction: 0.0599,
             herding_probability: 0.22,
-            mastodon_refollow_rate: 0.75,
-            mastodon_local_follow_mean: 30.0,
             switch_rate: 0.046,
-            switch_post_takeover_rate: 0.9722,
-            tweets_per_day_mean: 2.0,
-            statuses_per_day_mean: 1.6,
             crossposter_rate: 0.0573,
             manual_mirror_rate: 0.16,
-            manual_mirror_per_post: 0.95,
-            crosspost_per_post: 0.28,
             mastodon_abandon_rate: 0.22,
-            mastodon_abandon_after_days_mean: 16.0,
-            twitter_toxicity_mean: 0.0402,
-            mastodon_toxicity_factor: 0.5,
             background_weekly_registrations: 6.0,
-            background_surge_factor: 9.0,
         }
     }
 
@@ -236,26 +230,15 @@ impl WorldConfig {
         (self.n_searchable_users as f64 * self.migrant_fraction).round() as usize
     }
 
-    /// Validate that every probability is a probability and every scale is
-    /// non-degenerate.
+    /// Validate that every probability is a probability, every scale is
+    /// non-degenerate and the background registration rate is a finite,
+    /// non-negative mean.
     pub fn validate(&self) -> Result<(), FlockError> {
-        let probs: [(&str, f64); 19] = [
+        let probs: [(&str, f64); 7] = [
             ("migrant_fraction", self.migrant_fraction),
-            ("same_username_rate", self.same_username_rate),
-            ("handle_in_bio_rate", self.handle_in_bio_rate),
-            ("handle_in_tweet_rate", self.handle_in_tweet_rate),
-            ("verified_rate", self.verified_rate),
-            ("twitter_suspended_rate", self.twitter_suspended_rate),
-            ("twitter_deleted_rate", self.twitter_deleted_rate),
-            ("twitter_protected_rate", self.twitter_protected_rate),
             ("instance_down_rate", self.instance_down_rate),
-            ("never_posted_rate", self.never_posted_rate),
-            ("early_adopter_rate", self.early_adopter_rate),
-            ("followee_migrant_fraction", self.followee_migrant_fraction),
             ("herding_probability", self.herding_probability),
-            ("mastodon_refollow_rate", self.mastodon_refollow_rate),
             ("switch_rate", self.switch_rate),
-            ("switch_post_takeover_rate", self.switch_post_takeover_rate),
             ("crossposter_rate", self.crossposter_rate),
             ("manual_mirror_rate", self.manual_mirror_rate),
             ("mastodon_abandon_rate", self.mastodon_abandon_rate),
@@ -282,10 +265,11 @@ impl WorldConfig {
                 "migrant_fraction × n_searchable_users too small".into(),
             ));
         }
-        if self.instance_zipf_exponent <= 0.0 {
-            return Err(FlockError::InvalidConfig(
-                "instance_zipf_exponent must be positive".into(),
-            ));
+        let bg = self.background_weekly_registrations;
+        if !(bg.is_finite() && bg >= 0.0) {
+            return Err(FlockError::InvalidConfig(format!(
+                "background_weekly_registrations = {bg} is not a finite, non-negative mean"
+            )));
         }
         Ok(())
     }
@@ -349,6 +333,63 @@ mod tests {
         assert!(c.validate().is_err());
         c.switch_rate = -0.1;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn bad_background_registrations_rejected() {
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            let mut c = WorldConfig::small();
+            c.background_weekly_registrations = bad;
+            assert!(
+                matches!(c.validate(), Err(FlockError::InvalidConfig(_))),
+                "{bad} accepted"
+            );
+        }
+        let mut c = WorldConfig::small();
+        c.background_weekly_registrations = 0.0;
+        c.validate().unwrap();
+    }
+
+    #[test]
+    fn constants_are_in_range() {
+        let probs = [
+            SAME_USERNAME_RATE,
+            HANDLE_IN_BIO_RATE,
+            HANDLE_IN_TWEET_RATE,
+            NOISE_TWEET_RATE,
+            VERIFIED_RATE,
+            TWITTER_SUSPENDED_RATE,
+            TWITTER_DELETED_RATE,
+            TWITTER_PROTECTED_RATE,
+            // The three account fates partition one uniform draw.
+            TWITTER_SUSPENDED_RATE + TWITTER_DELETED_RATE + TWITTER_PROTECTED_RATE,
+            NEVER_POSTED_RATE,
+            EARLY_ADOPTER_RATE,
+            FOLLOWEE_MIGRANT_FRACTION,
+            MASTODON_REFOLLOW_RATE,
+            SWITCH_POST_TAKEOVER_RATE,
+            MANUAL_MIRROR_PER_POST,
+            CROSSPOST_PER_POST,
+            TWITTER_TOXICITY_MEAN,
+            MASTODON_TOXICITY_FACTOR,
+        ];
+        for p in probs {
+            assert!((0.0..=1.0).contains(&p), "{p} is not a probability");
+        }
+        let positive = [
+            INSTANCE_ZIPF_EXPONENT,
+            TWITTER_FOLLOWEE_MEDIAN,
+            TWITTER_FOLLOWER_MEDIAN,
+            TWITTER_DEGREE_SIGMA,
+            MASTODON_LOCAL_FOLLOW_MEAN,
+            TWEETS_PER_DAY_MEAN,
+            STATUSES_PER_DAY_MEAN,
+            MASTODON_ABANDON_AFTER_DAYS_MEAN,
+            BACKGROUND_SURGE_FACTOR,
+        ];
+        for x in positive {
+            assert!(x.is_finite() && x > 0.0, "{x} is not a positive mean");
+        }
     }
 
     #[test]

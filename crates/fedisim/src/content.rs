@@ -16,32 +16,15 @@
 //! * a per-user toxicity propensity injects insult vocabulary at the
 //!   platform-specific rates behind Fig. 16.
 
-use crate::config::WorldConfig;
+use crate::config::{
+    WorldConfig, CROSSPOST_PER_POST, MANUAL_MIRROR_PER_POST, MASTODON_ABANDON_AFTER_DAYS_MEAN,
+    MASTODON_TOXICITY_FACTOR, NEVER_POSTED_RATE, NOISE_TWEET_RATE, STATUSES_PER_DAY_MEAN,
+};
 use crate::migration::MastodonAccount;
 use crate::users::TwitterUser;
 use flock_core::{Day, DetRng, MastodonAccountId, Platform, StatusId, TweetId, TwitterUserId};
 use flock_textsim::{PostGenerator, Topic};
 use serde::{Deserialize, Serialize};
-
-/// A tweet.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Tweet {
-    pub id: TweetId,
-    pub author: TwitterUserId,
-    pub day: Day,
-    pub text: String,
-    /// Index into [`SOURCES`].
-    pub source: u16,
-}
-
-/// A Mastodon status.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Status {
-    pub id: StatusId,
-    pub account: MastodonAccountId,
-    pub day: Day,
-    pub text: String,
-}
 
 /// Tweet sources (clients), most popular first — the Fig. 12 table.
 /// The two cross-posting tools the paper names sit at fixed indices
@@ -419,42 +402,24 @@ fn status_topic(user: &TwitterUser, rng: &mut DetRng) -> Topic {
 /// rate-limits late in November — the Fig. 13 downward tail).
 const CROSSPOSTER_BREAK_DAY: i32 = 54;
 
-/// The sequential "plan" half of content generation: everything that must
-/// be drawn in a fixed global order (client preferences, per-migrant
-/// behaviour flags, bio updates) plus the two stream bases per-user
-/// generators derive their private RNGs from.
+/// Generate every tweet and status into the columnar arenas.
 ///
-/// Splitting the plan from the per-user timelines is what makes content
-/// **streamable**: after `plan_content`, any user's timeline is a pure
-/// function of `(plan, user, account)` via [`DetRng::stream`], so chunks
-/// can be produced on demand, in any order, and byte-identical to the
-/// eager pass — the contract `streaming_matches_eager` pins.
-#[derive(Debug)]
-pub struct ContentPlan {
-    /// Per-migrant mirror behaviour (migrant index order).
-    pub mirror_behavior: Vec<MirrorBehavior>,
-    /// Per-migrant "never posted a status" flag (paper: 9.20%).
-    pub never_posted: Vec<bool>,
-    /// Per-migrant Mastodon abandonment day, when drawn.
-    pub abandon_after: Vec<Option<Day>>,
-    /// Base seed of the per-migrant stream family.
-    migrant_base: u64,
-    /// Base seed of the per-noise-user stream family.
-    noise_base: u64,
-}
-
-/// Run the sequential plan phase: assigns preferred clients, applies bio
-/// updates (the §3.1 matcher reads profile metadata), and fixes every
-/// per-migrant coin that the old one-pass generator drew inline.
-/// `accounts` must be in migrant-index order and `migrant_users[i]` maps
-/// migrant index → index into `users`.
-pub fn plan_content(
+/// First the draws that run in one global order: preferred clients,
+/// per-migrant mirror behaviour, never-posted and abandonment coins, and the
+/// bio updates the §3.1 matcher reads. Then each migrant's two-platform
+/// timeline (migrant-index order) and each noise user's chatter (user-index
+/// order) is written straight into the arenas, one user at a time, from that
+/// user's own [`DetRng::stream`]; every user's posts therefore form one
+/// contiguous id run, and no user's draws depend on another's. `accounts`
+/// must be in migrant-index order and `migrant_users[i]` maps migrant index
+/// → index into `users`.
+pub fn generate_content(
     users: &mut [TwitterUser],
     migrant_users: &[usize],
     accounts: &[MastodonAccount],
     config: &WorldConfig,
     rng: &mut DetRng,
-) -> ContentPlan {
+) -> Corpora {
     let source_weights: Vec<f64> = SOURCES.iter().map(|(_, w)| *w).collect();
 
     // Assign preferred clients to everyone (cross-poster tools excluded
@@ -470,8 +435,11 @@ pub fn plan_content(
     }
 
     // Mirror behaviour + never-posted flags per migrant.
-    let mut mirror_behavior = Vec::with_capacity(accounts.len());
-    let mut never_posted = Vec::with_capacity(accounts.len());
+    let mut out = Corpora {
+        mirror_behavior: Vec::with_capacity(accounts.len()),
+        never_posted: Vec::with_capacity(accounts.len()),
+        ..Corpora::default()
+    };
     for _ in accounts {
         let b = if rng.chance(config.crossposter_rate) {
             MirrorBehavior::CrossPoster {
@@ -486,19 +454,19 @@ pub fn plan_content(
         } else {
             MirrorBehavior::None
         };
-        mirror_behavior.push(b);
-        never_posted.push(rng.chance(config.never_posted_rate));
+        out.mirror_behavior.push(b);
+        out.never_posted.push(rng.chance(NEVER_POSTED_RATE));
     }
 
     // Abandonment (the §8 retention question): a slice of the wave goes
     // quiet on Mastodon a couple of weeks after arriving, while their
     // Twitter posting continues unchanged. Drawn here (not per-timeline)
-    // so the per-user streams stay pure.
+    // so each timeline depends on its own stream only.
     let mut abandon_after = Vec::with_capacity(accounts.len());
     for account in accounts {
         abandon_after.push(if rng.chance(config.mastodon_abandon_rate) {
             let lag = rng
-                .exponential(1.0 / config.mastodon_abandon_after_days_mean)
+                .exponential(1.0 / MASTODON_ABANDON_AFTER_DAYS_MEAN)
                 .round() as i32;
             Some(account.announced + lag.max(2))
         } else {
@@ -519,44 +487,49 @@ pub fn plan_content(
         }
     }
 
-    ContentPlan {
-        mirror_behavior,
-        never_posted,
-        abandon_after,
-        migrant_base: rng.next_u64(),
-        noise_base: rng.next_u64(),
+    // The two stream bases every per-user timeline derives from.
+    let migrant_base = rng.next_u64();
+    let noise_base = rng.next_u64();
+    let gen = PostGenerator::default();
+    for (mi, &ui) in migrant_users.iter().enumerate() {
+        let rng = &mut DetRng::stream(migrant_base, mi as u64);
+        migrant_content(
+            mi,
+            &users[ui],
+            &accounts[mi],
+            abandon_after[mi],
+            &gen,
+            rng,
+            &mut out,
+        );
     }
+    for (ui, user) in users.iter().enumerate() {
+        if !user.is_migrant {
+            let rng = &mut DetRng::stream(noise_base, ui as u64);
+            noise_content(user, &gen, rng, &mut out.tweets);
+        }
+    }
+    out
 }
 
-/// One user's generated content, ids **local to the chunk** (dense from
-/// zero, generation order). [`ContentStream`] renumbers them into the
-/// global dense id space as chunks are consumed.
-#[derive(Debug, Default)]
-pub struct UserContent {
-    pub tweets: Vec<Tweet>,
-    pub statuses: Vec<Status>,
-}
-
-/// Generate migrant `mi`'s full two-platform timeline from its private
-/// stream. Pure in `(plan, user, account)` — never touches global state.
+/// Write migrant `mi`'s full two-platform timeline into `out`'s arenas,
+/// reading its mirror behaviour and never-posted flag from `out`.
 fn migrant_content(
     mi: usize,
     user: &TwitterUser,
     account: &MastodonAccount,
-    plan: &ContentPlan,
-    config: &WorldConfig,
+    abandon_after: Option<Day>,
     gen: &PostGenerator,
-) -> UserContent {
-    let mut rng = DetRng::stream(plan.migrant_base, mi as u64);
-    let rng = &mut rng;
-    let mut out = UserContent::default();
-    let behavior = plan.mirror_behavior[mi];
-    let never_posted = plan.never_posted[mi];
-    let abandon_after = plan.abandon_after[mi];
+    rng: &mut DetRng,
+    out: &mut Corpora,
+) {
+    let behavior = out.mirror_behavior[mi];
+    let never_posted = out.never_posted[mi];
     let tweet_tox = user.toxicity;
-    let status_tox = user.toxicity * config.mastodon_toxicity_factor;
-    let status_rate = config.statuses_per_day_mean * user.engagement;
+    let status_tox = user.toxicity * MASTODON_TOXICITY_FACTOR;
+    let status_rate = STATUSES_PER_DAY_MEAN * user.engagement;
     let active_from = account.created.max(Day::STUDY_START);
+    let client = user.preferred_client as u16;
 
     for day in Day::study_days() {
         // -- tweets -----------------------------------------------------
@@ -568,14 +541,7 @@ fn migrant_content(
             if rng.chance(tweet_tox) {
                 text = gen.toxicify(&text, rng);
             }
-            todays_tweets.push(out.tweets.len());
-            out.tweets.push(Tweet {
-                id: TweetId(out.tweets.len() as u64),
-                author: user.id,
-                day,
-                text,
-                source: user.preferred_client as u16,
-            });
+            todays_tweets.push(out.tweets.push(user.id, day, &text, client).index());
         }
 
         // -- the announcement tweet --------------------------------------
@@ -611,13 +577,7 @@ fn migrant_content(
                 }
                 text
             };
-            out.tweets.push(Tweet {
-                id: TweetId(out.tweets.len() as u64),
-                author: user.id,
-                day,
-                text,
-                source: user.preferred_client as u16,
-            });
+            out.tweets.push(user.id, day, &text, client);
         }
 
         // -- statuses -----------------------------------------------------
@@ -646,42 +606,24 @@ fn migrant_content(
                 MirrorBehavior::CrossPoster { source }
                     if day >= account.announced
                         && tools_alive
-                        && rng.chance(config.crosspost_per_post) =>
+                        && rng.chance(CROSSPOST_PER_POST) =>
                 {
                     let topic = status_topic(user, rng);
                     let mut text = gen.compose(topic, Platform::Mastodon, 2, rng);
                     if rng.chance(status_tox) {
                         text = gen.toxicify(&text, rng);
                     }
-                    out.statuses.push(Status {
-                        id: StatusId(out.statuses.len() as u64),
-                        account: account.id,
-                        day,
-                        text: text.clone(),
-                    });
-                    out.tweets.push(Tweet {
-                        id: TweetId(out.tweets.len() as u64),
-                        author: user.id,
-                        day,
-                        text,
-                        source,
-                    });
+                    out.statuses.push(account.id, day, &text);
+                    out.tweets.push(user.id, day, &text, source);
                 }
                 MirrorBehavior::Manual
-                    if !todays_tweets.is_empty() && rng.chance(config.manual_mirror_per_post) =>
+                    if !todays_tweets.is_empty() && rng.chance(MANUAL_MIRROR_PER_POST) =>
                 {
                     // Paraphrase one of today's tweets: similar, not
-                    // identical (Fig. 14's middle band). Today's tweets
-                    // are chunk-local, so the lookup needs no global
-                    // corpus — the property that lets chunks stream.
-                    let src = &out.tweets[todays_tweets[rng.below_usize(todays_tweets.len())]];
-                    let text = gen.paraphrase(&src.text.clone(), rng);
-                    out.statuses.push(Status {
-                        id: StatusId(out.statuses.len() as u64),
-                        account: account.id,
-                        day,
-                        text,
-                    });
+                    // identical (Fig. 14's middle band).
+                    let src = todays_tweets[rng.below_usize(todays_tweets.len())];
+                    let text = gen.paraphrase(out.tweets.text(src), rng);
+                    out.statuses.push(account.id, day, &text);
                 }
                 _ => {
                     let topic = status_topic(user, rng);
@@ -689,37 +631,25 @@ fn migrant_content(
                     if rng.chance(status_tox) {
                         text = gen.toxicify(&text, rng);
                     }
-                    out.statuses.push(Status {
-                        id: StatusId(out.statuses.len() as u64),
-                        account: account.id,
-                        day,
-                        text,
-                    });
+                    out.statuses.push(account.id, day, &text);
                 }
             }
         }
     }
-    out
 }
 
-/// Generate one noise user's migration chatter from its private stream.
+/// Write one noise user's migration chatter into the tweet arena.
 fn noise_content(
-    ui: usize,
     user: &TwitterUser,
-    plan: &ContentPlan,
-    config: &WorldConfig,
     gen: &PostGenerator,
-) -> UserContent {
-    let mut rng = DetRng::stream(plan.noise_base, ui as u64);
-    let rng = &mut rng;
-    let mut out = UserContent::default();
+    rng: &mut DetRng,
+    tweets: &mut TweetStore,
+) {
     let window_days = (Day::COLLECTION_END.offset() - Day::COLLECTION_START.offset() + 1) as f64;
-    let n = rng.poisson(config.noise_tweet_rate * window_days) as usize;
+    let n = rng.poisson(NOISE_TWEET_RATE * window_days) as usize;
     for _ in 0..n {
-        let day = {
-            // Noise chatter follows the same event-driven intensity.
-            crate::migration::sample_migration_day(rng)
-        };
+        // Noise chatter follows the same event-driven intensity.
+        let day = crate::migration::sample_migration_day(rng);
         let phrase = *rng.choose(MIGRATION_PHRASES);
         let topic_text = gen.generate(Topic::Migration, rng);
         let tags = Topic::Migration.hashtags(Platform::Twitter);
@@ -727,138 +657,14 @@ fn noise_content(
         if rng.chance(user.toxicity) {
             text = gen.toxicify(&text, rng);
         }
-        out.tweets.push(Tweet {
-            id: TweetId(out.tweets.len() as u64),
-            author: TwitterUserId::from_index(ui),
-            day,
-            text,
-            source: user.preferred_client as u16,
-        });
+        tweets.push(user.id, day, &text, user.preferred_client as u16);
     }
-    out
-}
-
-/// Streaming content generator: yields one [`UserContent`] chunk per user
-/// in canonical corpus order (migrants in migrant-index order, then noise
-/// users in user-index order), renumbering chunk-local ids into the global
-/// dense id space. Driving the stream to completion and concatenating the
-/// chunks is byte-identical to [`generate_content`]'s arenas — consumers
-/// that only need one pass (index builders, exporters) never have to hold
-/// the whole corpus.
-pub struct ContentStream<'a> {
-    users: &'a [TwitterUser],
-    migrant_users: &'a [usize],
-    accounts: &'a [MastodonAccount],
-    plan: &'a ContentPlan,
-    config: &'a WorldConfig,
-    gen: PostGenerator,
-    /// Next migrant index to emit; once `== migrant_users.len()`, noise.
-    next_migrant: usize,
-    /// Next user index to consider for noise emission.
-    next_noise: usize,
-    next_tweet: u64,
-    next_status: u64,
-}
-
-impl<'a> ContentStream<'a> {
-    /// A stream over every user's content, in canonical order.
-    pub fn new(
-        users: &'a [TwitterUser],
-        migrant_users: &'a [usize],
-        accounts: &'a [MastodonAccount],
-        plan: &'a ContentPlan,
-        config: &'a WorldConfig,
-    ) -> Self {
-        ContentStream {
-            users,
-            migrant_users,
-            accounts,
-            plan,
-            config,
-            gen: PostGenerator::default(),
-            next_migrant: 0,
-            next_noise: 0,
-            next_tweet: 0,
-            next_status: 0,
-        }
-    }
-
-    fn renumber(&mut self, mut chunk: UserContent) -> UserContent {
-        for t in &mut chunk.tweets {
-            t.id = TweetId(self.next_tweet);
-            self.next_tweet += 1;
-        }
-        for s in &mut chunk.statuses {
-            s.id = StatusId(self.next_status);
-            self.next_status += 1;
-        }
-        chunk
-    }
-}
-
-impl Iterator for ContentStream<'_> {
-    type Item = UserContent;
-
-    fn next(&mut self) -> Option<UserContent> {
-        if self.next_migrant < self.migrant_users.len() {
-            let mi = self.next_migrant;
-            self.next_migrant += 1;
-            let ui = self.migrant_users[mi];
-            let chunk = migrant_content(
-                mi,
-                &self.users[ui],
-                &self.accounts[mi],
-                self.plan,
-                self.config,
-                &self.gen,
-            );
-            return Some(self.renumber(chunk));
-        }
-        while self.next_noise < self.users.len() {
-            let ui = self.next_noise;
-            self.next_noise += 1;
-            let user = &self.users[ui];
-            if user.is_migrant {
-                continue;
-            }
-            let chunk = noise_content(ui, user, self.plan, self.config, &self.gen);
-            return Some(self.renumber(chunk));
-        }
-        None
-    }
-}
-
-/// Generate all content eagerly into the columnar arenas: runs the plan,
-/// then drains a [`ContentStream`] in canonical order. `accounts` must be
-/// in migrant-index order and `migrant_users[i]` maps migrant index →
-/// index into `users`.
-pub fn generate_content(
-    users: &mut [TwitterUser],
-    migrant_users: &[usize],
-    accounts: &[MastodonAccount],
-    config: &WorldConfig,
-    rng: &mut DetRng,
-) -> Corpora {
-    let plan = plan_content(users, migrant_users, accounts, config, rng);
-    let mut out = Corpora {
-        mirror_behavior: plan.mirror_behavior.clone(),
-        never_posted: plan.never_posted.clone(),
-        ..Corpora::default()
-    };
-    for chunk in ContentStream::new(users, migrant_users, accounts, &plan, config) {
-        for t in &chunk.tweets {
-            out.tweets.push(t.author, t.day, &t.text, t.source);
-        }
-        for s in &chunk.statuses {
-            out.statuses.push(s.account, s.day, &s.text);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::INSTANCE_ZIPF_EXPONENT;
     use crate::graph::build_friend_graph;
     use crate::instances::generate_instances;
     use crate::migration::run_migration;
@@ -884,7 +690,7 @@ mod tests {
         let graph = build_friend_graph(migrants.len(), 12.0, 0.9, 0.04, &mut rng.fork("graph"));
         let instances = generate_instances(
             config.n_instances,
-            config.instance_zipf_exponent,
+            INSTANCE_ZIPF_EXPONENT,
             &mut rng.fork("inst"),
         );
         let accounts = run_migration(
@@ -1040,7 +846,7 @@ mod tests {
         let graph = build_friend_graph(migrants.len(), 12.0, 0.9, 0.04, &mut rng.fork("graph"));
         let instances = generate_instances(
             config.n_instances,
-            config.instance_zipf_exponent,
+            INSTANCE_ZIPF_EXPONENT,
             &mut rng.fork("inst"),
         );
         let accounts = run_migration(
@@ -1088,106 +894,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_eager() {
-        // The streaming contract: draining a ContentStream chunk-by-chunk
-        // reproduces the eager arenas byte-for-byte, including the user
-        // mutations from the plan phase. This is what lets paper-scale
-        // consumers generate per-user content on demand.
-        let config = WorldConfig::medium().with_seed(97);
-        let mut rng = DetRng::new(config.seed);
-        let users = generate_users(&config, &mut rng.fork("users"));
-        let migrants: Vec<usize> = users
-            .iter()
-            .enumerate()
-            .filter(|(_, u)| u.is_migrant)
-            .map(|(i, _)| i)
-            .collect();
-        let graph = build_friend_graph(migrants.len(), 12.0, 0.9, 0.04, &mut rng.fork("graph"));
-        let instances = generate_instances(
-            config.n_instances,
-            config.instance_zipf_exponent,
-            &mut rng.fork("inst"),
-        );
-        let accounts = run_migration(
-            &users,
-            &migrants,
-            &graph,
-            &instances,
-            &config,
-            &mut rng.fork("mig"),
-        )
-        .unwrap();
-
-        // Both paths must start from the same RNG position: fork once,
-        // clone (`fork` itself consumes a parent draw).
-        let content_rng = rng.fork("content");
-
-        // Eager path.
-        let mut eager_users = users.clone();
-        let eager = generate_content(
-            &mut eager_users,
-            &migrants,
-            &accounts,
-            &config,
-            &mut content_rng.clone(),
-        );
-
-        // Lazy path: plan, then drain the stream chunk-by-chunk.
-        let mut lazy_users = users.clone();
-        let plan = plan_content(
-            &mut lazy_users,
-            &migrants,
-            &accounts,
-            &config,
-            &mut content_rng.clone(),
-        );
-        let mut lazy = Corpora {
-            mirror_behavior: plan.mirror_behavior.clone(),
-            never_posted: plan.never_posted.clone(),
-            ..Corpora::default()
-        };
-        let mut chunks = 0usize;
-        for chunk in ContentStream::new(&lazy_users, &migrants, &accounts, &plan, &config) {
-            for t in &chunk.tweets {
-                // Chunk ids arrive already renumbered into the global space.
-                assert_eq!(t.id.index(), lazy.tweets.len());
-                lazy.tweets.push(t.author, t.day, &t.text, t.source);
-            }
-            for s in &chunk.statuses {
-                assert_eq!(s.id.index(), lazy.statuses.len());
-                lazy.statuses.push(s.account, s.day, &s.text);
-            }
-            chunks += 1;
-        }
-
-        assert!(chunks > migrants.len(), "stream must cover noise users too");
-        assert_eq!(eager.tweets.len(), lazy.tweets.len());
-        assert_eq!(eager.statuses.len(), lazy.statuses.len());
-        assert_eq!(eager.mirror_behavior, lazy.mirror_behavior);
-        assert_eq!(eager.never_posted, lazy.never_posted);
-        for i in 0..eager.tweets.len() {
-            let a = eager.tweets.get(i);
-            let b = lazy.tweets.get(i);
-            assert_eq!(a.author, b.author);
-            assert_eq!(a.day, b.day);
-            assert_eq!(a.source, b.source);
-            assert_eq!(a.text, b.text, "tweet {i} text diverged");
-        }
-        for i in 0..eager.statuses.len() {
-            let a = eager.statuses.get(i);
-            let b = lazy.statuses.get(i);
-            assert_eq!(a.account, b.account);
-            assert_eq!(a.day, b.day);
-            assert_eq!(a.text, b.text, "status {i} text diverged");
-        }
-        // Plan-phase user mutations (bios, clients) are identical too.
-        for (a, b) in eager_users.iter().zip(lazy_users.iter()) {
-            assert_eq!(a.bio, b.bio);
-            assert_eq!(a.preferred_client, b.preferred_client);
-        }
-    }
-
-    #[test]
     fn noise_users_tweet_keywords_only_in_collection_window() {
         let (_config, users, _migrants, _accounts, corpora) = build();
         for t in &corpora.tweets {
@@ -1208,6 +914,7 @@ mod tests {
 #[cfg(test)]
 mod abandonment_tests {
     use super::*;
+    use crate::config::INSTANCE_ZIPF_EXPONENT;
     use crate::graph::build_friend_graph;
     use crate::instances::generate_instances;
     use crate::migration::run_migration;
@@ -1227,7 +934,7 @@ mod abandonment_tests {
         let graph = build_friend_graph(migrants.len(), 12.0, 0.55, 0.045, &mut rng.fork("g"));
         let instances = generate_instances(
             config.n_instances,
-            config.instance_zipf_exponent,
+            INSTANCE_ZIPF_EXPONENT,
             &mut rng.fork("i"),
         );
         let accounts = run_migration(

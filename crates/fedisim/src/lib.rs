@@ -43,7 +43,7 @@ pub mod world;
 pub mod prelude {
     pub use crate::activity::{ActivityLedger, WeeklyActivity};
     pub use crate::config::WorldConfig;
-    pub use crate::content::{MirrorBehavior, Status, Tweet, MIGRATION_PHRASES, SOURCES};
+    pub use crate::content::{MirrorBehavior, MIGRATION_PHRASES, SOURCES};
     pub use crate::instances::Instance;
     pub use crate::interest::{InterestReport, InterestSeries};
     pub use crate::migration::{emit_migration_telemetry, MastodonAccount, SwitchRecord};

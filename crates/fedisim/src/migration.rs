@@ -16,7 +16,10 @@
 //!    instance of their already-migrated friends (the §5.2 network effect:
 //!    14.72% of migrated followees end up on the user's instance).
 
-use crate::config::WorldConfig;
+use crate::config::{
+    WorldConfig, EARLY_ADOPTER_RATE, HANDLE_IN_BIO_RATE, HANDLE_IN_TWEET_RATE,
+    INSTANCE_ZIPF_EXPONENT, SAME_USERNAME_RATE,
+};
 use crate::graph::MigrantFriendGraph;
 use crate::instances::Instance;
 use crate::users::TwitterUser;
@@ -117,7 +120,8 @@ pub fn sample_migration_day(rng: &mut DetRng) -> Day {
 }
 
 /// Derive the Mastodon username: identical to the Twitter one with
-/// probability `same_username_rate`, otherwise a recognizable variant.
+/// probability `same_rate` (the world passes [`SAME_USERNAME_RATE`]),
+/// otherwise a recognizable variant.
 fn mastodon_username(twitter_username: &str, same_rate: f64, rng: &mut DetRng) -> (String, bool) {
     if rng.chance(same_rate) {
         (twitter_username.to_string(), true)
@@ -295,7 +299,7 @@ pub fn run_migration(
 
     let mut chosen_instance: Vec<Option<InstanceId>> = vec![None; n];
     let mut accounts: Vec<Option<MastodonAccount>> = vec![None; n];
-    let sampler = InstanceSampler::new(instances.len(), config.instance_zipf_exponent);
+    let sampler = InstanceSampler::new(instances.len(), INSTANCE_ZIPF_EXPONENT);
     let mut seeded_tail: Vec<InstanceId> = Vec::new();
 
     for &mi in &order {
@@ -316,7 +320,7 @@ pub fn run_migration(
         );
         chosen_instance[mi] = Some(inst);
 
-        let (m_username, _same) = mastodon_username(&user.username, config.same_username_rate, rng);
+        let (m_username, _same) = mastodon_username(&user.username, SAME_USERNAME_RATE, rng);
         let handle = MastodonHandle::new(&m_username, &instances[inst.index()].domain)?;
 
         // 21% of accounts predate the takeover (early adopters who only
@@ -324,7 +328,7 @@ pub fn run_migration(
         // user announces (occasionally a day earlier — people set up the
         // account, then tweet).
         let announced = days[mi];
-        let created = if rng.chance(config.early_adopter_rate) {
+        let created = if rng.chance(EARLY_ADOPTER_RATE) {
             let span = 25 - instances[inst.index()].created.offset().max(-1800);
             Day(25 - rng.range_i64(1, i64::from(span.max(2))) as i32)
         } else {
@@ -332,12 +336,12 @@ pub fn run_migration(
             Day((announced.offset() - lag).max(Day::COLLECTION_START.offset()))
         };
 
-        let in_bio = rng.chance(config.handle_in_bio_rate);
+        let in_bio = rng.chance(HANDLE_IN_BIO_RATE);
         // Users who do not put the handle in their bio almost always tweet
         // it (otherwise nobody could find them — or the §3.1 matcher, which
         // is exactly how the paper under-counts).
         let in_tweet = if in_bio {
-            rng.chance(config.handle_in_tweet_rate)
+            rng.chance(HANDLE_IN_TWEET_RATE)
         } else {
             rng.chance(0.93)
         };
@@ -418,7 +422,7 @@ mod tests {
         let graph = build_friend_graph(migrants.len(), 12.0, 0.9, 0.04, &mut rng.fork("graph"));
         let instances = generate_instances(
             config.n_instances,
-            config.instance_zipf_exponent,
+            INSTANCE_ZIPF_EXPONENT,
             &mut rng.fork("inst"),
         );
         (config, users, migrants, graph, instances)
@@ -525,10 +529,7 @@ mod tests {
             .filter(|(i, a)| a.same_username(&users[migrants[*i]].username))
             .count() as f64
             / accounts.len() as f64;
-        assert!(
-            (same - config.same_username_rate).abs() < 0.08,
-            "same-rate {same}"
-        );
+        assert!((same - SAME_USERNAME_RATE).abs() < 0.08, "same-rate {same}");
     }
 
     #[test]
@@ -543,7 +544,7 @@ mod tests {
             .count() as f64
             / accounts.len() as f64;
         assert!(
-            (early - config.early_adopter_rate).abs() < 0.09,
+            (early - EARLY_ADOPTER_RATE).abs() < 0.09,
             "early rate {early}"
         );
     }
@@ -678,7 +679,7 @@ mod sampler_tests {
         let graph = build_friend_graph(migrants.len(), 12.0, 0.55, 0.045, &mut rng.fork("g"));
         let instances = generate_instances(
             config.n_instances,
-            config.instance_zipf_exponent,
+            INSTANCE_ZIPF_EXPONENT,
             &mut rng.fork("i"),
         );
         let accounts = run_migration(

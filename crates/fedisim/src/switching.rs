@@ -11,7 +11,7 @@
 //! other instance, moves them there, and otherwise falls back to the
 //! topical instance of the user's niche.
 
-use crate::config::WorldConfig;
+use crate::config::{WorldConfig, SWITCH_POST_TAKEOVER_RATE};
 use crate::graph::MigrantFriendGraph;
 use crate::instances::Instance;
 use crate::migration::{MastodonAccount, SwitchRecord};
@@ -45,9 +45,9 @@ fn modal_friend_instance(
 /// 97.22%), after the user has had time to gain experience on the first
 /// instance, and late enough that most of their friends are already on the
 /// destination.
-fn switch_day(account: &MastodonAccount, config: &WorldConfig, rng: &mut DetRng) -> Day {
+fn switch_day(account: &MastodonAccount, rng: &mut DetRng) -> Day {
     let pre_takeover_possible = account.created.offset() < 24;
-    if pre_takeover_possible && !rng.chance(config.switch_post_takeover_rate) {
+    if pre_takeover_possible && !rng.chance(SWITCH_POST_TAKEOVER_RATE) {
         // Rare pre-takeover switch by an early adopter.
         let lo = account.created.offset() + 1;
         return Day(rng.range_i64(i64::from(lo), 25) as i32);
@@ -135,7 +135,7 @@ pub fn run_switching(
 
     let mut switched = Vec::with_capacity(switchers.len());
     for (mi, dest) in switchers {
-        let day = switch_day(&accounts[mi], config, rng);
+        let day = switch_day(&accounts[mi], rng);
         let new_handle = MastodonHandle::new(
             accounts[mi].first_handle.username(),
             &instances[dest.index()].domain,
@@ -157,6 +157,7 @@ pub fn run_switching(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::INSTANCE_ZIPF_EXPONENT;
     use crate::graph::build_friend_graph;
     use crate::instances::generate_instances;
     use crate::migration::run_migration;
@@ -182,7 +183,7 @@ mod tests {
         let graph = build_friend_graph(migrants.len(), 12.0, 0.9, 0.04, &mut rng.fork("graph"));
         let instances = generate_instances(
             config.n_instances,
-            config.instance_zipf_exponent,
+            INSTANCE_ZIPF_EXPONENT,
             &mut rng.fork("inst"),
         );
         let accounts = run_migration(

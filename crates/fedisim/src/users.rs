@@ -5,7 +5,11 @@
 //! migration without moving (the paper could only map 136k of the 1.02M
 //! tweet authors to Mastodon accounts).
 
-use crate::config::WorldConfig;
+use crate::config::{
+    WorldConfig, TWEETS_PER_DAY_MEAN, TWITTER_DEGREE_SIGMA, TWITTER_DELETED_RATE,
+    TWITTER_FOLLOWEE_MEDIAN, TWITTER_FOLLOWER_MEDIAN, TWITTER_PROTECTED_RATE,
+    TWITTER_SUSPENDED_RATE, TWITTER_TOXICITY_MEAN, VERIFIED_RATE,
+};
 use flock_core::{Day, DetRng, TwitterUserId};
 use flock_textsim::Topic;
 use serde::{Deserialize, Serialize};
@@ -135,30 +139,23 @@ pub fn generate_users(config: &WorldConfig, rng: &mut DetRng) -> Vec<TwitterUser
             .clamp(30.0, 16.5 * 365.0);
         let primary_topic = Topic::ALL[rng.choose_weighted(&weights)];
         let secondary_topic = Topic::ALL[rng.choose_weighted(&weights)];
-        let verified = rng.chance(config.verified_rate);
+        let verified = rng.chance(VERIFIED_RATE);
         // Degrees: log-normal around the paper's medians, correlated with
         // engagement (active users follow and are followed more), and
         // boosted for verified accounts.
         let deg_boost = engagement.powf(0.5) * if verified { 4.0 } else { 1.0 };
-        let follower_count = (rng.lognormal(
-            config.twitter_follower_median.ln(),
-            config.twitter_degree_sigma,
-        ) * deg_boost) as u64;
-        let followee_count = (rng.lognormal(
-            config.twitter_followee_median.ln(),
-            config.twitter_degree_sigma,
-        ) * engagement.powf(0.3))
+        let follower_count =
+            (rng.lognormal(TWITTER_FOLLOWER_MEDIAN.ln(), TWITTER_DEGREE_SIGMA) * deg_boost) as u64;
+        let followee_count = (rng.lognormal(TWITTER_FOLLOWEE_MEDIAN.ln(), TWITTER_DEGREE_SIGMA)
+            * engagement.powf(0.3))
         .clamp(1.0, 100_000.0) as u64;
         let fate = {
             let r = rng.f64();
-            if r < config.twitter_suspended_rate {
+            if r < TWITTER_SUSPENDED_RATE {
                 AccountFate::Suspended
-            } else if r < config.twitter_suspended_rate + config.twitter_deleted_rate {
+            } else if r < TWITTER_SUSPENDED_RATE + TWITTER_DELETED_RATE {
                 AccountFate::Deleted
-            } else if r < config.twitter_suspended_rate
-                + config.twitter_deleted_rate
-                + config.twitter_protected_rate
-            {
+            } else if r < TWITTER_SUSPENDED_RATE + TWITTER_DELETED_RATE + TWITTER_PROTECTED_RATE {
                 AccountFate::Protected
             } else {
                 AccountFate::Active
@@ -168,7 +165,7 @@ pub fn generate_users(config: &WorldConfig, rng: &mut DetRng) -> Vec<TwitterUser
         // produce nearly all toxic posts. Correlated with engagement so
         // heavy posters skew the *corpus* rate above the per-user mean
         // (paper: 5.49% of tweets vs 4.02% per-user mean).
-        let toxicity = (sample_toxicity(config.twitter_toxicity_mean / 1.11, rng)
+        let toxicity = (sample_toxicity(TWITTER_TOXICITY_MEAN / 1.11, rng)
             * (0.45 + 0.55 * engagement))
             .min(0.7);
         let username = username_for(i);
@@ -193,7 +190,7 @@ pub fn generate_users(config: &WorldConfig, rng: &mut DetRng) -> Vec<TwitterUser
             secondary_topic,
             engagement,
             toxicity,
-            tweet_rate: config.tweets_per_day_mean * engagement,
+            tweet_rate: TWEETS_PER_DAY_MEAN * engagement,
             follower_count,
             followee_count,
             fate,
@@ -268,7 +265,7 @@ mod tests {
         let mut rng = DetRng::new(c.seed);
         let users = generate_users(&c, &mut rng);
         let v = users.iter().filter(|u| u.verified).count() as f64 / users.len() as f64;
-        assert!((v - c.verified_rate).abs() < 0.01, "verified rate {v}");
+        assert!((v - VERIFIED_RATE).abs() < 0.01, "verified rate {v}");
     }
 
     #[test]
@@ -294,7 +291,7 @@ mod tests {
         fol.sort_unstable();
         let median = fol[fol.len() / 2] as f64;
         assert!(
-            (c.twitter_followee_median * 0.6..c.twitter_followee_median * 1.7).contains(&median),
+            (TWITTER_FOLLOWEE_MEDIAN * 0.6..TWITTER_FOLLOWEE_MEDIAN * 1.7).contains(&median),
             "median followees {median}"
         );
     }
@@ -306,7 +303,7 @@ mod tests {
         let users = generate_users(&c, &mut rng);
         let mean: f64 = users.iter().map(|u| u.toxicity).sum::<f64>() / users.len() as f64;
         assert!(
-            (c.twitter_toxicity_mean * 0.6..c.twitter_toxicity_mean * 1.5).contains(&mean),
+            (TWITTER_TOXICITY_MEAN * 0.6..TWITTER_TOXICITY_MEAN * 1.5).contains(&mean),
             "toxicity mean {mean}"
         );
         // The majority of users are perfectly clean.
@@ -321,8 +318,8 @@ mod tests {
         let users = generate_users(&c, &mut rng);
         let n = users.len() as f64;
         let frac = |f: AccountFate| users.iter().filter(|u| u.fate == f).count() as f64 / n;
-        assert!((frac(AccountFate::Deleted) - c.twitter_deleted_rate).abs() < 0.005);
-        assert!((frac(AccountFate::Protected) - c.twitter_protected_rate).abs() < 0.005);
+        assert!((frac(AccountFate::Deleted) - TWITTER_DELETED_RATE).abs() < 0.005);
+        assert!((frac(AccountFate::Protected) - TWITTER_PROTECTED_RATE).abs() < 0.005);
         assert!(frac(AccountFate::Suspended) < 0.005);
     }
 

@@ -17,7 +17,10 @@
 //! changes in sibling phases.
 
 use crate::activity::{build_ledger, ActivityLedger};
-use crate::config::WorldConfig;
+use crate::config::{
+    WorldConfig, FOLLOWEE_MIGRANT_FRACTION, INSTANCE_ZIPF_EXPONENT, MASTODON_LOCAL_FOLLOW_MEAN,
+    MASTODON_REFOLLOW_RATE, TWITTER_FOLLOWEE_MEDIAN,
+};
 use crate::content::{generate_content, Corpora, MirrorBehavior, StatusStore, TweetStore};
 use crate::graph::{build_friend_graph, FolloweeSampler, MigrantFriendGraph};
 use crate::instances::{generate_instances, Instance};
@@ -61,9 +64,8 @@ pub struct World {
     account_by_owner: SortedVecMap<TwitterUserId, MastodonAccountId>,
     account_by_handle: SortedVecMap<MastodonHandle, MastodonAccountId>,
     /// Per-user `(start, len)` into the tweet arena. Content generation
-    /// emits each user's tweets as one contiguous id run (canonical
-    /// chunk order), so the author index is two words per user instead
-    /// of a map of id vectors.
+    /// writes each user's tweets as one contiguous id run, so the author
+    /// index is two words per user instead of a map of id vectors.
     tweets_by_author: Vec<(u64, u32)>,
     /// Per-migrant `(start, len)` into the status arena; same contract.
     statuses_by_account: Vec<(u64, u32)>,
@@ -77,7 +79,7 @@ impl World {
         // Phase 1: instances + users + migrant graph.
         let instances = generate_instances(
             config.n_instances,
-            config.instance_zipf_exponent,
+            INSTANCE_ZIPF_EXPONENT,
             &mut root.fork("instances"),
         );
         let mut users = generate_users(config, &mut root.fork("users"));
@@ -92,8 +94,7 @@ impl World {
         // The modest sigma keeps the median friend count high enough that
         // being the *first* mover of one's ego network stays rare (§5.2's
         // 4.98%).
-        let m_median =
-            (config.followee_migrant_fraction * config.twitter_followee_median * 0.305).max(2.0);
+        let m_median = (FOLLOWEE_MIGRANT_FRACTION * TWITTER_FOLLOWEE_MEDIAN * 0.305).max(2.0);
         let friend_graph = build_friend_graph(
             migrant_users.len(),
             m_median,
@@ -156,7 +157,6 @@ impl World {
             &accounts,
             &friend_graph,
             &switched,
-            config,
             &mut root.fork("fediverse"),
         )?;
 
@@ -208,9 +208,10 @@ impl World {
             .iter()
             .flat_map(|a| [(a.first_handle.clone(), a.id), (a.handle.clone(), a.id)])
             .collect();
-        // Each user's tweets occupy one contiguous id run (the content
-        // stream emits whole per-user chunks), so the author index is a
-        // flat (start, len) table. debug_assert guards the contract.
+        // Each user's tweets occupy one contiguous id run (content
+        // generation writes one user's posts at a time), so the author
+        // index is a flat (start, len) table. debug_assert guards the
+        // contract.
         let mut tweets_by_author: Vec<(u64, u32)> = vec![(0, 0); users.len()];
         for i in 0..tweets.len() {
             let a = tweets.author(i).index();
@@ -390,7 +391,6 @@ impl World {
 }
 
 /// Wire the Mastodon side of the world through the ActivityPub substrate.
-#[allow(clippy::too_many_arguments)]
 fn build_fediverse(
     instances: &[Instance],
     users: &[TwitterUser],
@@ -398,7 +398,6 @@ fn build_fediverse(
     accounts: &[MastodonAccount],
     graph: &MigrantFriendGraph,
     switched: &[usize],
-    config: &WorldConfig,
     rng: &mut DetRng,
 ) -> Result<FediverseNetwork> {
     // Unused, but dropping it would shift every later draw of the
@@ -456,7 +455,7 @@ fn build_fediverse(
         }
         let me = &actors[mi];
         let engagement = users[migrant_users[mi]].engagement;
-        let refollow_p = (config.mastodon_refollow_rate * (0.55 + 0.45 * engagement)).min(0.98);
+        let refollow_p = (MASTODON_REFOLLOW_RATE * (0.55 + 0.45 * engagement)).min(0.98);
         for &f in graph.friends(mi) {
             // Friends find even invisible accounts (they knew the person),
             // but far less reliably.
@@ -470,8 +469,7 @@ fn build_fediverse(
                     .map_err(|e| FlockError::DeliveryFailed(e.to_string()))?;
             }
         }
-        let n_discover =
-            rng.poisson(config.mastodon_local_follow_mean * engagement.powf(0.9)) as usize;
+        let n_discover = rng.poisson(MASTODON_LOCAL_FOLLOW_MEAN * engagement.powf(0.9)) as usize;
         let locals = &by_instance[&accounts[mi].first_instance];
         for _ in 0..n_discover {
             // Local timeline when there are neighbours, federated timeline

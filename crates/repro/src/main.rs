@@ -40,9 +40,9 @@
 //! The dashboard's Data-tier fence is byte-identical across worker
 //! counts.
 //!
-//! --chaos SCENARIO crawls through a canned deterministic fault plan
-//! seeded from the world seed: calm, rate-limit-storm, instance-massacre,
-//! or flaky-federation.
+//! --chaos SCENARIO crawls (or monitors) through a canned deterministic
+//! fault plan seeded from the world seed: calm, rate-limit-storm,
+//! instance-massacre, flaky-federation or rolling-outages.
 //!
 //! --workers N sets the worker-pool threads of the timeline and followee
 //! crawl phases (default 4). Zero is rejected (typed config error), and

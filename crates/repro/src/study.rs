@@ -139,8 +139,8 @@ impl MigrationStudy {
     }
 
     /// Fully-configured run: caller controls the API layer (including its
-    /// chaos `FaultPlan`) and the crawler (worker count, retry budgets) as
-    /// well as the world. Used by the `repro` binary's `--chaos` and
+    /// chaos `FaultPlan`) and the crawler (worker count, followee sample)
+    /// as well as the world. Used by the `repro` binary's `--chaos` and
     /// `--workers` flags.
     pub fn run_configured(
         config: &WorldConfig,

@@ -323,6 +323,62 @@ fn small_twitter_followees_match_their_golden_digest() {
     );
 }
 
+/// The goldens above pin what a crawl returns; this pins which requests it
+/// makes. A one-worker crawl of the seed-1234 `small()` world runs once
+/// calm and once under a rate-limit storm, and every span (trace, label,
+/// virtual start and end, attempts, last outcome and waits by cause) goes
+/// into one digest per plan. With one worker the schedule is fixed, so a
+/// request added, dropped, reordered or retried differently moves a value.
+#[test]
+fn small_crawl_traffic_matches_its_golden_digests() {
+    let world = Arc::new(World::generate(&WorldConfig::small().with_seed(1234)).unwrap());
+    let traffic = |scenario: Scenario| -> (usize, u64, u64) {
+        let obs = Registry::new();
+        let api_config = ApiConfig {
+            chaos: scenario.plan(1234),
+            ..ApiConfig::default()
+        };
+        let api = ApiServer::with_obs(world.clone(), api_config, obs.clone()).unwrap();
+        let config = CrawlerConfig {
+            workers: 1,
+            ..CrawlerConfig::default()
+        };
+        Crawler::with_registry(&api, config, obs.clone())
+            .unwrap()
+            .run()
+            .unwrap();
+        assert_eq!(obs.spans_dropped(), 0, "{scenario}: the span ring evicted");
+        let spans = obs.spans();
+        let mut all = String::new();
+        let mut attempts = 0u64;
+        for s in &spans {
+            attempts += u64::from(s.attempts);
+            writeln!(
+                all,
+                "{} {} {}..{} x{} {} {:?}",
+                s.trace,
+                s.label,
+                s.start_secs,
+                s.end_secs,
+                s.attempts,
+                s.outcome.map_or("none", |o| o.label()),
+                s.waits,
+            )
+            .unwrap();
+        }
+        (spans.len(), attempts, fnv1a(&all))
+    };
+    let got = [traffic(Scenario::Calm), traffic(Scenario::RateLimitStorm)];
+    assert_eq!(
+        got,
+        [
+            (1_674, 2_470, 0xa1a1_863d_2b48_4a60),
+            (1_674, 2_714, 0x50e0_96ea_1e09_8042),
+        ],
+        "[calm, rate-limit-storm] (spans, attempts, digest) moved; now {got:#x?}"
+    );
+}
+
 #[test]
 fn figure_rendering_is_deterministic() {
     let s1 = MigrationStudy::run(&WorldConfig::small().with_seed(5)).unwrap();

@@ -4,7 +4,7 @@
 
 use flock::apis::{ApiConfig, ApiServer, RatePolicy};
 use flock::chaos::{EndpointFamily, Fault, FaultPlan};
-use flock::core::{FlockError, MastodonHandle};
+use flock::core::{Day, FlockError, MastodonHandle};
 use flock::crawler::prelude::*;
 use flock::fedisim::{World, WorldConfig};
 use flock::obs::Registry;
@@ -75,28 +75,57 @@ fn fault_free_and_faulty_crawls_agree_on_the_matched_set() {
 fn following_as_paged(api: &ApiServer, handle: &MastodonHandle) -> Vec<MastodonHandle> {
     let mut out = Vec::new();
     let mut cursor: Option<String> = None;
+    while let Ok(page) = calm_request(api, || {
+        api.mastodon_account_following(handle, cursor.as_deref())
+    }) {
+        out.extend(page.items);
+        match page.next {
+            Some(c) => cursor = Some(c),
+            None => break,
+        }
+    }
+    out
+}
+
+/// `request` on a calm server, waiting out its rate limits.
+fn calm_request<T>(
+    api: &ApiServer,
+    mut request: impl FnMut() -> flock::core::Result<T>,
+) -> flock::core::Result<T> {
     loop {
-        match api.mastodon_account_following(handle, cursor.as_deref()) {
-            Ok(page) => {
-                out.extend(page.items);
-                match page.next {
-                    Some(c) => cursor = Some(c),
-                    None => return out,
-                }
-            }
+        match request() {
             Err(FlockError::RateLimited {
                 retry_after_secs, ..
             }) => {
                 api.advance_clock_to(api.now() + retry_after_secs);
             }
-            Err(_) => return out,
+            other => return other,
         }
     }
 }
 
-#[test]
-fn cut_short_mastodon_followee_lists_are_reported_not_kept() {
-    let w = world(1234);
+/// Every page of `handle`'s statuses as `(day, text)`, waiting out rate
+/// limits; `None` when any other error stops the walk.
+fn statuses_as_paged(api: &ApiServer, handle: &MastodonHandle) -> Option<Vec<(Day, String)>> {
+    let mut out = Vec::new();
+    let mut cursor: Option<String> = None;
+    loop {
+        let page = calm_request(api, || {
+            api.mastodon_account_statuses(handle, cursor.as_deref())
+        })
+        .ok()?;
+        out.extend(page.items.into_iter().map(|s| (s.day, s.content)));
+        match page.next {
+            Some(c) => cursor = Some(c),
+            None => return Some(out),
+        }
+    }
+}
+
+/// The seed-1234 `small()` world behind one Mastodon error burst: half of
+/// the Mastodon keys fail up to eight times each, past the crawler's five
+/// retries, so some requests give up.
+fn mastodon_error_burst(w: &Arc<World>) -> ApiServer {
     let cfg = ApiConfig {
         chaos: FaultPlan {
             seed: 1234,
@@ -108,14 +137,24 @@ fn cut_short_mastodon_followee_lists_are_reported_not_kept() {
         },
         ..ApiConfig::default()
     };
-    let ds = crawl(&ApiServer::new(w.clone(), cfg).unwrap()).unwrap();
-    let cut: BTreeSet<u64> = ds
-        .coverage
+    ApiServer::new(w.clone(), cfg).unwrap()
+}
+
+/// The user ids the coverage report names in items starting with `prefix`.
+fn skipped_ids(ds: &Dataset, prefix: &str) -> BTreeSet<u64> {
+    ds.coverage
         .skipped
         .iter()
-        .filter_map(|s| s.item.strip_prefix("mastodon followees of "))
+        .filter_map(|s| s.item.strip_prefix(prefix))
         .map(|id| id.parse().unwrap())
-        .collect();
+        .collect()
+}
+
+#[test]
+fn cut_short_mastodon_followee_lists_are_reported_not_kept() {
+    let w = world(1234);
+    let ds = crawl(&mastodon_error_burst(&w)).unwrap();
+    let cut = skipped_ids(&ds, "mastodon followees of ");
     assert_eq!(cut, BTreeSet::from([178, 684]), "{}", ds.coverage.summary());
     // A cut user keeps the Twitter side and no Mastodon list; every list
     // kept is the whole list a calm server pages out for that handle.
@@ -144,6 +183,78 @@ fn cut_short_mastodon_followee_lists_are_reported_not_kept() {
             "no record for {id}"
         );
     }
+}
+
+/// Under the same error burst, a Mastodon timeline or a `moved_to` lookup
+/// that gives up is reported, never kept in part: a user whose timeline
+/// was cut short keeps no statuses and is named in the coverage report,
+/// every kept timeline equals what a calm server pages out for the same
+/// sources, and a user whose redirect target could not be looked up on an
+/// instance that is up is named too.
+#[test]
+fn cut_short_mastodon_timelines_and_redirects_are_reported_not_kept() {
+    let w = world(1234);
+    let ds = crawl(&mastodon_error_burst(&w)).unwrap();
+    let calm = ApiServer::with_defaults(w.clone()).unwrap();
+
+    let cut = skipped_ids(&ds, "mastodon timeline of ");
+    let mut compared = 0;
+    for m in &ds.matched {
+        let id = m.twitter_id.0;
+        let outcome = *ds.mastodon_outcomes.get(&m.twitter_id).unwrap();
+        assert_eq!(
+            outcome == MastodonCrawlOutcome::Unreachable,
+            cut.contains(&id),
+            "user {id}: {outcome:?}"
+        );
+        let kept = ds.mastodon_timelines.get(&m.resolved_handle);
+        if outcome != MastodonCrawlOutcome::Ok {
+            assert!(kept.is_none(), "user {id} kept a {outcome:?} timeline");
+            continue;
+        }
+        let mut sources = vec![m.resolved_handle.clone()];
+        if m.switched() {
+            sources.push(m.handle.clone());
+        }
+        let paged: Option<Vec<Vec<(Day, String)>>> = sources
+            .iter()
+            .map(|h| statuses_as_paged(&calm, h))
+            .collect();
+        let Some(paged) = paged else {
+            continue;
+        };
+        let mut want = paged.concat();
+        want.sort_by_key(|s| s.0);
+        let got: Vec<(Day, String)> = kept
+            .unwrap()
+            .iter()
+            .map(|s| (s.day, s.text.clone()))
+            .collect();
+        assert_eq!(got, want, "user {id}");
+        compared += 1;
+    }
+    assert!(!cut.is_empty(), "{}", ds.coverage.summary());
+    assert!(compared > 100, "only {compared} timelines compared");
+
+    let redirects = skipped_ids(&ds, "moved_to lookup for author ");
+    for m in &ds.matched {
+        let id = m.twitter_id.0;
+        if m.first_account.is_none() || m.account.is_some() {
+            assert!(!redirects.contains(&id), "user {id} resolved but named");
+            continue;
+        }
+        match calm_request(&calm, || calm.mastodon_lookup_account(&m.resolved_handle)) {
+            Ok(_) => assert!(
+                redirects.contains(&id),
+                "user {id}'s redirect gap unreported"
+            ),
+            Err(FlockError::InstanceUnavailable(_)) => {
+                assert!(!redirects.contains(&id), "user {id}: a down instance named")
+            }
+            Err(e) => panic!("user {id}: calm lookup failed: {e}"),
+        }
+    }
+    assert!(!redirects.is_empty(), "{}", ds.coverage.summary());
 }
 
 #[test]

@@ -35,10 +35,9 @@ fn stats_zeroed_json(mut ds: Dataset) -> String {
     serde_json::to_string(&ds).unwrap()
 }
 
-/// Two generations of the same seed must agree arena-for-arena — the
-/// plan/stream split (ContentPlan base seeds + per-user
-/// `DetRng::stream` timelines) must not introduce any draw-order
-/// dependence on allocation or chunk grouping.
+/// Two generations of the same seed must agree arena-for-arena: the
+/// per-user `DetRng::stream` timelines must not introduce any draw-order
+/// dependence on allocation.
 #[test]
 fn paper_tier_generation_is_a_pure_function_of_the_seed() {
     let config = paper_proxy_config();
