@@ -163,10 +163,11 @@ struct Limits {
     /// created full from its family's policy on first use.
     buckets: HashMap<Endpoint, TokenBucket>,
     /// Chaos faults already injected per logical request key, one map per
-    /// family, indexed by [`EndpointFamily::index`]. Only keys the plan
+    /// family, indexed by [`EndpointFamily::index`], keyed by the key's
+    /// [`KeyFaults::key_hash`] rather than its text. Only keys the plan
     /// curses are ever inserted; the count saturates at the key's budget,
     /// so each map stays proportional to cursed keys seen.
-    chaos_spent: [HashMap<String, u32>; 4],
+    chaos_spent: [HashMap<u64, u32>; 4],
 }
 
 /// The API façade over a generated world.
@@ -308,7 +309,7 @@ impl ApiServer {
         // key is independent of how attempts interleave with other
         // traffic.
         let injected = if kf.any() {
-            chaos_inject(&kf, &mut limits.chaos_spent[family.index()], key)
+            chaos_inject(&kf, &mut limits.chaos_spent[family.index()])
         } else {
             None
         };
@@ -765,20 +766,25 @@ impl ApiServer {
             .world
             .account_by_handle(handle)
             .ok_or_else(|| FlockError::NotFound(handle.to_string()))?;
-        let handles: Vec<MastodonHandle> =
-            if account.switch.is_some() && *handle == account.first_handle {
-                Vec::new() // drained by the Move
-            } else {
-                self.world
-                    .mastodon_following(account)
-                    .iter()
-                    .map(|a| MastodonHandle::new(&a.name, &a.domain))
-                    .collect::<Result<_>>()?
-            };
+        let following = if account.switch.is_some() && *handle == account.first_handle {
+            &[] // drained by the Move
+        } else {
+            self.world.mastodon_following(account)
+        };
         let offset = decode(&scope, cursor)?;
-        let page = self.page(&handles, &scope, offset, FOLLOWING_PAGE_SIZE)?;
+        // Handles are rendered for the requested page only.
+        let page = self.page(following, &scope, offset, FOLLOWING_PAGE_SIZE)?;
+        let net = &self.world.fediverse;
         Ok(Page {
-            items: page.items,
+            items: page
+                .items
+                .iter()
+                .map(|&id| {
+                    net.actor(id)
+                        .map(|a| a.handle.clone())
+                        .ok_or_else(|| FlockError::NotFound(format!("{id:?}")))
+                })
+                .collect::<Result<_>>()?,
             next: self.maybe_truncate(EndpointFamily::Mastodon, &scope, offset, page.next),
         })
     }
@@ -853,15 +859,21 @@ impl ApiServer {
         Ok(self.instance_peers(inst))
     }
 
-    /// The peers table's row for `inst`: `federation_peers()[domain]`, or
-    /// empty when the federation has no entry for the domain.
+    /// The peers table's row for `inst`: the domains of
+    /// `federation_peers()[inst]`, or empty when the federation has no row
+    /// for the instance.
     fn instance_peers(&self, inst: InstanceId) -> &[String] {
         let table = self.peers.get_or_init(|| {
-            let mut by_domain = self.world.fediverse.federation_peers();
+            let instances = &self.world.instances;
             self.world
-                .instances
-                .iter()
-                .map(|i| by_domain.remove(&i.domain).unwrap_or_default())
+                .fediverse
+                .federation_peers()
+                .into_iter()
+                .map(|row| {
+                    row.into_iter()
+                        .map(|p| instances[p.index()].domain.clone())
+                        .collect()
+                })
                 .collect()
         });
         table.get(inst.index()).map_or(&[], Vec::as_slice)
@@ -933,9 +945,9 @@ enum Injected {
 /// Returns `None` once the budget is drained — from then on the key
 /// behaves normally forever, which is what makes a finite budget yield
 /// `min(budget, attempts)` injections regardless of scheduling.
-fn chaos_inject(kf: &KeyFaults, spent: &mut HashMap<String, u32>, key: &str) -> Option<Injected> {
+fn chaos_inject(kf: &KeyFaults, spent: &mut HashMap<u64, u32>) -> Option<Injected> {
     let total = kf.errors + kf.storms;
-    let n = spent.entry(key.to_string()).or_insert(0);
+    let n = spent.entry(kf.key_hash).or_insert(0);
     if *n >= total {
         return None;
     }
@@ -1448,12 +1460,17 @@ mod tests {
     fn peers_table_lends_each_instance_its_federation_peers() {
         let api = server();
         let world = api.ground_truth();
-        let by_domain = world.fediverse.federation_peers();
+        let rows = world.fediverse.federation_peers();
         for (i, inst) in world.instances.iter().enumerate() {
             assert_eq!(inst.id.index(), i, "instance ids are table rows");
+            assert_eq!(world.fediverse.domain(inst.id), Some(&*inst.domain));
             let lent = api.instance_peers(inst.id);
-            let want = by_domain.get(&inst.domain).map_or(&[][..], Vec::as_slice);
+            let want: Vec<&str> = rows[i]
+                .iter()
+                .map(|&p| world.fediverse.domain(p).unwrap())
+                .collect();
             assert_eq!(lent, want, "{}", inst.domain);
+            assert!(lent.windows(2).all(|w| w[0] < w[1]), "sorted by name");
             // The same row every time: the contract the monitor's memo uses.
             assert!(std::ptr::eq(lent, api.instance_peers(inst.id)));
         }

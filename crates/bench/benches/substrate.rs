@@ -70,33 +70,42 @@ fn bench_federation(c: &mut Criterion) {
     group.bench_function("hub_1000_remote_follows", |b| {
         b.iter(|| {
             let mut net = FediverseNetwork::default();
-            let hub = net.register_actor("hub", "hub.example").unwrap();
+            let home = net.register_instance("hub.example");
+            let hub = net.register_actor("hub", home).unwrap();
+            let remotes: Vec<_> = (0..50)
+                .map(|k| net.register_instance(&format!("i{k}.example")))
+                .collect();
             for i in 0..1000 {
                 let f = net
-                    .register_actor(&format!("f{i}"), &format!("i{}.example", i % 50))
+                    .register_actor(&format!("f{i}"), remotes[i % 50])
                     .unwrap();
-                net.follow(&f, &hub).unwrap();
+                net.follow(f, hub).unwrap();
             }
             net.run_to_quiescence();
-            black_box(net.followers_of(&hub).unwrap().len())
+            black_box(net.followers_of(hub).unwrap().len())
         })
     });
     group.bench_function("move_account_500_followers", |b| {
         b.iter(|| {
             let mut net = FediverseNetwork::default();
-            let old = net.register_actor("u", "big.example").unwrap();
-            let new = net.register_actor("u", "niche.example").unwrap();
+            let big = net.register_instance("big.example");
+            let niche = net.register_instance("niche.example");
+            let old = net.register_actor("u", big).unwrap();
+            let new = net.register_actor("u", niche).unwrap();
+            let remotes: Vec<_> = (0..25)
+                .map(|k| net.register_instance(&format!("i{k}.example")))
+                .collect();
             for i in 0..500 {
                 let f = net
-                    .register_actor(&format!("f{i}"), &format!("i{}.example", i % 25))
+                    .register_actor(&format!("f{i}"), remotes[i % 25])
                     .unwrap();
-                net.follow(&f, &old).unwrap();
+                net.follow(f, old).unwrap();
             }
             net.run_to_quiescence();
-            net.set_also_known_as(&new, &old).unwrap();
-            net.move_account(&old, &new).unwrap();
+            net.set_also_known_as(new, old).unwrap();
+            net.move_account(old, new).unwrap();
             net.run_to_quiescence();
-            black_box(net.followers_of(&new).unwrap().len())
+            black_box(net.followers_of(new).unwrap().len())
         })
     });
     group.finish();

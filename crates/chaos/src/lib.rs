@@ -358,6 +358,11 @@ pub struct KeyFaults {
     pub storms: u32,
     /// Retry-After carried by each injected `429` (max across storms).
     pub storm_retry_after_secs: u64,
+    /// The key's 64-bit `fnv1a`, from which every fault above is drawn
+    /// (0 when the family has no burst or storm and the key went unhashed).
+    /// A key's spent budget can be kept under this hash in place of the
+    /// key's text: two keys that share it share their faults too.
+    pub key_hash: u64,
 }
 
 impl KeyFaults {
@@ -399,7 +404,10 @@ impl ResolvedPlan {
             return KeyFaults::default();
         }
         let kh = fnv1a(key);
-        let mut out = KeyFaults::default();
+        let mut out = KeyFaults {
+            key_hash: kh,
+            ..KeyFaults::default()
+        };
         for spec in &fam.bursts {
             let mut rng = DetRng::new(self.seed ^ spec.salt ^ kh);
             if rng.chance(spec.rate) {

@@ -28,12 +28,11 @@ use crate::interest::{generate_interest, InterestReport};
 use crate::migration::{run_migration, MastodonAccount};
 use crate::switching::run_switching;
 use crate::users::{generate_users, TwitterUser};
-use flock_activitypub::{ActorUri, FediverseNetwork};
+use flock_activitypub::{ActorId, FediverseNetwork};
 use flock_core::{
     DetRng, FlockError, InstanceId, MastodonAccountId, MastodonHandle, Result, SortedVecMap,
     StatusId, TweetId, TwitterUserId,
 };
-use std::collections::BTreeMap;
 
 /// The fully-generated two-platform world.
 #[derive(Debug)]
@@ -319,24 +318,25 @@ impl World {
         (start..start + len as u64).map(StatusId)
     }
 
-    /// The ActivityPub actor URI of an account (its *current* identity).
-    pub fn actor_of(&self, account: &MastodonAccount) -> ActorUri {
-        ActorUri::from_handle(&account.handle)
+    /// The ActivityPub actor of an account's *current* identity: account
+    /// `i`'s first identity is actor `i`, and a switch moved it on.
+    pub fn actor_of(&self, account: &MastodonAccount) -> ActorId {
+        let first = ActorId(account.id.index() as u32);
+        let moved = self.fediverse.actor(first).and_then(|a| a.moved_to);
+        moved.unwrap_or(first)
     }
 
     /// Mastodon followees of an account, resolved through the federation
     /// substrate.
-    pub fn mastodon_following(&self, account: &MastodonAccount) -> &[ActorUri] {
-        self.fediverse
-            .following_of(&self.actor_of(account))
-            .unwrap_or_default()
+    pub fn mastodon_following(&self, account: &MastodonAccount) -> &[ActorId] {
+        let id = self.actor_of(account);
+        self.fediverse.following_of(id).unwrap_or_default()
     }
 
     /// Mastodon followers of an account.
-    pub fn mastodon_followers(&self, account: &MastodonAccount) -> &[ActorUri] {
-        self.fediverse
-            .followers_of(&self.actor_of(account))
-            .unwrap_or_default()
+    pub fn mastodon_followers(&self, account: &MastodonAccount) -> &[ActorId] {
+        let id = self.actor_of(account);
+        self.fediverse.followers_of(id).unwrap_or_default()
     }
 
     /// Ground-truth migrant count.
@@ -405,18 +405,20 @@ fn build_fediverse(
     let _ = rng.next_u64();
     let mut net = FediverseNetwork::default();
     for inst in instances {
-        net.register_instance(&inst.domain);
+        let id = net.register_instance(&inst.domain);
+        debug_assert_eq!(id, inst.id, "instances register in id order");
     }
-    // Register every account at its *first* handle.
-    let actors: Vec<ActorUri> = accounts
-        .iter()
-        .map(|a| net.register_actor(a.first_handle.username(), a.first_handle.instance()))
-        .collect::<Result<_>>()?;
+    // Register every account at its *first* handle. Ids go in registration
+    // order: actor `mi` is account `mi`'s first identity, then the targets.
+    for a in accounts {
+        net.register_actor(a.first_handle.username(), a.first_instance)?;
+    }
+    let actor = |mi: usize| ActorId(mi as u32);
 
     // Group accounts by first instance for local-discovery follows.
-    let mut by_instance: BTreeMap<InstanceId, Vec<usize>> = BTreeMap::new();
+    let mut by_instance: Vec<Vec<usize>> = vec![Vec::new(); instances.len()];
     for (mi, a) in accounts.iter().enumerate() {
-        by_instance.entry(a.first_instance).or_default().push(mi);
+        by_instance[a.first_instance.index()].push(mi);
     }
     // Visibility classes: "invisible" accounts (no avatar, no posts yet)
     // attract almost no follows — the §5.1 users with zero Mastodon
@@ -453,7 +455,7 @@ fn build_fediverse(
         if passive[mi] {
             continue;
         }
-        let me = &actors[mi];
+        let me = actor(mi);
         let engagement = users[migrant_users[mi]].engagement;
         let refollow_p = (MASTODON_REFOLLOW_RATE * (0.55 + 0.45 * engagement)).min(0.98);
         for &f in graph.friends(mi) {
@@ -465,12 +467,12 @@ fn build_fediverse(
                 refollow_p
             };
             if rng.chance(p) {
-                net.follow(me, &actors[f as usize])
+                net.follow(me, actor(f as usize))
                     .map_err(|e| FlockError::DeliveryFailed(e.to_string()))?;
             }
         }
         let n_discover = rng.poisson(MASTODON_LOCAL_FOLLOW_MEAN * engagement.powf(0.9)) as usize;
-        let locals = &by_instance[&accounts[mi].first_instance];
+        let locals = &by_instance[accounts[mi].first_instance.index()];
         for _ in 0..n_discover {
             // Local timeline when there are neighbours, federated timeline
             // (popularity-weighted) otherwise or 40% of the time anyway.
@@ -485,7 +487,7 @@ fn build_fediverse(
                 continue;
             };
             if target != mi && !invisible[target] {
-                net.follow(me, &actors[target])
+                net.follow(me, actor(target))
                     .map_err(|e| FlockError::DeliveryFailed(e.to_string()))?;
             }
         }
@@ -495,27 +497,24 @@ fn build_fediverse(
     // Instance switches become real ActivityPub Moves.
     for &mi in switched {
         let a = &accounts[mi];
-        let old = &actors[mi];
-        let new = ActorUri::from_handle(&a.handle);
-        net.register_actor(&new.name, &new.domain)
+        let old = actor(mi);
+        let new = net
+            .register_actor(a.handle.username(), a.instance)
             .map_err(|e| FlockError::DeliveryFailed(format!("switch target: {e}")))?;
-        net.set_also_known_as(&new, old)?;
+        net.set_also_known_as(new, old)?;
         // The mover re-follows from the new account (Mastodon's follow
         // export/import step), then the Move transfers the followers.
-        let following = net
-            .following_of(old)
-            .map(|s| s.to_vec())
-            .unwrap_or_default();
+        let following = net.following_of(old).map(<[_]>::to_vec).unwrap_or_default();
         for f in following {
-            net.undo_follow(old, &f)?;
+            net.undo_follow(old, f)?;
             // A followee may itself be a moved-away identity by now; the
             // import simply skips dead follows, like Mastodon's does.
-            match net.follow(&new, &f) {
+            match net.follow(new, f) {
                 Ok(()) | Err(FlockError::Forbidden(_)) => {}
                 Err(e) => return Err(e),
             }
         }
-        net.move_account(old, &new)?;
+        net.move_account(old, new)?;
         net.run_to_quiescence();
     }
     Ok(net)
@@ -596,11 +595,8 @@ mod tests {
     fn every_account_is_a_registered_actor() {
         let w = world();
         for a in &w.accounts {
-            assert!(
-                w.fediverse.actor(&w.actor_of(a)).is_some(),
-                "unregistered actor {}",
-                a.handle
-            );
+            let actor = w.fediverse.actor(w.actor_of(a));
+            assert_eq!(actor.map(|x| &x.handle), Some(&a.handle));
         }
     }
 
@@ -635,16 +631,17 @@ mod tests {
             w.accounts.iter().filter(|a| a.switch.is_some()).collect();
         assert!(!switchers.is_empty());
         for a in switchers {
-            let old = ActorUri::from_handle(&a.first_handle);
-            let old_actor = w.fediverse.actor(&old).expect("old actor exists");
+            let old = ActorId(a.id.index() as u32);
+            let old_actor = w.fediverse.actor(old).expect("old actor exists");
+            assert_eq!(old_actor.handle, a.first_handle);
             assert!(old_actor.has_moved(), "{} did not move", a.first_handle);
             assert!(
-                w.fediverse.followers_of(&old).unwrap().is_empty(),
+                w.fediverse.followers_of(old).unwrap().is_empty(),
                 "old account retains followers"
             );
             // The new identity exists and carries the social graph.
-            let new = ActorUri::from_handle(&a.handle);
-            assert!(w.fediverse.actor(&new).is_some());
+            let new = old_actor.moved_to.unwrap();
+            assert_eq!(w.fediverse.actor(new).unwrap().handle, a.handle);
         }
     }
 

@@ -6,8 +6,9 @@
 //! * `determinism` — no wall-clock or ambient-randomness calls in pipeline
 //!   code; virtual time and seeded `flock_core::DetRng`s only.
 //! * `hash-iter` — no `HashMap`/`HashSet` in the crates whose iteration
-//!   order can reach output (`fedisim`, `analysis`, `repro`, `crawler`,
-//!   `chaos`, `monitor`); use `BTreeMap`/`BTreeSet` or an explicit sort.
+//!   order can reach output (`activitypub`, `fedisim`, `analysis`,
+//!   `repro`, `crawler`, `chaos`, `monitor`); use `BTreeMap`/`BTreeSet` or
+//!   an explicit sort.
 //! * `lock-order` — `.lock()` receivers in `crates/apis` must be declared
 //!   in the lock-hierarchy manifest and acquired strictly downward.
 //! * `panic` — no `unwrap()`/`expect()`/`panic!`/bare `assert!` in library
@@ -86,7 +87,7 @@ pub fn classify(rel_path: &str) -> FileClass {
         determinism: krate != "bench",
         hash_iter: matches!(
             krate,
-            "fedisim" | "analysis" | "repro" | "crawler" | "chaos" | "monitor"
+            "activitypub" | "fedisim" | "analysis" | "repro" | "crawler" | "chaos" | "monitor"
         ),
         lock_order: krate == "apis",
         // The worker pool is the only sanctioned owner of OS threads.

@@ -118,7 +118,15 @@ fn determinism_is_waived_for_bench_crate() {
 
 #[test]
 fn hash_iter_fires_in_output_affecting_crates() {
-    for krate in ["fedisim", "analysis", "repro", "crawler", "monitor"] {
+    for krate in [
+        "activitypub",
+        "fedisim",
+        "analysis",
+        "repro",
+        "crawler",
+        "chaos",
+        "monitor",
+    ] {
         let path = format!("crates/{krate}/src/fixture.rs");
         let findings = lint_fixture("hash_iter_fire.rs", &path);
         assert_eq!(

@@ -1,10 +1,11 @@
 //! Reproducibility: the same seed must reproduce the same world, crawl and
 //! analysis bit-for-bit; a different seed must not.
 
-use flock::activitypub::ActorUri;
+use flock::activitypub::ActorId;
 use flock::apis::{ApiConfig, ApiServer};
 use flock::chaos::Scenario;
 use flock::core::rng::fnv1a;
+use flock::core::InstanceId;
 use flock::crawler::prelude::*;
 use flock::fedisim::{World, WorldConfig};
 use flock::obs::Registry;
@@ -262,45 +263,68 @@ fn small_study_matches_its_golden_digests() {
     );
 }
 
-/// The golden digests above see the Mastodon follow graph only through the
-/// crawler's sample of it. This one pins the whole graph the world builds
-/// over the ActivityPub substrate, for the seed-1234 `small()` world: each
-/// account's first and current actor (following and followers in stored
-/// order, `movedTo`, `alsoKnownAs`), then the peers map the monitor crawls.
-#[test]
-fn small_follow_graph_matches_its_golden_digest() {
-    let world = World::generate(&WorldConfig::small().with_seed(1234)).unwrap();
+/// The whole Mastodon follow graph a world builds over the ActivityPub
+/// substrate, rendered as text: each account's first and current actor
+/// (following and followers in stored order, `movedTo`, `alsoKnownAs`),
+/// then the peers map the monitor crawls, instances in domain order.
+fn follow_graph_digest(config: &WorldConfig) -> u64 {
+    let world = World::generate(config).unwrap();
     let net = &world.fediverse;
-    let list = |uris: &[ActorUri]| {
-        uris.iter()
-            .map(ToString::to_string)
+    let handle = |id: ActorId| net.actor(id).unwrap().handle.to_string();
+    let list = |ids: &[ActorId]| {
+        ids.iter()
+            .map(|&id| handle(id))
             .collect::<Vec<_>>()
             .join(",")
     };
     let mut all = String::new();
     for account in &world.accounts {
-        for handle in [&account.first_handle, &account.handle] {
-            let uri = ActorUri::from_handle(handle);
-            let actor = net.actor(&uri).expect("every handle is an actor");
-            let moved_to = actor.moved_to.as_ref().map(ToString::to_string);
+        let first = ActorId(account.id.index() as u32);
+        for id in [first, world.actor_of(account)] {
+            let actor = net.actor(id).expect("every handle is an actor");
             writeln!(
                 all,
-                "{uri} following={} followers={} moved_to={} aka={}",
+                "{} following={} followers={} moved_to={} aka={}",
+                actor.handle,
                 list(&actor.following),
                 list(&actor.followers),
-                moved_to.unwrap_or_default(),
+                actor.moved_to.map(handle).unwrap_or_default(),
                 list(&actor.also_known_as),
             )
             .unwrap();
         }
     }
-    for (domain, peers) in net.federation_peers() {
-        writeln!(all, "{domain}: {}", peers.join(",")).unwrap();
+    let domain = |i: &InstanceId| net.domain(*i).unwrap();
+    let rows = net.federation_peers();
+    let mut instances: Vec<InstanceId> = world.instances.iter().map(|i| i.id).collect();
+    instances.sort_by_key(|i| domain(i));
+    for i in &instances {
+        let peers: Vec<&str> = rows[i.index()].iter().map(domain).collect();
+        writeln!(all, "{}: {}", domain(i), peers.join(",")).unwrap();
     }
-    let got = fnv1a(&all);
+    fnv1a(&all)
+}
+
+/// The golden digests above see the Mastodon follow graph only through the
+/// crawler's sample of it. This one pins the whole graph the seed-1234
+/// `small()` world builds.
+#[test]
+fn small_follow_graph_matches_its_golden_digest() {
+    let got = follow_graph_digest(&WorldConfig::small().with_seed(1234));
     assert_eq!(
         got, 0xeb18_150e_4e12_668d,
         "follow-graph digest moved; now {got:#x}"
+    );
+}
+
+/// The same graph at `medium()` seed 1234: 3,614 accounts and 166
+/// switches, whose Moves reach many remote instances.
+#[test]
+fn medium_follow_graph_matches_its_golden_digest() {
+    let got = follow_graph_digest(&WorldConfig::medium().with_seed(1234));
+    assert_eq!(
+        got, 0xc329_8d8c_adbc_6298,
+        "medium follow-graph digest moved; now {got:#x}"
     );
 }
 
